@@ -23,7 +23,9 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -119,6 +121,19 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+@contextmanager
+def _option_values() -> Iterator[None]:
+    """Report option values of the wrong type or out of range as usage errors.
+
+    Config files can hold ``null`` or lists where numbers belong, so the
+    casts raise ``TypeError`` as well as ``ValueError``.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad option value: {exc}") from exc
+
+
 def _load_config_file(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -197,18 +212,16 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _window_config(resolved: dict) -> WindowConfig:
-    try:
+    with _option_values():
         return WindowConfig(
             window_length=int(resolved["window_length"]),
             stride=int(resolved["stride"]),
             scaling_scope=ScalingScope(resolved["scaling_scope"]),
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _model_config(resolved: dict, input_dim: int) -> ModelConfig:
-    try:
+    with _option_values():
         return ModelConfig(
             input_dim=input_dim,
             hidden_dim=int(resolved["hidden_dim"]),
@@ -217,13 +230,11 @@ def _model_config(resolved: dict, input_dim: int) -> ModelConfig:
             use_batchnorm=bool(resolved["batchnorm"]),
             seed=int(resolved["seed"]),
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _train_options(resolved: dict) -> TrainOptions:
     patience = resolved.get("early_stop_patience")
-    try:
+    with _option_values():
         return TrainOptions(
             epochs=int(resolved["epochs"]),
             batch_size=int(resolved["batch_size"]),
@@ -231,21 +242,20 @@ def _train_options(resolved: dict) -> TrainOptions:
             shuffle_seed=derive_seed(int(resolved["seed"]), 0x5EED),
             early_stop=EarlyStopConfig(patience=int(patience)) if patience else None,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "synth")
     out = _out_dir(args)
-    cfg = GenConfig(
-        n_bots=int(resolved["bots"]),
-        n_normals=int(resolved["normals"]),
-        days=float(resolved["days"]),
-        snapshot_interval=float(resolved["interval_hours"]) * 3600.0,
-        separability=float(resolved["separability"]),
-        seed=int(resolved["seed"]),
-    )
+    with _option_values():
+        cfg = GenConfig(
+            n_bots=int(resolved["bots"]),
+            n_normals=int(resolved["normals"]),
+            days=float(resolved["days"]),
+            snapshot_interval=float(resolved["interval_hours"]) * 3600.0,
+            separability=float(resolved["separability"]),
+            seed=int(resolved["seed"]),
+        )
     data = generate(cfg)
     log_path = out / "status_log.csv"
     labels_path = out / "labels.csv"
@@ -334,9 +344,12 @@ def _load_samples_dir(samples_dir: str) -> tuple[list[WindowedSample], FeatureSc
     meta_path = base / "featurize.json"
     if not npz_path.is_file() or not meta_path.is_file():
         raise DataError(f"{samples_dir} does not look like featurize output")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    schema = FeatureSchema.from_dict(meta["schema"])
-    window_cfg = WindowConfig.from_dict(meta["window_config"])
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        schema = FeatureSchema.from_dict(meta["schema"])
+        window_cfg = WindowConfig.from_dict(meta["window_config"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read featurize metadata {meta_path}: {exc}") from exc
     try:
         with np.load(npz_path) as bundle:
             x = bundle["x"]
@@ -354,8 +367,10 @@ def _load_samples_dir(samples_dir: str) -> tuple[list[WindowedSample], FeatureSc
             )
             for i in range(x.shape[0])
         ]
-    except ValueError as exc:
+    except (IndexError, ValueError) as exc:
         raise DataError(f"sample archive {npz_path} fails validation: {exc}") from exc
+    if not samples:
+        raise DataError(f"sample archive {npz_path} holds no windows")
     return samples, schema, window_cfg, meta
 
 
@@ -401,15 +416,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_crossval(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "crossval")
     timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
-    seed = int(resolved["seed"])
-    k = int(resolved["k"])
-    threshold = float(resolved["threshold"])
+    with _option_values():
+        seed = int(resolved["seed"])
+        k = int(resolved["k"])
+        threshold = float(resolved["threshold"])
+        period_days = None if resolved["by_period"] is None else float(resolved["by_period"])
     grouped = not bool(resolved["leaky_folds"])
     cfg = _model_config(resolved, input_dim=len(schema.active_indices()))
     opts = _train_options(resolved)
     detail: dict = {}
 
-    if resolved["by_period"] is None:
+    if period_days is None:
         samples = windows_from_timelines(timelines, schema, window_cfg)
         if not samples:
             raise DataError("no windows produced from the input timelines")
@@ -424,7 +441,6 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         )
         title = f"Cross-validation results (k={k}, seed={seed})"
     else:
-        period_days = float(resolved["by_period"])
         if period_days <= 0:
             raise UsageError("--by-period must be positive")
         row_name = "Week" if period_days == 7.0 else "Period"
@@ -503,7 +519,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     bundle = load_model(args.model)
     timelines, _ = load_timelines(args.log, args.labels, bundle.schema, keep_unlabeled=True)
-    threshold = float(resolved["threshold"])
+    with _option_values():
+        threshold = float(resolved["threshold"])
     rows = []
     skipped = 0
     for timeline in timelines:

@@ -289,13 +289,15 @@ def train(
     cfg: ModelConfig,
     opts: TrainOptions,
 ) -> tuple[ModelParams, list[dict]]:
-    """Minibatch Adam training; returns final params and per-epoch log.
+    """Minibatch Adam training; returns the trained params and per-epoch log.
 
     Batches are reshuffled every epoch from a dedicated generator; dropout
     masks come from a second generator so batch order and masks stay
     independent.  With batch norm on, a trailing single-sample batch is
     merged into its predecessor (one sample's batch statistics are its own
-    values, which erases the level information BN should preserve).
+    values, which erases the level information BN should preserve).  With
+    early stopping the params returned are those of the epoch with the
+    lowest validation loss, not those of the last epoch run.
     """
     x, y = stack_samples(samples)
     classes = set(np.unique(y).tolist())
@@ -320,6 +322,7 @@ def train(
 
     log: list[dict] = []
     best_val = np.inf
+    best_params = params
     stale = 0
     for epoch in range(opts.epochs):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
@@ -336,6 +339,7 @@ def train(
             entry["val_loss"] = bce_loss(val_probs, y[holdout], params, cfg.l2_lambda)
             if entry["val_loss"] < best_val - 1e-12:
                 best_val = entry["val_loss"]
+                best_params = params.copy()  # the next training forward rebinds BN stats
                 stale = 0
             else:
                 stale += 1
@@ -345,7 +349,7 @@ def train(
                 break
         else:
             log.append(entry)
-    return params, log
+    return (params if holdout is None else best_params), log
 
 
 def predict_probs(params: ModelParams, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:

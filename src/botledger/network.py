@@ -17,6 +17,20 @@ Architecture, in forward order:
   scaled by 1/(1-p), so inference needs no rescaling);
 * a sigmoid readout ``p = sigmoid(h W_out + b_out)``.
 
+The LSTM kernel follows the cuDNN recipe (Appleyard et al. 2016):
+
+* ``sigmoid(z)`` is evaluated as ``0.5 * (1 + tanh(z / 2))``, which is exact
+  at both extremes and needs no branch on the sign of ``z``;
+* the i/f/o rows of the gate pre-activations are pre-scaled by 1/2 (exact,
+  being a power of two), so one ``tanh`` call per step over all 4H columns
+  yields every gate, and ``cell_step`` and ``forward`` share that formula;
+* the input projection ``x W_x^T + b`` is one GEMM over all T timesteps
+  before the time loop, leaving one ``h W_h^T`` GEMM per step;
+* training keeps every step's gates, ``c``, ``tanh(c)`` and ``h`` for
+  backpropagation; inference keeps only the current step;
+* finiteness is checked once per batch: a non-finite cell state stays
+  non-finite at every later step, so checking the last one suffices.
+
 Training minimizes mean binary cross-entropy plus an L2 penalty on the
 weight matrices (never biases or batch-norm parameters), with exact
 backpropagation through time and Adam updates.  Everything here is plain
@@ -128,16 +142,29 @@ class GateRecord(NamedTuple):
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    # two-branch form keeps exp() arguments non-positive at both extremes
+    # tanh form: saturates to exactly 0 or 1 at the extremes, no overflow
     arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out.reshape(np.asarray(z).shape)
+    out = 0.5 * (1.0 + np.tanh(0.5 * arr))
+    return float(out) if arr.ndim == 0 else out
+
+
+def _gate_scale(hidden_dim: int) -> np.ndarray:
+    """Per-row scale of the 4H pre-activations: 1/2 on i/f/o, 1 on g."""
+    scale = np.full(4 * hidden_dim, 0.5)
+    scale[2 * hidden_dim : 3 * hidden_dim] = 1.0
+    return scale
+
+
+def _activate_gates(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Map pre-activations already multiplied by ``scale`` to [i, f, g, o].
+
+    Overwrites and returns ``a``: ``scale * tanh(a) + (1 - scale)`` is
+    ``sigmoid`` on the halved i/f/o blocks and ``tanh`` on the g block.
+    """
+    np.tanh(a, out=a)
+    a *= scale
+    a += 1.0 - scale
+    return a
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
@@ -169,12 +196,9 @@ def cell_step(
     params: ModelParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, GateRecord]:
     """One LSTM step; accepts single vectors or (B, .) batches."""
-    a = x_t @ params.W_x.T + h_prev @ params.W_h.T + params.b
-    h = params.hidden_dim
-    i = sigmoid(a[..., 0 * h : 1 * h])
-    f = sigmoid(a[..., 1 * h : 2 * h])
-    g = np.tanh(a[..., 2 * h : 3 * h])
-    o = sigmoid(a[..., 3 * h : 4 * h])
+    scale = _gate_scale(params.hidden_dim)
+    a = (x_t @ params.W_x.T + h_prev @ params.W_h.T + params.b) * scale
+    i, f, g, o = np.split(_activate_gates(a, scale), 4, axis=-1)
     c_t = f * c_prev + i * g
     if not np.isfinite(c_t).all():
         raise NumericError("numeric overflow in LSTM cell state")
@@ -258,6 +282,8 @@ def forward(
         )
     if t_steps < 1:
         raise ValueError("batch must contain at least one timestep")
+    if not np.isfinite(batch).all():
+        raise NumericError("non-finite values in input batch")
     hdim = params.hidden_dim
 
     # One statistic set per feature, shared across timesteps: batch moments
@@ -270,21 +296,31 @@ def forward(
     else:
         x_used = np.ascontiguousarray(batch.transpose(1, 0, 2))
         x_hat = None
-    gates_i = np.empty((t_steps, n, hdim))
-    gates_f = np.empty((t_steps, n, hdim))
-    gates_g = np.empty((t_steps, n, hdim))
-    gates_o = np.empty((t_steps, n, hdim))
-    cs = np.empty((t_steps, n, hdim))
-    hs = np.empty((t_steps, n, hdim))
 
-    h = np.zeros((n, hdim))
-    c = np.zeros((n, hdim))
+    # Input projection for every timestep in one GEMM; each step's slice is
+    # then turned into that step's gate activations in place.
+    scale = _gate_scale(hdim)
+    acts = x_used.reshape(t_steps * n, d) @ (params.W_x * scale[:, None]).T
+    acts += params.b * scale
+    acts = acts.reshape(t_steps, n, 4 * hdim)
+    w_h = (params.W_h * scale[:, None]).T
+
+    # Training keeps every step for backward; inference overwrites one slot.
+    kept = t_steps if training else 1
+    cs, tanh_cs, hs = (np.empty((kept, n, hdim)) for _ in range(3))
+    h = c = np.zeros((n, hdim))
     for t in range(t_steps):
-        x_t = x_used[t]
-        h, c, gate = cell_step(params, x_t, h, c)
-        gates_i[t], gates_f[t], gates_g[t], gates_o[t] = gate
-        cs[t] = c
-        hs[t] = h
+        slot = t if training else 0
+        a = acts[t]
+        a += h @ w_h
+        _activate_gates(a, scale)
+        i, f, g, o = (a[:, k * hdim : (k + 1) * hdim] for k in range(4))
+        c = np.multiply(f, c, out=cs[slot])
+        c += i * g
+        tanh_c = np.tanh(c, out=tanh_cs[slot])
+        h = np.multiply(o, tanh_c, out=hs[slot])
+    if not np.isfinite(c).all():
+        raise NumericError("numeric overflow in LSTM cell state")
 
     if training and cfg.dropout_p > 0.0:
         if rng is None:
@@ -306,9 +342,9 @@ def forward(
     trace = ForwardTrace(
         x_used=x_used,
         x_hat=x_hat,
-        gates=GateRecord(gates_i, gates_f, gates_g, gates_o),
+        gates=GateRecord(*(np.ascontiguousarray(blk) for blk in np.split(acts, 4, axis=2))),
         c=cs,
-        tanh_c=np.tanh(cs),
+        tanh_c=tanh_cs,
         h=hs,
         dropout_mask=mask,
         h_final=h_final,
@@ -474,28 +510,31 @@ def init_adam(
 def adam_step(
     params: ModelParams, grads: GradientSet, state: AdamState
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; inputs are left unmodified."""
+    """One bias-corrected Adam update; inputs are left unmodified.
+
+    Every updated tensor is a fresh array, so the new params share only the
+    batch-norm running statistics with the old ones, and those are rebound
+    by ``_bn_apply``, never written in place.
+    """
     t = state.step_count + 1
-    new_params = params.copy()
-    new_first = GradientSet.zeros_like(params)
-    new_second = GradientSet.zeros_like(params)
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
+    updated: dict = {}
+    first: dict = {}
+    second: dict = {}
     for name in TRAINABLE:
         g = getattr(grads, name)
         m = state.beta1 * getattr(state.first, name) + (1.0 - state.beta1) * g
         v = state.beta2 * getattr(state.second, name) + (1.0 - state.beta2) * np.square(g)
         update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
-        if name == "b_out":
-            new_params.b_out = params.b_out - float(update)
-            setattr(new_first, name, float(m))
-            setattr(new_second, name, float(v))
-        else:
-            setattr(new_params, name, getattr(params, name) - update)
-            setattr(new_first, name, m)
-            setattr(new_second, name, v)
-    new_state = replace(state, first=new_first, second=new_second, step_count=t)
-    return new_params, new_state
+        updated[name] = getattr(params, name) - update
+        first[name], second[name] = m, v
+    for tensors in (updated, first, second):
+        tensors["b_out"] = float(tensors["b_out"])
+    new_state = replace(
+        state, first=GradientSet(**first), second=GradientSet(**second), step_count=t
+    )
+    return replace(params, **updated), new_state
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """End-to-end command-line workflows, option precedence, and exit codes."""
 
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -477,3 +479,70 @@ def test_config_must_be_json_object(tmp_path) -> None:
     cfg_path.write_text("{nope")
     assert run(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
     assert run(["synth", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == 2
+
+
+def _npz(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+_EMPTY_ARCHIVE = _npz(
+    x=np.zeros((0, 24, 9)),
+    y=np.zeros(0),
+    origin_character=np.array([], dtype=str),
+    origin_start=np.zeros(0, dtype=np.int64),
+)
+_MISALIGNED_ARCHIVE = _npz(
+    x=np.zeros((3, 24, 9)),
+    y=np.zeros(2),
+    origin_character=np.array(["a", "b", "c"]),
+    origin_start=np.zeros(3, dtype=np.int64),
+)
+
+
+@pytest.mark.parametrize(
+    "command, config, corrupt, code",
+    [
+        # config values of the wrong type are usage errors
+        ("synth", {"bots": None}, None, 1),
+        ("synth", {"days": [1]}, None, 1),
+        ("crossval", {"k": None}, None, 1),
+        ("crossval", {"seed": [1]}, None, 1),
+        ("crossval", {"threshold": None}, None, 1),
+        ("crossval", {"by_period": [7]}, None, 1),
+        ("crossval", {"window_length": None}, None, 1),
+        ("crossval", {"hidden_dim": [3]}, None, 1),
+        ("train", {"lr": None}, None, 1),
+        ("train", {"early_stop_patience": [2]}, None, 1),
+        ("score", {"threshold": None}, None, 1),
+        # corrupt or incomplete featurize output is a data error
+        ("train", None, ("featurize.json", b"{not json"), 2),
+        ("train", None, ("featurize.json", b"\xff\xfe"), 2),
+        ("train", None, ("featurize.json", b"[]"), 2),
+        ("train", None, ("featurize.json", b'{"window_config": {}}'), 2),
+        ("train", None, ("samples.npz", _EMPTY_ARCHIVE), 2),
+        ("train", None, ("samples.npz", _MISALIGNED_ARCHIVE), 2),
+    ],
+)
+def test_malformed_inputs_exit_with_documented_code(
+    command, config, corrupt, code, dataset, features, model_dir, tmp_path, capsys
+) -> None:
+    samples = tmp_path / "samples"
+    shutil.copytree(features, samples)
+    if corrupt is not None:
+        name, content = corrupt
+        (samples / name).write_bytes(content)
+    log, labels = str(dataset / "status_log.csv"), str(dataset / "labels.csv")
+    argv = {
+        "synth": ["synth"],
+        "crossval": ["crossval", "--log", log, "--labels", labels],
+        "train": ["train", "--samples", str(samples), "--epochs", "1"],
+        "score": ["score", "--log", log, "--model", str(model_dir / "model.bin")],
+    }[command] + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+    assert run(argv) == code
+    assert "error:" in capsys.readouterr().err

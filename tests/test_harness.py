@@ -344,10 +344,20 @@ def test_train_early_stop_triggers_on_noise() -> None:
         epochs=40, batch_size=8, lr=1e-2, shuffle_seed=1,
         early_stop=EarlyStopConfig(patience=3, holdout_fraction=0.25),
     )
-    _, log = train(noise, ModelConfig(2, 8, 0.2, 1e-4, seed=2), opts)
+    cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
+    params, log = train(noise, cfg, opts)
     assert len(log) < 40
     assert log[-1].get("early_stop") is True
     assert all("val_loss" in e for e in log)
+
+    # the returned model is the best validation epoch's, not the last one's
+    best = min(e["val_loss"] for e in log)
+    assert log[-1]["val_loss"] > best
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0])
+    holdout = shuffle_rng.permutation(40)[:10]
+    x, y = stack_samples(noise)
+    probs = predict_probs(params, cfg, x[holdout])
+    assert bce_loss(probs, y[holdout], params, cfg.l2_lambda) == best
 
 
 def test_stack_samples_rejects_mixed_shapes() -> None:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from botledger.errors import DataError
+from botledger.errors import DataError, NumericError
 from botledger.network import (
     BN_EPS,
+    PROB_CLIP,
     GradientSet,
     ModelConfig,
     ModelParams,
@@ -119,6 +120,23 @@ def test_sigmoid_extremes_and_scalar() -> None:
     assert v[1] == 0.5 and v[0] == pytest.approx(1.0 - v[2], abs=1e-15)
 
 
+def _two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula() -> None:
+    z = np.concatenate([np.linspace(-50.0, 50.0, 4001), [-1000.0, -40.0, 40.0, 1000.0]])
+    assert np.abs(sigmoid(z) - _two_branch_sigmoid(z)).max() <= 1e-15
+    zero_d = sigmoid(np.array(-3.25))
+    assert isinstance(zero_d, float)
+    assert abs(zero_d - _two_branch_sigmoid(np.array([-3.25]))[0]) <= 1e-15
+
+
 # --- batch norm ---------------------------------------------------------------
 
 
@@ -218,6 +236,61 @@ def test_forward_hand_rolled_scalar_chain() -> None:
     expected = sig(1.5 * h - 0.3)
     probs, _ = forward(p, x, cfg, training=False)
     assert probs[0] == pytest.approx(expected, abs=1e-12)
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+@pytest.mark.parametrize("training", [True, False])
+def test_forward_matches_cell_step_reference(use_batchnorm: bool, training: bool) -> None:
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.0, use_batchnorm=use_batchnorm, seed=3)
+    params = init_params(cfg)
+    params.bn_running_mean = np.array([0.2, 0.5, -0.1, 0.4])
+    params.bn_running_var = np.array([0.5, 2.0, 1.0, 0.1])
+    batch = np.random.default_rng(4).normal(size=(5, 7, 4)) * 2.0
+
+    # reference: batch norm over all (sample, step) rows, then cell_step per step
+    ref = params.copy()
+    x = batch.reshape(35, 4)
+    if use_batchnorm:
+        x = batchnorm_forward(x, ref, training=training)
+    x = x.reshape(5, 7, 4)
+    h = c = np.zeros((5, 6))
+    hs, cs, gates = [], [], []
+    for t in range(7):
+        h, c, gate = cell_step(ref, x[:, t], h, c)
+        hs.append(h)
+        cs.append(c)
+        gates.append(gate)
+    want = np.clip(sigmoid(h @ ref.W_out + ref.b_out), PROB_CLIP, 1.0 - PROB_CLIP)
+
+    got_params = params.copy()
+    probs, trace = forward(got_params, batch, cfg, training=training)
+    assert _rel_err(probs, want) <= 1e-12
+    assert np.array_equal(got_params.bn_running_mean, ref.bn_running_mean)
+    assert np.array_equal(got_params.bn_running_var, ref.bn_running_var)
+    if not training:
+        assert trace is None
+        return
+    assert _rel_err(trace.x_used, x.transpose(1, 0, 2)) <= 1e-12
+    assert _rel_err(trace.h, np.stack(hs)) <= 1e-12
+    assert _rel_err(trace.c, np.stack(cs)) <= 1e-12
+    assert _rel_err(trace.tanh_c, np.tanh(np.stack(cs))) <= 1e-12
+    for got_gate, want_gate in zip(trace.gates, zip(*gates)):
+        assert _rel_err(got_gate, np.stack(want_gate)) <= 1e-12
+    assert np.array_equal(trace.h_final, trace.h[-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("training", [True, False])
+def test_forward_non_finite_input_is_numeric_error(bad: float, training: bool) -> None:
+    cfg = ModelConfig(input_dim=3, hidden_dim=4, dropout_p=0.0, seed=1)
+    batch = np.random.default_rng(0).random((4, 5, 3))
+    batch[2, 3, 1] = bad
+    with pytest.raises(NumericError):
+        forward(init_params(cfg), batch, cfg, training=training)
 
 
 def test_forward_output_range_random_nets() -> None:

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
 
@@ -70,13 +71,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _field_defaults(cls: type) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+_GEN = _field_defaults(GenConfig)
+_MODEL = _field_defaults(ModelConfig)
+_TRAIN = _field_defaults(TrainOptions)
+
 _DEFAULTS: dict[str, dict] = {
     "synth": {
         "bots": 10,
         "normals": 40,
-        "days": 28.0,
-        "interval_hours": 1.0,
-        "separability": 1.0,
+        "days": _GEN["days"],
+        "interval_hours": _GEN["snapshot_interval"] / 3600.0,
+        "separability": _GEN["separability"],
         "seed": None,
     },
     "featurize": {
@@ -85,40 +94,27 @@ _DEFAULTS: dict[str, dict] = {
         "scaling_scope": "per-character",
     },
     "train": {
-        "hidden_dim": 32,
-        "dropout": 0.2,
-        "l2": 1e-4,
-        "batch_size": 64,
-        "epochs": 5,
-        "lr": 1e-3,
-        "batchnorm": True,
+        "hidden_dim": _MODEL["hidden_dim"],
+        "dropout": _MODEL["dropout_p"],
+        "l2": _MODEL["l2_lambda"],
+        "batch_size": _TRAIN["batch_size"],
+        "epochs": _TRAIN["epochs"],
+        "lr": _TRAIN["lr"],
+        "batchnorm": _MODEL["use_batchnorm"],
         "early_stop_patience": None,
         "seed": None,
     },
-    "crossval": {
-        "window_length": 24,
-        "stride": 12,
-        "scaling_scope": "per-character",
-        "hidden_dim": 32,
-        "dropout": 0.2,
-        "l2": 1e-4,
-        "batch_size": 64,
-        "epochs": 5,
-        "lr": 1e-3,
-        "k": 10,
-        "threshold": 0.5,
-        "by_period": None,
-        "leaky_folds": False,
-        "batchnorm": True,
-        "seed": None,
-    },
     "score": {"threshold": 0.5},
-    "report": {
-        "window_length": 24,
-        "stride": 12,
-        "scaling_scope": "per-character",
-    },
 }
+_DEFAULTS["crossval"] = {
+    **_DEFAULTS["featurize"],
+    **{key: value for key, value in _DEFAULTS["train"].items() if key != "early_stop_patience"},
+    "k": 10,
+    "threshold": 0.5,
+    "by_period": None,
+    "leaky_folds": False,
+}
+_DEFAULTS["report"] = dict(_DEFAULTS["featurize"])
 
 
 @contextmanager
@@ -137,7 +133,7 @@ def _option_values() -> Iterator[None]:
 def _load_config_file(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config file {path} is not valid JSON: {exc}") from exc

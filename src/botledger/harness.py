@@ -261,7 +261,7 @@ class EarlyStopConfig:
 
 @dataclass(frozen=True)
 class TrainOptions:
-    epochs: int = 10
+    epochs: int = 5
     batch_size: int = 64
     lr: float = 1e-3
     shuffle_seed: int = 0
@@ -339,7 +339,7 @@ def train(
             entry["val_loss"] = bce_loss(val_probs, y[holdout], params, cfg.l2_lambda)
             if entry["val_loss"] < best_val - 1e-12:
                 best_val = entry["val_loss"]
-                best_params = params.copy()  # the next training forward rebinds BN stats
+                best_params = params.copy()  # the next training forward updates BN stats in place
                 stale = 0
             else:
                 stale += 1

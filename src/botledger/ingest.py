@@ -114,7 +114,7 @@ def parse_status_log(path: str | Path, schema: FeatureSchema) -> tuple[list[Stat
                 records.append(
                     StatusRecord(character_id, account_id, timestamp, np.array(values))
                 )
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read status log {path}: {exc}") from exc
     return records, stats
 
@@ -200,7 +200,7 @@ def read_label_file(path: str | Path) -> LabelFile:
                     continue
                 if stripped:
                     rows.append(stripped)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read label file {path}: {exc}") from exc
     if not rows or [c.strip() for c in rows[0].split(",")] != ["character_id", "label"]:
         raise DataError(f"label file header mismatch in {path}: expected character_id,label")

@@ -5,15 +5,16 @@ Layout, little-endian throughout:
     bytes 0-3   magic b"BOTW"
     bytes 4-7   format version (u32)
     bytes 8-11  metadata length in bytes (u32)
-    ...         metadata: canonical UTF-8 JSON (model config, feature
+    ...         metadata: canonical UTF-8 JSON object (model config, feature
                 schema, window config, training summary)
-    ...         raw float64 tensors, C order, in a fixed sequence:
-                W_x, W_h, b, bn_gamma, bn_beta, bn_running_mean,
-                bn_running_var, W_out, b_out
+    ...         ``ModelParams.flat`` as raw float64, which holds the tensors
+                in C order in the sequence W_x, W_h, b, bn_gamma, bn_beta,
+                bn_running_mean, bn_running_var, W_out, b_out
 
-Tensor shapes are implied by the metadata's model config, so the reader can
-verify the payload length exactly.  Unknown magic or version is rejected
-rather than guessed at.
+The payload length is implied by the metadata's model config, so the reader
+can verify it exactly.  Unknown magic or version is rejected rather than
+guessed at, and so is metadata whose feature schema does not feed
+``input_dim`` features to the model.
 """
 
 from __future__ import annotations
@@ -27,24 +28,11 @@ import numpy as np
 
 from .errors import DataError
 from .features import WindowConfig
-from .network import ModelConfig, ModelParams
+from .network import ModelConfig, ModelParams, param_layout
 from .schema import FeatureSchema
 
 MAGIC = b"BOTW"
 FORMAT_VERSION = 1
-
-# Field order of the tensor payload; b_out travels as a one-element array.
-TENSOR_FIELDS = (
-    "W_x",
-    "W_h",
-    "b",
-    "bn_gamma",
-    "bn_beta",
-    "bn_running_mean",
-    "bn_running_var",
-    "W_out",
-    "b_out",
-)
 
 
 @dataclass(frozen=True)
@@ -58,39 +46,23 @@ class ModelBundle:
     training_summary: dict
 
 
-def _tensor_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    h, d = cfg.hidden_dim, cfg.input_dim
-    return {
-        "W_x": (4 * h, d),
-        "W_h": (4 * h, h),
-        "b": (4 * h,),
-        "bn_gamma": (d,),
-        "bn_beta": (d,),
-        "bn_running_mean": (d,),
-        "bn_running_var": (d,),
-        "W_out": (h,),
-        "b_out": (1,),
-    }
-
-
 def save_model(path: str | Path, bundle: ModelBundle) -> None:
+    params, cfg = bundle.params, bundle.config
+    if (params.input_dim, params.hidden_dim) != (cfg.input_dim, cfg.hidden_dim):
+        raise ValueError("model params do not match the model config's dimensions")
     metadata = {
-        "model_config": bundle.config.to_dict(),
+        "model_config": cfg.to_dict(),
         "feature_schema": bundle.schema.to_dict(),
         "window_config": bundle.window_config.to_dict(),
         "training_summary": bundle.training_summary,
     }
     meta_bytes = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    shapes = _tensor_shapes(bundle.config)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
-        for name in TENSOR_FIELDS:
-            value = getattr(bundle.params, name)
-            arr = np.asarray(value, dtype="<f8").reshape(shapes[name])
-            fh.write(arr.tobytes(order="C"))
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -115,6 +87,8 @@ def load_model(path: str | Path) -> ModelBundle:
         metadata = json.loads(blob[12:meta_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"model file {path} has corrupt metadata: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise DataError(f"model file {path} metadata is not a JSON object")
     for key in ("model_config", "feature_schema", "window_config", "training_summary"):
         if key not in metadata:
             raise DataError(f"model file {path} metadata lacks {key!r}")
@@ -122,36 +96,23 @@ def load_model(path: str | Path) -> ModelBundle:
     config = ModelConfig.from_dict(metadata["model_config"])
     schema = FeatureSchema.from_dict(metadata["feature_schema"])
     window_config = WindowConfig.from_dict(metadata["window_config"])
-
-    shapes = _tensor_shapes(config)
-    expected = sum(int(np.prod(s)) for s in shapes.values()) * 8
-    payload = blob[meta_end:]
-    if len(payload) != expected:
+    n_active = len(schema.active_indices())
+    if n_active != config.input_dim:
         raise DataError(
-            f"model file {path} tensor payload is {len(payload)} bytes, expected {expected}"
+            f"model file {path} feature schema has {n_active} active features "
+            f"but the model takes input_dim {config.input_dim}"
         )
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name in TENSOR_FIELDS:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        tensors[name] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += count * 8
-    params = ModelParams(
-        W_x=tensors["W_x"],
-        W_h=tensors["W_h"],
-        b=tensors["b"],
-        bn_gamma=tensors["bn_gamma"],
-        bn_beta=tensors["bn_beta"],
-        bn_running_mean=tensors["bn_running_mean"],
-        bn_running_var=tensors["bn_running_var"],
-        W_out=tensors["W_out"],
-        b_out=float(tensors["b_out"][0]),
-    )
+
+    layout = param_layout(config.input_dim, config.hidden_dim)
+    payload = blob[meta_end:]
+    if len(payload) != layout.size * 8:
+        raise DataError(
+            f"model file {path} tensor payload is {len(payload)} bytes, "
+            f"expected {layout.size * 8}"
+        )
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return ModelBundle(
-        params=params,
+        params=ModelParams.from_flat(flat, layout),
         config=config,
         schema=schema,
         window_config=window_config,

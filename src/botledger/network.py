@@ -35,13 +35,19 @@ Training minimizes mean binary cross-entropy plus an L2 penalty on the
 weight matrices (never biases or batch-norm parameters), with exact
 backpropagation through time and Adam updates.  Everything here is plain
 numpy; no framework is involved, which keeps the gradient checker honest.
+
+All tensors live in one float64 vector, ``ModelParams.flat``, laid out once
+by ``_TENSORS``; gradients and Adam moments share that layout, and
+``model_io`` writes the vector as the ``model.bin`` payload.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, fields, replace
-from typing import NamedTuple, Sequence
+import functools
+import math
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,10 +58,24 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 PROB_CLIP = 1e-7
 
-# Names of ModelParams fields updated by the optimizer, in declared order.
-TRAINABLE = ("W_x", "W_h", "b", "bn_gamma", "bn_beta", "W_out", "b_out")
-# L2 applies to weight matrices only.
-L2_FIELDS = ("W_x", "W_h", "W_out")
+# The parameter layout, in model.bin payload order.  Each row is a tensor's
+# name, its shape over D = input_dim and H = hidden_dim, and its role:
+# "weight" is trained and L2-penalized, "trained" is trained only, and
+# "stat" is a batch-norm running statistic that Adam never moves.
+_TENSORS = (
+    ("W_x", ("4H", "D"), "weight"),
+    ("W_h", ("4H", "H"), "weight"),
+    ("b", ("4H",), "trained"),
+    ("bn_gamma", ("D",), "trained"),
+    ("bn_beta", ("D",), "trained"),
+    ("bn_running_mean", ("D",), "stat"),
+    ("bn_running_var", ("D",), "stat"),
+    ("W_out", ("H",), "weight"),
+    ("b_out", (), "trained"),
+)
+PARAM_NAMES = tuple(name for name, _, _ in _TENSORS)
+TRAINABLE = tuple(name for name, _, role in _TENSORS if role != "stat")
+L2_FIELDS = tuple(name for name, _, role in _TENSORS if role == "weight")
 
 
 @dataclass(frozen=True)
@@ -102,34 +122,94 @@ class ModelConfig:
             raise DataError(f"malformed model config document: {exc}") from exc
 
 
-@dataclass
-class ModelParams:
-    """All learnable tensors plus batch-norm running statistics.
+class ParamLayout(NamedTuple):
+    """Where each tensor of one model shape lives in ``ModelParams.flat``."""
 
-    Gate blocks in ``W_x``/``W_h``/``b`` are stacked input, forget, cell,
-    output along the first axis (4H rows).
+    input_dim: int
+    hidden_dim: int
+    size: int
+    views: Mapping[str, tuple[slice, tuple[int, ...]]]  # name -> (slice, shape)
+
+
+@functools.lru_cache(maxsize=None)
+def param_layout(input_dim: int, hidden_dim: int) -> ParamLayout:
+    """The ``_TENSORS`` table resolved for one (input_dim, hidden_dim)."""
+    dims = {"D": input_dim, "H": hidden_dim, "4H": 4 * hidden_dim}
+    views = {}
+    offset = 0
+    for name, symbols, _ in _TENSORS:
+        shape = tuple(dims[s] for s in symbols)
+        size = math.prod(shape)
+        views[name] = (slice(offset, offset + size), shape)
+        offset += size
+    return ParamLayout(input_dim, hidden_dim, offset, MappingProxyType(views))
+
+
+class ModelParams:
+    """Every tensor of the model in one contiguous float64 vector, ``flat``.
+
+    Each name in ``PARAM_NAMES`` is a view into ``flat`` laid out by
+    ``param_layout``: reading ``params.W_h`` gives a view (``b_out`` a
+    float), and assigning to a name writes into ``flat``.  Gate blocks in
+    ``W_x``/``W_h``/``b`` are stacked input, forget, cell, output along the
+    first axis (4H rows).  Gradients and Adam moments use the same class, so
+    one whole-vector operation touches every tensor.
     """
 
-    W_x: np.ndarray  # (4H, D)
-    W_h: np.ndarray  # (4H, H)
-    b: np.ndarray  # (4H,)
-    bn_gamma: np.ndarray  # (D,)
-    bn_beta: np.ndarray  # (D,)
-    bn_running_mean: np.ndarray  # (D,)
-    bn_running_var: np.ndarray  # (D,)
-    W_out: np.ndarray  # (H,)
-    b_out: float
+    __slots__ = ("flat", "layout")
+
+    def __init__(self, **tensors: np.ndarray | float) -> None:
+        if set(tensors) != set(PARAM_NAMES):
+            raise TypeError(f"ModelParams takes exactly the tensors {', '.join(PARAM_NAMES)}")
+        self.layout = param_layout(np.shape(tensors["W_x"])[1], np.shape(tensors["W_h"])[1])
+        self.flat = np.empty(self.layout.size)
+        for name, value in tensors.items():
+            setattr(self, name, value)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ModelParams":
+        """Wrap ``flat`` itself, not a copy, as the tensors of ``layout``."""
+        params = cls.__new__(cls)
+        params.flat = flat
+        params.layout = layout
+        return params
+
+    @classmethod
+    def zeros_like(cls, params: "ModelParams") -> "ModelParams":
+        return cls.from_flat(np.zeros_like(params.flat), params.layout)
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_h.shape[1]
+        return self.layout.hidden_dim
 
     @property
     def input_dim(self) -> int:
-        return self.W_x.shape[1]
+        return self.layout.input_dim
 
     def copy(self) -> "ModelParams":
-        return copy.deepcopy(self)
+        return ModelParams.from_flat(self.flat.copy(), self.layout)
+
+    def items(self) -> list[tuple[str, np.ndarray | float]]:
+        return [(name, getattr(self, name)) for name in PARAM_NAMES]
+
+
+def _named_view(name: str) -> property:
+    def get(self: ModelParams) -> np.ndarray | float:
+        where, shape = self.layout.views[name]
+        return self.flat[where].reshape(shape)[()]  # [()] turns the 0-d b_out into a float
+
+    def set(self: ModelParams, value: np.ndarray | float) -> None:
+        where, shape = self.layout.views[name]
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"{name} has shape {shape}, got {value.shape}")
+        self.flat[where] = value.ravel()
+
+    return property(get, set, doc=f"``{name}`` as a view into ``flat``.")
+
+
+for _name in PARAM_NAMES:
+    setattr(ModelParams, _name, _named_view(_name))
 
 
 class GateRecord(NamedTuple):
@@ -171,25 +251,18 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     """Seeded initialization: uniform(-k, k) weights with k = 1/sqrt(H),
     zero biases except the forget-gate block at 1, identity batch norm."""
     rng = np.random.default_rng(cfg.seed)
-    h, d = cfg.hidden_dim, cfg.input_dim
+    h = cfg.hidden_dim
     k = 1.0 / np.sqrt(h)
-    W_x = rng.uniform(-k, k, size=(4 * h, d))
-    W_h = rng.uniform(-k, k, size=(4 * h, h))
-    W_out = rng.uniform(-k, k, size=h)
-    b_out = float(rng.uniform(-k, k))
-    b = np.zeros(4 * h)
-    b[h : 2 * h] = 1.0  # forget bias starts open so early gradients flow
-    return ModelParams(
-        W_x=W_x,
-        W_h=W_h,
-        b=b,
-        bn_gamma=np.ones(d),
-        bn_beta=np.zeros(d),
-        bn_running_mean=np.zeros(d),
-        bn_running_var=np.ones(d),
-        W_out=W_out,
-        b_out=b_out,
-    )
+    layout = param_layout(cfg.input_dim, h)
+    params = ModelParams.from_flat(np.zeros(layout.size), layout)
+    params.W_x = rng.uniform(-k, k, size=params.W_x.shape)
+    params.W_h = rng.uniform(-k, k, size=params.W_h.shape)
+    params.W_out = rng.uniform(-k, k, size=h)
+    params.b_out = rng.uniform(-k, k)
+    params.b[h : 2 * h] = 1.0  # forget bias starts open so early gradients flow
+    params.bn_gamma[:] = 1.0
+    params.bn_running_var[:] = 1.0
+    return params
 
 
 def cell_step(
@@ -212,8 +285,9 @@ def _bn_apply(
     """Normalize a (rows, D) matrix; returns (output, pre-affine x_hat).
 
     Training mode normalizes with biased batch statistics and folds them into
-    the running estimates as ``running = (1 - momentum) * running +
-    momentum * batch``; inference uses the running estimates unchanged.
+    the running estimates, in place in ``params.flat``, as ``running =
+    (1 - momentum) * running + momentum * batch``; inference uses the
+    running estimates unchanged.
     """
     if training:
         if batch.shape[0] < 2:
@@ -374,52 +448,25 @@ def bce_loss(
     return data
 
 
-@dataclass
-class GradientSet:
-    """Gradients (or Adam moments) mirroring every trainable tensor."""
-
-    W_x: np.ndarray
-    W_h: np.ndarray
-    b: np.ndarray
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-    W_out: np.ndarray
-    b_out: float
-
-    @staticmethod
-    def zeros_like(params: ModelParams) -> "GradientSet":
-        return GradientSet(
-            W_x=np.zeros_like(params.W_x),
-            W_h=np.zeros_like(params.W_h),
-            b=np.zeros_like(params.b),
-            bn_gamma=np.zeros_like(params.bn_gamma),
-            bn_beta=np.zeros_like(params.bn_beta),
-            W_out=np.zeros_like(params.W_out),
-            b_out=0.0,
-        )
-
-    def items(self) -> list[tuple[str, np.ndarray | float]]:
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
-
-
 def backward(
     trace: ForwardTrace,
     labels: Sequence | np.ndarray,
     params: ModelParams,
     cfg: ModelConfig,
-) -> GradientSet:
+) -> ModelParams:
     """Exact gradients of ``bce_loss`` via backpropagation through time.
 
     Batch-norm sits on the input side, so its batch statistics do not depend
     on any trainable tensor; only gamma/beta need gradients, accumulated from
-    the saved ``x_hat`` buffers.
+    the saved ``x_hat`` buffers.  The gradients share the params' layout, with
+    zeros in the running-statistic slots.
     """
     y = encode_labels(labels)
     t_steps, n, hdim = trace.h.shape
     if y.shape != (n,):
         raise ValueError("labels must match the traced batch size")
 
-    grads = GradientSet.zeros_like(params)
+    grads = ModelParams.zeros_like(params)
 
     # d loss / d z for p = sigmoid(z) under mean BCE
     dz = (trace.probs - y) / n
@@ -431,6 +478,10 @@ def backward(
         dh = dh * trace.dropout_mask
 
     dc_next = np.zeros((n, hdim))
+    # views into grads.flat, so += accumulates without a setter write-back per step
+    g_wx, g_wh, g_b, g_gamma, g_beta = (
+        grads.W_x, grads.W_h, grads.b, grads.bn_gamma, grads.bn_beta
+    )
     gi, gf, gg, go = trace.gates
     for t in range(t_steps - 1, -1, -1):
         i, f, g, o = gi[t], gf[t], gg[t], go[t]
@@ -454,34 +505,32 @@ def backward(
             ],
             axis=1,
         )
-        grads.W_x += da.T @ trace.x_used[t]
-        grads.W_h += da.T @ h_prev
-        grads.b += da.sum(axis=0)
+        g_wx += da.T @ trace.x_used[t]
+        g_wh += da.T @ h_prev
+        g_b += da.sum(axis=0)
         dh = da @ params.W_h
 
         if cfg.use_batchnorm:
             dx_bn = da @ params.W_x  # gradient w.r.t. the BN output slice
-            grads.bn_gamma += (dx_bn * trace.x_hat[t]).sum(axis=0)
-            grads.bn_beta += dx_bn.sum(axis=0)
+            g_gamma += (dx_bn * trace.x_hat[t]).sum(axis=0)
+            g_beta += dx_bn.sum(axis=0)
 
     if cfg.l2_lambda:
         for name in L2_FIELDS:
-            setattr(
-                grads, name, getattr(grads, name) + 2.0 * cfg.l2_lambda * getattr(params, name)
-            )
+            grad = getattr(grads, name)
+            grad += 2.0 * cfg.l2_lambda * getattr(params, name)
 
-    for _, value in grads.items():
-        if not np.isfinite(value).all():
-            raise NumericError("numeric overflow in gradients")
+    if not np.isfinite(grads.flat).all():
+        raise NumericError("numeric overflow in gradients")
     return grads
 
 
 @dataclass
 class AdamState:
-    """Per-tensor first/second moment accumulators plus the step count."""
+    """First/second moment accumulators, laid out like the params, plus the step count."""
 
-    first: GradientSet
-    second: GradientSet
+    first: ModelParams
+    second: ModelParams
     step_count: int
     lr: float
     beta1: float
@@ -497,8 +546,8 @@ def init_adam(
     eps_hat: float = 1e-8,
 ) -> AdamState:
     return AdamState(
-        first=GradientSet.zeros_like(params),
-        second=GradientSet.zeros_like(params),
+        first=ModelParams.zeros_like(params),
+        second=ModelParams.zeros_like(params),
         step_count=0,
         lr=lr,
         beta1=beta1,
@@ -508,33 +557,32 @@ def init_adam(
 
 
 def adam_step(
-    params: ModelParams, grads: GradientSet, state: AdamState
+    params: ModelParams, grads: ModelParams, state: AdamState
 ) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update; inputs are left unmodified.
+    """One bias-corrected Adam update of the whole parameter vector.
 
-    Every updated tensor is a fresh array, so the new params share only the
-    batch-norm running statistics with the old ones, and those are rebound
-    by ``_bn_apply``, never written in place.
+    Adam is elementwise, so one pass over ``flat`` equals one pass per
+    tensor.  The batch-norm running statistics have zero gradient and zero
+    moments, so their update is exactly 0.0 and they pass through bit for
+    bit.  Inputs are left unmodified: the new params and moments own fresh
+    vectors, which is what lets ``_bn_apply`` update running statistics in
+    place.
     """
     t = state.step_count + 1
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    updated: dict = {}
-    first: dict = {}
-    second: dict = {}
-    for name in TRAINABLE:
-        g = getattr(grads, name)
-        m = state.beta1 * getattr(state.first, name) + (1.0 - state.beta1) * g
-        v = state.beta2 * getattr(state.second, name) + (1.0 - state.beta2) * np.square(g)
-        update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
-        updated[name] = getattr(params, name) - update
-        first[name], second[name] = m, v
-    for tensors in (updated, first, second):
-        tensors["b_out"] = float(tensors["b_out"])
+    g = grads.flat
+    m = state.beta1 * state.first.flat + (1.0 - state.beta1) * g
+    v = state.beta2 * state.second.flat + (1.0 - state.beta2) * np.square(g)
+    update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
+    layout = params.layout
     new_state = replace(
-        state, first=GradientSet(**first), second=GradientSet(**second), step_count=t
+        state,
+        first=ModelParams.from_flat(m, layout),
+        second=ModelParams.from_flat(v, layout),
+        step_count=t,
     )
-    return replace(params, **updated), new_state
+    return ModelParams.from_flat(params.flat - update, layout), new_state
 
 
 @dataclass(frozen=True)
@@ -584,31 +632,19 @@ def gradient_check(
     per_tensor: dict[str, float] = {}
     checked = 0
     for name in TRAINABLE:
-        ga = getattr(analytic, name)
-        base = getattr(params, name)
-        if name == "b_out":
-            flat_indices: list[int] = [0]
-            size = 1
+        where, _ = params.layout.views[name]
+        size = where.stop - where.start
+        if size <= max_entries_per_tensor:
+            offsets = list(range(size))
         else:
-            size = base.size
-            if size <= max_entries_per_tensor:
-                flat_indices = list(range(size))
-            else:
-                flat_indices = sorted(
-                    rng.choice(size, size=max_entries_per_tensor, replace=False).tolist()
-                )
+            offsets = sorted(rng.choice(size, size=max_entries_per_tensor, replace=False).tolist())
         worst = 0.0
-        for flat in flat_indices:
+        for index in (where.start + k for k in offsets):
             plus = params.copy()
             minus = params.copy()
-            if name == "b_out":
-                plus.b_out = params.b_out + perturbation
-                minus.b_out = params.b_out - perturbation
-                ga_entry = float(ga)
-            else:
-                getattr(plus, name).flat[flat] += perturbation
-                getattr(minus, name).flat[flat] -= perturbation
-                ga_entry = float(np.asarray(ga).flat[flat])
+            plus.flat[index] += perturbation
+            minus.flat[index] -= perturbation
+            ga_entry = float(analytic.flat[index])
             gn_entry = (loss_at(plus) - loss_at(minus)) / (2.0 * perturbation)
             rel = abs(ga_entry - gn_entry) / max(abs(ga_entry), abs(gn_entry), 1e-8)
             worst = max(worst, rel)

@@ -3,6 +3,7 @@
 import io
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -501,6 +502,23 @@ _MISALIGNED_ARCHIVE = _npz(
 )
 
 
+def _with_model_metadata(edit):
+    """Rewrite a model.bin's metadata JSON through ``edit``, keeping its payload."""
+
+    def rewrite(blob: bytes) -> bytes:
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        meta = json.dumps(edit(json.loads(blob[12 : 12 + meta_len]))).encode()
+        return blob[:8] + struct.pack("<I", len(meta)) + meta + blob[12 + meta_len :]
+
+    return rewrite
+
+
+def _drop_first_active_feature(meta: dict) -> dict:
+    active = meta["feature_schema"]["active"]
+    active[active.index(True)] = False
+    return meta
+
+
 @pytest.mark.parametrize(
     "command, config, corrupt, code",
     [
@@ -523,6 +541,15 @@ _MISALIGNED_ARCHIVE = _npz(
         ("train", None, ("featurize.json", b'{"window_config": {}}'), 2),
         ("train", None, ("samples.npz", _EMPTY_ARCHIVE), 2),
         ("train", None, ("samples.npz", _MISALIGNED_ARCHIVE), 2),
+        # text inputs that are not valid UTF-8 are data errors
+        ("synth", None, ("cfg.json", b'{"bots": "\xff"}'), 2),
+        ("crossval", None, ("status_log.csv", lambda blob: blob + b"\xff\n"), 2),
+        ("crossval", None, ("labels.csv", lambda blob: blob + b"\xff,bot\n"), 2),
+        # model.bin metadata that is no JSON object, or whose schema disagrees
+        # with the model's input width, is a data error
+        ("score", None, ("model.bin", _with_model_metadata(lambda meta: 5)), 2),
+        ("score", None, ("model.bin", _with_model_metadata(list)), 2),
+        ("score", None, ("model.bin", _with_model_metadata(_drop_first_active_feature)), 2),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -530,19 +557,25 @@ def test_malformed_inputs_exit_with_documented_code(
 ) -> None:
     samples = tmp_path / "samples"
     shutil.copytree(features, samples)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for path in (dataset / "status_log.csv", dataset / "labels.csv", model_dir / "model.bin"):
+        shutil.copy(path, inputs)
+    cfg_path = inputs / "cfg.json"
+    if config is not None:
+        cfg_path.write_text(json.dumps(config))
     if corrupt is not None:
         name, content = corrupt
-        (samples / name).write_bytes(content)
-    log, labels = str(dataset / "status_log.csv"), str(dataset / "labels.csv")
+        target = (samples if name in ("featurize.json", "samples.npz") else inputs) / name
+        target.write_bytes(content(target.read_bytes()) if callable(content) else content)
+    log, labels = str(inputs / "status_log.csv"), str(inputs / "labels.csv")
     argv = {
         "synth": ["synth"],
         "crossval": ["crossval", "--log", log, "--labels", labels],
         "train": ["train", "--samples", str(samples), "--epochs", "1"],
-        "score": ["score", "--log", log, "--model", str(model_dir / "model.bin")],
+        "score": ["score", "--log", log, "--model", str(inputs / "model.bin")],
     }[command] + ["--out", str(tmp_path / "out")]
-    if config is not None:
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+    if cfg_path.exists():
         argv += ["--config", str(cfg_path)]
     assert run(argv) == code
     assert "error:" in capsys.readouterr().err

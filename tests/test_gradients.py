@@ -5,7 +5,6 @@ import pytest
 
 import botledger.network as network
 from botledger.network import (
-    GradientSet,
     ModelConfig,
     backward,
     forward,

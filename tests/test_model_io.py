@@ -1,5 +1,6 @@
 """Binary model round trips and corruption rejection."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from botledger.errors import DataError
 from botledger.features import WindowConfig
 from botledger.model_io import FORMAT_VERSION, MAGIC, ModelBundle, load_model, save_model
-from botledger.network import ModelConfig, forward, init_params
+from botledger.network import ModelConfig, ModelParams, forward, init_params
 from botledger.schema import canonical_schema
 
 
@@ -45,6 +46,39 @@ def test_round_trip_bit_identical(tmp_path) -> None:
     assert loaded.window_config == bundle.window_config
     assert loaded.schema.to_dict() == bundle.schema.to_dict()
     assert loaded.training_summary == {"epochs": 3, "final_loss": 0.123}
+
+
+def _filled(start, *shape):
+    return (np.arange(start, start + int(np.prod(shape)), dtype=float) / 8.0).reshape(shape)
+
+
+def test_file_bytes_are_pinned(tmp_path) -> None:
+    # tensors filled without an RNG, so the bytes cannot drift with numpy's
+    # generators; the digest pins format version 1 as first written, tensor
+    # by tensor
+    params = ModelParams(
+        W_x=_filled(0, 8, 9),
+        W_h=_filled(100, 8, 2),
+        b=_filled(200, 8),
+        bn_gamma=_filled(300, 9),
+        bn_beta=_filled(400, 9),
+        bn_running_mean=_filled(500, 9),
+        bn_running_var=_filled(600, 9),
+        W_out=_filled(700, 2),
+        b_out=-0.375,
+    )
+    bundle = ModelBundle(
+        params=params,
+        config=ModelConfig(input_dim=9, hidden_dim=2),
+        schema=canonical_schema(),
+        window_config=WindowConfig(window_length=24, stride=12),
+        training_summary={"epochs": 1},
+    )
+    path = tmp_path / "model.bin"
+    save_model(path, bundle)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "dfb6af7de3955818484224e28705637aa7d0573ef2d7becbbdddac2bcbdbbd3f"
+    assert load_model(path).params.flat.tobytes() == params.flat.tobytes()
 
 
 def test_round_trip_preserves_predictions(tmp_path) -> None:

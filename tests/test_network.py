@@ -7,10 +7,10 @@ from botledger.errors import DataError, NumericError
 from botledger.network import (
     BN_EPS,
     PROB_CLIP,
-    GradientSet,
     ModelConfig,
     ModelParams,
     adam_step,
+    backward,
     batchnorm_forward,
     bce_loss,
     cell_step,
@@ -72,6 +72,55 @@ def test_model_config_validation() -> None:
         ModelConfig(input_dim=4, hidden_dim=4, dropout_p=1.0)
     with pytest.raises(ValueError):
         ModelConfig(input_dim=4, hidden_dim=4, l2_lambda=-1.0)
+
+
+# --- parameter layout ---------------------------------------------------------
+
+
+def test_named_views_write_through_to_flat() -> None:
+    p = init_params(ModelConfig(input_dim=2, hidden_dim=3, seed=0))
+    names = (
+        "W_x", "W_h", "b", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var", "W_out"
+    )
+    # flat holds the tensors in model.bin payload order, b_out last
+    assert np.array_equal(
+        p.flat, np.concatenate([getattr(p, n).ravel() for n in names] + [[p.b_out]])
+    )
+    assert p.flat.shape == (12 * 2 + 12 * 3 + 12 + 4 * 2 + 3 + 1,)
+
+    # name -> flat: assignment and in-place edits through a view
+    p.W_h = np.full((12, 3), 7.0)
+    p.b_out = 0.25
+    p.W_out[:] = -1.0
+    assert p.flat[24:60].tolist() == [7.0] * 36
+    assert p.flat[-4:].tolist() == [-1.0, -1.0, -1.0, 0.25]
+
+    # flat -> name
+    p.flat[:] = np.arange(p.flat.size)
+    assert p.W_x.tolist()[1] == [2.0, 3.0]
+    assert p.bn_gamma.tolist() == [72.0, 73.0]
+    assert p.b_out == 83.0 and isinstance(p.b_out, float)
+
+    with pytest.raises(ValueError):
+        p.W_x = np.zeros((2, 12))
+
+
+def test_adam_leaves_running_stats_bitwise_unchanged() -> None:
+    cfg = ModelConfig(input_dim=3, hidden_dim=4, dropout_p=0.0, seed=5)
+    params = init_params(cfg)
+    params.bn_running_mean = np.array([0.1, -0.0, 3e-300])
+    params.bn_running_var = np.array([2.0, 1e-12, np.pi])
+    mean, var = params.bn_running_mean.tobytes(), params.bn_running_var.tobytes()
+    batch = np.random.default_rng(6).random((4, 5, 3))
+    state = init_adam(params, lr=0.1)
+    stepped = params
+    for _ in range(3):
+        _, trace = forward(stepped.copy(), batch, cfg, training=True)
+        grads = backward(trace, np.array([1.0, 0.0, 1.0, 0.0]), stepped, cfg)
+        stepped, state = adam_step(stepped, grads, state)
+    assert stepped.bn_running_mean.tobytes() == mean
+    assert stepped.bn_running_var.tobytes() == var
+    assert not np.array_equal(stepped.W_x, params.W_x)
 
 
 # --- cell step ---------------------------------------------------------------
@@ -397,7 +446,7 @@ def test_adam_zero_gradient_is_identity() -> None:
     cfg = ModelConfig(input_dim=2, hidden_dim=3, seed=0)
     p = init_params(cfg)
     state = init_adam(p, lr=1e-3)
-    zero = GradientSet.zeros_like(p)
+    zero = ModelParams.zeros_like(p)
     p2, state2 = adam_step(p, zero, state)
     assert state2.step_count == 1
     assert np.array_equal(p2.W_x, p.W_x)
@@ -408,7 +457,7 @@ def test_adam_zero_gradient_is_identity() -> None:
 def test_adam_first_step_magnitude() -> None:
     # with bias correction the first update is lr * g / (|g| + eps)
     p = _zero_params(1, 1)
-    grads = GradientSet.zeros_like(p)
+    grads = ModelParams.zeros_like(p)
     grads.b_out = 2.0
     state = init_adam(p, lr=1e-3)
     p2, _ = adam_step(p, grads, state)
@@ -418,7 +467,7 @@ def test_adam_first_step_magnitude() -> None:
 def test_adam_is_pure_and_deterministic() -> None:
     cfg = ModelConfig(input_dim=2, hidden_dim=3, seed=1)
     p = init_params(cfg)
-    grads = GradientSet.zeros_like(p)
+    grads = ModelParams.zeros_like(p)
     grads.W_x = np.ones_like(p.W_x) * 0.1
     grads.b_out = -0.2
     state = init_adam(p)
@@ -435,7 +484,7 @@ def test_adam_is_pure_and_deterministic() -> None:
 
 def test_adam_moment_recursions() -> None:
     p = _zero_params(1, 1)
-    grads = GradientSet.zeros_like(p)
+    grads = ModelParams.zeros_like(p)
     grads.b_out = 1.0
     state = init_adam(p, lr=0.1, beta1=0.9, beta2=0.999)
     _, s1 = adam_step(p, grads, state)

@@ -24,7 +24,7 @@ from .harness import (
 from .ingest import build_timelines, load_timelines, parse_status_log, read_label_file
 from .model_io import ModelBundle, load_model, save_model
 from .network import ModelConfig, ModelParams, forward, gradient_check, init_params
-from .schema import CharacterTimeline, FeatureSchema, Label, StatusRecord, WindowedSample, canonical_schema
+from .schema import CharacterTimeline, FeatureSchema, Label, StatusRecord, WindowSet, canonical_schema
 from .synth import Archetype, GenConfig, generate
 
 __version__ = "0.1.0"
@@ -48,7 +48,7 @@ __all__ = [
     "StatusRecord",
     "TrainOptions",
     "WindowConfig",
-    "WindowedSample",
+    "WindowSet",
     "build_timelines",
     "canonical_schema",
     "compute_metrics",

@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -43,22 +44,19 @@ from .features import (
     windows_from_timelines,
 )
 from .harness import (
-    EvalReport,
-    EvalRow,
     TrainOptions,
     EarlyStopConfig,
-    average_metrics,
     cross_validate,
+    cross_validate_by_period,
     derive_seed,
     format_report_text,
     predict_probs,
-    split_by_period,
     train,
 )
 from .ingest import load_timelines, write_label_file, write_status_log
 from .model_io import ModelBundle, load_model, save_model
 from .network import ModelConfig
-from .schema import FeatureSchema, Label, WindowedSample, canonical_schema
+from .schema import FeatureSchema, Label, WindowSet, canonical_schema
 from .synth import GenConfig, generate, write_event_log
 
 
@@ -76,6 +74,7 @@ def _field_defaults(cls: type) -> dict:
 
 
 _GEN = _field_defaults(GenConfig)
+_WINDOW = _field_defaults(WindowConfig)
 _MODEL = _field_defaults(ModelConfig)
 _TRAIN = _field_defaults(TrainOptions)
 
@@ -89,9 +88,9 @@ _DEFAULTS: dict[str, dict] = {
         "seed": None,
     },
     "featurize": {
-        "window_length": 24,
-        "stride": 12,
-        "scaling_scope": "per-character",
+        "window_length": _WINDOW["window_length"],
+        "stride": _WINDOW["stride"],
+        "scaling_scope": _WINDOW["scaling_scope"].value,
     },
     "train": {
         "hidden_dim": _MODEL["hidden_dim"],
@@ -295,15 +294,14 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         raise DataError(
             "no windows produced; every timeline is shorter than the window length"
         )
-    x = np.stack([s.matrix for s in samples])
-    y = np.array([s.label.encode() for s in samples])
-    origin_character = np.array([s.origin[0] for s in samples])
-    origin_start = np.array([s.origin[1] for s in samples], dtype=np.int64)
-
     samples_path = out / "samples.npz"
     with open(samples_path, "wb") as fh:
         np.savez(
-            fh, x=x, y=y, origin_character=origin_character, origin_start=origin_start
+            fh,
+            x=samples.x,
+            y=samples.y,
+            origin_character=samples.character,
+            origin_start=samples.start,
         )
     meta_path = out / "featurize.json"
     _write_json(
@@ -334,7 +332,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_samples_dir(samples_dir: str) -> tuple[list[WindowedSample], FeatureSchema, WindowConfig, dict]:
+def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, WindowConfig, dict]:
     base = Path(samples_dir)
     npz_path = base / "samples.npz"
     meta_path = base / "featurize.json"
@@ -348,25 +346,21 @@ def _load_samples_dir(samples_dir: str) -> tuple[list[WindowedSample], FeatureSc
         raise DataError(f"cannot read featurize metadata {meta_path}: {exc}") from exc
     try:
         with np.load(npz_path) as bundle:
-            x = bundle["x"]
-            y = bundle["y"]
-            origin_character = bundle["origin_character"]
-            origin_start = bundle["origin_start"]
-    except (OSError, KeyError, ValueError) as exc:
-        raise DataError(f"cannot read samples from {npz_path}: {exc}") from exc
-    try:
-        samples = [
-            WindowedSample(
-                matrix=x[i],
-                label=Label.decode(float(y[i])),
-                origin=(str(origin_character[i]), int(origin_start[i])),
+            samples = WindowSet(
+                x=bundle["x"],
+                y=bundle["y"],
+                character=bundle["origin_character"],
+                start=bundle["origin_start"],
             )
-            for i in range(x.shape[0])
-        ]
-    except (IndexError, ValueError) as exc:
-        raise DataError(f"sample archive {npz_path} fails validation: {exc}") from exc
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read samples from {npz_path}: {exc}") from exc
     if not samples:
         raise DataError(f"sample archive {npz_path} holds no windows")
+    if np.isnan(samples.y).any():
+        raise DataError(f"sample archive {npz_path} holds unlabeled windows")
+    width = len(schema.active_indices())
+    if samples.x.shape[2] != width:
+        raise DataError(f"windows in {npz_path} are not {width} features wide as {meta_path} says")
     return samples, schema, window_cfg, meta
 
 
@@ -374,7 +368,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "train")
     out = _out_dir(args)
     samples, schema, window_cfg, _ = _load_samples_dir(args.samples)
-    cfg = _model_config(resolved, input_dim=samples[0].matrix.shape[1])
+    cfg = _model_config(resolved, input_dim=samples.x.shape[2])
     opts = _train_options(resolved)
     params, log = train(samples, cfg, opts)
     summary = {
@@ -420,70 +414,21 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     grouped = not bool(resolved["leaky_folds"])
     cfg = _model_config(resolved, input_dim=len(schema.active_indices()))
     opts = _train_options(resolved)
+    folds = {"k": k, "seed": seed, "threshold": threshold, "group_by_character": grouped}
     detail: dict = {}
 
     if period_days is None:
         samples = windows_from_timelines(timelines, schema, window_cfg)
         if not samples:
             raise DataError("no windows produced from the input timelines")
-        report = cross_validate(
-            samples,
-            cfg,
-            opts,
-            k=k,
-            seed=seed,
-            threshold=threshold,
-            group_by_character=grouped,
-        )
+        report = cross_validate(samples, cfg, opts, **folds)
         title = f"Cross-validation results (k={k}, seed={seed})"
     else:
         if period_days <= 0:
             raise UsageError("--by-period must be positive")
-        row_name = "Week" if period_days == 7.0 else "Period"
-        splits = split_by_period(timelines, period_days * 86400.0)
-        rows: list[EvalRow] = []
-        period_reports = []
-        total = None
-        for ordinal, (_, period_timelines) in enumerate(splits, start=1):
-            samples = windows_from_timelines(period_timelines, schema, window_cfg)
-            if not samples:
-                raise DataError(f"period {ordinal} produced no windows")
-            sub = cross_validate(
-                samples,
-                cfg,
-                opts,
-                k=k,
-                seed=derive_seed(seed, ordinal),
-                threshold=threshold,
-                group_by_character=grouped,
-            )
-            period_reports.append({"name": f"{row_name} {ordinal}", "report": sub.to_dict()})
-            rows.append(
-                EvalRow(
-                    name=f"{row_name} {ordinal}",
-                    metrics=sub.average,
-                    confusion=sub.confusion_total,
-                    n_test=sub.confusion_total.total,
-                )
-            )
-            total = sub.confusion_total if total is None else total + sub.confusion_total
-        report = EvalReport(
-            rows=tuple(rows),
-            average=average_metrics([r.metrics for r in rows]),
-            confusion_total=total,
-            config={
-                "k": k,
-                "seed": seed,
-                "threshold": threshold,
-                "group_by_character": grouped,
-                "by_period_days": period_days,
-                "model": cfg.to_dict(),
-                "epochs": opts.epochs,
-                "batch_size": opts.batch_size,
-                "lr": opts.lr,
-            },
+        report, detail["periods"] = cross_validate_by_period(
+            timelines, schema, window_cfg, cfg, opts, period_days=period_days, **folds
         )
-        detail["periods"] = period_reports
         title = f"Cross-validation by period (k={k}, seed={seed}, period={period_days:g}d)"
 
     text = format_report_text(report, title)
@@ -495,8 +440,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         doc = report.to_dict()
         doc["ingest"] = stats.to_dict()
         doc["elimination"] = elim_report.to_dict()
-        if detail:
-            doc.update(detail)
+        doc.update(detail)
         _write_json(report_json, doc)
         report_txt.write_text(text, encoding="utf-8")
         _write_manifest(
@@ -520,12 +464,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     rows = []
     skipped = 0
     for timeline in timelines:
-        samples = slide_windows(timeline, bundle.schema, bundle.window_config)
-        if not samples:
+        windows = slide_windows(timeline, bundle.schema, bundle.window_config)
+        if not windows:
             skipped += 1
             continue
-        x = np.stack([s.matrix for s in samples])
-        probs = predict_probs(bundle.params, bundle.config, x)
+        probs = predict_probs(bundle.params, bundle.config, windows.x)
         rows.append((timeline.character_id, float(probs.mean()), timeline.label))
     rows.sort(key=lambda r: (-r[1], r[0]))
 

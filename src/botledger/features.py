@@ -10,19 +10,21 @@ Elimination applies two rules over the raw (unscaled) timelines:
 
 Scaling maps each series onto [0, 1] with ``(x - min) / (max - min)``; a
 degenerate series (max == min) maps to all zeros rather than dividing by
-zero.  Windowing then cuts each scaled timeline into fixed-length slices.
+zero.  Windowing then cuts the scaled timelines into fixed-length slices,
+all held in one ``WindowSet``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericError
-from .schema import CharacterTimeline, FeatureSchema, Label, WindowedSample
+from .schema import CharacterTimeline, FeatureSchema, Label, WindowSet
 
 # Rule 1 drops a feature when its standardized mean difference is below this.
 RULE1_SMD_THRESHOLD = 0.01
@@ -40,8 +42,8 @@ class ScalingScope(enum.Enum):
 
 @dataclass(frozen=True)
 class WindowConfig:
-    window_length: int
-    stride: int
+    window_length: int = 24
+    stride: int = 12
     scaling_scope: ScalingScope = ScalingScope.PER_CHARACTER
 
     def __post_init__(self) -> None:
@@ -51,11 +53,7 @@ class WindowConfig:
             raise ValueError("stride must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "window_length": self.window_length,
-            "stride": self.stride,
-            "scaling_scope": self.scaling_scope.value,
-        }
+        return {**asdict(self), "scaling_scope": self.scaling_scope.value}
 
     @staticmethod
     def from_dict(doc: dict) -> "WindowConfig":
@@ -69,18 +67,21 @@ class WindowConfig:
             raise DataError(f"malformed window config document: {exc}") from exc
 
 
+def _minmax(values: np.ndarray, axis: int) -> np.ndarray:
+    """Min-max scale along ``axis``; a constant slice maps to zeros."""
+    if not np.isfinite(values).all():
+        raise NumericError("cannot scale a series with non-finite values")
+    lo = values.min(axis=axis, keepdims=True)
+    span = values.max(axis=axis, keepdims=True) - lo
+    return np.divide(values - lo, span, out=np.zeros_like(values), where=span != 0.0)
+
+
 def minmax_scale(series: np.ndarray) -> np.ndarray:
     """Map a 1-D series onto [0, 1]; a constant series maps to zeros."""
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("series must be a non-empty 1-D array")
-    if not np.isfinite(x).all():
-        raise NumericError("cannot scale a series with non-finite values")
-    lo = x.min()
-    span = x.max() - lo
-    if span == 0.0:
-        return np.zeros_like(x)
-    return (x - lo) / span
+    return _minmax(x, axis=0)
 
 
 def window_start_indices(length: int, window_length: int, stride: int) -> range:
@@ -94,53 +95,45 @@ def window_start_indices(length: int, window_length: int, stride: int) -> range:
 
 def slide_windows(
     timeline: CharacterTimeline, schema: FeatureSchema, cfg: WindowConfig
-) -> list[WindowedSample]:
-    """Scale the timeline's active features and cut sliding windows.
+) -> WindowSet:
+    """Scale one timeline's active features and cut sliding windows."""
+    return windows_from_timelines([timeline], schema, cfg)
+
+
+def windows_from_timelines(
+    timelines: Sequence[CharacterTimeline], schema: FeatureSchema, cfg: WindowConfig
+) -> WindowSet:
+    """Windows of every timeline, concatenated in timeline order.
 
     Per-character scope scales each feature over the whole timeline before
     cutting, so windows keep their position relative to the character's own
     range; per-window scope rescales each window in isolation.
     """
-    cols = schema.active_indices()
+    cols = list(schema.active_indices())
     if not cols:
         raise ValueError("schema has no active features")
-    raw = timeline.matrix()
-    if raw.size == 0:
-        return []
-    raw = raw[:, list(cols)]
-    starts = window_start_indices(len(timeline), cfg.window_length, cfg.stride)
-
-    if cfg.scaling_scope is ScalingScope.PER_CHARACTER:
-        scaled = np.column_stack([minmax_scale(raw[:, j]) for j in range(raw.shape[1])])
-        cut_from = scaled
-    else:
-        cut_from = raw
-
-    samples: list[WindowedSample] = []
-    for start in starts:
-        window = cut_from[start : start + cfg.window_length]
-        if cfg.scaling_scope is ScalingScope.PER_WINDOW:
-            window = np.column_stack(
-                [minmax_scale(window[:, j]) for j in range(window.shape[1])]
-            )
-        samples.append(
-            WindowedSample(
-                matrix=window.copy(),
-                label=timeline.label,
-                origin=(timeline.character_id, int(start)),
-            )
-        )
-    return samples
-
-
-def windows_from_timelines(
-    timelines: Sequence[CharacterTimeline], schema: FeatureSchema, cfg: WindowConfig
-) -> list[WindowedSample]:
-    """Windows for every timeline, concatenated in timeline order."""
-    samples: list[WindowedSample] = []
+    xs = [np.empty((0, cfg.window_length, len(cols)))]
+    windowed: list[CharacterTimeline] = []
     for timeline in timelines:
-        samples.extend(slide_windows(timeline, schema, cfg))
-    return samples
+        if len(timeline) < cfg.window_length:
+            continue
+        raw = timeline.values[:, cols]
+        if cfg.scaling_scope is ScalingScope.PER_CHARACTER:
+            raw = _minmax(raw, axis=0)
+        # (windows, features, steps) -> (windows, steps, features)
+        x = sliding_window_view(raw, cfg.window_length, axis=0)[:: cfg.stride].transpose(0, 2, 1)
+        if cfg.scaling_scope is ScalingScope.PER_WINDOW:
+            x = _minmax(x, axis=1)
+        xs.append(x)
+        windowed.append(timeline)
+    counts = [len(x) for x in xs]
+    return WindowSet(
+        x=np.concatenate(xs),
+        y=np.repeat([np.nan if t.label is None else t.label.encode() for t in windowed], counts[1:]),
+        # only windowed characters' ids set the string width
+        character=np.repeat(np.array([t.character_id for t in windowed], dtype=str), counts[1:]),
+        start=np.concatenate([np.arange(n) * cfg.stride for n in counts]),
+    )
 
 
 @dataclass(frozen=True)
@@ -161,16 +154,7 @@ class FeatureEvidence:
         return self.dropped_rule1 or self.dropped_rule2
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "effect_size": self.effect_size,
-            "sum_bot": self.sum_bot,
-            "sum_normal": self.sum_normal,
-            "std_bot": self.std_bot,
-            "std_normal": self.std_normal,
-            "dropped_rule1": self.dropped_rule1,
-            "dropped_rule2": self.dropped_rule2,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -206,7 +190,7 @@ def eliminate_noninfluential(
     by_label: dict[Label, list[np.ndarray]] = {Label.BOT: [], Label.NORMAL: []}
     for timeline in timelines:
         if timeline.label is not None and len(timeline):
-            by_label[timeline.label].append(timeline.matrix())
+            by_label[timeline.label].append(timeline.values)
     if not by_label[Label.BOT] or not by_label[Label.NORMAL]:
         raise DataError("feature elimination needs records from both label groups")
     bot = np.concatenate(by_label[Label.BOT])
@@ -326,24 +310,23 @@ def format_distribution_text(summary: DistributionSummary) -> str:
 
 
 def summarize_distributions(
-    samples: Sequence[WindowedSample], schema: FeatureSchema
+    samples: WindowSet, schema: FeatureSchema
 ) -> DistributionSummary:
     """Quartile/mean summary of scaled feature values, pooled per label."""
     if not samples:
         raise ValueError("cannot summarize an empty sample set")
     features = schema.active_features()
-    width = samples[0].matrix.shape[1]
-    if width != len(features):
+    if samples.x.shape[2] != len(features):
         raise ValueError("sample width does not match the schema's active features")
 
     rows: list[DistributionRow] = []
     missing: list[Label] = []
     for label in (Label.BOT, Label.NORMAL):
-        stacks = [s.matrix for s in samples if s.label is label]
-        if not stacks:
+        windows = samples.x[samples.y == label.encode()]
+        if not len(windows):
             missing.append(label)
             continue
-        pooled = np.concatenate(stacks)
+        pooled = windows.reshape(-1, windows.shape[2])
         q1, med, q3 = np.percentile(pooled, [25, 50, 75], axis=0)
         for j, feature in enumerate(features):
             rows.append(

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .features import WindowConfig
+from .features import WindowConfig, windows_from_timelines
 from .network import (
     ModelConfig,
     ModelParams,
@@ -26,21 +26,7 @@ from .network import (
     init_adam,
     init_params,
 )
-from .schema import CharacterTimeline, Label, WindowedSample, encode_labels
-
-
-def stack_samples(samples: Sequence[WindowedSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into (B, T, D) inputs and a 0/1 target vector."""
-    if not samples:
-        raise ValueError("cannot stack an empty sample list")
-    shapes = {s.matrix.shape for s in samples}
-    if len(shapes) != 1:
-        raise ValueError(f"samples disagree on window shape: {sorted(shapes)}")
-    if any(s.label is None for s in samples):
-        raise ValueError("cannot build targets from unlabeled samples")
-    x = np.stack([s.matrix for s in samples])
-    y = encode_labels([s.label for s in samples])
-    return x, y
+from .schema import CharacterTimeline, FeatureSchema, Label, WindowSet
 
 
 @dataclass(frozen=True)
@@ -114,7 +100,7 @@ def confusion_from_predictions(
 ) -> ConfusionMatrix:
     """Threshold probabilities (ties classify as bot) and count outcomes."""
     p = np.asarray(probabilities, dtype=float)
-    y = encode_labels(labels)
+    y = np.asarray(labels, dtype=float)
     if p.shape != y.shape:
         raise ValueError("probabilities and labels must align")
     pred = p >= threshold
@@ -139,7 +125,7 @@ class FoldPlan:
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
 
-    def validate(self, samples: Sequence[WindowedSample]) -> None:
+    def validate(self, samples: WindowSet) -> None:
         """Assert the partition and (when grouped) no-character-leakage."""
         if self.assignments.shape != (len(samples),):
             raise ValueError("fold assignments do not cover the sample list")
@@ -149,16 +135,16 @@ class FoldPlan:
         if (counts == 0).any():
             raise ValueError("every fold must receive at least one sample")
         if self.grouped:
-            fold_of: dict[str, int] = {}
-            for idx, sample in enumerate(samples):
-                character = sample.origin[0]
-                seen = fold_of.setdefault(character, int(self.assignments[idx]))
-                if seen != int(self.assignments[idx]):
-                    raise ValueError(f"character {character!r} spans multiple folds")
+            # every window must sit in the fold of its character's first window
+            _, first, inverse = np.unique(samples.character, return_index=True, return_inverse=True)
+            leaked = np.flatnonzero(self.assignments[first][inverse] != self.assignments)
+            if leaked.size:
+                character = str(samples.character[leaked[0]])
+                raise ValueError(f"character {character!r} spans multiple folds")
 
 
 def make_folds(
-    samples: Sequence[WindowedSample],
+    samples: WindowSet,
     k: int,
     seed: int,
     *,
@@ -166,48 +152,48 @@ def make_folds(
 ) -> FoldPlan:
     """Stratified k-fold assignment, grouped by character unless disabled.
 
-    Group mode shuffles each label's characters with the seeded generator and
-    deals them round-robin, so per-label character counts across folds differ
-    by at most one.  Either mode requires at least k members per class.
+    Group mode shuffles each label's sorted characters with the seeded
+    generator and deals them round-robin, so per-label character counts
+    across folds differ by at most one.  Either mode requires at least k
+    members per class.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if not samples:
         raise ValueError("cannot fold an empty sample list")
-    if any(s.label is None for s in samples):
+    y = samples.y
+    if np.isnan(y).any():
         raise ValueError("cross-validation needs labeled samples")
     rng = np.random.default_rng(seed)
     assignments = np.full(len(samples), -1, dtype=int)
 
     if group_by_character:
-        label_of: dict[str, Label] = {}
-        for s in samples:
-            prior = label_of.setdefault(s.origin[0], s.label)
-            if prior is not s.label:
-                raise DataError(f"character {s.origin[0]!r} carries conflicting labels")
+        _, first, inverse = np.unique(samples.character, return_index=True, return_inverse=True)
+        conflicted = np.flatnonzero(y[first][inverse] != y)
+        if conflicted.size:
+            character = str(samples.character[conflicted[0]])
+            raise DataError(f"character {character!r} carries conflicting labels")
+        char_fold = np.full(len(first), -1, dtype=int)
         for label in (Label.BOT, Label.NORMAL):
-            chars = sorted(c for c, lab in label_of.items() if lab is label)
+            chars = np.flatnonzero(y[first] == label.encode())  # sorted by character id
             if len(chars) < k:
                 raise DataError(
                     f"insufficient class members: {len(chars)} {label.value} characters "
                     f"for k={k} grouped folds"
                 )
             order = rng.permutation(len(chars))
-            char_fold = {chars[j]: i % k for i, j in enumerate(order)}
-            for idx, s in enumerate(samples):
-                if s.label is label:
-                    assignments[idx] = char_fold[s.origin[0]]
+            char_fold[chars[order]] = np.arange(len(chars)) % k
+        assignments = char_fold[inverse]
     else:
         for label in (Label.BOT, Label.NORMAL):
-            indices = [i for i, s in enumerate(samples) if s.label is label]
+            indices = np.flatnonzero(y == label.encode())
             if len(indices) < k:
                 raise DataError(
                     f"insufficient class members: {len(indices)} {label.value} samples "
                     f"for k={k} folds"
                 )
             order = rng.permutation(len(indices))
-            for i, j in enumerate(order):
-                assignments[indices[j]] = i % k
+            assignments[indices[order]] = np.arange(len(indices)) % k
 
     plan = FoldPlan(k=k, assignments=assignments, seed=seed, grouped=group_by_character)
     plan.validate(samples)
@@ -228,29 +214,21 @@ def split_by_period(
     """
     if period_seconds <= 0:
         raise ValueError("period length must be positive")
-    if not timelines:
-        return []
     if anchor is None:
-        starts = [t.records[0].timestamp for t in timelines if len(t)]
+        starts = [t.timestamps[0] for t in timelines if len(t)]
         if not starts:
             return []
         anchor = min(starts)
 
-    buckets: dict[int, dict[str, list]] = {}
-    for timeline in timelines:
-        for rec in timeline.records:
-            period = int(np.floor((rec.timestamp - anchor) / period_seconds))
-            buckets.setdefault(period, {}).setdefault(timeline.character_id, []).append(rec)
-
-    label_of = {t.character_id: t.label for t in timelines}
-    result: list[tuple[int, list[CharacterTimeline]]] = []
-    for period in sorted(buckets):
-        subs = [
-            CharacterTimeline(cid, label_of[cid], tuple(recs))
-            for cid, recs in sorted(buckets[period].items())
-        ]
-        result.append((period, subs))
-    return result
+    buckets: dict[int, list[CharacterTimeline]] = {}
+    for timeline in sorted(timelines, key=lambda t: t.character_id):
+        periods = np.floor((timeline.timestamps - anchor) / period_seconds).astype(int)
+        for period in np.unique(periods).tolist():
+            rows = periods == period
+            buckets.setdefault(period, []).append(
+                replace(timeline, timestamps=timeline.timestamps[rows], values=timeline.values[rows])
+            )
+    return sorted(buckets.items())
 
 
 @dataclass(frozen=True)
@@ -285,7 +263,7 @@ def _epoch_batches(n: int, batch_size: int, order: np.ndarray, merge_singleton: 
 
 
 def train(
-    samples: Sequence[WindowedSample],
+    samples: WindowSet,
     cfg: ModelConfig,
     opts: TrainOptions,
 ) -> tuple[ModelParams, list[dict]]:
@@ -299,10 +277,10 @@ def train(
     early stopping the params returned are those of the epoch with the
     lowest validation loss, not those of the last epoch run.
     """
-    x, y = stack_samples(samples)
+    x, y = samples.x, samples.y
     classes = set(np.unique(y).tolist())
     if classes != {0.0, 1.0}:
-        raise DataError("training needs at least one sample of each class")
+        raise DataError("training needs labeled samples, at least one of each class")
     n = x.shape[0]
 
     params = init_params(cfg)
@@ -409,7 +387,7 @@ def derive_seed(*keys: int) -> int:
 
 
 def cross_validate(
-    samples: Sequence[WindowedSample],
+    samples: WindowSet,
     cfg: ModelConfig,
     opts: TrainOptions,
     *,
@@ -425,20 +403,16 @@ def cross_validate(
     the whole run is reproducible from the one experiment seed.
     """
     plan = make_folds(samples, k, seed, group_by_character=group_by_character)
-    plan.validate(samples)
-    x, y = stack_samples(samples)
 
     rows: list[EvalRow] = []
     total = ConfusionMatrix()
     for fold in range(k):
         test_idx = plan.fold_indices(fold)
-        train_mask = plan.assignments != fold
-        fold_samples = [s for s, keep in zip(samples, train_mask) if keep]
         fold_cfg = replace(cfg, seed=derive_seed(seed, fold))
         fold_opts = replace(opts, shuffle_seed=derive_seed(seed, fold, 1))
-        params, _ = train(fold_samples, fold_cfg, fold_opts)
-        probs = predict_probs(params, fold_cfg, x[test_idx])
-        cm = confusion_from_predictions(probs, y[test_idx], threshold)
+        params, _ = train(samples.subset(plan.assignments != fold), fold_cfg, fold_opts)
+        probs = predict_probs(params, fold_cfg, samples.x[test_idx])
+        cm = confusion_from_predictions(probs, samples.y[test_idx], threshold)
         rows.append(
             EvalRow(
                 name=f"{row_prefix} {fold + 1}",
@@ -464,6 +438,62 @@ def cross_validate(
             "lr": opts.lr,
         },
     )
+
+
+def cross_validate_by_period(
+    timelines: Sequence[CharacterTimeline],
+    schema: FeatureSchema,
+    window_cfg: WindowConfig,
+    cfg: ModelConfig,
+    opts: TrainOptions,
+    *,
+    period_days: float,
+    k: int,
+    seed: int,
+    threshold: float = 0.5,
+    group_by_character: bool = True,
+) -> tuple[EvalReport, list[dict]]:
+    """A separate k-fold evaluation of each calendar period's windows.
+
+    Each period is windowed on its own and cross-validated with a seed
+    derived from (seed, period ordinal).  Returns one row per period, holding
+    that period's average metrics and summed confusion, plus every period's
+    full report as ``{"name", "report"}`` documents.
+    """
+    row_name = "Week" if period_days == 7.0 else "Period"
+    rows: list[EvalRow] = []
+    periods: list[dict] = []
+    splits = split_by_period(timelines, period_days * 86400.0)
+    for ordinal, (_, period_timelines) in enumerate(splits, start=1):
+        samples = windows_from_timelines(period_timelines, schema, window_cfg)
+        if not samples:
+            raise DataError(f"period {ordinal} produced no windows")
+        sub = cross_validate(
+            samples,
+            cfg,
+            opts,
+            k=k,
+            seed=derive_seed(seed, ordinal),
+            threshold=threshold,
+            group_by_character=group_by_character,
+        )
+        periods.append({"name": f"{row_name} {ordinal}", "report": sub.to_dict()})
+        rows.append(
+            EvalRow(
+                name=f"{row_name} {ordinal}",
+                metrics=sub.average,
+                confusion=sub.confusion_total,
+                n_test=sub.confusion_total.total,
+            )
+        )
+    report = EvalReport(
+        rows=tuple(rows),
+        average=average_metrics([r.metrics for r in rows]),
+        confusion_total=sum((r.confusion for r in rows), ConfusionMatrix()),
+        # the periods share every setting but the seed
+        config={**sub.config, "seed": seed, "by_period_days": period_days},
+    )
+    return report, periods
 
 
 def format_report_text(report: EvalReport, title: str = "Cross-validation results") -> str:

@@ -5,15 +5,18 @@ the schema's feature columns, one row per snapshot.  Label files are CSV with
 a ``# as_of: <timestamp>`` comment line, a ``character_id,label`` header, and
 one row per character.  Parsing is strict about structure (bad header is
 fatal) but tolerant of bad rows, which are dropped and counted by reason.
+The kept rows go into columns, and each character's timeline is a slice of
+them after one sort by (character, timestamp).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -70,12 +73,32 @@ def expected_header(schema: FeatureSchema) -> list[str]:
     return list(META_COLUMNS) + list(schema.columns)
 
 
-def parse_status_log(path: str | Path, schema: FeatureSchema) -> tuple[list[StatusRecord], IngestStats]:
-    """Parse a status log into records, dropping and counting bad rows."""
+@dataclass(frozen=True, eq=False)
+class StatusRows:
+    """The kept rows of a status log as columns, in input order."""
+
+    character_id: np.ndarray  # (N,) str
+    timestamp: np.ndarray  # (N,) float
+    values: np.ndarray  # (N, n_features) float, raw units
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+
+def parse_status_log(path: str | Path, schema: FeatureSchema) -> tuple[StatusRows, IngestStats]:
+    """Parse a status log into columns, dropping and counting bad rows.
+
+    A row with the wrong field count, an empty id, an id holding a NUL or a
+    timestamp that is not a finite number is malformed; otherwise a row with
+    a value that is not a finite, non-negative number is invalid.
+    """
     stats = IngestStats()
-    records: list[StatusRecord] = []
     want = expected_header(schema)
     n_fields = len(want)
+    # packed doubles: per-row lists of float objects take about five times the memory
+    ids: list[str] = []
+    timestamps = array("d")
+    values = array("d")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -88,79 +111,79 @@ def parse_status_log(path: str | Path, schema: FeatureSchema) -> tuple[list[Stat
                 if not row:
                     continue
                 stats.records_read += 1
-                if len(row) != n_fields:
-                    stats.drop(REASON_MALFORMED)
-                    continue
-                character_id, account_id = row[0].strip(), row[1].strip()
-                if not character_id or not account_id:
+                character_id = row[0].strip()
+                # a NUL in an id is malformed: numpy strings drop trailing NULs, merging ids
+                if len(row) != n_fields or not character_id or "\0" in character_id or not row[1].strip():
                     stats.drop(REASON_MALFORMED)
                     continue
                 try:
                     timestamp = float(row[2])
                 except ValueError:
-                    stats.drop(REASON_MALFORMED)
-                    continue
+                    timestamp = math.nan
                 if not math.isfinite(timestamp):
                     stats.drop(REASON_MALFORMED)
                     continue
                 try:
-                    values = [float(v) for v in row[3:]]
+                    values.extend(list(map(float, row[3:])))
                 except ValueError:
                     stats.drop(REASON_INVALID_VALUE)
                     continue
-                if any(not math.isfinite(v) or v < 0.0 for v in values):
-                    stats.drop(REASON_INVALID_VALUE)
-                    continue
-                records.append(
-                    StatusRecord(character_id, account_id, timestamp, np.array(values))
-                )
-    except (OSError, UnicodeDecodeError) as exc:
+                ids.append(character_id)
+                timestamps.append(timestamp)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read status log {path}: {exc}") from exc
-    return records, stats
+    matrix = np.frombuffer(values, dtype=float).reshape(len(ids), len(schema))
+    valid = np.isfinite(matrix).all(axis=1) & (matrix >= 0.0).all(axis=1)
+    if not valid.all():
+        stats.drop(REASON_INVALID_VALUE, int(len(valid) - valid.sum()))
+    rows = StatusRows(
+        np.array(ids, dtype=str)[valid], np.frombuffer(timestamps, dtype=float)[valid], matrix[valid]
+    )
+    return rows, stats
 
 
 def build_timelines(
-    records: Sequence[StatusRecord],
+    rows: StatusRows,
     labels: LabelFile | None,
     *,
     keep_unlabeled: bool = False,
 ) -> tuple[list[CharacterTimeline], IngestStats]:
-    """Group records per character, sort by time, and attach labels.
+    """Group rows per character, sort by time, and attach labels.
 
-    Within a character, records sharing a timestamp collapse to the one that
+    Within a character, rows sharing a timestamp collapse to the one that
     appeared last in the input.  Characters absent from the label file are
     dropped unless ``keep_unlabeled`` (the scoring path) is set, in which case
     they carry ``label=None``.  Sorting is stable, so equal-timestamp handling
     does not depend on input order beyond last-wins.
     """
     stats = IngestStats()
-    stats.records_read = len(records)
+    stats.records_read = len(rows)
 
-    groups: dict[str, list[StatusRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.character_id, []).append(rec)
+    ids, code = np.unique(rows.character_id, return_inverse=True)
+    order = np.lexsort((rows.timestamp, code))  # stable: input order breaks ties
+    code, timestamps, values = code[order], rows.timestamp[order], rows.values[order]
+    # a row is superseded by the next one when both hold the same character and time
+    kept = np.ones(len(order), dtype=bool)
+    kept[:-1] = (code[1:] != code[:-1]) | (timestamps[1:] != timestamps[:-1])
+    bounds = np.searchsorted(code, np.arange(len(ids) + 1))
 
     timelines: list[CharacterTimeline] = []
-    for character_id in sorted(groups):
-        group = groups[character_id]
+    for c, character_id in enumerate(ids.tolist()):
+        rows_of = slice(bounds[c], bounds[c + 1])
         label: Label | None = None
         if labels is not None:
             label = labels.entries.get(character_id)
             if label is None and not keep_unlabeled:
-                stats.drop(REASON_UNLABELED, len(group))
+                stats.drop(REASON_UNLABELED, int(bounds[c + 1] - bounds[c]))
                 continue
+        keep = kept[rows_of]
+        if not keep.all():
+            stats.drop(REASON_DUPLICATE_TIMESTAMP, int(len(keep) - keep.sum()))
+        timelines.append(
+            CharacterTimeline(character_id, label, timestamps[rows_of][keep], values[rows_of][keep])
+        )
 
-        ordered = sorted(group, key=lambda r: r.timestamp)  # stable: input order on ties
-        deduped: list[StatusRecord] = []
-        for rec in ordered:
-            if deduped and rec.timestamp == deduped[-1].timestamp:
-                deduped[-1] = rec  # last occurrence in input order wins
-                stats.drop(REASON_DUPLICATE_TIMESTAMP)
-            else:
-                deduped.append(rec)
-        timelines.append(CharacterTimeline(character_id, label, tuple(deduped)))
-
-    stats.characters_total = len(groups)
+    stats.characters_total = len(ids)
     stats.characters_labeled = sum(1 for t in timelines if t.label is not None)
     return timelines, stats
 
@@ -173,12 +196,11 @@ def load_timelines(
     keep_unlabeled: bool = False,
 ) -> tuple[list[CharacterTimeline], IngestStats]:
     """Convenience wrapper: parse a log (and optional labels) into timelines."""
-    records, stats = parse_status_log(log_path, schema)
+    rows, stats = parse_status_log(log_path, schema)
     labels = read_label_file(labels_path) if labels_path is not None else None
-    timelines, build_stats = build_timelines(records, labels, keep_unlabeled=keep_unlabeled)
-    stats.records_dropped += build_stats.records_dropped
+    timelines, build_stats = build_timelines(rows, labels, keep_unlabeled=keep_unlabeled)
     for reason, count in build_stats.drop_reasons.items():
-        stats.drop_reasons[reason] = stats.drop_reasons.get(reason, 0) + count
+        stats.drop(reason, count)
     stats.characters_total = build_stats.characters_total
     stats.characters_labeled = build_stats.characters_labeled
     return timelines, stats

@@ -52,7 +52,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .schema import encode_labels
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -439,7 +438,7 @@ def bce_loss(
     a numeric guard.
     """
     p = np.clip(np.asarray(probabilities, dtype=float), PROB_CLIP, 1.0 - PROB_CLIP)
-    y = encode_labels(labels)
+    y = np.asarray(labels, dtype=float)
     if p.shape != y.shape:
         raise ValueError("probabilities and labels must have the same shape")
     data = float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
@@ -461,7 +460,7 @@ def backward(
     the saved ``x_hat`` buffers.  The gradients share the params' layout, with
     zeros in the running-statistic slots.
     """
-    y = encode_labels(labels)
+    y = np.asarray(labels, dtype=float)
     t_steps, n, hdim = trace.h.shape
     if y.shape != (n,):
         raise ValueError("labels must match the traced batch size")

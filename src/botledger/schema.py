@@ -1,17 +1,24 @@
-"""Core domain types: labels, the financial feature schema, and timeline records.
+"""Core domain types: labels, the financial feature schema, and the data forms.
 
 The feature schema is the single source of truth for how status-log columns
 are named, ordered, and typed.  Every downstream stage (ingestion, feature
 elimination, windowing, the model file) carries a ``FeatureSchema`` so that
 a trained model can always be applied to a log with the exact column set it
 was fitted on.
+
+Data takes three forms.  ``StatusRecord`` is one log row, as the synthetic
+generator emits it and the log writer takes it.  Ingestion reads a log into
+one ``CharacterTimeline`` per character: a timestamp vector and a
+(T, n_features) value array.  Windowing cuts timelines into one
+``WindowSet``, an (N, L, D) window array with a label, a character and a
+start row per window; ``samples.npz`` stores exactly those four arrays.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +34,8 @@ class Label(enum.Enum):
     def encode(self) -> float:
         """Numeric target used by the classifier: bot maps to 1.0."""
         return 1.0 if self is Label.BOT else 0.0
+
+    __float__ = encode  # so label sequences convert straight to target arrays
 
     @staticmethod
     def decode(value: float) -> "Label":
@@ -158,54 +167,64 @@ class StatusRecord:
 
 @dataclass(frozen=True, eq=False)
 class CharacterTimeline:
-    """All snapshots of one character, strictly increasing in time.
+    """All snapshots of one character as columns, strictly increasing in time.
 
     ``label`` is None for characters being scored without ground truth.
     """
 
     character_id: str
     label: Label | None
-    records: tuple[StatusRecord, ...]
+    timestamps: np.ndarray  # shape (T,)
+    values: np.ndarray  # shape (T, n_features), raw units, row t taken at timestamps[t]
+
+    def __post_init__(self) -> None:
+        timestamps = np.asarray(self.timestamps, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if timestamps.ndim != 1 or values.ndim != 2 or len(values) != len(timestamps):
+            raise ValueError("timeline needs timestamps (T,) and values (T, n_features)")
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([r.timestamp for r in self.records], dtype=float)
-
-    def matrix(self) -> np.ndarray:
-        """Raw values as a (length, n_features) array in record order."""
-        if not self.records:
-            return np.empty((0, 0))
-        return np.stack([r.values for r in self.records])
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True, eq=False)
-class WindowedSample:
-    """A fixed-length scaled slice of one character's timeline.
+class WindowSet:
+    """Fixed-length scaled slices of character timelines, as whole arrays.
 
-    ``origin`` is (character_id, start index) so folds can group by character.
+    Window ``i`` is ``x[i]``, cut from ``character[i]``'s timeline at row
+    ``start[i]``; ``y[i]`` is 1.0 for a bot, 0.0 for a normal character and
+    NaN for a window whose character has no label.  Folds group by
+    ``character``.
     """
 
-    matrix: np.ndarray  # shape (window_length, n_active_features), values in [0, 1]
-    label: Label | None
-    origin: tuple[str, int]
+    x: np.ndarray  # (N, window_length, n_active_features), values in [0, 1]
+    y: np.ndarray  # (N,)
+    character: np.ndarray  # (N,) str
+    start: np.ndarray  # (N,) int64
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("sample matrix must be 2-D")
-        if not np.isfinite(m).all():
-            raise ValueError("sample matrix contains non-finite values")
-        if m.size and (m.min() < 0.0 or m.max() > 1.0):
-            raise ValueError("sample matrix values must lie in [0, 1]")
-        object.__setattr__(self, "matrix", m)
+        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(self.y, dtype=float)
+        character = np.asarray(self.character)
+        start = np.asarray(self.start, dtype=np.int64)
+        if x.ndim != 3:
+            raise ValueError("window array x must be 3-D (windows, steps, features)")
+        if not np.isfinite(x).all():
+            raise ValueError("window array x contains non-finite values")
+        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+            raise ValueError("window values must lie in [0, 1]")
+        if not y.shape == character.shape == start.shape == (len(x),):
+            raise ValueError("y, character and start must hold one entry per window")
+        if not ((y == 0.0) | (y == 1.0) | np.isnan(y)).all():
+            raise ValueError("window targets must be 0, 1 or NaN (unlabeled)")
+        for name, value in (("x", x), ("y", y), ("character", character), ("start", start)):
+            object.__setattr__(self, name, value)
 
+    def __len__(self) -> int:
+        return len(self.x)
 
-def encode_labels(labels: Sequence[Label | float] | np.ndarray) -> np.ndarray:
-    """Targets as a float vector; accepts Label values or numeric 0/1."""
-    if isinstance(labels, np.ndarray):
-        return labels.astype(float)
-    return np.array(
-        [lab.encode() if isinstance(lab, Label) else float(lab) for lab in labels], dtype=float
-    )
+    def subset(self, index: np.ndarray) -> "WindowSet":
+        """The windows picked by a boolean mask or an index array, in that order."""
+        return WindowSet(self.x[index], self.y[index], self.character[index], self.start[index])

@@ -25,10 +25,10 @@ from botledger.harness import (
     confusion_from_predictions,
     make_folds,
 )
-from botledger.ingest import build_timelines
+from botledger.ingest import StatusRows, build_timelines
 from botledger.model_io import ModelBundle, load_model, save_model
 from botledger.network import ModelConfig, forward, gradient_check, init_params
-from botledger.schema import CharacterTimeline, Label, StatusRecord, canonical_schema
+from botledger.schema import CharacterTimeline, Label, canonical_schema
 from botledger.synth import (
     GenConfig,
     generate,
@@ -84,17 +84,14 @@ def test_window_counts() -> None:
     rng = np.random.default_rng(3)
 
     def timeline(n: int) -> CharacterTimeline:
-        recs = tuple(
-            StatusRecord("c1", "a1", 3600.0 * i, rng.uniform(1, 9, size=len(schema)))
-            for i in range(n)
-        )
-        return CharacterTimeline("c1", Label.NORMAL, recs)
+        values = rng.uniform(1, 9, size=(n, len(schema)))
+        return CharacterTimeline("c1", Label.NORMAL, 3600.0 * np.arange(n), values)
 
     shorter = slide_windows(timeline(5), schema, WindowConfig(window_length=6, stride=1))
-    assert shorter == []
+    assert len(shorter) == 0
     exact = slide_windows(timeline(6), schema, WindowConfig(window_length=6, stride=3))
     assert len(exact) == 1
-    assert exact[0].matrix.shape == (6, len(schema))
+    assert exact.x[0].shape == (6, len(schema))
     print("PASS windowing: exhaustive (L, w, s) sweep to L=50 plus boundary cases")
 
 
@@ -103,7 +100,12 @@ def test_elimination_drops_injected_features() -> None:
     data = generate(GenConfig(n_bots=6, n_normals=12, days=7.0, seed=3))
     records = inject_zero_feature(data.records, "Cash in Vendor")
     records = inject_constant_feature(records, "Number of Items", 7.0)
-    timelines, _ = build_timelines(records, data.labels)
+    rows = StatusRows(
+        np.array([r.character_id for r in records]),
+        np.array([r.timestamp for r in records]),
+        np.array([r.values for r in records]),
+    )
+    timelines, _ = build_timelines(rows, data.labels)
     schema = canonical_schema()
 
     active, report = eliminate_noninfluential(timelines, schema)
@@ -203,9 +205,9 @@ def test_fold_hygiene_and_leakage_direction(tmp_path, capsys) -> None:
     all_indices = np.concatenate([plan.fold_indices(f) for f in range(plan.k)])
     assert sorted(all_indices.tolist()) == list(range(len(samples)))
     for fold in range(plan.k):
-        held_out = {samples[i].origin[0] for i in plan.fold_indices(fold)}
+        held_out = {samples.character[i] for i in plan.fold_indices(fold)}
         rest = {
-            samples[i].origin[0]
+            samples.character[i]
             for f in range(plan.k)
             if f != fold
             for i in plan.fold_indices(f)

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows, option precedence, and exit codes."""
 
+import hashlib
 import io
 import json
 import shutil
@@ -132,6 +133,44 @@ def test_featurize_outputs(features, capsys) -> None:
     with np.load(features / "samples.npz") as bundle:
         assert bundle["x"].shape[0] == meta["n_samples"]
         assert bundle["x"].shape[1] == 24
+
+
+def test_featurize_bytes_are_pinned(tmp_path, capsys) -> None:
+    # digests of the bytes written before windows became one WindowSet;
+    # a labeled character too short to window and an unlabeled one, both with
+    # longer ids than any windowed character, must not widen origin_character
+    data = tmp_path / "data"
+    assert run([
+        "synth", "--bots", "3", "--normals", "5", "--days", "3", "--seed", "21", "--out", str(data)
+    ]) == 0
+    log, labels = data / "status_log.csv", data / "labels.csv"
+    with open(log, "a", encoding="utf-8") as fh:
+        for cid in ("labeled_but_short_history", "never_labeled_character"):
+            for t in range(5):
+                fh.write(f"{cid},acct,{1704067200 + 3600 * t}," + ",".join(["1.00"] * 9) + "\n")
+    with open(labels, "a", encoding="utf-8") as fh:
+        fh.write("labeled_but_short_history,normal\n")
+    pinned = {
+        "per-character": (
+            "5b0880f5624646df0a6d02c4e47c750e6c4374879f3d8b0b1f1aad0cfeeec24f",
+            "46efd67a81b494230790759dbfa9b13e33789be8a59cc0a0cfaaec0cb2eebe8d",
+        ),
+        "per-window": (
+            "9a2db23c82b36a63eaaf0f7c4bb6d11ebdff0ac017a45cbfa0e433b35977b224",
+            "705f84ad18c11be45df2eb63983ca3ef31c3f0ce8e85e4e5dfb7b46783e3f545",
+        ),
+    }
+    for scope, digests in pinned.items():
+        out = tmp_path / scope
+        assert run([
+            "featurize", "--log", str(log), "--labels", str(labels),
+            "--scaling-scope", scope, "--stride", "8", "--out", str(out),
+        ]) == 0
+        got = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("samples.npz", "featurize.json")
+        )
+        assert got == digests, scope
 
 
 def test_featurize_window_longer_than_history(dataset, tmp_path, capsys) -> None:
@@ -513,10 +552,35 @@ def _with_model_metadata(edit):
     return rewrite
 
 
-def _drop_first_active_feature(meta: dict) -> dict:
-    active = meta["feature_schema"]["active"]
+def _drop_first_active_feature(meta: dict, key: str = "feature_schema") -> dict:
+    active = meta[key]["active"]
     active[active.index(True)] = False
     return meta
+
+
+def _narrow_featurize_schema(blob: bytes) -> bytes:
+    return json.dumps(_drop_first_active_feature(json.loads(blob), "schema")).encode()
+
+
+def _with_samples(name, edit):
+    """Rewrite one array of a samples.npz through ``edit``."""
+
+    def rewrite(blob: bytes) -> bytes:
+        with np.load(io.BytesIO(blob)) as bundle:
+            arrays = dict(bundle)
+        arrays[name] = edit(arrays[name])
+        return _npz(**arrays)
+
+    return rewrite
+
+
+def _put(index, value):
+    def edit(array: np.ndarray) -> np.ndarray:
+        array = array.copy()
+        array[index] = value
+        return array
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -550,6 +614,18 @@ def _drop_first_active_feature(meta: dict) -> dict:
         ("score", None, ("model.bin", _with_model_metadata(lambda meta: 5)), 2),
         ("score", None, ("model.bin", _with_model_metadata(list)), 2),
         ("score", None, ("model.bin", _with_model_metadata(_drop_first_active_feature)), 2),
+        # a status-log field over the csv module's size limit
+        ("crossval", None, ("status_log.csv", lambda blob: blob + b"x" * 200_000 + b"\n"), 2),
+        # a featurize.json whose active features disagree with the window width
+        ("train", None, ("featurize.json", _narrow_featurize_schema), 2),
+        # window arrays outside the sample contract, or a truncated archive
+        ("train", None, ("samples.npz", _with_samples("x", _put((0, 0, 0), np.nan))), 2),
+        ("train", None, ("samples.npz", _with_samples("x", _put((0, 0, 0), 1.5))), 2),
+        ("train", None, ("samples.npz", _with_samples("x", _put((0, 0, 0), -0.1))), 2),
+        ("train", None, ("samples.npz", _with_samples("y", _put(0, 0.5))), 2),
+        ("train", None, ("samples.npz", _with_samples("y", _put(0, np.nan))), 2),
+        ("train", None, ("samples.npz", _with_samples("x", lambda x: x[:, 0])), 2),
+        ("train", None, ("samples.npz", lambda blob: blob[: len(blob) // 2]), 2),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(

@@ -14,17 +14,14 @@ from botledger.features import (
     window_start_indices,
     windows_from_timelines,
 )
-from botledger.schema import CharacterTimeline, Label, StatusRecord, canonical_schema
+from botledger.schema import CharacterTimeline, Label, canonical_schema
 
 SCHEMA = canonical_schema()
 
 
 def _timeline(cid, label, matrix):
     matrix = np.asarray(matrix, dtype=float)
-    records = tuple(
-        StatusRecord(cid, f"a_{cid}", float(t), matrix[t]) for t in range(len(matrix))
-    )
-    return CharacterTimeline(cid, label, records)
+    return CharacterTimeline(cid, label, np.arange(len(matrix), dtype=float), matrix)
 
 
 # --- min-max scaling -------------------------------------------------------
@@ -84,14 +81,15 @@ def test_slide_windows_starts_and_labels() -> None:
     timeline = _timeline("c1", Label.BOT, matrix)
     cfg = WindowConfig(window_length=4, stride=2)
     samples = slide_windows(timeline, SCHEMA, cfg)
-    assert [s.origin for s in samples] == [("c1", 0), ("c1", 2), ("c1", 4), ("c1", 6)]
-    assert all(s.label is Label.BOT for s in samples)
-    assert all(s.matrix.shape == (4, 9) for s in samples)
+    assert samples.character.tolist() == ["c1"] * 4
+    assert samples.start.tolist() == [0, 2, 4, 6]
+    assert samples.y.tolist() == [1.0] * 4
+    assert samples.x.shape == (4, 4, 9)
 
 
 def test_slide_windows_short_timeline_yields_nothing() -> None:
     timeline = _timeline("c1", Label.BOT, np.ones((3, 9)))
-    assert slide_windows(timeline, SCHEMA, WindowConfig(4, 1)) == []
+    assert len(slide_windows(timeline, SCHEMA, WindowConfig(4, 1))) == 0
 
 
 def test_per_character_vs_per_window_scaling() -> None:
@@ -102,12 +100,12 @@ def test_per_character_vs_per_window_scaling() -> None:
     timeline = _timeline("c1", Label.NORMAL, matrix)
 
     per_char = slide_windows(timeline, SCHEMA, WindowConfig(4, 4, ScalingScope.PER_CHARACTER))
-    assert np.allclose(per_char[1].matrix[:, 0], np.array([4, 5, 6, 7]) / 7.0)
-    assert per_char[1].matrix[:, 1].tolist() == [0.0] * 4
+    assert np.allclose(per_char.x[1][:, 0], np.array([4, 5, 6, 7]) / 7.0)
+    assert per_char.x[1][:, 1].tolist() == [0.0] * 4
 
     per_win = slide_windows(timeline, SCHEMA, WindowConfig(4, 4, ScalingScope.PER_WINDOW))
-    assert per_win[1].matrix[:, 0].tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
-    assert per_win[1].matrix[:, 1].tolist() == [0.0] * 4
+    assert per_win.x[1][:, 0].tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+    assert per_win.x[1][:, 1].tolist() == [0.0] * 4
 
 
 def test_per_window_exact_example() -> None:
@@ -116,21 +114,21 @@ def test_per_window_exact_example() -> None:
     timeline = _timeline("c1", Label.NORMAL, matrix)
     samples = slide_windows(timeline, SCHEMA, WindowConfig(4, 1, ScalingScope.PER_WINDOW))
     assert len(samples) == 1
-    assert samples[0].matrix[:, 0].tolist() == [0.0, 0.25, 0.5, 1.0]
+    assert samples.x[0][:, 0].tolist() == [0.0, 0.25, 0.5, 1.0]
 
 
 def test_slide_windows_respects_active_mask() -> None:
     schema = SCHEMA.deactivate([0, 8])
     timeline = _timeline("c1", Label.BOT, np.tile(np.arange(6.0)[:, None], (1, 9)))
     samples = slide_windows(timeline, schema, WindowConfig(3, 3))
-    assert samples[0].matrix.shape == (3, 7)
+    assert samples.x[0].shape == (3, 7)
 
 
 def test_windows_from_timelines_concatenates_in_order() -> None:
     t1 = _timeline("a", Label.BOT, np.tile(np.arange(5.0)[:, None], (1, 9)))
     t2 = _timeline("b", Label.NORMAL, np.tile(np.arange(4.0)[:, None], (1, 9)))
     samples = windows_from_timelines([t1, t2], SCHEMA, WindowConfig(3, 1))
-    assert [s.origin[0] for s in samples] == ["a", "a", "a", "b", "b"]
+    assert samples.character.tolist() == ["a", "a", "a", "b", "b"]
 
 
 def test_window_config_validation() -> None:

@@ -18,11 +18,20 @@ from botledger.harness import (
     make_folds,
     predict_probs,
     split_by_period,
-    stack_samples,
     train,
 )
 from botledger.network import ModelConfig, bce_loss, forward, init_params
-from botledger.schema import CharacterTimeline, Label, StatusRecord, WindowedSample
+from botledger.schema import CharacterTimeline, Label, WindowSet
+
+
+def window_set(windows):
+    """A WindowSet from (matrix, label, (character, start)) triples."""
+    return WindowSet(
+        x=np.array([m for m, _, _ in windows]),
+        y=np.array([label.encode() for _, label, _ in windows]),
+        character=np.array([origin[0] for _, _, origin in windows]),
+        start=np.array([origin[1] for _, _, origin in windows]),
+    )
 
 
 def toy_separable(n_chars_per_class=4, windows_per_char=4, t=8, d=2, seed=0):
@@ -33,18 +42,22 @@ def toy_separable(n_chars_per_class=4, windows_per_char=4, t=8, d=2, seed=0):
     for c in range(n_chars_per_class):
         for w in range(windows_per_char):
             m = np.clip(ramp[:, None] + rng.normal(0, 0.03, (t, d)), 0.0, 1.0)
-            out.append(WindowedSample(matrix=m, label=Label.BOT, origin=(f"b{c}", w)))
+            out.append((m, Label.BOT, (f"b{c}", w)))
             m2 = np.clip(0.5 + rng.normal(0, 0.03, (t, d)), 0.0, 1.0)
-            out.append(WindowedSample(matrix=m2, label=Label.NORMAL, origin=(f"n{c}", w)))
-    return out
+            out.append((m2, Label.NORMAL, (f"n{c}", w)))
+    return window_set(out)
+
+
+def one_window_triples(n_bots, n_normals, seed=0):
+    rng = np.random.default_rng(seed)
+    mk = lambda: rng.random((4, 2))
+    bots = [(mk(), Label.BOT, (f"b{i:03d}", 0)) for i in range(n_bots)]
+    normals = [(mk(), Label.NORMAL, (f"n{i:03d}", 0)) for i in range(n_normals)]
+    return bots + normals
 
 
 def one_window_samples(n_bots, n_normals, seed=0):
-    rng = np.random.default_rng(seed)
-    mk = lambda: rng.random((4, 2))
-    bots = [WindowedSample(mk(), Label.BOT, (f"b{i:03d}", 0)) for i in range(n_bots)]
-    normals = [WindowedSample(mk(), Label.NORMAL, (f"n{i:03d}", 0)) for i in range(n_normals)]
-    return bots + normals
+    return window_set(one_window_triples(n_bots, n_normals, seed))
 
 
 # ---------------------------------------------------------------- metrics
@@ -154,17 +167,17 @@ def test_fold_balance_perfect_stratification() -> None:
     plan = make_folds(samples, k=10, seed=0)
     for fold in range(10):
         idx = plan.fold_indices(fold)
-        labels = [samples[i].label for i in idx]
-        assert labels.count(Label.BOT) == 3
-        assert labels.count(Label.NORMAL) == 7
+        labels = samples.y[idx].tolist()
+        assert labels.count(1.0) == 3
+        assert labels.count(0.0) == 7
 
 
 def test_folds_group_characters() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=5)
     plan = make_folds(samples, k=3, seed=1)
     fold_of = {}
-    for i, s in enumerate(samples):
-        fold_of.setdefault(s.origin[0], set()).add(int(plan.assignments[i]))
+    for i, character in enumerate(samples.character):
+        fold_of.setdefault(character, set()).add(int(plan.assignments[i]))
     assert all(len(folds) == 1 for folds in fold_of.values())
     plan.validate(samples)
 
@@ -186,17 +199,16 @@ def test_folds_insufficient_class_members() -> None:
 
 def test_leaky_folds_split_characters() -> None:
     # one character per class, many windows: grouping would be impossible
-    samples = [
-        WindowedSample(np.full((4, 2), 0.3), Label.BOT, ("b0", i)) for i in range(8)
-    ] + [
-        WindowedSample(np.full((4, 2), 0.6), Label.NORMAL, ("n0", i)) for i in range(8)
-    ]
+    samples = window_set(
+        [(np.full((4, 2), 0.3), Label.BOT, ("b0", i)) for i in range(8)]
+        + [(np.full((4, 2), 0.6), Label.NORMAL, ("n0", i)) for i in range(8)]
+    )
     with pytest.raises(DataError):
         make_folds(samples, k=2, seed=0)
     plan = make_folds(samples, k=2, seed=0, group_by_character=False)
     assert not plan.grouped
     plan.validate(samples)
-    bot_folds = {int(plan.assignments[i]) for i, s in enumerate(samples) if s.label is Label.BOT}
+    bot_folds = {int(plan.assignments[i]) for i, y in enumerate(samples.y) if y == 1.0}
     assert bot_folds == {0, 1}
 
 
@@ -211,18 +223,21 @@ def test_validate_rejects_tampered_assignments() -> None:
 def test_validate_rejects_character_leakage() -> None:
     samples = toy_separable(n_chars_per_class=4, windows_per_char=3)
     plan = make_folds(samples, k=2, seed=0)
-    victim = samples[0].origin[0]
-    idx = [i for i, s in enumerate(samples) if s.origin[0] == victim]
+    victim = samples.character[0]
+    idx = [i for i, character in enumerate(samples.character) if character == victim]
     plan.assignments[idx[0]] = 1 - plan.assignments[idx[0]]
     with pytest.raises(ValueError, match="spans multiple folds"):
         plan.validate(samples)
 
 
 def test_conflicting_character_labels_rejected() -> None:
-    samples = [
-        WindowedSample(np.full((4, 2), 0.2), Label.BOT, ("dual", 0)),
-        WindowedSample(np.full((4, 2), 0.2), Label.NORMAL, ("dual", 1)),
-    ] + one_window_samples(4, 4)
+    samples = window_set(
+        [
+            (np.full((4, 2), 0.2), Label.BOT, ("dual", 0)),
+            (np.full((4, 2), 0.2), Label.NORMAL, ("dual", 1)),
+        ]
+        + one_window_triples(4, 4)
+    )
     with pytest.raises(DataError, match="conflicting labels"):
         make_folds(samples, k=2, seed=0)
 
@@ -230,10 +245,7 @@ def test_conflicting_character_labels_rejected() -> None:
 # ---------------------------------------------------------------- periods
 
 def _timeline(cid, label, timestamps):
-    recs = tuple(
-        StatusRecord(cid, f"acct_{cid}", float(ts), np.zeros(2)) for ts in timestamps
-    )
-    return CharacterTimeline(cid, label, recs)
+    return CharacterTimeline(cid, label, timestamps, np.zeros((len(timestamps), 2)))
 
 
 def test_split_by_period_four_weeks() -> None:
@@ -243,15 +255,15 @@ def test_split_by_period_four_weeks() -> None:
     parts = split_by_period([tl], 7 * day)
     assert [p for p, _ in parts] == [0, 1, 2, 3]
     for _, subs in parts:
-        assert len(subs) == 1 and len(subs[0].records) == 7 * 24
+        assert len(subs) == 1 and len(subs[0]) == 7 * 24
 
 
 def test_split_boundary_goes_to_later_period() -> None:
     tl = _timeline("c1", Label.NORMAL, [0.0, 100.0, 200.0])
     parts = split_by_period([tl], 100.0)
     assert [p for p, _ in parts] == [0, 1, 2]
-    assert [r.timestamp for r in parts[1][1][0].records] == [100.0]
-    assert [r.timestamp for r in parts[2][1][0].records] == [200.0]
+    assert parts[1][1][0].timestamps.tolist() == [100.0]
+    assert parts[2][1][0].timestamps.tolist() == [200.0]
 
 
 def test_split_timeline_confined_to_one_period() -> None:
@@ -267,7 +279,7 @@ def test_split_anchor_defaults_to_earliest_record() -> None:
     tl = _timeline("c1", Label.BOT, [1000.0, 1050.0, 1120.0])
     parts = split_by_period([tl], 100.0)
     assert [p for p, _ in parts] == [0, 1]
-    assert len(parts[0][1][0].records) == 2
+    assert len(parts[0][1][0]) == 2
 
 
 def test_split_rejects_bad_period() -> None:
@@ -301,7 +313,8 @@ def test_train_deterministic() -> None:
 
 
 def test_train_requires_both_classes() -> None:
-    samples = [s for s in toy_separable() if s.label is Label.BOT]
+    samples = toy_separable()
+    samples = samples.subset(samples.y == 1.0)
     with pytest.raises(DataError):
         train(samples, ModelConfig(2, 8, 0.0, 0.0), TrainOptions(epochs=1))
 
@@ -310,7 +323,7 @@ def test_train_separable_set_converges() -> None:
     # 32 samples, batch 8 -> 200 Adam steps over 50 epochs
     samples = toy_separable()
     cfg = ModelConfig(2, 32, 0.2, 1e-4, seed=0)
-    x, y = stack_samples(samples)
+    x, y = samples.x, samples.y
     init_probs, _ = forward(init_params(cfg).copy(), x, cfg, training=False)
     initial_loss = bce_loss(init_probs, y, init_params(cfg), cfg.l2_lambda)
 
@@ -332,14 +345,16 @@ def test_train_loss_decreases_over_epochs() -> None:
 
 def test_train_early_stop_triggers_on_noise() -> None:
     rng = np.random.default_rng(5)
-    noise = [
-        WindowedSample(
-            np.clip(0.5 + rng.normal(0, 0.2, (8, 2)), 0, 1),
-            Label.BOT if i % 2 else Label.NORMAL,
-            (f"c{i}", 0),
-        )
-        for i in range(40)
-    ]
+    noise = window_set(
+        [
+            (
+                np.clip(0.5 + rng.normal(0, 0.2, (8, 2)), 0, 1),
+                Label.BOT if i % 2 else Label.NORMAL,
+                (f"c{i}", 0),
+            )
+            for i in range(40)
+        ]
+    )
     opts = TrainOptions(
         epochs=40, batch_size=8, lr=1e-2, shuffle_seed=1,
         early_stop=EarlyStopConfig(patience=3, holdout_fraction=0.25),
@@ -355,20 +370,20 @@ def test_train_early_stop_triggers_on_noise() -> None:
     assert log[-1]["val_loss"] > best
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0])
     holdout = shuffle_rng.permutation(40)[:10]
-    x, y = stack_samples(noise)
+    x, y = noise.x, noise.y
     probs = predict_probs(params, cfg, x[holdout])
     assert bce_loss(probs, y[holdout], params, cfg.l2_lambda) == best
 
 
-def test_stack_samples_rejects_mixed_shapes() -> None:
-    bad = [
-        WindowedSample(np.full((4, 2), 0.5), Label.BOT, ("a", 0)),
-        WindowedSample(np.full((5, 2), 0.5), Label.NORMAL, ("b", 0)),
-    ]
-    with pytest.raises(ValueError):
-        stack_samples(bad)
-    with pytest.raises(ValueError):
-        stack_samples([])
+def test_train_rejects_empty_or_unlabeled_windows() -> None:
+    cfg = ModelConfig(2, 8, 0.0, 0.0)
+    samples = toy_separable()
+    with pytest.raises(DataError):
+        train(samples.subset(samples.y > 1.0), cfg, TrainOptions(epochs=1))
+    y = samples.y.copy()
+    y[0] = np.nan
+    with pytest.raises(DataError):
+        train(WindowSet(samples.x, y, samples.character, samples.start), cfg, TrainOptions(epochs=1))
 
 
 # --------------------------------------------------------- cross-validation

@@ -4,6 +4,7 @@ import pytest
 from botledger.errors import DataError
 from botledger.ingest import (
     LabelFile,
+    StatusRows,
     build_timelines,
     expected_header,
     load_timelines,
@@ -34,7 +35,7 @@ def test_parse_clean_rows(tmp_path) -> None:
     assert len(records) == 3
     assert stats.records_read == 3
     assert stats.records_dropped == 0
-    assert records[0].values.tolist() == [1.0] * 9
+    assert records.values[0].tolist() == [1.0] * 9
 
 
 def test_parse_drops_invalid_values(tmp_path) -> None:
@@ -61,6 +62,15 @@ def test_parse_drops_malformed_rows(tmp_path) -> None:
     assert stats.drop_reasons == {"malformed_row": 3}
 
 
+def test_parse_rejects_nul_in_character_id(tmp_path) -> None:
+    # numpy string arrays drop trailing NULs, so "c1\0" would merge into "c1"
+    path = tmp_path / "log.csv"
+    _write_log(path, [_row(cid="c1\0", ts=0), _row(cid="c\0x", ts=0), _row(cid="c1", ts=1)])
+    records, stats = parse_status_log(path, SCHEMA)
+    assert records.character_id.tolist() == ["c1"]
+    assert stats.drop_reasons == {"malformed_row": 2}
+
+
 def test_parse_header_mismatch_is_fatal(tmp_path) -> None:
     path = tmp_path / "log.csv"
     header = ",".join(expected_header(SCHEMA)[:-1])  # missing a column
@@ -78,13 +88,22 @@ def _rec(cid, ts, fill=1.0):
     return StatusRecord(cid, f"a_{cid}", float(ts), np.full(9, fill))
 
 
+def _rows(records):
+    """The columns parse_status_log gives for these records."""
+    return StatusRows(
+        np.array([r.character_id for r in records]),
+        np.array([r.timestamp for r in records]),
+        np.array([r.values for r in records]),
+    )
+
+
 def test_build_timelines_sorts_and_labels() -> None:
     records = [_rec("c2", 5), _rec("c1", 9), _rec("c1", 3), _rec("c1", 5)]
     labels = LabelFile({"c1": Label.BOT, "c2": Label.NORMAL}, as_of="2024-02-01")
-    timelines, stats = build_timelines(records, labels)
+    timelines, stats = build_timelines(_rows(records), labels)
     assert [t.character_id for t in timelines] == ["c1", "c2"]
     assert timelines[0].label is Label.BOT
-    assert timelines[0].timestamps().tolist() == [3.0, 5.0, 9.0]
+    assert timelines[0].timestamps.tolist() == [3.0, 5.0, 9.0]
     assert stats.records_read == 4
     assert stats.records_dropped == 0
     assert stats.characters_total == 2
@@ -94,21 +113,21 @@ def test_build_timelines_sorts_and_labels() -> None:
 def test_build_timelines_duplicate_timestamp_keeps_last() -> None:
     records = [_rec("c1", 5, fill=1.0), _rec("c1", 5, fill=2.0), _rec("c1", 6, fill=3.0)]
     labels = LabelFile({"c1": Label.NORMAL}, as_of="")
-    timelines, stats = build_timelines(records, labels)
-    assert timelines[0].timestamps().tolist() == [5.0, 6.0]
-    assert timelines[0].records[0].values[0] == 2.0  # later input row won
+    timelines, stats = build_timelines(_rows(records), labels)
+    assert timelines[0].timestamps.tolist() == [5.0, 6.0]
+    assert timelines[0].values[0, 0] == 2.0  # later input row won
     assert stats.drop_reasons == {"duplicate_timestamp": 1}
 
 
 def test_build_timelines_drops_unlabeled() -> None:
     records = [_rec("known", 1), _rec("ghost", 1), _rec("ghost", 2)]
     labels = LabelFile({"known": Label.BOT}, as_of="")
-    timelines, stats = build_timelines(records, labels)
+    timelines, stats = build_timelines(_rows(records), labels)
     assert [t.character_id for t in timelines] == ["known"]
     assert stats.drop_reasons == {"unlabeled": 2}
     assert stats.records_kept == 1
 
-    kept, stats2 = build_timelines(records, labels, keep_unlabeled=True)
+    kept, stats2 = build_timelines(_rows(records), labels, keep_unlabeled=True)
     assert [t.character_id for t in kept] == ["ghost", "known"]
     assert kept[0].label is None
     assert stats2.records_dropped == 0
@@ -116,7 +135,7 @@ def test_build_timelines_drops_unlabeled() -> None:
 
 def test_build_timelines_no_label_file_keeps_everyone() -> None:
     records = [_rec("x", 1), _rec("y", 1)]
-    timelines, _ = build_timelines(records, None)
+    timelines, _ = build_timelines(_rows(records), None)
     assert [t.character_id for t in timelines] == ["x", "y"]
     assert all(t.label is None for t in timelines)
 
@@ -127,15 +146,15 @@ def test_timeline_order_is_input_order_independent() -> None:
         _rec("c2", t, fill=float(-t)) for t in range(15)
     ]
     labels = LabelFile({"c1": Label.BOT, "c2": Label.NORMAL}, as_of="")
-    reference, _ = build_timelines(base, labels)
+    reference, _ = build_timelines(_rows(base), labels)
     for trial in range(20):
         shuffled = [base[i] for i in rng.permutation(len(base))]
-        got, _ = build_timelines(shuffled, labels)
+        got, _ = build_timelines(_rows(shuffled), labels)
         assert [t.character_id for t in got] == [t.character_id for t in reference]
         for a, b in zip(got, reference):
-            ts = a.timestamps()
+            ts = a.timestamps
             assert (np.diff(ts) > 0).all()  # strictly increasing
-            assert np.array_equal(a.matrix(), b.matrix())
+            assert np.array_equal(a.values, b.values)
 
 
 def test_conservation_read_equals_kept_plus_dropped(tmp_path) -> None:
@@ -185,9 +204,9 @@ def test_status_log_roundtrip(tmp_path) -> None:
     write_status_log(path, records, SCHEMA)
     clone, stats = parse_status_log(path, SCHEMA)
     assert stats.records_dropped == 0
-    assert [r.character_id for r in clone] == ["c1", "c2"]
-    assert clone[0].timestamp == 10.0
-    assert clone[0].values.tolist() == [2.25] * 9
+    assert clone.character_id.tolist() == ["c1", "c2"]
+    assert clone.timestamp[0] == 10.0
+    assert clone.values[0].tolist() == [2.25] * 9
 
 
 def test_load_timelines_end_to_end(tmp_path) -> None:

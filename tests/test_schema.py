@@ -7,10 +7,8 @@ from botledger.schema import (
     FeatureSchema,
     FeatureType,
     Label,
-    StatusRecord,
-    WindowedSample,
+    WindowSet,
     canonical_schema,
-    encode_labels,
 )
 
 
@@ -66,32 +64,37 @@ def test_label_parse() -> None:
         Label.parse("cyborg")
 
 
-def test_encode_labels_mixed_input() -> None:
-    got = encode_labels([Label.BOT, Label.NORMAL, Label.BOT])
+def test_label_sequences_convert_to_targets() -> None:
+    got = np.asarray([Label.BOT, Label.NORMAL, Label.BOT], dtype=float)
     assert got.tolist() == [1.0, 0.0, 1.0]
-    arr = np.array([0.0, 1.0])
-    assert encode_labels(arr).tolist() == [0.0, 1.0]
 
 
-def test_windowed_sample_validation() -> None:
-    ok = WindowedSample(np.array([[0.0, 1.0], [0.5, 0.25]]), Label.BOT, ("c1", 0))
-    assert ok.matrix.shape == (2, 2)
+def test_window_set_validation() -> None:
+    def windows(x, y=(1.0,)):
+        return WindowSet(np.array(x), np.array(y), np.array(["c1"] * len(y)), np.zeros(len(y)))
+
+    ok = windows([[[0.0, 1.0], [0.5, 0.25]]])
+    assert ok.x.shape == (1, 2, 2) and len(ok) == 1
+    assert np.isnan(windows([[[0.0, 1.0], [0.5, 0.25]]], y=[np.nan]).y[0])  # unlabeled
     with pytest.raises(ValueError):
-        WindowedSample(np.array([[0.0, 1.1], [0.5, 0.25]]), Label.BOT, ("c1", 0))
+        windows([[[0.0, 1.1], [0.5, 0.25]]])
     with pytest.raises(ValueError):
-        WindowedSample(np.array([[0.0, -0.1], [0.5, 0.25]]), Label.BOT, ("c1", 0))
+        windows([[[0.0, -0.1], [0.5, 0.25]]])
     with pytest.raises(ValueError):
-        WindowedSample(np.array([[0.0, np.nan], [0.5, 0.25]]), Label.BOT, ("c1", 0))
+        windows([[[0.0, np.nan], [0.5, 0.25]]])
     with pytest.raises(ValueError):
-        WindowedSample(np.array([0.0, 1.0]), Label.BOT, ("c1", 0))
+        windows([[0.0, 1.0]])
+    with pytest.raises(ValueError):
+        windows([[[0.0, 1.0], [0.5, 0.25]]], y=[0.5])
+    with pytest.raises(ValueError):
+        windows([[[0.0, 1.0], [0.5, 0.25]]], y=[1.0, 0.0])
 
 
 def test_timeline_matrix_order() -> None:
-    records = tuple(
-        StatusRecord("c1", "a1", float(t), np.full(9, float(t))) for t in (1, 2, 3)
+    timeline = CharacterTimeline(
+        "c1", Label.NORMAL, [1.0, 2.0, 3.0], [np.full(9, float(t)) for t in (1, 2, 3)]
     )
-    timeline = CharacterTimeline("c1", Label.NORMAL, records)
     assert len(timeline) == 3
-    assert timeline.timestamps().tolist() == [1.0, 2.0, 3.0]
-    assert timeline.matrix().shape == (3, 9)
-    assert timeline.matrix()[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert timeline.timestamps.tolist() == [1.0, 2.0, 3.0]
+    assert timeline.values.shape == (3, 9)
+    assert timeline.values[:, 0].tolist() == [1.0, 2.0, 3.0]

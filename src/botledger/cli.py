@@ -215,6 +215,14 @@ def _window_config(resolved: dict) -> WindowConfig:
         )
 
 
+def _threshold(resolved: dict) -> float:
+    with _option_values():
+        threshold = float(resolved["threshold"])
+    if not 0.0 <= threshold <= 1.0:  # NaN fails this too
+        raise UsageError(f"--threshold must be a probability in [0, 1], got {threshold:g}")
+    return threshold
+
+
 def _model_config(resolved: dict, input_dim: int) -> ModelConfig:
     with _option_values():
         return ModelConfig(
@@ -405,12 +413,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "crossval")
-    timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
     with _option_values():
         seed = int(resolved["seed"])
         k = int(resolved["k"])
-        threshold = float(resolved["threshold"])
         period_days = None if resolved["by_period"] is None else float(resolved["by_period"])
+    if k < 2:
+        raise UsageError(f"--k must be at least 2, got {k}")
+    threshold = _threshold(resolved)
+    timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
     grouped = not bool(resolved["leaky_folds"])
     cfg = _model_config(resolved, input_dim=len(schema.active_indices()))
     opts = _train_options(resolved)
@@ -424,14 +434,16 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         report = cross_validate(samples, cfg, opts, **folds)
         title = f"Cross-validation results (k={k}, seed={seed})"
     else:
-        if period_days <= 0:
-            raise UsageError("--by-period must be positive")
-        report, detail["periods"] = cross_validate_by_period(
+        if not 0.0 < period_days < float("inf"):  # NaN fails this too
+            raise UsageError("--by-period must be a positive number of days")
+        report, detail["periods"], detail["skipped_periods"] = cross_validate_by_period(
             timelines, schema, window_cfg, cfg, opts, period_days=period_days, **folds
         )
         title = f"Cross-validation by period (k={k}, seed={seed}, period={period_days:g}d)"
 
     text = format_report_text(report, title)
+    if detail.get("skipped_periods"):
+        text += f"skipped, no windows: {', '.join(detail['skipped_periods'])}\n"
     print(text, end="")
     if args.out:
         out = _out_dir(args)
@@ -456,11 +468,10 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     resolved = _resolve(args, "score")
+    threshold = _threshold(resolved)
     out = _out_dir(args)
     bundle = load_model(args.model)
     timelines, _ = load_timelines(args.log, args.labels, bundle.schema, keep_unlabeled=True)
-    with _option_values():
-        threshold = float(resolved["threshold"])
     rows = []
     skipped = 0
     for timeline in timelines:
@@ -655,3 +666,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DataError
 from .features import WindowConfig, windows_from_timelines
 from .network import (
+    TRAIN_DTYPE,
     ModelConfig,
     ModelParams,
     adam_step,
@@ -275,7 +276,10 @@ def train(
     merged into its predecessor (one sample's batch statistics are its own
     values, which erases the level information BN should preserve).  With
     early stopping the params returned are those of the epoch with the
-    lowest validation loss, not those of the last epoch run.
+    lowest validation loss, not those of the last epoch run.  Each
+    minibatch is cast to ``TRAIN_DTYPE`` on its own, so the training
+    forward/backward run in float32 without a float32 copy of the whole
+    set; the validation forward stays float64.
     """
     x, y = samples.x, samples.y
     classes = set(np.unique(y).tolist())
@@ -306,7 +310,7 @@ def train(
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         losses: list[float] = []
         for batch_idx in _epoch_batches(len(order), opts.batch_size, order, cfg.use_batchnorm):
-            xb, yb = x[batch_idx], y[batch_idx]
+            xb, yb = x[batch_idx].astype(TRAIN_DTYPE), y[batch_idx]
             probs, trace = forward(params, xb, cfg, training=True, rng=dropout_rng)
             losses.append(bce_loss(probs, yb, params, cfg.l2_lambda))
             grads = backward(trace, yb, params, cfg)
@@ -452,22 +456,29 @@ def cross_validate_by_period(
     seed: int,
     threshold: float = 0.5,
     group_by_character: bool = True,
-) -> tuple[EvalReport, list[dict]]:
+) -> tuple[EvalReport, list[dict], list[str]]:
     """A separate k-fold evaluation of each calendar period's windows.
 
     Each period is windowed on its own and cross-validated with a seed
-    derived from (seed, period ordinal).  Returns one row per period, holding
-    that period's average metrics and summed confusion, plus every period's
-    full report as ``{"name", "report"}`` documents.
+    derived from (seed, period ordinal).  A period too short for one window
+    (typically the last, partial one) is skipped and keeps its name, so the
+    other periods keep their names and seeds.  Returns one row per evaluated
+    period, holding that period's average metrics and summed confusion;
+    every evaluated period's full report as ``{"name", "report"}``
+    documents; and the names of the skipped periods.  Raises ``DataError``
+    when no period produces a window.
     """
     row_name = "Week" if period_days == 7.0 else "Period"
     rows: list[EvalRow] = []
     periods: list[dict] = []
+    skipped: list[str] = []
     splits = split_by_period(timelines, period_days * 86400.0)
     for ordinal, (_, period_timelines) in enumerate(splits, start=1):
+        name = f"{row_name} {ordinal}"
         samples = windows_from_timelines(period_timelines, schema, window_cfg)
         if not samples:
-            raise DataError(f"period {ordinal} produced no windows")
+            skipped.append(name)
+            continue
         sub = cross_validate(
             samples,
             cfg,
@@ -477,15 +488,17 @@ def cross_validate_by_period(
             threshold=threshold,
             group_by_character=group_by_character,
         )
-        periods.append({"name": f"{row_name} {ordinal}", "report": sub.to_dict()})
+        periods.append({"name": name, "report": sub.to_dict()})
         rows.append(
             EvalRow(
-                name=f"{row_name} {ordinal}",
+                name=name,
                 metrics=sub.average,
                 confusion=sub.confusion_total,
                 n_test=sub.confusion_total.total,
             )
         )
+    if not rows:
+        raise DataError(f"no {row_name.lower()} produced windows")
     report = EvalReport(
         rows=tuple(rows),
         average=average_metrics([r.metrics for r in rows]),
@@ -493,7 +506,7 @@ def cross_validate_by_period(
         # the periods share every setting but the seed
         config={**sub.config, "seed": seed, "by_period_days": period_days},
     )
-    return report, periods
+    return report, periods, skipped
 
 
 def format_report_text(report: EvalReport, title: str = "Cross-validation results") -> str:

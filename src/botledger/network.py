@@ -39,6 +39,21 @@ numpy; no framework is involved, which keeps the gradient checker honest.
 All tensors live in one float64 vector, ``ModelParams.flat``, laid out once
 by ``_TENSORS``; gradients and Adam moments share that layout, and
 ``model_io`` writes the vector as the ``model.bin`` payload.
+
+Training runs in mixed precision (Micikevicius et al. 2018): ``forward``
+computes in the dtype of its batch, float32 for a float32 batch and float64
+for anything else, and ``harness.train`` hands it float32 minibatches
+(``TRAIN_DTYPE``).  A float32 call casts the weights once, and keeps the
+batch-norm batch statistics, gate buffers, ``c``, ``tanh(c)`` and ``h`` in
+float32; ``backward`` accumulates its per-step gradients in the trace's
+dtype.  What float32 rounding would distort stays float64: the readout
+``z``, the probabilities (so ``PROB_CLIP`` keeps its meaning) and the loss;
+the master weights, gradients, Adam moments and batch-norm running
+statistics in ``flat``; and every inference call, since callers pass
+float64 windows.  ``cell_step`` and ``gradient_check`` stay float64 because
+a central difference with a 1e-5 step needs more digits than float32's
+~1e-7 resolution keeps: in float32 the check would measure rounding, not
+the gradient.
 """
 
 from __future__ import annotations
@@ -56,6 +71,7 @@ from .errors import DataError, NumericError
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 PROB_CLIP = 1e-7
+TRAIN_DTYPE = np.float32  # compute dtype of training minibatches
 
 # The parameter layout, in model.bin payload order.  Each row is a tensor's
 # name, its shape over D = input_dim and H = hidden_dim, and its role:
@@ -227,9 +243,9 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return float(out) if arr.ndim == 0 else out
 
 
-def _gate_scale(hidden_dim: int) -> np.ndarray:
+def _gate_scale(hidden_dim: int, dtype: type = np.float64) -> np.ndarray:
     """Per-row scale of the 4H pre-activations: 1/2 on i/f/o, 1 on g."""
-    scale = np.full(4 * hidden_dim, 0.5)
+    scale = np.full(4 * hidden_dim, 0.5, dtype=dtype)
     scale[2 * hidden_dim : 3 * hidden_dim] = 1.0
     return scale
 
@@ -286,7 +302,8 @@ def _bn_apply(
     Training mode normalizes with biased batch statistics and folds them into
     the running estimates, in place in ``params.flat``, as ``running =
     (1 - momentum) * running + momentum * batch``; inference uses the
-    running estimates unchanged.
+    running estimates unchanged.  The output has the batch's dtype; the
+    running estimates stay float64.
     """
     if training:
         if batch.shape[0] < 2:
@@ -296,10 +313,12 @@ def _bn_apply(
         params.bn_running_mean = (1.0 - momentum) * params.bn_running_mean + momentum * mean
         params.bn_running_var = (1.0 - momentum) * params.bn_running_var + momentum * var
     else:
-        mean = params.bn_running_mean
-        var = params.bn_running_var
+        mean = params.bn_running_mean.astype(batch.dtype, copy=False)
+        var = params.bn_running_var.astype(batch.dtype, copy=False)
     x_hat = (batch - mean) / np.sqrt(var + BN_EPS)
-    return params.bn_gamma * x_hat + params.bn_beta, x_hat
+    gamma = params.bn_gamma.astype(batch.dtype, copy=False)
+    beta = params.bn_beta.astype(batch.dtype, copy=False)
+    return gamma * x_hat + beta, x_hat
 
 
 def batchnorm_forward(
@@ -328,7 +347,7 @@ class ForwardTrace:
     h: np.ndarray  # (T, B, H)
     dropout_mask: np.ndarray | None  # (B, H), already scaled by 1/(1-p)
     h_final: np.ndarray  # (B, H) hidden state fed to the readout
-    probs: np.ndarray  # (B,)
+    probs: np.ndarray  # (B,), float64 whatever the buffers' dtype
 
 
 def forward(
@@ -343,9 +362,13 @@ def forward(
 
     Returns per-sample bot probabilities (clipped into the open unit
     interval) and, in training mode, the trace ``backward`` consumes.
-    Training with dropout_p > 0 requires ``rng`` for the mask draw.
+    Training with dropout_p > 0 requires ``rng`` for the mask draw.  A
+    float32 batch is computed in float32 up to the float64 readout; any
+    other batch in float64.
     """
-    batch = np.asarray(batch, dtype=float)
+    batch = np.asarray(batch)
+    dtype = np.float32 if batch.dtype == np.float32 else np.float64
+    batch = batch.astype(dtype, copy=False)
     if batch.ndim != 3:
         raise ValueError("forward expects a (batch, time, features) array")
     n, t_steps, d = batch.shape
@@ -372,16 +395,17 @@ def forward(
 
     # Input projection for every timestep in one GEMM; each step's slice is
     # then turned into that step's gate activations in place.
-    scale = _gate_scale(hdim)
-    acts = x_used.reshape(t_steps * n, d) @ (params.W_x * scale[:, None]).T
-    acts += params.b * scale
+    # Scaling by 1/2 is exact, so scaling before or after the cast agrees.
+    scale = _gate_scale(hdim, dtype)
+    w_x, w_h = ((w * scale[:, None]).T.astype(dtype, copy=False) for w in (params.W_x, params.W_h))
+    acts = x_used.reshape(t_steps * n, d) @ w_x
+    acts += (params.b * scale).astype(dtype, copy=False)
     acts = acts.reshape(t_steps, n, 4 * hdim)
-    w_h = (params.W_h * scale[:, None]).T
 
     # Training keeps every step for backward; inference overwrites one slot.
     kept = t_steps if training else 1
-    cs, tanh_cs, hs = (np.empty((kept, n, hdim)) for _ in range(3))
-    h = c = np.zeros((n, hdim))
+    cs, tanh_cs, hs = (np.empty((kept, n, hdim), dtype) for _ in range(3))
+    h = c = np.zeros((n, hdim), dtype)
     for t in range(t_steps):
         slot = t if training else 0
         a = acts[t]
@@ -399,13 +423,13 @@ def forward(
         if rng is None:
             raise ValueError("training forward with dropout needs an rng")
         keep = 1.0 - cfg.dropout_p
-        mask = (rng.random((n, hdim)) < keep) / keep
+        mask = ((rng.random((n, hdim)) < keep) / keep).astype(dtype)
         h_final = h * mask
     else:
         mask = None
         h_final = h
 
-    z = h_final @ params.W_out + params.b_out
+    z = h_final @ params.W_out + params.b_out  # float64: W_out is not cast
     probs = np.clip(sigmoid(z), PROB_CLIP, 1.0 - PROB_CLIP)
     if not np.isfinite(probs).all():
         raise NumericError("numeric overflow in readout")
@@ -457,11 +481,13 @@ def backward(
 
     Batch-norm sits on the input side, so its batch statistics do not depend
     on any trainable tensor; only gamma/beta need gradients, accumulated from
-    the saved ``x_hat`` buffers.  The gradients share the params' layout, with
+    the saved ``x_hat`` buffers.  The loop runs and accumulates in the
+    trace's dtype; the float64 gradients share the params' layout, with
     zeros in the running-statistic slots.
     """
     y = np.asarray(labels, dtype=float)
     t_steps, n, hdim = trace.h.shape
+    dtype = trace.h.dtype
     if y.shape != (n,):
         raise ValueError("labels must match the traced batch size")
 
@@ -472,21 +498,23 @@ def backward(
     grads.W_out = trace.h_final.T @ dz
     grads.b_out = float(dz.sum())
 
-    dh = np.outer(dz, params.W_out)
+    dh = np.outer(dz, params.W_out).astype(dtype)
     if trace.dropout_mask is not None:
-        dh = dh * trace.dropout_mask
+        dh *= trace.dropout_mask
 
-    dc_next = np.zeros((n, hdim))
-    # views into grads.flat, so += accumulates without a setter write-back per step
+    w_x, w_h = (w.astype(dtype, copy=False) for w in (params.W_x, params.W_h))
+    zeros = np.zeros((n, hdim), dtype)
+    dc_next = zeros
+    accumulated = ("W_x", "W_h", "b", "bn_gamma", "bn_beta")
     g_wx, g_wh, g_b, g_gamma, g_beta = (
-        grads.W_x, grads.W_h, grads.b, grads.bn_gamma, grads.bn_beta
+        np.zeros(getattr(params, name).shape, dtype) for name in accumulated
     )
     gi, gf, gg, go = trace.gates
     for t in range(t_steps - 1, -1, -1):
         i, f, g, o = gi[t], gf[t], gg[t], go[t]
         tanh_c = trace.tanh_c[t]
-        c_prev = trace.c[t - 1] if t > 0 else np.zeros((n, hdim))
-        h_prev = trace.h[t - 1] if t > 0 else np.zeros((n, hdim))
+        c_prev = trace.c[t - 1] if t > 0 else zeros
+        h_prev = trace.h[t - 1] if t > 0 else zeros
 
         do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c**2)
@@ -507,13 +535,15 @@ def backward(
         g_wx += da.T @ trace.x_used[t]
         g_wh += da.T @ h_prev
         g_b += da.sum(axis=0)
-        dh = da @ params.W_h
+        dh = da @ w_h
 
         if cfg.use_batchnorm:
-            dx_bn = da @ params.W_x  # gradient w.r.t. the BN output slice
+            dx_bn = da @ w_x  # gradient w.r.t. the BN output slice
             g_gamma += (dx_bn * trace.x_hat[t]).sum(axis=0)
             g_beta += dx_bn.sum(axis=0)
 
+    for name, grad in zip(accumulated, (g_wx, g_wh, g_b, g_gamma, g_beta)):
+        setattr(grads, name, grad)  # one cast into the float64 vector
     if cfg.l2_lambda:
         for name in L2_FIELDS:
             grad = getattr(grads, name)

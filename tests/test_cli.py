@@ -3,12 +3,17 @@
 import hashlib
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import botledger
 import botledger.cli as cli
 from botledger.cli import run
 from botledger.errors import NumericError
@@ -439,6 +444,30 @@ def test_crossval_by_period_rejects_nonpositive(fortnight) -> None:
     assert rc == 1
 
 
+def test_crossval_by_period_skips_periods_without_windows(fortnight, tmp_path, capsys) -> None:
+    argv = [
+        "crossval",
+        "--log", str(fortnight / "status_log.csv"),
+        "--labels", str(fortnight / "labels.csv"),
+        "--k", "2",
+        "--epochs", "1",
+        "--seed", "21",
+    ]
+    # 14 days in 4.5-day periods: the fourth holds half a day, less than one window
+    assert run(argv + ["--by-period", "4.5", "--out", str(tmp_path / "cv")]) == 0
+    shown = capsys.readouterr().out
+    assert "Period 3" in shown and "Period 4" not in shown.split("Average")[0]
+    assert "skipped, no windows: Period 4" in shown
+    doc = json.loads((tmp_path / "cv" / "report.json").read_text())
+    assert doc["skipped_periods"] == ["Period 4"]
+    assert [p["name"] for p in doc["periods"]] == ["Period 1", "Period 2", "Period 3"]
+    assert (tmp_path / "cv" / "report.txt").read_text() == shown
+
+    # 0.2-day periods are all shorter than one 24-hour window
+    assert run(argv + ["--by-period", "0.2"]) == 2
+    assert "no period produced windows" in capsys.readouterr().err
+
+
 def test_numeric_error_maps_to_exit_3(monkeypatch, tmp_path, capsys) -> None:
     def explode(args):
         raise NumericError("loss diverged")
@@ -626,6 +655,17 @@ def _put(index, value):
         ("train", None, ("samples.npz", _with_samples("y", _put(0, np.nan))), 2),
         ("train", None, ("samples.npz", _with_samples("x", lambda x: x[:, 0])), 2),
         ("train", None, ("samples.npz", lambda blob: blob[: len(blob) // 2]), 2),
+        # fewer than two folds, thresholds that are no probability, and
+        # period lengths that are no positive number of days
+        ("crossval", {"k": 1}, None, 1),
+        ("crossval", {"threshold": float("nan")}, None, 1),
+        ("crossval", {"threshold": -1}, None, 1),
+        ("crossval", {"threshold": 1.5}, None, 1),
+        ("score", {"threshold": float("nan")}, None, 1),
+        ("score", {"threshold": float("inf")}, None, 1),
+        ("score", {"threshold": -0.5}, None, 1),
+        ("crossval", {"by_period": float("nan")}, None, 1),
+        ("crossval", {"by_period": float("inf")}, None, 1),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -655,3 +695,31 @@ def test_malformed_inputs_exit_with_documented_code(
         argv += ["--config", str(cfg_path)]
     assert run(argv) == code
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crossval", "--k", "1"],
+        ["crossval", "--threshold", "nan"],
+        ["score", "--threshold", "-1"],
+    ],
+)
+def test_bad_k_or_threshold_flag_is_usage_error(argv, dataset, model_dir, tmp_path, capsys) -> None:
+    inputs = ["--log", str(dataset / "status_log.csv")]
+    inputs += ["--labels", str(dataset / "labels.csv")] if argv[0] == "crossval" else [
+        "--model", str(model_dir / "model.bin"), "--out", str(tmp_path / "out")
+    ]
+    assert run(argv + inputs) == 1
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["botledger", "botledger.cli"])
+def test_module_entry_points_print_version(module) -> None:
+    src = str(Path(botledger.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "--version"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"botledger {botledger.__version__}\n"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from botledger import harness
 from botledger.errors import DataError
 from botledger.harness import (
     ConfusionMatrix,
@@ -373,6 +374,27 @@ def test_train_early_stop_triggers_on_noise() -> None:
     x, y = noise.x, noise.y
     probs = predict_probs(params, cfg, x[holdout])
     assert bce_loss(probs, y[holdout], params, cfg.l2_lambda) == best
+
+
+def test_train_forward_is_float32_and_prediction_float64(monkeypatch) -> None:
+    seen = {True: [], False: []}
+    real_forward = harness.forward
+
+    def recording_forward(params, batch, cfg, *, training, rng=None):
+        seen[training].append(str(batch.dtype))
+        return real_forward(params, batch, cfg, training=training, rng=rng)
+
+    monkeypatch.setattr(harness, "forward", recording_forward)
+    samples = toy_separable()
+    cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
+    opts = TrainOptions(
+        epochs=2, batch_size=8, early_stop=EarlyStopConfig(patience=5, holdout_fraction=0.25)
+    )
+    params, _ = train(samples, cfg, opts)
+    predict_probs(params, cfg, samples.x)
+    assert seen[True] == ["float32"] * 6  # 24 training windows in batches of 8, twice
+    assert seen[False] == ["float64"] * 3  # two validation passes, one prediction
+    assert params.flat.dtype == np.float64
 
 
 def test_train_rejects_empty_or_unlabeled_windows() -> None:

@@ -7,6 +7,7 @@ from botledger.errors import DataError, NumericError
 from botledger.network import (
     BN_EPS,
     PROB_CLIP,
+    TRAINABLE,
     ModelConfig,
     ModelParams,
     adam_step,
@@ -330,6 +331,46 @@ def test_forward_matches_cell_step_reference(use_batchnorm: bool, training: bool
     for got_gate, want_gate in zip(trace.gates, zip(*gates)):
         assert _rel_err(got_gate, np.stack(want_gate)) <= 1e-12
     assert np.array_equal(trace.h_final, trace.h[-1])
+
+
+# --- mixed precision ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+def test_float32_batch_gives_float32_buffers_and_float64_probs(use_batchnorm: bool) -> None:
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.2, use_batchnorm=use_batchnorm, seed=3)
+    params = init_params(cfg)
+    batch = np.random.default_rng(4).random((5, 7, 4))
+    probs, trace = forward(params, batch.astype(np.float32), cfg, training=True, rng=np.random.default_rng(0))
+    buffers = [trace.x_used, trace.c, trace.tanh_c, trace.h, trace.dropout_mask, trace.h_final, *trace.gates]
+    if use_batchnorm:
+        buffers.append(trace.x_hat)
+    assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
+    assert probs.dtype == np.float64 and trace.probs.dtype == np.float64
+    assert params.flat.dtype == np.float64  # running statistics stay float64
+
+    # inference on a float32 batch agrees with the float64 path to float32 precision
+    want, _ = forward(params, batch, cfg, training=False)
+    got, _ = forward(params, batch.astype(np.float32), cfg, training=False)
+    assert got.dtype == np.float64
+    assert _rel_err(got, want) <= 1e-5
+
+
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+def test_float32_backward_matches_float64_gradients(use_batchnorm: bool) -> None:
+    cfg = ModelConfig(input_dim=9, hidden_dim=32, dropout_p=0.2, use_batchnorm=use_batchnorm, seed=5)
+    params = init_params(cfg)
+    rng = np.random.default_rng(6)
+    batch = rng.random((64, 24, 9))
+    labels = (rng.random(64) < 0.5).astype(float)
+    grads = {}
+    for dtype in (np.float64, np.float32):
+        _, trace = forward(params.copy(), batch.astype(dtype), cfg, training=True, rng=np.random.default_rng(7))
+        grads[dtype] = backward(trace, labels, params, cfg)
+    assert grads[np.float32].flat.dtype == np.float64
+    for name in TRAINABLE:
+        got, want = (np.atleast_1d(getattr(grads[dtype], name)) for dtype in (np.float32, np.float64))
+        assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max(), name  # zero stays zero
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

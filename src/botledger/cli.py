@@ -6,11 +6,17 @@ Subcommands cover the whole workflow: ``synth`` fabricates a labeled dataset,
 periods), ``score`` applies a saved model to a log, and ``report`` prints
 distribution and elimination tables.
 
-Option precedence is CLI flag, then ``--config`` JSON file, then the
-``BOTLEDGER_SEED`` environment variable (seeds only), then built-in defaults.
+Each option is one row of ``_OPTIONS``: its type, default and argparse
+extras.  Its flag is the key with dashes, and a switch sets the opposite of
+its default (``--no-batchnorm`` sets ``batchnorm`` false).  Option
+precedence is CLI flag, then ``--config`` JSON file (keyed like the table),
+then the ``BOTLEDGER_SEED`` environment variable (seeds only), then built-in
+defaults.  ``_resolve`` casts every value to its option's type once, and
+rejects a float that is not finite, so commands read typed values.
+
 Every artifact-writing command drops a ``manifest.json`` beside its outputs
-with sha256 checksums of inputs and outputs, so reruns can be compared
-byte-for-byte.
+with the resolved options, as cast, and sha256 checksums of inputs and
+outputs, so reruns can be compared byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or artifact error, 3 numeric
 failure.
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import zipfile
@@ -78,55 +85,84 @@ _WINDOW = _field_defaults(WindowConfig)
 _MODEL = _field_defaults(ModelConfig)
 _TRAIN = _field_defaults(TrainOptions)
 
-_DEFAULTS: dict[str, dict] = {
-    "synth": {
-        "bots": 10,
-        "normals": 40,
-        "days": _GEN["days"],
-        "interval_hours": _GEN["snapshot_interval"] / 3600.0,
-        "separability": _GEN["separability"],
-        "seed": None,
-    },
-    "featurize": {
-        "window_length": _WINDOW["window_length"],
-        "stride": _WINDOW["stride"],
-        "scaling_scope": _WINDOW["scaling_scope"].value,
-    },
-    "train": {
-        "hidden_dim": _MODEL["hidden_dim"],
-        "dropout": _MODEL["dropout_p"],
-        "l2": _MODEL["l2_lambda"],
-        "batch_size": _TRAIN["batch_size"],
-        "epochs": _TRAIN["epochs"],
-        "lr": _TRAIN["lr"],
-        "batchnorm": _MODEL["use_batchnorm"],
-        "early_stop_patience": None,
-        "seed": None,
-    },
-    "score": {"threshold": 0.5},
+# Every option a command resolves: key -> (type, default, argparse extras).
+_OPTIONS: dict[str, tuple[type, object, dict]] = {
+    "bots": (int, 10, {}),
+    "normals": (int, 40, {}),
+    "days": (float, _GEN["days"], {}),
+    "interval_hours": (float, _GEN["snapshot_interval"] / 3600.0, {"help": "snapshot interval"}),
+    "separability": (float, _GEN["separability"], {"help": "0: bots behave like humans; 1: fully bot-like"}),
+    "window_length": (int, _WINDOW["window_length"], {"help": "timesteps per training window"}),
+    "stride": (int, _WINDOW["stride"], {"help": "offset between consecutive windows"}),
+    "scaling_scope": (
+        ScalingScope,
+        _WINDOW["scaling_scope"],
+        {"choices": [s.value for s in ScalingScope], "help": "min-max over the whole timeline or each window"},
+    ),
+    "hidden_dim": (int, _MODEL["hidden_dim"], {"help": "LSTM hidden width"}),
+    "dropout": (float, _MODEL["dropout_p"], {"help": "dropout probability on the final hidden state"}),
+    "l2": (float, _MODEL["l2_lambda"], {"help": "L2 penalty on weight matrices"}),
+    "batch_size": (int, _TRAIN["batch_size"], {}),
+    "epochs": (int, _TRAIN["epochs"], {}),
+    "lr": (float, _TRAIN["lr"], {"help": "Adam learning rate"}),
+    "batchnorm": (bool, _MODEL["use_batchnorm"], {"help": "disable input batch normalization"}),
+    "early_stop_patience": (int, None, {"help": "enable early stopping"}),
+    "k": (int, 10, {"help": "number of folds"}),
+    "threshold": (float, 0.5, {"help": "bot decision threshold (ties count as bot)"}),
+    "by_period": (
+        float,
+        None,
+        {"nargs": "?", "const": 7.0, "help": "split rows by calendar period of this many days (default 7)"},
+    ),
+    "leaky_folds": (bool, False, {"help": "assign windows to folds individually instead of per character"}),
+    "seed": (int, None, {}),
 }
-_DEFAULTS["crossval"] = {
-    **_DEFAULTS["featurize"],
-    **{key: value for key, value in _DEFAULTS["train"].items() if key != "early_stop_patience"},
-    "k": 10,
-    "threshold": 0.5,
-    "by_period": None,
-    "leaky_folds": False,
+_WINDOW_KEYS = ("window_length", "stride", "scaling_scope")
+_MODEL_KEYS = ("hidden_dim", "dropout", "l2", "batch_size", "epochs", "lr", "batchnorm")
+# The options of each command, in --help order.
+_COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
+    "synth": ("bots", "normals", "days", "interval_hours", "separability", "seed"),
+    "featurize": _WINDOW_KEYS,
+    "train": (*_MODEL_KEYS, "early_stop_patience", "seed"),
+    "crossval": (*_WINDOW_KEYS, *_MODEL_KEYS, "k", "threshold", "by_period", "leaky_folds", "seed"),
+    "score": ("threshold",),
+    "report": _WINDOW_KEYS,
 }
-_DEFAULTS["report"] = dict(_DEFAULTS["featurize"])
+
+
+def _flag(key: str) -> str:
+    typ, default, _ = _OPTIONS[key]
+    name = key.replace("_", "-")
+    return f"--no-{name}" if typ is bool and default else f"--{name}"
 
 
 @contextmanager
-def _option_values() -> Iterator[None]:
+def _option_values(name: str = "option") -> Iterator[None]:
     """Report option values of the wrong type or out of range as usage errors.
 
-    Config files can hold ``null`` or lists where numbers belong, so the
-    casts raise ``TypeError`` as well as ``ValueError``.
+    Config files can hold ``null``, lists or infinities where numbers belong,
+    so the casts raise ``TypeError`` and ``OverflowError`` as well as
+    ``ValueError``.
     """
     try:
         yield
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad option value: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"bad {name} value: {exc}") from exc
+
+
+def _cast(key: str, value: object) -> object:
+    """``value`` as the type of option ``key``; floats must be finite."""
+    typ, default, _ = _OPTIONS[key]
+    if value is None:
+        if default is None:
+            return None
+        raise UsageError(f"config key {key!r} must not be null")
+    flag = _flag(key)
+    with _option_values(flag):
+        value = typ(value)
+    if typ is float and not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value}")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
@@ -141,24 +177,22 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge defaults, config file, and explicit flags, in rising precedence."""
-    defaults = _DEFAULTS[command]
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge defaults, config file, and explicit flags, in rising precedence,
+    and cast every value to its option's type."""
+    keys = _COMMAND_OPTIONS[args.command]
+    resolved = {key: _OPTIONS[key][1] for key in keys}
+    if args.config:
         file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(file_cfg) - set(keys)
         if unknown:
             raise DataError(
-                f"unknown config keys for {command}: {', '.join(sorted(unknown))}"
+                f"unknown config keys for {args.command}: {', '.join(sorted(unknown))}"
             )
         resolved.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    if getattr(args, "no_batchnorm", None):
-        resolved["batchnorm"] = False
+    for key in keys:
+        flag_value = getattr(args, key)
+        resolved[key] = _cast(key, resolved[key] if flag_value is None else flag_value)
     if "seed" in resolved and resolved["seed"] is None:
         env = os.environ.get("BOTLEDGER_SEED")
         if env is not None:
@@ -209,16 +243,15 @@ def _write_json(path: Path, doc: dict) -> None:
 def _window_config(resolved: dict) -> WindowConfig:
     with _option_values():
         return WindowConfig(
-            window_length=int(resolved["window_length"]),
-            stride=int(resolved["stride"]),
-            scaling_scope=ScalingScope(resolved["scaling_scope"]),
+            window_length=resolved["window_length"],
+            stride=resolved["stride"],
+            scaling_scope=resolved["scaling_scope"],
         )
 
 
 def _threshold(resolved: dict) -> float:
-    with _option_values():
-        threshold = float(resolved["threshold"])
-    if not 0.0 <= threshold <= 1.0:  # NaN fails this too
+    threshold = resolved["threshold"]
+    if not 0.0 <= threshold <= 1.0:
         raise UsageError(f"--threshold must be a probability in [0, 1], got {threshold:g}")
     return threshold
 
@@ -227,11 +260,11 @@ def _model_config(resolved: dict, input_dim: int) -> ModelConfig:
     with _option_values():
         return ModelConfig(
             input_dim=input_dim,
-            hidden_dim=int(resolved["hidden_dim"]),
-            dropout_p=float(resolved["dropout"]),
-            l2_lambda=float(resolved["l2"]),
-            use_batchnorm=bool(resolved["batchnorm"]),
-            seed=int(resolved["seed"]),
+            hidden_dim=resolved["hidden_dim"],
+            dropout_p=resolved["dropout"],
+            l2_lambda=resolved["l2"],
+            use_batchnorm=resolved["batchnorm"],
+            seed=resolved["seed"],
         )
 
 
@@ -239,25 +272,25 @@ def _train_options(resolved: dict) -> TrainOptions:
     patience = resolved.get("early_stop_patience")
     with _option_values():
         return TrainOptions(
-            epochs=int(resolved["epochs"]),
-            batch_size=int(resolved["batch_size"]),
-            lr=float(resolved["lr"]),
-            shuffle_seed=derive_seed(int(resolved["seed"]), 0x5EED),
-            early_stop=EarlyStopConfig(patience=int(patience)) if patience else None,
+            epochs=resolved["epochs"],
+            batch_size=resolved["batch_size"],
+            lr=resolved["lr"],
+            shuffle_seed=derive_seed(resolved["seed"], 0x5EED),
+            early_stop=EarlyStopConfig(patience=patience) if patience else None,
         )
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "synth")
+    resolved = _resolve(args)
     out = _out_dir(args)
     with _option_values():
         cfg = GenConfig(
-            n_bots=int(resolved["bots"]),
-            n_normals=int(resolved["normals"]),
-            days=float(resolved["days"]),
-            snapshot_interval=float(resolved["interval_hours"]) * 3600.0,
-            separability=float(resolved["separability"]),
-            seed=int(resolved["seed"]),
+            n_bots=resolved["bots"],
+            n_normals=resolved["normals"],
+            days=resolved["days"],
+            snapshot_interval=resolved["interval_hours"] * 3600.0,
+            separability=resolved["separability"],
+            seed=resolved["seed"],
         )
     data = generate(cfg)
     log_path = out / "status_log.csv"
@@ -294,7 +327,7 @@ def _prepare_samples(args: argparse.Namespace, resolved: dict):
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "featurize")
+    resolved = _resolve(args)
     out = _out_dir(args)
     timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
     samples = windows_from_timelines(timelines, schema, window_cfg)
@@ -373,7 +406,7 @@ def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, Windo
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "train")
+    resolved = _resolve(args)
     out = _out_dir(args)
     samples, schema, window_cfg, _ = _load_samples_dir(args.samples)
     cfg = _model_config(resolved, input_dim=samples.x.shape[2])
@@ -412,16 +445,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "crossval")
-    with _option_values():
-        seed = int(resolved["seed"])
-        k = int(resolved["k"])
-        period_days = None if resolved["by_period"] is None else float(resolved["by_period"])
+    resolved = _resolve(args)
+    seed, k, period_days = resolved["seed"], resolved["k"], resolved["by_period"]
     if k < 2:
         raise UsageError(f"--k must be at least 2, got {k}")
+    if period_days is not None and period_days <= 0.0:
+        raise UsageError("--by-period must be a positive number of days")
     threshold = _threshold(resolved)
     timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
-    grouped = not bool(resolved["leaky_folds"])
+    grouped = not resolved["leaky_folds"]
     cfg = _model_config(resolved, input_dim=len(schema.active_indices()))
     opts = _train_options(resolved)
     folds = {"k": k, "seed": seed, "threshold": threshold, "group_by_character": grouped}
@@ -434,8 +466,6 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         report = cross_validate(samples, cfg, opts, **folds)
         title = f"Cross-validation results (k={k}, seed={seed})"
     else:
-        if not 0.0 < period_days < float("inf"):  # NaN fails this too
-            raise UsageError("--by-period must be a positive number of days")
         report, detail["periods"], detail["skipped_periods"] = cross_validate_by_period(
             timelines, schema, window_cfg, cfg, opts, period_days=period_days, **folds
         )
@@ -467,7 +497,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "score")
+    resolved = _resolve(args)
     threshold = _threshold(resolved)
     out = _out_dir(args)
     bundle = load_model(args.model)
@@ -501,7 +531,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, "report")
+    resolved = _resolve(args)
     timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
     samples = windows_from_timelines(timelines, schema, window_cfg)
     if not samples:
@@ -534,106 +564,41 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window-length", type=int, help="timesteps per training window")
-    p.add_argument("--stride", type=int, help="offset between consecutive windows")
-    p.add_argument(
-        "--scaling-scope",
-        choices=[s.value for s in ScalingScope],
-        help="min-max over the whole timeline or each window",
-    )
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden-dim", type=int, help="LSTM hidden width")
-    p.add_argument("--dropout", type=float, help="dropout probability on the final hidden state")
-    p.add_argument("--l2", type=float, help="L2 penalty on weight matrices")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument(
-        "--no-batchnorm",
-        action="store_true",
-        default=None,
-        help="disable input batch normalization",
-    )
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="botledger", description="Game-bot detection from financial status logs.")
     parser.add_argument("--version", action="version", version=f"botledger {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p.add_argument("--bots", type=int)
-    p.add_argument("--normals", type=int)
-    p.add_argument("--days", type=float)
-    p.add_argument("--interval-hours", type=float, help="snapshot interval")
-    p.add_argument("--separability", type=float, help="0: bots behave like humans; 1: fully bot-like")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("featurize", help="build training windows from a labeled log")
-    p.add_argument("--log", required=True, help="status log CSV")
-    p.add_argument("--labels", required=True, help="label CSV")
-    _add_window_flags(p)
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("train", help="train a model on featurize output")
-    p.add_argument("--samples", required=True, help="featurize output directory")
-    _add_model_flags(p)
-    p.add_argument("--early-stop-patience", type=int, help="enable early stopping")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("crossval", help="stratified k-fold evaluation from raw logs")
-    p.add_argument("--log", required=True, help="status log CSV")
-    p.add_argument("--labels", required=True, help="label CSV")
-    _add_window_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--k", type=int, help="number of folds")
-    p.add_argument("--threshold", type=float, help="bot decision threshold (ties count as bot)")
-    p.add_argument(
-        "--by-period",
-        type=float,
-        nargs="?",
-        const=7.0,
-        help="split rows by calendar period of this many days (default 7)",
+    log, labels = ("--log", True, "status log CSV"), ("--labels", True, "label CSV")
+    # command, handler, help, path arguments as (flag, required, help)
+    commands = (
+        ("synth", cmd_synth, "generate a synthetic labeled dataset", ()),
+        ("featurize", cmd_featurize, "build training windows from a labeled log", (log, labels)),
+        ("train", cmd_train, "train a model on featurize output", (("--samples", True, "featurize output directory"),)),
+        ("crossval", cmd_crossval, "stratified k-fold evaluation from raw logs", (log, labels)),
+        ("score", cmd_score, "apply a saved model to a status log", (
+            log,
+            ("--model", True, "model file from train"),
+            ("--labels", False, "optional label CSV to echo into the output"),
+        )),
+        ("report", cmd_report, "distribution and elimination tables", (log, labels)),
     )
-    p.add_argument(
-        "--leaky-folds",
-        action="store_true",
-        default=None,
-        help="assign windows to folds individually instead of per character",
-    )
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--out", help="optional directory for report artifacts")
-    p.set_defaults(func=cmd_crossval)
-
-    p = sub.add_parser("score", help="apply a saved model to a status log")
-    p.add_argument("--log", required=True, help="status log CSV")
-    p.add_argument("--model", required=True, help="model file from train")
-    p.add_argument("--labels", help="optional label CSV to echo into the output")
-    p.add_argument("--threshold", type=float, help="reporting threshold")
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("report", help="distribution and elimination tables")
-    p.add_argument("--log", required=True, help="status log CSV")
-    p.add_argument("--labels", required=True, help="label CSV")
-    _add_window_flags(p)
-    p.add_argument("--config", help="JSON file with option defaults")
-    p.add_argument("--out", help="optional directory for report artifacts")
-    p.set_defaults(func=cmd_report)
-
+    for command, handler, help_text, paths in commands:
+        p = sub.add_parser(command, help=help_text)
+        for flag, required, path_help in paths:
+            p.add_argument(flag, required=required, help=path_help)
+        for key in _COMMAND_OPTIONS[command]:
+            typ, default, extras = _OPTIONS[key]
+            if typ is bool:
+                extras = {"action": "store_const", "const": not default, **extras}
+            elif "choices" not in extras:  # a choice stays a string, so argparse lists the choices
+                extras = {"type": typ, **extras}
+            p.add_argument(_flag(key), dest=key, **extras)
+        p.add_argument("--config", help="JSON file with option defaults")
+        if command in ("crossval", "report"):  # these print their report; files are optional
+            p.add_argument("--out", help="optional directory for report artifacts")
+        else:
+            p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -33,7 +33,7 @@ RULE1_SMD_THRESHOLD = 0.01
 SMD_EPSILON = 1e-9
 
 
-class ScalingScope(enum.Enum):
+class ScalingScope(str, enum.Enum):
     """Where min-max statistics come from: the whole timeline or each window."""
 
     PER_CHARACTER = "per-character"

@@ -399,7 +399,6 @@ def cross_validate(
     seed: int,
     threshold: float = 0.5,
     group_by_character: bool = True,
-    row_prefix: str = "Fold",
 ) -> EvalReport:
     """Stratified k-fold evaluation; each fold trains a fresh model.
 
@@ -419,7 +418,7 @@ def cross_validate(
         cm = confusion_from_predictions(probs, samples.y[test_idx], threshold)
         rows.append(
             EvalRow(
-                name=f"{row_prefix} {fold + 1}",
+                name=f"Fold {fold + 1}",
                 metrics=compute_metrics(cm),
                 confusion=cm,
                 n_test=len(test_idx),

@@ -112,7 +112,7 @@ def load_model(path: str | Path) -> ModelBundle:
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     return ModelBundle(
-        params=ModelParams.from_flat(flat, layout),
+        params=ModelParams(flat, layout),
         config=config,
         schema=schema,
         window_config=window_config,

@@ -70,6 +70,9 @@ from .errors import DataError, NumericError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 PROB_CLIP = 1e-7
 TRAIN_DTYPE = np.float32  # compute dtype of training minibatches
 
@@ -173,25 +176,14 @@ class ModelParams:
 
     __slots__ = ("flat", "layout")
 
-    def __init__(self, **tensors: np.ndarray | float) -> None:
-        if set(tensors) != set(PARAM_NAMES):
-            raise TypeError(f"ModelParams takes exactly the tensors {', '.join(PARAM_NAMES)}")
-        self.layout = param_layout(np.shape(tensors["W_x"])[1], np.shape(tensors["W_h"])[1])
-        self.flat = np.empty(self.layout.size)
-        for name, value in tensors.items():
-            setattr(self, name, value)
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, layout: ParamLayout) -> "ModelParams":
+    def __init__(self, flat: np.ndarray, layout: ParamLayout) -> None:
         """Wrap ``flat`` itself, not a copy, as the tensors of ``layout``."""
-        params = cls.__new__(cls)
-        params.flat = flat
-        params.layout = layout
-        return params
+        self.flat = flat
+        self.layout = layout
 
     @classmethod
     def zeros_like(cls, params: "ModelParams") -> "ModelParams":
-        return cls.from_flat(np.zeros_like(params.flat), params.layout)
+        return cls(np.zeros_like(params.flat), params.layout)
 
     @property
     def hidden_dim(self) -> int:
@@ -202,10 +194,7 @@ class ModelParams:
         return self.layout.input_dim
 
     def copy(self) -> "ModelParams":
-        return ModelParams.from_flat(self.flat.copy(), self.layout)
-
-    def items(self) -> list[tuple[str, np.ndarray | float]]:
-        return [(name, getattr(self, name)) for name in PARAM_NAMES]
+        return ModelParams(self.flat.copy(), self.layout)
 
 
 def _named_view(name: str) -> property:
@@ -225,15 +214,6 @@ def _named_view(name: str) -> property:
 
 for _name in PARAM_NAMES:
     setattr(ModelParams, _name, _named_view(_name))
-
-
-class GateRecord(NamedTuple):
-    """Gate activations of one cell step (each (*, H))."""
-
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -269,7 +249,7 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     h = cfg.hidden_dim
     k = 1.0 / np.sqrt(h)
     layout = param_layout(cfg.input_dim, h)
-    params = ModelParams.from_flat(np.zeros(layout.size), layout)
+    params = ModelParams(np.zeros(layout.size), layout)
     params.W_x = rng.uniform(-k, k, size=params.W_x.shape)
     params.W_h = rng.uniform(-k, k, size=params.W_h.shape)
     params.W_out = rng.uniform(-k, k, size=h)
@@ -282,8 +262,11 @@ def init_params(cfg: ModelConfig) -> ModelParams:
 
 def cell_step(
     params: ModelParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, GateRecord]:
-    """One LSTM step; accepts single vectors or (B, .) batches."""
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """One LSTM step; accepts single vectors or (B, .) batches.
+
+    Returns ``h_t``, ``c_t`` and the gate activations ``(i, f, g, o)``.
+    """
     scale = _gate_scale(params.hidden_dim)
     a = (x_t @ params.W_x.T + h_prev @ params.W_h.T + params.b) * scale
     i, f, g, o = np.split(_activate_gates(a, scale), 4, axis=-1)
@@ -291,7 +274,7 @@ def cell_step(
     if not np.isfinite(c_t).all():
         raise NumericError("numeric overflow in LSTM cell state")
     h_t = o * np.tanh(c_t)
-    return h_t, c_t, GateRecord(i, f, g, o)
+    return h_t, c_t, (i, f, g, o)
 
 
 def _bn_apply(
@@ -341,7 +324,7 @@ class ForwardTrace:
 
     x_used: np.ndarray  # (T, B, D) inputs as seen by the cell (post-BN if any)
     x_hat: np.ndarray | None  # (T, B, D) pre-affine normalized inputs
-    gates: GateRecord  # each (T, B, H)
+    gates: tuple[np.ndarray, ...]  # i, f, g, o, each (T, B, H)
     c: np.ndarray  # (T, B, H)
     tanh_c: np.ndarray  # (T, B, H)
     h: np.ndarray  # (T, B, H)
@@ -439,7 +422,7 @@ def forward(
     trace = ForwardTrace(
         x_used=x_used,
         x_hat=x_hat,
-        gates=GateRecord(*(np.ascontiguousarray(blk) for blk in np.split(acts, 4, axis=2))),
+        gates=tuple(np.ascontiguousarray(blk) for blk in np.split(acts, 4, axis=2)),
         c=cs,
         tanh_c=tanh_cs,
         h=hs,
@@ -562,26 +545,14 @@ class AdamState:
     second: ModelParams
     step_count: int
     lr: float
-    beta1: float
-    beta2: float
-    eps_hat: float
 
 
-def init_adam(
-    params: ModelParams,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps_hat: float = 1e-8,
-) -> AdamState:
+def init_adam(params: ModelParams, lr: float = 1e-3) -> AdamState:
     return AdamState(
         first=ModelParams.zeros_like(params),
         second=ModelParams.zeros_like(params),
         step_count=0,
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps_hat=eps_hat,
     )
 
 
@@ -598,20 +569,20 @@ def adam_step(
     place.
     """
     t = state.step_count + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     g = grads.flat
-    m = state.beta1 * state.first.flat + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second.flat + (1.0 - state.beta2) * np.square(g)
-    update = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
+    m = ADAM_BETA1 * state.first.flat + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.second.flat + (1.0 - ADAM_BETA2) * np.square(g)
+    update = state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     layout = params.layout
     new_state = replace(
         state,
-        first=ModelParams.from_flat(m, layout),
-        second=ModelParams.from_flat(v, layout),
+        first=ModelParams(m, layout),
+        second=ModelParams(v, layout),
         step_count=t,
     )
-    return ModelParams.from_flat(params.flat - update, layout), new_state
+    return ModelParams(params.flat - update, layout), new_state
 
 
 @dataclass(frozen=True)

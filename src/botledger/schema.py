@@ -38,14 +38,6 @@ class Label(enum.Enum):
     __float__ = encode  # so label sequences convert straight to target arrays
 
     @staticmethod
-    def decode(value: float) -> "Label":
-        if value == 1.0:
-            return Label.BOT
-        if value == 0.0:
-            return Label.NORMAL
-        raise ValueError(f"not an encoded label: {value!r}")
-
-    @staticmethod
     def parse(text: str) -> "Label":
         try:
             return Label(text.strip().lower())

@@ -142,17 +142,6 @@ class GenConfig:
     def steps(self) -> int:
         return int(round(self.days * 86400.0 / self.snapshot_interval))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_bots": self.n_bots,
-            "n_normals": self.n_normals,
-            "days": self.days,
-            "snapshot_interval": self.snapshot_interval,
-            "separability": self.separability,
-            "seed": self.seed,
-            "start_timestamp": self.start_timestamp,
-        }
-
 
 @dataclass(frozen=True)
 class DumpEvent:
@@ -448,13 +437,6 @@ def _feature_index(feature: str, schema: FeatureSchema) -> int:
         if feature in (f.name, f.column):
             return idx
     raise DataError(f"unknown feature {feature!r}")
-
-
-def inject_zero_feature(
-    records: list[StatusRecord], feature: str, schema: FeatureSchema | None = None
-) -> list[StatusRecord]:
-    """Copy of the records with one feature column forced to zero."""
-    return inject_constant_feature(records, feature, 0.0, schema)
 
 
 def inject_constant_feature(

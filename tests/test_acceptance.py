@@ -33,7 +33,6 @@ from botledger.synth import (
     GenConfig,
     generate,
     inject_constant_feature,
-    inject_zero_feature,
 )
 
 
@@ -98,7 +97,7 @@ def test_window_counts() -> None:
 def test_elimination_drops_injected_features() -> None:
     """A zeroed column and a constant column are dropped; the other seven stay."""
     data = generate(GenConfig(n_bots=6, n_normals=12, days=7.0, seed=3))
-    records = inject_zero_feature(data.records, "Cash in Vendor")
+    records = inject_constant_feature(data.records, "Cash in Vendor", 0.0)
     records = inject_constant_feature(records, "Number of Items", 7.0)
     rows = StatusRows(
         np.array([r.character_id for r in records]),

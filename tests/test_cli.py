@@ -1,5 +1,6 @@
 """End-to-end command-line workflows, option precedence, and exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 import botledger
 import botledger.cli as cli
 from botledger.cli import run
-from botledger.errors import NumericError
+from botledger.errors import DataError, NumericError
 from botledger.model_io import ModelBundle, load_model, save_model
 
 
@@ -666,6 +667,20 @@ def _put(index, value):
         ("score", {"threshold": -0.5}, None, 1),
         ("crossval", {"by_period": float("nan")}, None, 1),
         ("crossval", {"by_period": float("inf")}, None, 1),
+        # float options must be finite; an infinite integer option and a null
+        # where the default is not null are usage errors too
+        ("crossval", {"lr": float("nan")}, None, 1),
+        ("crossval", {"lr": float("inf")}, None, 1),
+        ("crossval", {"l2": float("nan")}, None, 1),
+        ("train", {"l2": float("inf")}, None, 1),
+        ("train", {"dropout": float("nan")}, None, 1),
+        ("synth", {"days": float("nan")}, None, 1),
+        ("synth", {"days": float("inf")}, None, 1),
+        ("synth", {"interval_hours": float("nan")}, None, 1),
+        ("synth", {"separability": float("-inf")}, None, 1),
+        ("synth", {"bots": float("inf")}, None, 1),
+        ("train", {"batchnorm": None}, None, 1),
+        ("crossval", {"leaky_folds": None}, None, 1),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -712,6 +727,80 @@ def test_bad_k_or_threshold_flag_is_usage_error(argv, dataset, model_dir, tmp_pa
     ]
     assert run(argv + inputs) == 1
     assert argv[1] in capsys.readouterr().err
+
+
+_FLOAT_FLAGS = [
+    ("synth", "--days"),
+    ("synth", "--interval-hours"),
+    ("synth", "--separability"),
+    ("train", "--dropout"),
+    ("train", "--l2"),
+    ("train", "--lr"),
+    ("crossval", "--dropout"),
+    ("crossval", "--l2"),
+    ("crossval", "--lr"),
+    ("crossval", "--threshold"),
+    ("crossval", "--by-period"),
+    ("score", "--threshold"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _FLOAT_FLAGS)
+def test_non_finite_float_flag_is_usage_error(command, flag, value, tmp_path, capsys) -> None:
+    # option values are checked before any input is read, so the paths need not exist
+    paths = {
+        "synth": [],
+        "train": ["--samples", str(tmp_path / "samples")],
+        "crossval": ["--log", "log.csv", "--labels", "labels.csv"],
+        "score": ["--log", "log.csv", "--model", "model.bin"],
+    }[command]
+    assert run([command, *paths, f"{flag}={value}", "--out", str(tmp_path / "out")]) == 1
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_PATH_ARGS = {"help", "log", "labels", "model", "samples", "config", "out"}
+
+
+def test_flags_are_exactly_the_config_keys(monkeypatch, tmp_path) -> None:
+    monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flag_keys = {
+        command: {action.dest for action in p._actions} - _PATH_ARGS
+        for command, p in sub.choices.items()
+    }
+    every_key = set().union(*flag_keys.values())
+    cfg_path = tmp_path / "cfg.json"
+    for command, keys in flag_keys.items():
+        args = argparse.Namespace(command=command, config=None, **dict.fromkeys(keys))
+        resolved = cli._resolve(args)
+        assert set(resolved) == keys, command
+        # every flag is a config key, and the resolved values read back unchanged
+        cfg_path.write_text(json.dumps(resolved))
+        args.config = str(cfg_path)
+        assert cli._resolve(args) == resolved, command
+        # the options of other commands are not
+        others = every_key - keys
+        if others:
+            cfg_path.write_text(json.dumps(dict.fromkeys(others, 1)))
+            with pytest.raises(DataError, match="unknown config keys") as err:
+                cli._resolve(args)
+            assert all(key in str(err.value) for key in others), command
+
+
+def test_no_batchnorm_flag_equals_config_key(features, tmp_path) -> None:
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"batchnorm": False}))
+    argv = ["train", "--samples", str(features), "--epochs", "1", "--seed", "11"]
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    assert run(argv + ["--no-batchnorm", "--out", str(by_flag)]) == 0
+    assert run(argv + ["--config", str(cfg_path), "--out", str(by_file)]) == 0
+    assert (by_flag / "model.bin").read_bytes() == (by_file / "model.bin").read_bytes()
+    assert load_model(by_flag / "model.bin").config.use_batchnorm is False
+    configs = [json.loads((out / "manifest.json").read_text())["config"] for out in (by_flag, by_file)]
+    assert configs[0] == configs[1]
+    assert configs[0]["batchnorm"] is False
 
 
 @pytest.mark.parametrize("module", ["botledger", "botledger.cli"])

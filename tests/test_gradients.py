@@ -85,8 +85,8 @@ def test_zero_gradient_fixed_point() -> None:
     batch = np.random.default_rng(0).random((4, 5, 2))
     probs, trace = forward(params, batch, cfg, training=True)
     grads = backward(trace, probs.copy(), params, cfg)
-    for name, value in grads.items():
-        assert np.allclose(np.asarray(value), 0.0, atol=1e-15), name
+    for name in network.PARAM_NAMES:
+        assert np.allclose(np.asarray(getattr(grads, name)), 0.0, atol=1e-15), name
 
 
 def test_l2_gradient_linearity() -> None:
@@ -135,7 +135,8 @@ def test_gradients_match_loss_decrease_direction() -> None:
 
     stepped = params.copy()
     eta = 1e-2
-    for name, g in grads.items():
+    for name in network.PARAM_NAMES:
+        g = getattr(grads, name)
         if name == "b_out":
             stepped.b_out -= eta * g
         else:

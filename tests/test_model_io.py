@@ -9,7 +9,7 @@ import pytest
 from botledger.errors import DataError
 from botledger.features import WindowConfig
 from botledger.model_io import FORMAT_VERSION, MAGIC, ModelBundle, load_model, save_model
-from botledger.network import ModelConfig, ModelParams, forward, init_params
+from botledger.network import ModelConfig, ModelParams, forward, init_params, param_layout
 from botledger.schema import canonical_schema
 
 
@@ -56,17 +56,17 @@ def test_file_bytes_are_pinned(tmp_path) -> None:
     # tensors filled without an RNG, so the bytes cannot drift with numpy's
     # generators; the digest pins format version 1 as first written, tensor
     # by tensor
-    params = ModelParams(
-        W_x=_filled(0, 8, 9),
-        W_h=_filled(100, 8, 2),
-        b=_filled(200, 8),
-        bn_gamma=_filled(300, 9),
-        bn_beta=_filled(400, 9),
-        bn_running_mean=_filled(500, 9),
-        bn_running_var=_filled(600, 9),
-        W_out=_filled(700, 2),
-        b_out=-0.375,
-    )
+    layout = param_layout(9, 2)
+    params = ModelParams(np.empty(layout.size), layout)
+    params.W_x = _filled(0, 8, 9)
+    params.W_h = _filled(100, 8, 2)
+    params.b = _filled(200, 8)
+    params.bn_gamma = _filled(300, 9)
+    params.bn_beta = _filled(400, 9)
+    params.bn_running_mean = _filled(500, 9)
+    params.bn_running_var = _filled(600, 9)
+    params.W_out = _filled(700, 2)
+    params.b_out = -0.375
     bundle = ModelBundle(
         params=params,
         config=ModelConfig(input_dim=9, hidden_dim=2),

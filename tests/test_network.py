@@ -18,23 +18,17 @@ from botledger.network import (
     forward,
     init_adam,
     init_params,
+    param_layout,
     sigmoid,
 )
 
 
 def _zero_params(input_dim: int, hidden_dim: int) -> ModelParams:
-    h, d = hidden_dim, input_dim
-    return ModelParams(
-        W_x=np.zeros((4 * h, d)),
-        W_h=np.zeros((4 * h, h)),
-        b=np.zeros(4 * h),
-        bn_gamma=np.ones(d),
-        bn_beta=np.zeros(d),
-        bn_running_mean=np.zeros(d),
-        bn_running_var=np.ones(d),
-        W_out=np.zeros(h),
-        b_out=0.0,
-    )
+    layout = param_layout(input_dim, hidden_dim)
+    params = ModelParams(np.zeros(layout.size), layout)
+    params.bn_gamma[:] = 1.0
+    params.bn_running_var[:] = 1.0
+    return params
 
 
 # --- initialization ---------------------------------------------------------
@@ -129,14 +123,14 @@ def test_adam_leaves_running_stats_bitwise_unchanged() -> None:
 
 def test_cell_step_all_zero_params() -> None:
     p = _zero_params(3, 2)
-    h, c, gates = cell_step(p, np.zeros(3), np.zeros(2), np.zeros(2))
+    h, c, (i, f, g, o) = cell_step(p, np.zeros(3), np.zeros(2), np.zeros(2))
     assert h.tolist() == [0.0, 0.0]
     assert c.tolist() == [0.0, 0.0]
     # sigmoid(0) gates, tanh(0) cell candidate
-    assert gates.i.tolist() == [0.5, 0.5]
-    assert gates.f.tolist() == [0.5, 0.5]
-    assert gates.o.tolist() == [0.5, 0.5]
-    assert gates.g.tolist() == [0.0, 0.0]
+    assert i.tolist() == [0.5, 0.5]
+    assert f.tolist() == [0.5, 0.5]
+    assert o.tolist() == [0.5, 0.5]
+    assert g.tolist() == [0.0, 0.0]
 
 
 def test_cell_step_forget_bias_carry() -> None:
@@ -527,7 +521,7 @@ def test_adam_moment_recursions() -> None:
     p = _zero_params(1, 1)
     grads = ModelParams.zeros_like(p)
     grads.b_out = 1.0
-    state = init_adam(p, lr=0.1, beta1=0.9, beta2=0.999)
+    state = init_adam(p, lr=0.1)  # beta1 0.9, beta2 0.999
     _, s1 = adam_step(p, grads, state)
     assert s1.first.b_out == pytest.approx(0.1, abs=1e-15)  # (1-beta1)*g
     assert s1.second.b_out == pytest.approx(0.001, abs=1e-15)

@@ -48,13 +48,9 @@ def test_schema_deactivate_unknown_index() -> None:
         canonical_schema().deactivate([42])
 
 
-def test_label_roundtrip() -> None:
-    for label in Label:
-        assert Label.decode(label.encode()) is label
+def test_label_encode() -> None:
     assert Label.BOT.encode() == 1.0
     assert Label.NORMAL.encode() == 0.0
-    with pytest.raises(ValueError):
-        Label.decode(0.5)
 
 
 def test_label_parse() -> None:

@@ -19,7 +19,6 @@ from botledger.synth import (
     draw_character_params,
     generate,
     inject_constant_feature,
-    inject_zero_feature,
     write_event_log,
 )
 
@@ -244,7 +243,7 @@ def test_events_sorted_by_time(dataset) -> None:
 # -------------------------------------------------------------- injection
 
 def test_inject_zero_feature(dataset) -> None:
-    injected = inject_zero_feature(dataset.records, "cash_in_vendor")
+    injected = inject_constant_feature(dataset.records, "cash_in_vendor", 0.0)
     idx = 4
     for before, after in zip(dataset.records, injected):
         assert after.values[idx] == 0.0
@@ -262,7 +261,7 @@ def test_inject_constant_feature_by_display_name(dataset) -> None:
 
 def test_inject_unknown_feature_rejected(dataset) -> None:
     with pytest.raises(DataError):
-        inject_zero_feature(dataset.records[:5], "no_such_feature")
+        inject_constant_feature(dataset.records[:5], "no_such_feature", 0.0)
 
 
 def test_inject_respects_custom_schema(dataset) -> None:

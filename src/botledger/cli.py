@@ -11,8 +11,10 @@ extras.  Its flag is the key with dashes, and a switch sets the opposite of
 its default (``--no-batchnorm`` sets ``batchnorm`` false).  Option
 precedence is CLI flag, then ``--config`` JSON file (keyed like the table),
 then the ``BOTLEDGER_SEED`` environment variable (seeds only), then built-in
-defaults.  ``_resolve`` casts every value to its option's type once, and
-rejects a float that is not finite, so commands read typed values.
+defaults.  ``_resolve`` casts every value to its option's type once, so
+commands read typed values.  The cast is strict: switches take only JSON
+booleans, integer options only integral numbers, and float options only
+finite numbers.
 
 Every artifact-writing command drops a ``manifest.json`` beside its outputs
 with the resolved options, as cast, and sha256 checksums of inputs and
@@ -151,13 +153,25 @@ def _option_values(name: str = "option") -> Iterator[None]:
 
 
 def _cast(key: str, value: object) -> object:
-    """``value`` as the type of option ``key``; floats must be finite."""
+    """``value`` as the type of option ``key``.
+
+    Only JSON's own types convert: a switch takes ``true`` or ``false``, an
+    integer option an integral number (``4.0`` is 4), and a float option a
+    finite number.  Strings and booleans are never numbers.
+    """
     typ, default, _ = _OPTIONS[key]
     if value is None:
         if default is None:
             return None
         raise UsageError(f"config key {key!r} must not be null")
     flag = _flag(key)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typ is bool and not isinstance(value, bool):
+        raise UsageError(f"{flag} must be true or false, got {value!r}")
+    if typ is int and not (number and (isinstance(value, int) or value.is_integer())):
+        raise UsageError(f"{flag} must be an integer, got {value!r}")
+    if typ is float and not number:
+        raise UsageError(f"{flag} must be a number, got {value!r}")
     with _option_values(flag):
         value = typ(value)
     if typ is float and not math.isfinite(value):

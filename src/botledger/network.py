@@ -5,7 +5,7 @@ Architecture, in forward order:
 * input batch normalization applied to each timestep's feature slice, with
   one shared set of gamma/beta/running statistics across timesteps;
 * a single LSTM layer; gate pre-activations are computed as one fused
-  ``a = x W_x^T + h_prev W_h^T + b`` with the 4H rows blocked in the order
+  ``a = W_x x + W_h h_prev + b`` with the 4H rows blocked in the order
   input, forget, cell, output:
 
       i = sigmoid(a_i)        f = sigmoid(a_f)
@@ -15,19 +15,26 @@ Architecture, in forward order:
 
 * inverted dropout on the final hidden state during training (kept units
   scaled by 1/(1-p), so inference needs no rescaling);
-* a sigmoid readout ``p = sigmoid(h W_out + b_out)``.
+* a sigmoid readout ``p = sigmoid(W_out h + b_out)``.
 
 The LSTM kernel follows the cuDNN recipe (Appleyard et al. 2016):
 
+* buffers are feature-major, with the batch as the fast axis: a step's
+  pre-activations are one (4H, B) slab of ``acts[T, 4H, B]``, and each
+  gate is a contiguous (H, B) block of it, as are ``c`` and ``h``;
 * ``sigmoid(z)`` is evaluated as ``0.5 * (1 + tanh(z / 2))``, which is exact
   at both extremes and needs no branch on the sign of ``z``;
 * the i/f/o rows of the gate pre-activations are pre-scaled by 1/2 (exact,
-  being a power of two), so one ``tanh`` call per step over all 4H columns
+  being a power of two), so one ``tanh`` call per step over all 4H rows
   yields every gate, and ``cell_step`` and ``forward`` share that formula;
-* the input projection ``x W_x^T + b`` is one GEMM over all T timesteps
-  before the time loop, leaving one ``h W_h^T`` GEMM per step;
-* training keeps every step's gates, ``c``, ``tanh(c)`` and ``h`` for
-  backpropagation; inference keeps only the current step;
+* the input projection ``W_x x + b`` is one stacked product over all T
+  timesteps before the time loop, leaving one ``W_h h`` GEMM per step;
+* training keeps every step's gates (``acts`` itself), ``c``, ``tanh(c)``
+  and ``h`` for backpropagation; inference keeps only the current step;
+* ``backward``'s time loop carries only the recurrence through ``dh`` and
+  ``dc``, writing every step's gate gradients into one (T, 4H, B) buffer;
+  the ``W_x``, ``W_h``, ``b`` and batch-norm gradients are then each one
+  stacked operation over all steps;
 * finiteness is checked once per batch: a non-finite cell state stays
   non-finite at every later step, so checking the last one suffices.
 
@@ -45,7 +52,7 @@ computes in the dtype of its batch, float32 for a float32 batch and float64
 for anything else, and ``harness.train`` hands it float32 minibatches
 (``TRAIN_DTYPE``).  A float32 call casts the weights once, and keeps the
 batch-norm batch statistics, gate buffers, ``c``, ``tanh(c)`` and ``h`` in
-float32; ``backward`` accumulates its per-step gradients in the trace's
+float32; ``backward`` computes its gradient sums in the trace's
 dtype.  What float32 rounding would distort stays float64: the readout
 ``z``, the probabilities (so ``PROB_CLIP`` keeps its meaning) and the loss;
 the master weights, gradients, Adam moments and batch-norm running
@@ -223,22 +230,23 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return float(out) if arr.ndim == 0 else out
 
 
-def _gate_scale(hidden_dim: int, dtype: type = np.float64) -> np.ndarray:
+def _gate_scale(hidden_dim: int) -> np.ndarray:
     """Per-row scale of the 4H pre-activations: 1/2 on i/f/o, 1 on g."""
-    scale = np.full(4 * hidden_dim, 0.5, dtype=dtype)
+    scale = np.full(4 * hidden_dim, 0.5)
     scale[2 * hidden_dim : 3 * hidden_dim] = 1.0
     return scale
 
 
-def _activate_gates(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _activate_gates(a: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Map pre-activations already multiplied by ``scale`` to [i, f, g, o].
 
-    Overwrites and returns ``a``: ``scale * tanh(a) + (1 - scale)`` is
-    ``sigmoid`` on the halved i/f/o blocks and ``tanh`` on the g block.
+    Overwrites and returns ``a``: ``scale * tanh(a) + shift``, with
+    ``shift = 1 - scale``, is ``sigmoid`` on the halved i/f/o blocks and
+    ``tanh`` on the g block.
     """
     np.tanh(a, out=a)
     a *= scale
-    a += 1.0 - scale
+    a += shift
     return a
 
 
@@ -269,7 +277,7 @@ def cell_step(
     """
     scale = _gate_scale(params.hidden_dim)
     a = (x_t @ params.W_x.T + h_prev @ params.W_h.T + params.b) * scale
-    i, f, g, o = np.split(_activate_gates(a, scale), 4, axis=-1)
+    i, f, g, o = np.split(_activate_gates(a, scale, 1.0 - scale), 4, axis=-1)
     c_t = f * c_prev + i * g
     if not np.isfinite(c_t).all():
         raise NumericError("numeric overflow in LSTM cell state")
@@ -280,27 +288,35 @@ def cell_step(
 def _bn_apply(
     batch: np.ndarray, params: ModelParams, training: bool, momentum: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a (rows, D) matrix; returns (output, pre-affine x_hat).
+    """Normalize a (B, D) or (B, T, D) batch; returns (output, pre-affine
+    x_hat), both feature-major: (D, B) or (T, D, B).
 
-    Training mode normalizes with biased batch statistics and folds them into
-    the running estimates, in place in ``params.flat``, as ``running =
-    (1 - momentum) * running + momentum * batch``; inference uses the
-    running estimates unchanged.  The output has the batch's dtype; the
-    running estimates stay float64.
+    Statistics pool over every (sample, timestep) row.  Training mode
+    normalizes with biased batch statistics and folds them into the running
+    estimates, in place in ``params.flat``, as ``running = (1 - momentum) *
+    running + momentum * batch``; inference uses the running estimates
+    unchanged.  The output has the batch's dtype; the running estimates stay
+    float64.
     """
+    x = np.ascontiguousarray(np.moveaxis(batch, 0, -1))
     if training:
-        if batch.shape[0] < 2:
+        rows = batch.reshape(-1, batch.shape[-1])
+        if rows.shape[0] < 2:
             raise DataError("batch too small for batchnorm (need at least 2 rows)")
-        mean = batch.mean(axis=0)
-        var = batch.var(axis=0)
+        # A (D, rows) copy gives each feature one contiguous run, so the
+        # moments are fast pairwise sums; the rows keep the batch's order,
+        # so a (B, T, D) batch and its (B*T, D) reshape get the same bits.
+        cols = np.ascontiguousarray(rows.T)
+        mean = cols.mean(axis=1)
+        var = cols.var(axis=1)
         params.bn_running_mean = (1.0 - momentum) * params.bn_running_mean + momentum * mean
         params.bn_running_var = (1.0 - momentum) * params.bn_running_var + momentum * var
     else:
-        mean = params.bn_running_mean.astype(batch.dtype, copy=False)
-        var = params.bn_running_var.astype(batch.dtype, copy=False)
-    x_hat = (batch - mean) / np.sqrt(var + BN_EPS)
-    gamma = params.bn_gamma.astype(batch.dtype, copy=False)
-    beta = params.bn_beta.astype(batch.dtype, copy=False)
+        mean = params.bn_running_mean.astype(x.dtype, copy=False)
+        var = params.bn_running_var.astype(x.dtype, copy=False)
+    x_hat = (x - mean[:, None]) / np.sqrt(var + BN_EPS)[:, None]
+    gamma = params.bn_gamma.astype(x.dtype, copy=False)[:, None]
+    beta = params.bn_beta.astype(x.dtype, copy=False)[:, None]
     return gamma * x_hat + beta, x_hat
 
 
@@ -312,25 +328,32 @@ def batchnorm_forward(
     if batch.ndim != 2:
         raise ValueError("batchnorm expects a 2-D (batch, features) matrix")
     out, _ = _bn_apply(batch, params, training, momentum)
-    return out
+    return out.T
 
 
 @dataclass
 class ForwardTrace:
     """Intermediate activations saved by a training-mode forward pass.
 
-    Time-major buffers: shape (T, B, .) so the backward loop indexes by step.
+    Feature-major buffers: time first so the backward loop indexes by step,
+    then features, then the batch as the fast axis, so each gate block of a
+    step is one contiguous (H, B) slab.
     """
 
-    x_used: np.ndarray  # (T, B, D) inputs as seen by the cell (post-BN if any)
-    x_hat: np.ndarray | None  # (T, B, D) pre-affine normalized inputs
-    gates: tuple[np.ndarray, ...]  # i, f, g, o, each (T, B, H)
-    c: np.ndarray  # (T, B, H)
-    tanh_c: np.ndarray  # (T, B, H)
-    h: np.ndarray  # (T, B, H)
-    dropout_mask: np.ndarray | None  # (B, H), already scaled by 1/(1-p)
-    h_final: np.ndarray  # (B, H) hidden state fed to the readout
+    x_used: np.ndarray  # (T, D, B) inputs as seen by the cell (post-BN if any)
+    x_hat: np.ndarray | None  # (T, D, B) pre-affine normalized inputs
+    acts: np.ndarray  # (T, 4H, B) gate activations, rows i, f, g, o
+    c: np.ndarray  # (T, H, B)
+    tanh_c: np.ndarray  # (T, H, B)
+    h: np.ndarray  # (T, H, B)
+    dropout_mask: np.ndarray | None  # (H, B), already scaled by 1/(1-p)
+    h_final: np.ndarray  # (H, B) hidden state fed to the readout
     probs: np.ndarray  # (B,), float64 whatever the buffers' dtype
+
+    @property
+    def gates(self) -> tuple[np.ndarray, ...]:
+        """i, f, g, o as (T, H, B) views into ``acts``."""
+        return tuple(np.split(self.acts, 4, axis=1))
 
 
 def forward(
@@ -369,32 +392,32 @@ def forward(
     # pool over (sample, timestep) rows so training and inference see the
     # same normalization geometry.
     if cfg.use_batchnorm:
-        normed, xh = _bn_apply(batch.reshape(n * t_steps, d), params, training, BN_MOMENTUM)
-        x_used = np.ascontiguousarray(normed.reshape(n, t_steps, d).transpose(1, 0, 2))
-        x_hat = np.ascontiguousarray(xh.reshape(n, t_steps, d).transpose(1, 0, 2))
+        x_used, x_hat = _bn_apply(batch, params, training, BN_MOMENTUM)
     else:
-        x_used = np.ascontiguousarray(batch.transpose(1, 0, 2))
+        x_used = np.ascontiguousarray(batch.transpose(1, 2, 0))
         x_hat = None
 
-    # Input projection for every timestep in one GEMM; each step's slice is
-    # then turned into that step's gate activations in place.
-    # Scaling by 1/2 is exact, so scaling before or after the cast agrees.
-    scale = _gate_scale(hdim, dtype)
-    w_x, w_h = ((w * scale[:, None]).T.astype(dtype, copy=False) for w in (params.W_x, params.W_h))
-    acts = x_used.reshape(t_steps * n, d) @ w_x
-    acts += (params.b * scale).astype(dtype, copy=False)
-    acts = acts.reshape(t_steps, n, 4 * hdim)
+    # Input projection for every timestep in one stacked product; each
+    # step's (4H, B) slab is then turned into that step's gate activations
+    # in place.  Scaling by 1/2 is exact, so scaling before or after the
+    # cast agrees.
+    scale = _gate_scale(hdim)
+    w_x, w_h = ((w * scale[:, None]).astype(dtype, copy=False) for w in (params.W_x, params.W_h))
+    acts = np.matmul(w_x, x_used)
+    # Per-row vectors are expanded to full (4H, B) slabs once, so each
+    # per-step op runs over one contiguous block instead of 4H short rows.
+    rows = np.stack([params.b * scale, scale, 1.0 - scale]).astype(dtype)
+    bias, act_scale, act_shift = np.repeat(rows[:, :, None], n, axis=2)
+    acts += bias
 
     # Training keeps every step for backward; inference overwrites one slot.
     kept = t_steps if training else 1
-    cs, tanh_cs, hs = (np.empty((kept, n, hdim), dtype) for _ in range(3))
-    h = c = np.zeros((n, hdim), dtype)
+    cs, tanh_cs, hs = (np.empty((kept, hdim, n), dtype) for _ in range(3))
+    h = c = np.zeros((hdim, n), dtype)
     for t in range(t_steps):
         slot = t if training else 0
-        a = acts[t]
-        a += h @ w_h
-        _activate_gates(a, scale)
-        i, f, g, o = (a[:, k * hdim : (k + 1) * hdim] for k in range(4))
+        acts[t] += w_h @ h
+        i, f, g, o = _activate_gates(acts[t], act_scale, act_shift).reshape(4, hdim, n)
         c = np.multiply(f, c, out=cs[slot])
         c += i * g
         tanh_c = np.tanh(c, out=tanh_cs[slot])
@@ -406,13 +429,13 @@ def forward(
         if rng is None:
             raise ValueError("training forward with dropout needs an rng")
         keep = 1.0 - cfg.dropout_p
-        mask = ((rng.random((n, hdim)) < keep) / keep).astype(dtype)
+        mask = ((rng.random((n, hdim)) < keep) / keep).astype(dtype).T
         h_final = h * mask
     else:
         mask = None
         h_final = h
 
-    z = h_final @ params.W_out + params.b_out  # float64: W_out is not cast
+    z = params.W_out @ h_final + params.b_out  # float64: W_out is not cast
     probs = np.clip(sigmoid(z), PROB_CLIP, 1.0 - PROB_CLIP)
     if not np.isfinite(probs).all():
         raise NumericError("numeric overflow in readout")
@@ -422,7 +445,7 @@ def forward(
     trace = ForwardTrace(
         x_used=x_used,
         x_hat=x_hat,
-        gates=tuple(np.ascontiguousarray(blk) for blk in np.split(acts, 4, axis=2)),
+        acts=acts,
         c=cs,
         tanh_c=tanh_cs,
         h=hs,
@@ -462,14 +485,16 @@ def backward(
 ) -> ModelParams:
     """Exact gradients of ``bce_loss`` via backpropagation through time.
 
-    Batch-norm sits on the input side, so its batch statistics do not depend
-    on any trainable tensor; only gamma/beta need gradients, accumulated from
-    the saved ``x_hat`` buffers.  The loop runs and accumulates in the
-    trace's dtype; the float64 gradients share the params' layout, with
-    zeros in the running-statistic slots.
+    The time loop runs only the recurrence through ``c`` and ``h``: it fills
+    one (T, 4H, B) buffer of gate pre-activation gradients, and every weight
+    gradient is then one stacked product over all steps.  Batch-norm sits
+    on the input side, so its batch statistics do not depend on any
+    trainable tensor; only gamma/beta need gradients, taken from the saved
+    ``x_hat``.  The work runs in the trace's dtype; the float64 gradients
+    share the params' layout, with zeros in the running-statistic slots.
     """
     y = np.asarray(labels, dtype=float)
-    t_steps, n, hdim = trace.h.shape
+    t_steps, hdim, n = trace.h.shape
     dtype = trace.h.dtype
     if y.shape != (n,):
         raise ValueError("labels must match the traced batch size")
@@ -478,55 +503,51 @@ def backward(
 
     # d loss / d z for p = sigmoid(z) under mean BCE
     dz = (trace.probs - y) / n
-    grads.W_out = trace.h_final.T @ dz
+    grads.W_out = trace.h_final @ dz
     grads.b_out = float(dz.sum())
 
-    dh = np.outer(dz, params.W_out).astype(dtype)
+    dh = np.outer(params.W_out, dz).astype(dtype)
     if trace.dropout_mask is not None:
         dh *= trace.dropout_mask
 
+    # Each gate's pre-activation gradient is dc (rows i, f, g) or dh (rows
+    # o) times a factor that depends on the trace alone: the factors are
+    # filled for all steps at once, and the loop scales them in place.
+    i, f, g, o = trace.gates
+    tanh_c = trace.tanh_c
+    da = np.subtract(1.0, trace.acts)
+    da *= trace.acts  # sigmoid' = s (1 - s) on the i, f, o rows
+    da_i, da_f, da_g, da_o = np.split(da, 4, axis=1)
+    da_i *= g
+    da_f[0] = 0.0  # c_prev is zero at the first step
+    da_f[1:] *= trace.c[:-1]
+    da_o *= tanh_c
+    np.multiply(g, g, out=da_g)  # tanh' = 1 - g^2 on the g rows
+    np.subtract(1.0, da_g, out=da_g)
+    da_g *= i
+    dh_dc = np.multiply(tanh_c, tanh_c)  # dh/dc = o (1 - tanh(c)^2)
+    np.subtract(1.0, dh_dc, out=dh_dc)
+    dh_dc *= o
+
     w_x, w_h = (w.astype(dtype, copy=False) for w in (params.W_x, params.W_h))
-    zeros = np.zeros((n, hdim), dtype)
-    dc_next = zeros
-    accumulated = ("W_x", "W_h", "b", "bn_gamma", "bn_beta")
-    g_wx, g_wh, g_b, g_gamma, g_beta = (
-        np.zeros(getattr(params, name).shape, dtype) for name in accumulated
-    )
-    gi, gf, gg, go = trace.gates
+    by_gate = da.reshape(t_steps, 4, hdim, n)
+    dc = np.zeros((hdim, n), dtype)
     for t in range(t_steps - 1, -1, -1):
-        i, f, g, o = gi[t], gf[t], gg[t], go[t]
-        tanh_c = trace.tanh_c[t]
-        c_prev = trace.c[t - 1] if t > 0 else zeros
-        h_prev = trace.h[t - 1] if t > 0 else zeros
+        dc += np.multiply(dh, dh_dc[t], out=dh_dc[t])
+        by_gate[t, :3] *= dc
+        by_gate[t, 3] *= dh
+        dc *= f[t]
+        dh = w_h.T @ da[t]
 
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-        dc_next = dc * f
-
-        da = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        g_wx += da.T @ trace.x_used[t]
-        g_wh += da.T @ h_prev
-        g_b += da.sum(axis=0)
-        dh = da @ w_h
-
-        if cfg.use_batchnorm:
-            dx_bn = da @ w_x  # gradient w.r.t. the BN output slice
-            g_gamma += (dx_bn * trace.x_hat[t]).sum(axis=0)
-            g_beta += dx_bn.sum(axis=0)
-
-    for name, grad in zip(accumulated, (g_wx, g_wh, g_b, g_gamma, g_beta)):
-        setattr(grads, name, grad)  # one cast into the float64 vector
+    # Sums over (step, sample) take the steps first: adding whole (., B)
+    # slabs, then one contiguous run per row.
+    grads.W_x = np.matmul(da, trace.x_used.transpose(0, 2, 1)).sum(axis=0)
+    grads.W_h = np.matmul(da[1:], trace.h[:-1].transpose(0, 2, 1)).sum(axis=0)
+    grads.b = da.sum(axis=0).sum(axis=1)
+    if cfg.use_batchnorm:
+        dx_bn = np.matmul(w_x.T, da)  # gradient w.r.t. the BN output
+        grads.bn_gamma = (dx_bn * trace.x_hat).sum(axis=0).sum(axis=1)
+        grads.bn_beta = dx_bn.sum(axis=0).sum(axis=1)
     if cfg.l2_lambda:
         for name in L2_FIELDS:
             grad = getattr(grads, name)

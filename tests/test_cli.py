@@ -681,6 +681,20 @@ def _put(index, value):
         ("synth", {"bots": float("inf")}, None, 1),
         ("train", {"batchnorm": None}, None, 1),
         ("crossval", {"leaky_folds": None}, None, 1),
+        # config values cast strictly: switches take JSON booleans, integer
+        # options integral numbers, float options numbers
+        ("crossval", {"batchnorm": "false"}, None, 1),
+        ("crossval", {"leaky_folds": "no"}, None, 1),
+        ("train", {"batchnorm": 0}, None, 1),
+        ("crossval", {"k": 2.9}, None, 1),
+        ("crossval", {"k": "3"}, None, 1),
+        ("crossval", {"k": True}, None, 1),
+        ("train", {"hidden_dim": 2.5}, None, 1),
+        ("synth", {"bots": "2"}, None, 1),
+        ("synth", {"days": True}, None, 1),
+        ("synth", {"days": "7"}, None, 1),
+        ("train", {"lr": "0.01"}, None, 1),
+        ("score", {"threshold": False}, None, 1),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -710,6 +724,44 @@ def test_malformed_inputs_exit_with_documented_code(
         argv += ["--config", str(cfg_path)]
     assert run(argv) == code
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, want",
+    [
+        ("batchnorm", "false", "must be true or false"),
+        ("leaky_folds", 1, "must be true or false"),
+        ("k", 2.9, "must be an integer"),
+        ("k", "3", "must be an integer"),
+        ("k", True, "must be an integer"),
+        ("seed", 1e400, "must be an integer"),
+        ("lr", "0.01", "must be a number"),
+        ("threshold", False, "must be a number"),
+    ],
+)
+def test_config_value_of_wrong_type_names_the_flag(key, value, want, tmp_path, capsys) -> None:
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    argv = ["crossval", "--log", "log.csv", "--labels", "labels.csv", "--config", str(cfg_path)]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert f"{cli._flag(key)} {want}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_config_numbers_are_accepted(monkeypatch, tmp_path) -> None:
+    monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"k": 4.0, "seed": 7.0, "lr": 1, "batchnorm": False}))
+    args = cli.build_parser().parse_args(
+        ["crossval", "--log", "log.csv", "--labels", "labels.csv", "--config", str(cfg_path)]
+    )
+    resolved = cli._resolve(args)
+    assert [(resolved[k], type(resolved[k])) for k in ("k", "seed", "lr", "batchnorm")] == [
+        (4, int),
+        (7, int),
+        (1.0, float),
+        (False, bool),
+    ]
 
 
 @pytest.mark.parametrize(

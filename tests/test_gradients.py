@@ -46,6 +46,17 @@ def test_gradient_check_without_batchnorm() -> None:
     assert report.per_tensor["bn_gamma"] == 0.0
 
 
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+@pytest.mark.parametrize("window_length", [1, 2])
+def test_gradient_check_short_windows(window_length: int, use_batchnorm: bool) -> None:
+    # W_h's gradient pairs each step's gate gradients with the previous
+    # step's hidden state: one step has no pair, two steps have one
+    cfg = ModelConfig(input_dim=3, hidden_dim=4, dropout_p=0.0, use_batchnorm=use_batchnorm, l2_lambda=1e-3)
+    report = gradient_check(cfg, seed=2, window_length=window_length, batch_size=3)
+    assert report.passed, report.per_tensor
+    assert report.max_relative_error < 1e-4
+
+
 def test_gradient_check_rejects_dropout() -> None:
     with pytest.raises(ValueError):
         gradient_check(ModelConfig(input_dim=2, hidden_dim=3, dropout_p=0.2), seed=0)

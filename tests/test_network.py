@@ -241,7 +241,7 @@ def test_forward_zero_head_gives_half() -> None:
     p = _zero_params(3, 4)
     probs, trace = forward(p, np.random.default_rng(0).random((5, 6, 3)), cfg, training=True)
     assert np.allclose(probs, 0.5, atol=1e-15)
-    assert trace is not None and trace.h.shape == (6, 5, 4)
+    assert trace is not None and trace.h.shape == (6, 4, 5)
 
 
 def test_forward_training_inference_agree_without_dropout() -> None:
@@ -318,13 +318,30 @@ def test_forward_matches_cell_step_reference(use_batchnorm: bool, training: bool
     if not training:
         assert trace is None
         return
-    assert _rel_err(trace.x_used, x.transpose(1, 0, 2)) <= 1e-12
-    assert _rel_err(trace.h, np.stack(hs)) <= 1e-12
-    assert _rel_err(trace.c, np.stack(cs)) <= 1e-12
-    assert _rel_err(trace.tanh_c, np.tanh(np.stack(cs))) <= 1e-12
+    assert _rel_err(trace.x_used, x.transpose(1, 2, 0)) <= 1e-12
+    assert _rel_err(trace.h, np.stack(hs).transpose(0, 2, 1)) <= 1e-12
+    assert _rel_err(trace.c, np.stack(cs).transpose(0, 2, 1)) <= 1e-12
+    assert _rel_err(trace.tanh_c, np.tanh(np.stack(cs)).transpose(0, 2, 1)) <= 1e-12
     for got_gate, want_gate in zip(trace.gates, zip(*gates)):
-        assert _rel_err(got_gate, np.stack(want_gate)) <= 1e-12
+        assert _rel_err(got_gate, np.stack(want_gate).transpose(0, 2, 1)) <= 1e-12
     assert np.array_equal(trace.h_final, trace.h[-1])
+
+
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+def test_inference_is_batch_independent(use_batchnorm: bool) -> None:
+    # the batch is the fast axis of every kernel buffer: a window's
+    # probability must not depend on the windows that share its forward
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.2, use_batchnorm=use_batchnorm, seed=3)
+    params = init_params(cfg)
+    params.bn_running_mean = np.array([0.2, 0.5, -0.1, 0.4])
+    params.bn_running_var = np.array([0.5, 2.0, 1.0, 0.1])
+    batch = np.random.default_rng(8).normal(size=(37, 7, 4))
+    whole, _ = forward(params, batch, cfg, training=False)
+    alone = np.concatenate([forward(params, window[None], cfg, training=False)[0] for window in batch])
+    parts = np.split(batch, [5, 21])
+    split = np.concatenate([forward(params, part, cfg, training=False)[0] for part in parts])
+    for probs in (alone, split):
+        assert (np.abs(probs - whole) <= 1e-12 * whole).all()
 
 
 # --- mixed precision ----------------------------------------------------------
@@ -408,7 +425,7 @@ def test_dropout_mask_scaling_and_expectation() -> None:
     p = init_params(cfg)
     batch = np.random.default_rng(2).random((4, 3, 2))
     _, clean = forward(p, batch, no_drop, training=True)
-    expected = clean.h_final.sum(axis=1)  # pre-dropout final hidden state
+    expected = clean.h_final.sum(axis=0)  # pre-dropout final hidden state
 
     rng = np.random.default_rng(77)
     masked_sum = np.zeros(4)
@@ -416,7 +433,7 @@ def test_dropout_mask_scaling_and_expectation() -> None:
     masks = []
     for _ in range(trials):
         _, trace = forward(p, batch, cfg, training=True, rng=rng)
-        masked_sum += trace.h_final.sum(axis=1)
+        masked_sum += trace.h_final.sum(axis=0)
         masks.append(trace.dropout_mask)
     # inverted dropout: mask entries are exactly 0 or 1/(1-p)
     uniq = np.unique(np.stack(masks))

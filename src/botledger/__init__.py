@@ -7,7 +7,6 @@ from .features import (
     WindowConfig,
     eliminate_noninfluential,
     minmax_scale,
-    slide_windows,
     summarize_distributions,
     windows_from_timelines,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "parse_status_log",
     "read_label_file",
     "save_model",
-    "slide_windows",
     "split_by_period",
     "summarize_distributions",
     "train",

@@ -48,13 +48,11 @@ from .features import (
     eliminate_noninfluential,
     format_distribution_text,
     format_elimination_text,
-    slide_windows,
     summarize_distributions,
     windows_from_timelines,
 )
 from .harness import (
     TrainOptions,
-    EarlyStopConfig,
     cross_validate,
     cross_validate_by_period,
     derive_seed,
@@ -108,7 +106,7 @@ _OPTIONS: dict[str, tuple[type, object, dict]] = {
     "epochs": (int, _TRAIN["epochs"], {}),
     "lr": (float, _TRAIN["lr"], {"help": "Adam learning rate"}),
     "batchnorm": (bool, _MODEL["use_batchnorm"], {"help": "disable input batch normalization"}),
-    "early_stop_patience": (int, None, {"help": "enable early stopping"}),
+    "early_stop_patience": (int, _TRAIN["early_stop_patience"], {"help": "enable early stopping"}),
     "k": (int, 10, {"help": "number of folds"}),
     "threshold": (float, 0.5, {"help": "bot decision threshold (ties count as bot)"}),
     "by_period": (
@@ -207,15 +205,16 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in keys:
         flag_value = getattr(args, key)
         resolved[key] = _cast(key, resolved[key] if flag_value is None else flag_value)
-    if "seed" in resolved and resolved["seed"] is None:
-        env = os.environ.get("BOTLEDGER_SEED")
-        if env is not None:
+    if "seed" in resolved:
+        source = _flag("seed")
+        if resolved["seed"] is None:
+            source, env = "BOTLEDGER_SEED", os.environ.get("BOTLEDGER_SEED", "0")
             try:
                 resolved["seed"] = int(env)
             except ValueError:
                 raise UsageError(f"BOTLEDGER_SEED must be an integer, got {env!r}") from None
-        else:
-            resolved["seed"] = 0
+        if resolved["seed"] < 0:
+            raise UsageError(f"{source} must be non-negative, got {resolved['seed']}")
     return resolved
 
 
@@ -239,9 +238,7 @@ def _write_manifest(
         "inputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in inputs],
         "outputs": [{"name": p.name, "sha256": _sha256(p)} for p in outputs],
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -284,13 +281,15 @@ def _model_config(resolved: dict, input_dim: int) -> ModelConfig:
 
 def _train_options(resolved: dict) -> TrainOptions:
     patience = resolved.get("early_stop_patience")
+    if patience is not None and patience < 1:
+        raise UsageError(f"--early-stop-patience must be at least 1, got {patience}")
     with _option_values():
         return TrainOptions(
             epochs=resolved["epochs"],
             batch_size=resolved["batch_size"],
             lr=resolved["lr"],
             shuffle_seed=derive_seed(resolved["seed"], 0x5EED),
-            early_stop=EarlyStopConfig(patience=patience) if patience else None,
+            early_stop_patience=patience,
         )
 
 
@@ -519,7 +518,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     rows = []
     skipped = 0
     for timeline in timelines:
-        windows = slide_windows(timeline, bundle.schema, bundle.window_config)
+        windows = windows_from_timelines([timeline], bundle.schema, bundle.window_config)
         if not windows:
             skipped += 1
             continue

@@ -93,17 +93,11 @@ def window_start_indices(length: int, window_length: int, stride: int) -> range:
     return range(0, length - window_length + 1, stride)
 
 
-def slide_windows(
-    timeline: CharacterTimeline, schema: FeatureSchema, cfg: WindowConfig
-) -> WindowSet:
-    """Scale one timeline's active features and cut sliding windows."""
-    return windows_from_timelines([timeline], schema, cfg)
-
-
 def windows_from_timelines(
     timelines: Sequence[CharacterTimeline], schema: FeatureSchema, cfg: WindowConfig
 ) -> WindowSet:
-    """Windows of every timeline, concatenated in timeline order.
+    """Scale each timeline's active features and cut sliding windows,
+    concatenated in timeline order.
 
     Per-character scope scales each feature over the whole timeline before
     cutting, so windows keep their position relative to the character's own
@@ -160,26 +154,20 @@ class FeatureEvidence:
 @dataclass(frozen=True)
 class EliminationReport:
     entries: tuple[FeatureEvidence, ...]
-    threshold: float
-    epsilon: float
 
     def dropped_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries if e.dropped)
 
     def to_dict(self) -> dict:
         return {
-            "threshold": self.threshold,
-            "epsilon": self.epsilon,
+            "threshold": RULE1_SMD_THRESHOLD,
+            "epsilon": SMD_EPSILON,
             "entries": [e.to_dict() for e in self.entries],
         }
 
 
 def eliminate_noninfluential(
-    timelines: Sequence[CharacterTimeline],
-    schema: FeatureSchema,
-    *,
-    threshold: float = RULE1_SMD_THRESHOLD,
-    epsilon: float = SMD_EPSILON,
+    timelines: Sequence[CharacterTimeline], schema: FeatureSchema
 ) -> tuple[FeatureSchema, EliminationReport]:
     """Deactivate features that cannot distinguish bots from normals.
 
@@ -207,8 +195,8 @@ def eliminate_noninfluential(
         # identically zero in a group <=> zero sum and zero spread
         rule2 = sum_b == 0.0 and std_b == 0.0 and sum_n == 0.0 and std_n == 0.0
         pooled = float(np.sqrt((b.var() + n.var()) / 2.0))
-        effect = abs(float(b.mean()) - float(n.mean())) / (pooled + epsilon)
-        rule1 = effect < threshold
+        effect = abs(float(b.mean()) - float(n.mean())) / (pooled + SMD_EPSILON)
+        rule1 = effect < RULE1_SMD_THRESHOLD
         entries.append(
             FeatureEvidence(
                 name=feature.name,
@@ -224,7 +212,7 @@ def eliminate_noninfluential(
         if (rule1 or rule2) and schema.active[idx]:
             drop_indices.append(idx)
 
-    report = EliminationReport(tuple(entries), threshold=threshold, epsilon=epsilon)
+    report = EliminationReport(tuple(entries))
     new_schema = schema.deactivate(drop_indices) if drop_indices else schema
     return new_schema, report
 

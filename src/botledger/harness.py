@@ -120,7 +120,6 @@ class FoldPlan:
 
     k: int
     assignments: np.ndarray  # (n_samples,) ints in [0, k)
-    seed: int
     grouped: bool
 
     def fold_indices(self, fold: int) -> np.ndarray:
@@ -196,30 +195,27 @@ def make_folds(
             order = rng.permutation(len(indices))
             assignments[indices[order]] = np.arange(len(indices)) % k
 
-    plan = FoldPlan(k=k, assignments=assignments, seed=seed, grouped=group_by_character)
+    plan = FoldPlan(k=k, assignments=assignments, grouped=group_by_character)
     plan.validate(samples)
     return plan
 
 
 def split_by_period(
-    timelines: Sequence[CharacterTimeline],
-    period_seconds: float,
-    anchor: float | None = None,
+    timelines: Sequence[CharacterTimeline], period_seconds: float
 ) -> list[tuple[int, list[CharacterTimeline]]]:
     """Partition records into consecutive half-open periods.
 
-    A record at time t belongs to period floor((t - anchor) / period).  The
-    anchor defaults to the earliest record, so boundary records always fall
-    into the later period.  Returns (period index, sub-timelines) sorted by
+    A record at time t belongs to period floor((t - anchor) / period), where
+    the anchor is the earliest record, so boundary records always fall into
+    the later period.  Returns (period index, sub-timelines) sorted by
     period; characters with no records in a period are simply absent there.
     """
     if period_seconds <= 0:
         raise ValueError("period length must be positive")
-    if anchor is None:
-        starts = [t.timestamps[0] for t in timelines if len(t)]
-        if not starts:
-            return []
-        anchor = min(starts)
+    starts = [t.timestamps[0] for t in timelines if len(t)]
+    if not starts:
+        return []
+    anchor = min(starts)
 
     buckets: dict[int, list[CharacterTimeline]] = {}
     for timeline in sorted(timelines, key=lambda t: t.character_id):
@@ -232,19 +228,19 @@ def split_by_period(
     return sorted(buckets.items())
 
 
-@dataclass(frozen=True)
-class EarlyStopConfig:
-    patience: int = 5
-    holdout_fraction: float = 0.1
+# Share of the training windows early stopping holds out for validation.
+HOLDOUT_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
 class TrainOptions:
+    """Training-loop settings; ``early_stop_patience`` None trains every epoch."""
+
     epochs: int = 5
     batch_size: int = 64
     lr: float = 1e-3
     shuffle_seed: int = 0
-    early_stop: EarlyStopConfig | None = None
+    early_stop_patience: int | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -253,6 +249,8 @@ class TrainOptions:
             raise ValueError("batch_size must be positive")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.early_stop_patience is not None and self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be at least 1")
 
 
 def _epoch_batches(n: int, batch_size: int, order: np.ndarray, merge_singleton: bool) -> list[np.ndarray]:
@@ -274,12 +272,14 @@ def train(
     masks come from a second generator so batch order and masks stay
     independent.  With batch norm on, a trailing single-sample batch is
     merged into its predecessor (one sample's batch statistics are its own
-    values, which erases the level information BN should preserve).  With
-    early stopping the params returned are those of the epoch with the
-    lowest validation loss, not those of the last epoch run.  Each
-    minibatch is cast to ``TRAIN_DTYPE`` on its own, so the training
-    forward/backward run in float32 without a float32 copy of the whole
-    set; the validation forward stays float64.
+    values, which erases the level information BN should preserve).  Early
+    stopping holds out ``HOLDOUT_FRACTION`` of the windows for validation
+    and stops after ``early_stop_patience`` epochs without improvement; the
+    params returned are those of the epoch with the lowest validation loss,
+    not those of the last epoch run.  Each minibatch is cast to
+    ``TRAIN_DTYPE`` on its own, so the training forward/backward run in
+    float32 without a float32 copy of the whole set; the validation forward
+    stays float64.
     """
     x, y = samples.x, samples.y
     classes = set(np.unique(y).tolist())
@@ -295,11 +295,10 @@ def train(
 
     holdout: np.ndarray | None = None
     train_idx = np.arange(n)
-    if opts.early_stop is not None:
+    if opts.early_stop_patience is not None:
         order = shuffle_rng.permutation(n)
-        n_hold = max(1, int(round(opts.early_stop.holdout_fraction * n)))
-        if n_hold >= n:
-            raise DataError("holdout fraction leaves no training samples")
+        # both classes are present, so n >= 2 and training keeps a window
+        n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
         holdout, train_idx = order[:n_hold], order[n_hold:]
 
     log: list[dict] = []
@@ -326,7 +325,7 @@ def train(
             else:
                 stale += 1
             log.append(entry)
-            if stale >= opts.early_stop.patience:
+            if stale >= opts.early_stop_patience:
                 entry["early_stop"] = True
                 break
         else:

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -123,14 +123,7 @@ class ModelConfig:
             raise ValueError("l2_lambda must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "dropout_p": self.dropout_p,
-            "l2_lambda": self.l2_lambda,
-            "use_batchnorm": self.use_batchnorm,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "ModelConfig":
@@ -285,16 +278,14 @@ def cell_step(
     return h_t, c_t, (i, f, g, o)
 
 
-def _bn_apply(
-    batch: np.ndarray, params: ModelParams, training: bool, momentum: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _bn_apply(batch: np.ndarray, params: ModelParams, training: bool) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a (B, D) or (B, T, D) batch; returns (output, pre-affine
     x_hat), both feature-major: (D, B) or (T, D, B).
 
     Statistics pool over every (sample, timestep) row.  Training mode
     normalizes with biased batch statistics and folds them into the running
-    estimates, in place in ``params.flat``, as ``running = (1 - momentum) *
-    running + momentum * batch``; inference uses the running estimates
+    estimates, in place in ``params.flat``, as ``running = (1 - BN_MOMENTUM)
+    * running + BN_MOMENTUM * batch``; inference uses the running estimates
     unchanged.  The output has the batch's dtype; the running estimates stay
     float64.
     """
@@ -309,8 +300,8 @@ def _bn_apply(
         cols = np.ascontiguousarray(rows.T)
         mean = cols.mean(axis=1)
         var = cols.var(axis=1)
-        params.bn_running_mean = (1.0 - momentum) * params.bn_running_mean + momentum * mean
-        params.bn_running_var = (1.0 - momentum) * params.bn_running_var + momentum * var
+        params.bn_running_mean = (1.0 - BN_MOMENTUM) * params.bn_running_mean + BN_MOMENTUM * mean
+        params.bn_running_var = (1.0 - BN_MOMENTUM) * params.bn_running_var + BN_MOMENTUM * var
     else:
         mean = params.bn_running_mean.astype(x.dtype, copy=False)
         var = params.bn_running_var.astype(x.dtype, copy=False)
@@ -320,14 +311,12 @@ def _bn_apply(
     return gamma * x_hat + beta, x_hat
 
 
-def batchnorm_forward(
-    batch: np.ndarray, params: ModelParams, training: bool, momentum: float = BN_MOMENTUM
-) -> np.ndarray:
+def batchnorm_forward(batch: np.ndarray, params: ModelParams, training: bool) -> np.ndarray:
     """Public batch-norm entry point over one (B, D) matrix."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2:
         raise ValueError("batchnorm expects a 2-D (batch, features) matrix")
-    out, _ = _bn_apply(batch, params, training, momentum)
+    out, _ = _bn_apply(batch, params, training)
     return out.T
 
 
@@ -392,7 +381,7 @@ def forward(
     # pool over (sample, timestep) rows so training and inference see the
     # same normalization geometry.
     if cfg.use_batchnorm:
-        x_used, x_hat = _bn_apply(batch, params, training, BN_MOMENTUM)
+        x_used, x_hat = _bn_apply(batch, params, training)
     else:
         x_used = np.ascontiguousarray(batch.transpose(1, 2, 0))
         x_hat = None

@@ -128,7 +128,6 @@ class GenConfig:
     snapshot_interval: float = 3600.0  # seconds
     separability: float = 1.0
     seed: int = 0
-    start_timestamp: float = DEFAULT_START
 
     def __post_init__(self) -> None:
         if self.n_bots < 0 or self.n_normals < 0 or self.n_bots + self.n_normals < 1:
@@ -293,7 +292,7 @@ def _simulate_character(
     events: list[DumpEvent | PurchaseEvent] = []
     idle_today = False
     for step in range(cfg.steps):
-        ts = cfg.start_timestamp + step * cfg.snapshot_interval
+        ts = DEFAULT_START + step * cfg.snapshot_interval
         w.mail_value = 0.0
         if step > 0:
             if step % steps_per_day == 0:
@@ -402,7 +401,7 @@ def generate(cfg: GenConfig) -> GeneratedDataset:
         events.extend(evs)
         for ev in evs:
             if isinstance(ev, DumpEvent):
-                step = int(round((ev.timestamp - cfg.start_timestamp) / cfg.snapshot_interval))
+                step = int(round((ev.timestamp - DEFAULT_START) / cfg.snapshot_interval))
                 plan = receipts.setdefault(ev.to_character, {})
                 plan[step] = plan.get(step, 0.0) + ev.amount
     for spec in deferred:
@@ -413,7 +412,7 @@ def generate(cfg: GenConfig) -> GeneratedDataset:
     records.sort(key=lambda r: (r.timestamp, r.character_id))
     events.sort(key=lambda e: (e.timestamp, e.to_line()))
 
-    end = cfg.start_timestamp + cfg.days * 86400.0
+    end = DEFAULT_START + cfg.days * 86400.0
     as_of = datetime.fromtimestamp(end, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     labels = LabelFile(
         entries={

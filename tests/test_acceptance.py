@@ -17,8 +17,8 @@ from botledger.features import (
     WindowConfig,
     eliminate_noninfluential,
     minmax_scale,
-    slide_windows,
     window_start_indices,
+    windows_from_timelines,
 )
 from botledger.harness import (
     compute_metrics,
@@ -86,9 +86,9 @@ def test_window_counts() -> None:
         values = rng.uniform(1, 9, size=(n, len(schema)))
         return CharacterTimeline("c1", Label.NORMAL, 3600.0 * np.arange(n), values)
 
-    shorter = slide_windows(timeline(5), schema, WindowConfig(window_length=6, stride=1))
+    shorter = windows_from_timelines([timeline(5)], schema, WindowConfig(window_length=6, stride=1))
     assert len(shorter) == 0
-    exact = slide_windows(timeline(6), schema, WindowConfig(window_length=6, stride=3))
+    exact = windows_from_timelines([timeline(6)], schema, WindowConfig(window_length=6, stride=3))
     assert len(exact) == 1
     assert exact.x[0].shape == (6, len(schema))
     print("PASS windowing: exhaustive (L, w, s) sweep to L=50 plus boundary cases")

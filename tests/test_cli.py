@@ -120,6 +120,21 @@ def test_synth_reruns_are_byte_identical(dataset, tmp_path) -> None:
     assert (dataset / "status_log.csv").read_bytes() == (again / "status_log.csv").read_bytes()
 
 
+def test_synth_bytes_are_pinned(tmp_path) -> None:
+    # digests of the bytes written while GenConfig still carried its start time
+    out = tmp_path / "synth"
+    assert run(
+        ["synth", "--bots", "6", "--normals", "18", "--days", "7", "--seed", "3", "--out", str(out)]
+    ) == 0
+    pinned = {
+        "status_log.csv": "eb72eb78bc29f09caf48368dfe8d46909f248311c2469094ad4168b052b0e743",
+        "labels.csv": "a4622f418d313b0dd8d10fe7af38b43c316523737a7b560cf9eb9f651d66642f",
+        "events.log": "1be508d3d29ab8dc4ae33b4150e4f2c9d8ce66d6d2391912e6bee60552f868a5",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_synth_seed_changes_output(dataset, tmp_path) -> None:
     other = tmp_path / "other"
     rc = run(
@@ -509,10 +524,20 @@ def test_seed_defaults_to_zero_without_env(monkeypatch, tmp_path) -> None:
 
 
 def test_invalid_env_seed_is_usage_error(monkeypatch, tmp_path, capsys) -> None:
-    monkeypatch.setenv("BOTLEDGER_SEED", "abc")
-    rc = run(["synth", "--bots", "2", "--normals", "2", "--days", "1", "--out", str(tmp_path / "x")])
-    assert rc == 1
-    assert "BOTLEDGER_SEED" in capsys.readouterr().err
+    # option values are checked before any input is read, so the paths need not exist
+    paths = {
+        "synth": ["--bots", "2", "--normals", "2", "--days", "1"],
+        "train": ["--samples", str(tmp_path / "samples")],
+        "crossval": ["--log", "log.csv", "--labels", "labels.csv"],
+    }
+    for value in ("abc", "-2"):
+        monkeypatch.setenv("BOTLEDGER_SEED", value)
+        for command, args in paths.items():
+            rc = run([command, *args, "--out", str(tmp_path / "x")])
+            assert rc == 1, (value, command)
+            err = capsys.readouterr().err
+            assert "BOTLEDGER_SEED" in err, (value, command)
+            assert "Traceback" not in err
 
 
 def test_config_file_between_defaults_and_flags(tmp_path) -> None:
@@ -695,6 +720,13 @@ def _put(index, value):
         ("synth", {"days": "7"}, None, 1),
         ("train", {"lr": "0.01"}, None, 1),
         ("score", {"threshold": False}, None, 1),
+        # seeds must be non-negative, and early stopping needs a patience of
+        # at least one epoch
+        ("synth", {"seed": -4}, None, 1),
+        ("train", {"seed": -1}, None, 1),
+        ("crossval", {"seed": -1}, None, 1),
+        ("train", {"early_stop_patience": 0}, None, 1),
+        ("train", {"early_stop_patience": -2}, None, 1),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -779,6 +811,31 @@ def test_bad_k_or_threshold_flag_is_usage_error(argv, dataset, model_dir, tmp_pa
     ]
     assert run(argv + inputs) == 1
     assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("synth", "seed", -1),
+        ("train", "seed", -1),
+        ("crossval", "seed", -3),
+        ("train", "early_stop_patience", 0),
+        ("train", "early_stop_patience", -2),
+    ],
+)
+def test_negative_seed_or_patience_names_the_flag(command, key, value, features, tmp_path, capsys) -> None:
+    paths = {
+        "synth": [],
+        "train": ["--samples", str(features)],
+        "crossval": ["--log", "log.csv", "--labels", "labels.csv"],
+    }[command]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    for source in ([cli._flag(key), str(value)], ["--config", str(cfg_path)]):
+        assert run([command, *paths, *source, "--out", str(tmp_path / "out")]) == 1, source
+        err = capsys.readouterr().err
+        assert f"error: {cli._flag(key)} must be " in err and f", got {value}\n" in err, source
+        assert "Traceback" not in err
 
 
 _FLOAT_FLAGS = [

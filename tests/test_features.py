@@ -9,7 +9,6 @@ from botledger.features import (
     format_distribution_text,
     format_elimination_text,
     minmax_scale,
-    slide_windows,
     summarize_distributions,
     window_start_indices,
     windows_from_timelines,
@@ -80,7 +79,7 @@ def test_slide_windows_starts_and_labels() -> None:
     matrix = np.tile(np.arange(10.0)[:, None], (1, 9))
     timeline = _timeline("c1", Label.BOT, matrix)
     cfg = WindowConfig(window_length=4, stride=2)
-    samples = slide_windows(timeline, SCHEMA, cfg)
+    samples = windows_from_timelines([timeline], SCHEMA, cfg)
     assert samples.character.tolist() == ["c1"] * 4
     assert samples.start.tolist() == [0, 2, 4, 6]
     assert samples.y.tolist() == [1.0] * 4
@@ -89,7 +88,7 @@ def test_slide_windows_starts_and_labels() -> None:
 
 def test_slide_windows_short_timeline_yields_nothing() -> None:
     timeline = _timeline("c1", Label.BOT, np.ones((3, 9)))
-    assert len(slide_windows(timeline, SCHEMA, WindowConfig(4, 1))) == 0
+    assert len(windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 1))) == 0
 
 
 def test_per_character_vs_per_window_scaling() -> None:
@@ -99,11 +98,11 @@ def test_per_character_vs_per_window_scaling() -> None:
     matrix[:, 1] = 1.0  # constant; scales to zeros either way
     timeline = _timeline("c1", Label.NORMAL, matrix)
 
-    per_char = slide_windows(timeline, SCHEMA, WindowConfig(4, 4, ScalingScope.PER_CHARACTER))
+    per_char = windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 4, ScalingScope.PER_CHARACTER))
     assert np.allclose(per_char.x[1][:, 0], np.array([4, 5, 6, 7]) / 7.0)
     assert per_char.x[1][:, 1].tolist() == [0.0] * 4
 
-    per_win = slide_windows(timeline, SCHEMA, WindowConfig(4, 4, ScalingScope.PER_WINDOW))
+    per_win = windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 4, ScalingScope.PER_WINDOW))
     assert per_win.x[1][:, 0].tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
     assert per_win.x[1][:, 1].tolist() == [0.0] * 4
 
@@ -112,7 +111,7 @@ def test_per_window_exact_example() -> None:
     matrix = np.ones((4, 9))
     matrix[:, 0] = [1.0, 2.0, 3.0, 5.0]
     timeline = _timeline("c1", Label.NORMAL, matrix)
-    samples = slide_windows(timeline, SCHEMA, WindowConfig(4, 1, ScalingScope.PER_WINDOW))
+    samples = windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 1, ScalingScope.PER_WINDOW))
     assert len(samples) == 1
     assert samples.x[0][:, 0].tolist() == [0.0, 0.25, 0.5, 1.0]
 
@@ -120,7 +119,7 @@ def test_per_window_exact_example() -> None:
 def test_slide_windows_respects_active_mask() -> None:
     schema = SCHEMA.deactivate([0, 8])
     timeline = _timeline("c1", Label.BOT, np.tile(np.arange(6.0)[:, None], (1, 9)))
-    samples = slide_windows(timeline, schema, WindowConfig(3, 3))
+    samples = windows_from_timelines([timeline], schema, WindowConfig(3, 3))
     assert samples.x[0].shape == (3, 7)
 
 
@@ -252,7 +251,7 @@ def test_summary_quartiles_frozen_example() -> None:
     matrix = np.zeros((4, 9))
     matrix[:, 0] = [0.0, 1.0, 4.0, 10.0]
     timeline = _timeline("b1", Label.BOT, matrix)
-    samples = slide_windows(timeline, SCHEMA, WindowConfig(4, 1))
+    samples = windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 1))
     # need a normal sample too for the summary to be complete? no: missing label flagged
     summary = summarize_distributions(samples, SCHEMA)
     row = next(r for r in summary.rows if r.feature_name == "Number of Items")

@@ -7,7 +7,6 @@ from botledger import harness
 from botledger.errors import DataError
 from botledger.harness import (
     ConfusionMatrix,
-    EarlyStopConfig,
     EvalRow,
     TrainOptions,
     average_metrics,
@@ -357,8 +356,7 @@ def test_train_early_stop_triggers_on_noise() -> None:
         ]
     )
     opts = TrainOptions(
-        epochs=40, batch_size=8, lr=1e-2, shuffle_seed=1,
-        early_stop=EarlyStopConfig(patience=3, holdout_fraction=0.25),
+        epochs=40, batch_size=8, lr=1e-2, shuffle_seed=1, early_stop_patience=3
     )
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
     params, log = train(noise, cfg, opts)
@@ -370,7 +368,7 @@ def test_train_early_stop_triggers_on_noise() -> None:
     best = min(e["val_loss"] for e in log)
     assert log[-1]["val_loss"] > best
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0])
-    holdout = shuffle_rng.permutation(40)[:10]
+    holdout = shuffle_rng.permutation(40)[:4]  # HOLDOUT_FRACTION of 40
     x, y = noise.x, noise.y
     probs = predict_probs(params, cfg, x[holdout])
     assert bce_loss(probs, y[holdout], params, cfg.l2_lambda) == best
@@ -387,12 +385,10 @@ def test_train_forward_is_float32_and_prediction_float64(monkeypatch) -> None:
     monkeypatch.setattr(harness, "forward", recording_forward)
     samples = toy_separable()
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
-    opts = TrainOptions(
-        epochs=2, batch_size=8, early_stop=EarlyStopConfig(patience=5, holdout_fraction=0.25)
-    )
+    opts = TrainOptions(epochs=2, batch_size=8, early_stop_patience=5)
     params, _ = train(samples, cfg, opts)
     predict_probs(params, cfg, samples.x)
-    assert seen[True] == ["float32"] * 6  # 24 training windows in batches of 8, twice
+    assert seen[True] == ["float32"] * 8  # 29 training windows in batches of 8, twice
     assert seen[False] == ["float64"] * 3  # two validation passes, one prediction
     assert params.flat.dtype == np.float64
 

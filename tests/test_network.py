@@ -210,7 +210,7 @@ def test_batchnorm_gamma_beta_affine() -> None:
 
 def test_batchnorm_running_stat_update() -> None:
     p = _zero_params(1, 1)
-    batchnorm_forward(np.array([[2.0], [4.0]]), p, training=True, momentum=0.1)
+    batchnorm_forward(np.array([[2.0], [4.0]]), p, training=True)
     # running = 0.9 * old + 0.1 * batch; batch mean 3, biased var 1
     assert p.bn_running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.0, abs=1e-12)
     assert p.bn_running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0, abs=1e-12)

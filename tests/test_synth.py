@@ -8,6 +8,7 @@ import pytest
 from botledger.errors import DataError
 from botledger.schema import Label, canonical_schema
 from botledger.synth import (
+    DEFAULT_START,
     EVENT_LOG_HEADER,
     ITEM_PRICE,
     Archetype,
@@ -153,7 +154,7 @@ def test_snapshot_cadence(dataset) -> None:
     for recs in grouped.values():
         assert len(recs) == BASE_CFG.steps
         stamps = np.array([r.timestamp for r in recs])
-        assert stamps[0] == BASE_CFG.start_timestamp
+        assert stamps[0] == DEFAULT_START
         assert np.all(np.diff(stamps) == BASE_CFG.snapshot_interval)
 
 
@@ -201,7 +202,7 @@ def test_dump_receipts_match_banker_balance_jumps(dataset) -> None:
     receipts: dict[tuple[str, int], float] = defaultdict(float)
     for ev in dataset.events:
         if isinstance(ev, DumpEvent):
-            step = int(round((ev.timestamp - BASE_CFG.start_timestamp) / BASE_CFG.snapshot_interval))
+            step = int(round((ev.timestamp - DEFAULT_START) / BASE_CFG.snapshot_interval))
             receipts[(ev.to_character, step)] += ev.amount
 
     bankers = {cid for cid, _ in receipts}

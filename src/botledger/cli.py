@@ -6,15 +6,19 @@ Subcommands cover the whole workflow: ``synth`` fabricates a labeled dataset,
 periods), ``score`` applies a saved model to a log, and ``report`` prints
 distribution and elimination tables.
 
-Each option is one row of ``_OPTIONS``: its type, default and argparse
-extras.  Its flag is the key with dashes, and a switch sets the opposite of
-its default (``--no-batchnorm`` sets ``batchnorm`` false).  Option
-precedence is CLI flag, then ``--config`` JSON file (keyed like the table),
-then the ``BOTLEDGER_SEED`` environment variable (seeds only), then built-in
-defaults.  ``_resolve`` casts every value to its option's type once, so
-commands read typed values.  The cast is strict: switches take only JSON
-booleans, integer options only integral numbers, and float options only
-finite numbers.
+Each option is one row of ``_OPTIONS``: its type, default, allowed range
+and argparse extras.  Its flag is the key with dashes, and a switch sets the
+opposite of its default (``--no-batchnorm`` sets ``batchnorm`` false).
+Option precedence is CLI flag, then ``--config`` JSON file (keyed like the
+table), then the ``BOTLEDGER_SEED`` environment variable (seeds only), then
+built-in defaults.  ``_resolve`` casts every value to its option's type
+once, so commands read typed values.  The cast is strict: switches take only
+JSON booleans, integer options only integral numbers, and float options only
+finite numbers.  A value outside its option's range is a usage error that
+names the flag.
+
+Output directories are made just before the first file is written, so a
+command that fails on its options or inputs leaves no ``--out`` behind.
 
 Every artifact-writing command drops a ``manifest.json`` beside its outputs
 with the resolved options, as cast, and sha256 checksums of inputs and
@@ -36,7 +40,7 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -85,37 +89,53 @@ _WINDOW = _field_defaults(WindowConfig)
 _MODEL = _field_defaults(ModelConfig)
 _TRAIN = _field_defaults(TrainOptions)
 
-# Every option a command resolves: key -> (type, default, argparse extras).
-_OPTIONS: dict[str, tuple[type, object, dict]] = {
-    "bots": (int, 10, {}),
-    "normals": (int, 40, {}),
-    "days": (float, _GEN["days"], {}),
-    "interval_hours": (float, _GEN["snapshot_interval"] / 3600.0, {"help": "snapshot interval"}),
-    "separability": (float, _GEN["separability"], {"help": "0: bots behave like humans; 1: fully bot-like"}),
-    "window_length": (int, _WINDOW["window_length"], {"help": "timesteps per training window"}),
-    "stride": (int, _WINDOW["stride"], {"help": "offset between consecutive windows"}),
+# A numeric option's allowed values: a test and how the error message states it.
+_Range = tuple[Callable[[float], bool], str]
+
+
+def _at_least(low: int) -> _Range:
+    return (lambda v: v >= low), "non-negative" if low == 0 else f"at least {low}"
+
+
+_POSITIVE: _Range = ((lambda v: v > 0), "positive")
+_UNIT: _Range = ((lambda v: 0 <= v <= 1), "in [0, 1]")
+_UNIT_OPEN: _Range = ((lambda v: 0 <= v < 1), "in [0, 1)")
+
+# Every option a command resolves: key -> (type, default, range, argparse extras).
+_OPTIONS: dict[str, tuple[type, object, _Range | None, dict]] = {
+    "bots": (int, 10, _at_least(0), {}),
+    "normals": (int, 40, _at_least(0), {}),
+    "days": (float, _GEN["days"], _POSITIVE, {}),
+    "interval_hours": (float, _GEN["snapshot_interval"] / 3600.0, _POSITIVE, {"help": "snapshot interval"}),
+    "separability": (
+        float, _GEN["separability"], _UNIT, {"help": "0: bots behave like humans; 1: fully bot-like"}
+    ),
+    "window_length": (int, _WINDOW["window_length"], _at_least(2), {"help": "timesteps per training window"}),
+    "stride": (int, _WINDOW["stride"], _at_least(1), {"help": "offset between consecutive windows"}),
     "scaling_scope": (
         ScalingScope,
         _WINDOW["scaling_scope"],
+        None,
         {"choices": [s.value for s in ScalingScope], "help": "min-max over the whole timeline or each window"},
     ),
-    "hidden_dim": (int, _MODEL["hidden_dim"], {"help": "LSTM hidden width"}),
-    "dropout": (float, _MODEL["dropout_p"], {"help": "dropout probability on the final hidden state"}),
-    "l2": (float, _MODEL["l2_lambda"], {"help": "L2 penalty on weight matrices"}),
-    "batch_size": (int, _TRAIN["batch_size"], {}),
-    "epochs": (int, _TRAIN["epochs"], {}),
-    "lr": (float, _TRAIN["lr"], {"help": "Adam learning rate"}),
-    "batchnorm": (bool, _MODEL["use_batchnorm"], {"help": "disable input batch normalization"}),
-    "early_stop_patience": (int, _TRAIN["early_stop_patience"], {"help": "enable early stopping"}),
-    "k": (int, 10, {"help": "number of folds"}),
-    "threshold": (float, 0.5, {"help": "bot decision threshold (ties count as bot)"}),
+    "hidden_dim": (int, _MODEL["hidden_dim"], _at_least(1), {"help": "LSTM hidden width"}),
+    "dropout": (float, _MODEL["dropout_p"], _UNIT_OPEN, {"help": "dropout probability on the final hidden state"}),
+    "l2": (float, _MODEL["l2_lambda"], _at_least(0), {"help": "L2 penalty on weight matrices"}),
+    "batch_size": (int, _TRAIN["batch_size"], _at_least(1), {}),
+    "epochs": (int, _TRAIN["epochs"], _at_least(0), {}),
+    "lr": (float, _TRAIN["lr"], _POSITIVE, {"help": "Adam learning rate"}),
+    "batchnorm": (bool, _MODEL["use_batchnorm"], None, {"help": "disable input batch normalization"}),
+    "early_stop_patience": (int, _TRAIN["early_stop_patience"], _at_least(1), {"help": "enable early stopping"}),
+    "k": (int, 10, _at_least(2), {"help": "number of folds"}),
+    "threshold": (float, 0.5, _UNIT, {"help": "bot decision threshold (ties count as bot)"}),
     "by_period": (
         float,
         None,
+        _POSITIVE,
         {"nargs": "?", "const": 7.0, "help": "split rows by calendar period of this many days (default 7)"},
     ),
-    "leaky_folds": (bool, False, {"help": "assign windows to folds individually instead of per character"}),
-    "seed": (int, None, {}),
+    "leaky_folds": (bool, False, None, {"help": "assign windows to folds individually instead of per character"}),
+    "seed": (int, None, _at_least(0), {}),
 }
 _WINDOW_KEYS = ("window_length", "stride", "scaling_scope")
 _MODEL_KEYS = ("hidden_dim", "dropout", "l2", "batch_size", "epochs", "lr", "batchnorm")
@@ -131,7 +151,7 @@ _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
 
 
 def _flag(key: str) -> str:
-    typ, default, _ = _OPTIONS[key]
+    typ, default, _, _ = _OPTIONS[key]
     name = key.replace("_", "-")
     return f"--no-{name}" if typ is bool and default else f"--{name}"
 
@@ -155,9 +175,10 @@ def _cast(key: str, value: object) -> object:
 
     Only JSON's own types convert: a switch takes ``true`` or ``false``, an
     integer option an integral number (``4.0`` is 4), and a float option a
-    finite number.  Strings and booleans are never numbers.
+    finite number.  Strings and booleans are never numbers.  The value must
+    lie in the option's range.
     """
-    typ, default, _ = _OPTIONS[key]
+    typ, default, _, _ = _OPTIONS[key]
     if value is None:
         if default is None:
             return None
@@ -174,7 +195,14 @@ def _cast(key: str, value: object) -> object:
         value = typ(value)
     if typ is float and not math.isfinite(value):
         raise UsageError(f"{flag} must be finite, got {value}")
+    _check_range(flag, key, value)
     return value
+
+
+def _check_range(source: str, key: str, value: object) -> None:
+    allowed = _OPTIONS[key][2]
+    if allowed is not None and not allowed[0](value):
+        raise UsageError(f"{source} must be {allowed[1]}, got {value}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -205,16 +233,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in keys:
         flag_value = getattr(args, key)
         resolved[key] = _cast(key, resolved[key] if flag_value is None else flag_value)
-    if "seed" in resolved:
-        source = _flag("seed")
-        if resolved["seed"] is None:
-            source, env = "BOTLEDGER_SEED", os.environ.get("BOTLEDGER_SEED", "0")
-            try:
-                resolved["seed"] = int(env)
-            except ValueError:
-                raise UsageError(f"BOTLEDGER_SEED must be an integer, got {env!r}") from None
-        if resolved["seed"] < 0:
-            raise UsageError(f"{source} must be non-negative, got {resolved['seed']}")
+    if "seed" in resolved and resolved["seed"] is None:
+        env = os.environ.get("BOTLEDGER_SEED", "0")
+        try:
+            resolved["seed"] = int(env)
+        except ValueError:
+            raise UsageError(f"BOTLEDGER_SEED must be an integer, got {env!r}") from None
+        _check_range("BOTLEDGER_SEED", "seed", resolved["seed"])
     return resolved
 
 
@@ -260,13 +285,6 @@ def _window_config(resolved: dict) -> WindowConfig:
         )
 
 
-def _threshold(resolved: dict) -> float:
-    threshold = resolved["threshold"]
-    if not 0.0 <= threshold <= 1.0:
-        raise UsageError(f"--threshold must be a probability in [0, 1], got {threshold:g}")
-    return threshold
-
-
 def _model_config(resolved: dict, input_dim: int) -> ModelConfig:
     with _option_values():
         return ModelConfig(
@@ -280,22 +298,18 @@ def _model_config(resolved: dict, input_dim: int) -> ModelConfig:
 
 
 def _train_options(resolved: dict) -> TrainOptions:
-    patience = resolved.get("early_stop_patience")
-    if patience is not None and patience < 1:
-        raise UsageError(f"--early-stop-patience must be at least 1, got {patience}")
     with _option_values():
         return TrainOptions(
             epochs=resolved["epochs"],
             batch_size=resolved["batch_size"],
             lr=resolved["lr"],
             shuffle_seed=derive_seed(resolved["seed"], 0x5EED),
-            early_stop_patience=patience,
+            early_stop_patience=resolved.get("early_stop_patience"),
         )
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    out = _out_dir(args)
     with _option_values():
         cfg = GenConfig(
             n_bots=resolved["bots"],
@@ -306,6 +320,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             seed=resolved["seed"],
         )
     data = generate(cfg)
+    out = _out_dir(args)
     log_path = out / "status_log.csv"
     labels_path = out / "labels.csv"
     events_path = out / "events.log"
@@ -341,13 +356,13 @@ def _prepare_samples(args: argparse.Namespace, resolved: dict):
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    out = _out_dir(args)
     timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
     samples = windows_from_timelines(timelines, schema, window_cfg)
     if not samples:
         raise DataError(
             "no windows produced; every timeline is shorter than the window length"
         )
+    out = _out_dir(args)
     samples_path = out / "samples.npz"
     with open(samples_path, "wb") as fh:
         np.savez(
@@ -420,7 +435,6 @@ def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, Windo
 
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    out = _out_dir(args)
     samples, schema, window_cfg, _ = _load_samples_dir(args.samples)
     cfg = _model_config(resolved, input_dim=samples.x.shape[2])
     opts = _train_options(resolved)
@@ -431,6 +445,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_loss": log[-1]["loss"] if log else None,
         "seed": cfg.seed,
     }
+    out = _out_dir(args)
     model_path = out / "model.bin"
     save_model(
         model_path,
@@ -459,12 +474,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    seed, k, period_days = resolved["seed"], resolved["k"], resolved["by_period"]
-    if k < 2:
-        raise UsageError(f"--k must be at least 2, got {k}")
-    if period_days is not None and period_days <= 0.0:
-        raise UsageError("--by-period must be a positive number of days")
-    threshold = _threshold(resolved)
+    seed, k, period_days, threshold = resolved["seed"], resolved["k"], resolved["by_period"], resolved["threshold"]
     timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
     grouped = not resolved["leaky_folds"]
     cfg = _model_config(resolved, input_dim=len(schema.active_indices()))
@@ -511,8 +521,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    threshold = _threshold(resolved)
-    out = _out_dir(args)
+    threshold = resolved["threshold"]
     bundle = load_model(args.model)
     timelines, _ = load_timelines(args.log, args.labels, bundle.schema, keep_unlabeled=True)
     rows = []
@@ -526,6 +535,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         rows.append((timeline.character_id, float(probs.mean()), timeline.label))
     rows.sort(key=lambda r: (-r[1], r[0]))
 
+    out = _out_dir(args)
     scores_path = out / "scores.csv"
     with open(scores_path, "w", encoding="utf-8") as fh:
         fh.write("character_id,probability,label\n")
@@ -600,7 +610,7 @@ def build_parser() -> _Parser:
         for flag, required, path_help in paths:
             p.add_argument(flag, required=required, help=path_help)
         for key in _COMMAND_OPTIONS[command]:
-            typ, default, extras = _OPTIONS[key]
+            typ, default, _, extras = _OPTIONS[key]
             if typ is bool:
                 extras = {"action": "store_const", "const": not default, **extras}
             elif "choices" not in extras:  # a choice stays a string, so argparse lists the choices

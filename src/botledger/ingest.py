@@ -7,16 +7,31 @@ one row per character.  Parsing is strict about structure (bad header is
 fatal) but tolerant of bad rows, which are dropped and counted by reason.
 The kept rows go into columns, and each character's timeline is a slice of
 them after one sort by (character, timestamp).
+
+A status log is read in blocks of whole lines.  Vectorised byte checks
+screen each block, and the lines that pass go through one ``np.loadtxt``
+call per block.  A line passes when it has every field, none of them empty,
+its id and account are printable ASCII, and its timestamp and values use
+only ``0-9 . e E + -``.  Any other line goes through the csv module and
+``float()`` on its own, in place: blank, short or long rows, padded or
+non-ASCII ids, and numerals with spaces or such as ``nan``, ``inf`` or
+``1_0``.  A file holding a quote, a CR or a NUL, a file whose header does
+not match, and one with a screened numeral loadtxt rejects (``1e``,
+``1.2.3``) are read row by row with the csv module from the start.  On the
+screened characters loadtxt and ``float()`` accept the same strings and
+give the same doubles, so both paths give the same rows, dtypes and counts.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -90,56 +105,219 @@ def parse_status_log(path: str | Path, schema: FeatureSchema) -> tuple[StatusRow
 
     A row with the wrong field count, an empty id, an id holding a NUL or a
     timestamp that is not a finite number is malformed; otherwise a row with
-    a value that is not a finite, non-negative number is invalid.
+    a value that is not a finite, non-negative number is invalid.  Plain
+    lines go through ``np.loadtxt`` a block at a time, the others through
+    the csv module row by row; both give the same rows and counts.
     """
-    stats = IngestStats()
     want = expected_header(schema)
-    n_fields = len(want)
-    # packed doubles: per-row lists of float objects take about five times the memory
-    ids: list[str] = []
-    timestamps = array("d")
-    values = array("d")
     try:
+        try:
+            return _parse_blocks(path, want)
+        except (_RowPathNeeded, ValueError, OSError, csv.Error):
+            # ValueError: loadtxt rejected a number or a line is not UTF-8.  The
+            # per-row path reads the file again and raises the error it always has.
+            pass
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != want:
-                raise DataError(
-                    f"status log header mismatch in {path}: expected {','.join(want)}"
-                )
-            for row in reader:
-                if not row:
-                    continue
-                stats.records_read += 1
-                character_id = row[0].strip()
-                # a NUL in an id is malformed: numpy strings drop trailing NULs, merging ids
-                if len(row) != n_fields or not character_id or "\0" in character_id or not row[1].strip():
-                    stats.drop(REASON_MALFORMED)
-                    continue
-                try:
-                    timestamp = float(row[2])
-                except ValueError:
-                    timestamp = math.nan
-                if not math.isfinite(timestamp):
-                    stats.drop(REASON_MALFORMED)
-                    continue
-                try:
-                    values.extend(list(map(float, row[3:])))
-                except ValueError:
-                    stats.drop(REASON_INVALID_VALUE)
-                    continue
-                ids.append(character_id)
-                timestamps.append(timestamp)
+            return _parse_rows(csv.reader(fh), want, path)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read status log {path}: {exc}") from exc
-    matrix = np.frombuffer(values, dtype=float).reshape(len(ids), len(schema))
-    valid = np.isfinite(matrix).all(axis=1) & (matrix >= 0.0).all(axis=1)
+
+
+def _check_row(row: list[str], n_fields: int) -> str | tuple[str, list[float]]:
+    """The drop reason of a non-empty csv row, or its id and its timestamp and values."""
+    character_id = row[0].strip()
+    # a NUL in an id is malformed: numpy strings drop trailing NULs, merging ids
+    if len(row) != n_fields or not character_id or "\0" in character_id or not row[1].strip():
+        return REASON_MALFORMED
+    try:
+        timestamp = float(row[2])
+    except ValueError:
+        return REASON_MALFORMED
+    if not math.isfinite(timestamp):
+        return REASON_MALFORMED
+    try:
+        return character_id, [timestamp, *map(float, row[3:])]
+    except ValueError:
+        return REASON_INVALID_VALUE
+
+
+def _keep_valid(ids: np.ndarray, rows: np.ndarray, stats: IngestStats) -> StatusRows:
+    """The (timestamp, values) rows whose values are all finite and non-negative."""
+    valid = np.isfinite(rows[:, 1:]).all(axis=1) & (rows[:, 1:] >= 0.0).all(axis=1)
     if not valid.all():
         stats.drop(REASON_INVALID_VALUE, int(len(valid) - valid.sum()))
-    rows = StatusRows(
-        np.array(ids, dtype=str)[valid], np.frombuffer(timestamps, dtype=float)[valid], matrix[valid]
+    return StatusRows(ids[valid], rows[valid, 0], rows[valid, 1:])
+
+
+def _parse_rows(reader: Iterator[list[str]], want: list[str], path: str | Path) -> tuple[StatusRows, IngestStats]:
+    """The per-row path: every csv row through ``_check_row``."""
+    stats = IngestStats()
+    if next(reader, None) != want:
+        raise DataError(f"status log header mismatch in {path}: expected {','.join(want)}")
+    ids: list[str] = []
+    # packed doubles: per-row lists of float objects take about five times the memory
+    rows = array("d")
+    for row in reader:
+        if not row:
+            continue
+        stats.records_read += 1
+        checked = _check_row(row, len(want))
+        if isinstance(checked, str):
+            stats.drop(checked)
+            continue
+        ids.append(checked[0])
+        rows.extend(checked[1])
+    matrix = np.frombuffer(rows, dtype=float).reshape(len(ids), len(want) - 2)
+    return _keep_valid(np.array(ids, dtype=str), matrix, stats), stats
+
+
+class _RowPathNeeded(Exception):
+    """The file holds something that only the per-row path reads as csv does."""
+
+
+_BLOCK_BYTES = 1 << 18
+
+
+def _byte_flags(flag: int, allowed: bytes) -> np.ndarray:
+    return np.array([0 if b in allowed else flag for b in range(256)], dtype=np.uint8)
+
+
+# The fast path takes a line whose id and account are printable ASCII and
+# whose timestamp and values use only the number characters; on those
+# loadtxt and float() accept the same strings and give the same doubles.
+_NOT_ID, _NOT_NUMBER = 1, 2
+_BYTE_FLAGS = (
+    _byte_flags(_NOT_ID, bytes(range(0x21, 0x7F)).replace(b'"', b""))
+    | _byte_flags(_NOT_NUMBER, b"0123456789.eE+-,\n")
+).tobytes()
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The rest of ``fh`` in blocks of whole lines, each ending in a newline."""
+    tail = b""
+    for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
+        tail += chunk
+        cut = tail.rfind(b"\n") + 1
+        if cut:
+            yield tail[:cut]
+            tail = tail[cut:]
+    if tail:
+        yield tail + b"\n"
+
+
+def _screen(raw: np.ndarray, block: bytes, n_fields: int, limit: int) -> tuple[np.ndarray, ...]:
+    """Line starts, ends and id ends of a block, and which lines the fast path takes.
+
+    A line is taken when it has ``n_fields`` non-empty fields, is no longer
+    than the csv field size limit, and holds only the bytes above.
+    """
+    ends = np.flatnonzero(raw == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(raw == ord(","))
+    first = np.searchsorted(commas, starts)
+    fast = (np.searchsorted(commas, ends) - first == n_fields - 1) & (ends - starts <= limit)
+    # an empty field: a comma opening or closing the line, or two in a row
+    fast &= (raw[starts] != ord(",")) & (raw[ends - 1] != ord(","))
+    fast[np.searchsorted(ends, commas[1:][np.diff(commas) == 1])] = False
+    lines = np.flatnonzero(fast)
+    id_ends = np.zeros_like(ends)
+    id_ends[lines] = commas[first[lines]]
+    # ids and accounts run up to the second comma, the numbers from it on
+    numbers = starts.copy()
+    numbers[lines] = commas[first[lines] + 1]
+    flags = np.bitwise_or.reduceat(
+        np.frombuffer(block.translate(_BYTE_FLAGS), dtype=np.uint8),
+        np.column_stack((starts, numbers)).ravel(),
     )
-    return rows, stats
+    fast &= (flags[0::2] & _NOT_ID == 0) & (flags[1::2] & _NOT_NUMBER == 0)
+    return starts, ends, id_ends, fast
+
+
+def _ascii_ids(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, width: int) -> np.ndarray:
+    """The ASCII byte ranges ``starts:stops`` of ``raw`` as a numpy string array."""
+    offsets = np.arange(width)
+    codes = raw[np.minimum(starts[:, None] + offsets, len(raw) - 1)].astype(np.uint32)
+    codes[offsets >= (stops - starts)[:, None]] = 0  # numpy strings pad with NULs
+    return codes.view(f"U{width}").ravel()
+
+
+def _parse_block(block: bytes, n_fields: int, limit: int, stats: IngestStats) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and (timestamp, values) rows of the lines in ``block`` that
+    pass the malformed checks and float(), in line order.
+
+    Screened lines go through one ``np.loadtxt``, the others through
+    ``_check_row``.
+    """
+    raw = np.frombuffer(block, dtype=np.uint8)
+    starts, ends, id_ends, fast = _screen(raw, block, n_fields, limit)
+    slow = np.flatnonzero(~fast)
+    n_fast = len(ends) - len(slow)
+    rows = np.zeros((len(ends), n_fields - 2))
+    if n_fast:
+        text = b"".join(block[a:b] for a, b in zip([0, *(ends[slow] + 1)], [*starts[slow], len(block)]))
+        rows[fast] = np.loadtxt(
+            io.BytesIO(text), delimiter=",", usecols=range(2, n_fields), comments=None, ndmin=2, encoding="ascii"
+        )
+    ok = fast & np.isfinite(rows[:, 0])
+    stats.records_read += n_fast
+    if ok.sum() < n_fast:
+        stats.drop(REASON_MALFORMED, n_fast - int(ok.sum()))
+    row_ids: dict[int, str] = {}
+    for i, row in zip(slow.tolist(), csv.reader([block[starts[i]:ends[i]].decode("utf-8") for i in slow])):
+        if not row:
+            continue
+        stats.records_read += 1
+        checked = _check_row(row, n_fields)
+        if isinstance(checked, str):
+            stats.drop(checked)
+            continue
+        row_ids[i], rows[i] = checked
+        ok[i] = True
+    taken = ok & fast
+    width = max([int((id_ends[taken] - starts[taken]).max(initial=1)), *map(len, row_ids.values())])
+    ids = np.zeros(len(ends), dtype=f"U{width}")
+    ids[taken] = _ascii_ids(raw, starts[taken], id_ends[taken], width)
+    for i, character_id in row_ids.items():
+        ids[i] = character_id
+    return ids[ok], rows[ok]
+
+
+def _parse_blocks(path: str | Path, want: list[str]) -> tuple[StatusRows, IngestStats]:
+    """The fast path: the log a block of lines at a time through ``_parse_block``.
+
+    Raises ``_RowPathNeeded`` for a file that only the per-row path reads
+    right: one holding a quote (a quoted field may span lines), a CR or a
+    NUL, or whose first line is not the header ``want``.
+    """
+    stats = IngestStats()
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if header != (",".join(want) + "\n").encode():
+            raise _RowPathNeeded
+        capacity = 1  # at most one row per newline, plus a last line without one
+        for block in iter(partial(fh.read, _BLOCK_BYTES), b""):
+            if b'"' in block or b"\r" in block or b"\0" in block:
+                raise _RowPathNeeded
+            capacity += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")))
+        fh.seek(len(header))
+        # kept rows go straight into these, so no whole-file temporaries are built
+        timestamps = np.empty(capacity)
+        values = np.empty((capacity, len(want) - len(META_COLUMNS)))
+        id_blocks = [np.empty(0, dtype="U1")]
+        n_kept = 0
+        width = 1  # numpy's width for the ids of every parsed row, as in np.array(ids)
+        for block in _line_blocks(fh):
+            ids, rows = _parse_block(block, len(want), limit, stats)
+            if len(ids):
+                width = max(width, ids.itemsize // 4)
+            kept = _keep_valid(ids, rows, stats)
+            timestamps[n_kept:n_kept + len(kept)] = kept.timestamp
+            values[n_kept:n_kept + len(kept)] = kept.values
+            n_kept += len(kept)
+            id_blocks.append(kept.character_id)
+    character_id = np.concatenate(id_blocks).astype(f"U{width}", copy=False)
+    return StatusRows(character_id, timestamps[:n_kept], values[:n_kept]), stats
 
 
 def build_timelines(

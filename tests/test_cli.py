@@ -727,6 +727,14 @@ def _put(index, value):
         ("crossval", {"seed": -1}, None, 1),
         ("train", {"early_stop_patience": 0}, None, 1),
         ("train", {"early_stop_patience": -2}, None, 1),
+        # values outside an option's range, and a model file that is not there
+        ("train", {"hidden_dim": 0}, None, 1),
+        ("crossval", {"epochs": -1}, None, 1),
+        ("train", {"batch_size": 0}, None, 1),
+        ("train", {"dropout": 1.5}, None, 1),
+        ("crossval", {"stride": 0}, None, 1),
+        ("synth", {"bots": -1}, None, 1),
+        ("score", None, ("model.bin", None), 2),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -744,7 +752,10 @@ def test_malformed_inputs_exit_with_documented_code(
     if corrupt is not None:
         name, content = corrupt
         target = (samples if name in ("featurize.json", "samples.npz") else inputs) / name
-        target.write_bytes(content(target.read_bytes()) if callable(content) else content)
+        if content is None:
+            target.unlink()
+        else:
+            target.write_bytes(content(target.read_bytes()) if callable(content) else content)
     log, labels = str(inputs / "status_log.csv"), str(inputs / "labels.csv")
     argv = {
         "synth": ["synth"],
@@ -756,6 +767,7 @@ def test_malformed_inputs_exit_with_documented_code(
         argv += ["--config", str(cfg_path)]
     assert run(argv) == code
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -836,6 +848,44 @@ def test_negative_seed_or_patience_names_the_flag(command, key, value, features,
         err = capsys.readouterr().err
         assert f"error: {cli._flag(key)} must be " in err and f", got {value}\n" in err, source
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value, want",
+    [
+        ("synth", "bots", -1, "non-negative"),
+        ("synth", "days", 0, "positive"),
+        ("synth", "separability", 1.5, "in [0, 1]"),
+        ("featurize", "window_length", 1, "at least 2"),
+        ("featurize", "stride", 0, "at least 1"),
+        ("train", "hidden_dim", 0, "at least 1"),
+        ("train", "epochs", -1, "non-negative"),
+        ("train", "batch_size", 0, "at least 1"),
+        ("train", "dropout", 1.5, "in [0, 1)"),
+        ("train", "l2", -0.5, "non-negative"),
+        ("train", "lr", 0, "positive"),
+        ("crossval", "k", 1, "at least 2"),
+        ("crossval", "threshold", 1.5, "in [0, 1]"),
+        ("crossval", "by_period", 0, "positive"),
+        ("score", "threshold", -1, "in [0, 1]"),
+    ],
+)
+def test_out_of_range_option_names_the_flag(command, key, value, want, tmp_path, capsys) -> None:
+    # ranges are checked before any input is read, so the paths need not exist
+    paths = {
+        "synth": [],
+        "featurize": ["--log", "log.csv", "--labels", "labels.csv"],
+        "train": ["--samples", str(tmp_path / "samples")],
+        "crossval": ["--log", "log.csv", "--labels", "labels.csv"],
+        "score": ["--log", "log.csv", "--model", "model.bin"],
+    }[command]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    for source in ([f"{cli._flag(key)}={value}"], ["--config", str(cfg_path)]):
+        assert run([command, *paths, *source, "--out", str(tmp_path / "out")]) == 1, source
+        err = capsys.readouterr().err
+        assert f"error: {cli._flag(key)} must be {want}, got " in err, (source, err)
+        assert not (tmp_path / "out").exists()
 
 
 _FLOAT_FLAGS = [

@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from botledger import ingest
 from botledger.errors import DataError
 from botledger.ingest import (
     LabelFile,
@@ -82,6 +85,100 @@ def test_parse_header_mismatch_is_fatal(tmp_path) -> None:
 def test_parse_missing_file_is_fatal(tmp_path) -> None:
     with pytest.raises(DataError):
         parse_status_log(tmp_path / "nope.csv", SCHEMA)
+
+
+def _mixed_log_lines(n_clean=8000):
+    """Clean rows with one of every line class the parser tells apart mixed in."""
+    odd = [
+        "c1,a1,5,1,2,3",  # short
+        _row(ts=6) + ",9",  # long
+        _row(ts="t100"),
+        _row(ts="1_0"),
+        _row(ts="1e999"),
+        _row(ts=" 7 "),
+        _row(ts=""),
+        _row(ts=8, values=["nan"] + ["1"] * 8),
+        _row(ts=9, values=["1", "inf"] + ["1"] * 7),
+        _row(ts=10, values=["infinity"] + ["1"] * 8),
+        _row(ts=11, values=["1e999"] + ["1"] * 8),
+        _row(ts=12, values=["-2"] + ["1"] * 8),
+        _row(ts=13, values=[""] + ["1"] * 8),
+        _row(ts=14, values=["soup"] + ["1"] * 8),
+        _row(ts=15, values=["-0", "+3", ".5", "5.", "1E-2", "4.9e-324", "1e3", "0", "7_0"]),
+        _row(ts=16, values=["-0", "+3", ".5", "5.", "1E-2", "4.9e-324", "1e3", "0", "7"]),
+        _row(cid=" c2 ", ts=17),
+        _row(cid="cé", ts=18),
+        _row(cid="c#3", ts=19),
+        _row(cid="", ts=20),
+        _row(acct=" ", ts=21),
+        _row(cid="an-id-longer-than-any-kept-one", ts=22, values=["-1"] + ["1"] * 8),
+        "# a comment",
+        "",
+        "   ",
+        ",,,,,,,,,,,",
+    ]
+    rng = np.random.default_rng(3)
+    lines = [_row(cid=f"c{i % 40}", ts=i // 40, values=rng.random(9).round(2)) for i in range(n_clean)]
+    for line in odd * 3:
+        lines.insert(int(rng.integers(0, len(lines))), line)
+    lines.insert(0, _row(cid="c2", ts=0))  # the last row repeats its timestamp
+    lines.append(_row(cid="c2", ts=0))
+    return lines
+
+
+def _parse_per_row(path):
+    """The per-row csv path the fast path must agree with."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return ingest._parse_rows(csv.reader(fh), expected_header(SCHEMA), path)
+
+
+def _as_compared(parsed):
+    rows, stats = parsed
+    return (
+        rows.character_id.dtype,
+        rows.character_id.tolist(),
+        rows.timestamp.tobytes(),
+        rows.values.tobytes(),
+        stats.to_dict(),
+    )
+
+
+@pytest.mark.parametrize("block_bytes", [ingest._BLOCK_BYTES, 4093])
+def test_fast_path_matches_per_row_path(block_bytes, monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    header = ",".join(expected_header(SCHEMA))
+    body = "\n".join([header, *_mixed_log_lines()])
+    assert len(body) > 3 * ingest._BLOCK_BYTES // 2  # block edges fall inside the log
+    path = tmp_path / "log.csv"
+    for variant, text in [
+        ("mixed", body + "\n"),
+        ("no final newline", body),
+        ("nul in an id", body + "\n" + _row(cid="c1\0") + "\n"),
+        ("quoted field", body + '\n"c,4",a1,1,1,1,1,1,1,1,1,1,1\n'),
+        ("crlf", body.replace("\n", "\r\n") + "\r\n"),
+        ("loadtxt rejects a number", body + "\n" + _row(values=["1e"] + ["1"] * 8) + "\n"),
+    ]:
+        path.write_bytes(text.encode("utf-8"))
+        want = _as_compared(_parse_per_row(path))
+        assert _as_compared(parse_status_log(path, SCHEMA)) == want, variant
+        if variant in ("mixed", "no final newline"):
+            assert _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA))) == want, variant
+        else:
+            with pytest.raises((ingest._RowPathNeeded, ValueError)):
+                ingest._parse_blocks(path, expected_header(SCHEMA))
+    # the widest id was on an invalid row; numpy sizes the id array by it all the same
+    assert want[0] == np.dtype("U30")
+
+
+def test_field_over_csv_limit_is_fatal_on_both_paths(tmp_path) -> None:
+    path = tmp_path / "log.csv"
+    lines = _mixed_log_lines(200)
+    lines.insert(100, _row(values=["1" * (csv.field_size_limit() + 1)] + ["1"] * 8))
+    _write_log(path, lines)
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        _parse_per_row(path)
+    with pytest.raises(DataError, match="field larger than field limit"):
+        parse_status_log(path, SCHEMA)
 
 
 def _rec(cid, ts, fill=1.0):

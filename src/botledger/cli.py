@@ -67,7 +67,7 @@ from .harness import (
 from .ingest import load_timelines, write_label_file, write_status_log
 from .model_io import ModelBundle, load_model, save_model
 from .network import ModelConfig
-from .schema import FeatureSchema, Label, WindowSet, canonical_schema
+from .schema import FeatureSchema, Label, WindowSet, canonical_schema, json_bool, json_int
 from .synth import GenConfig, generate, write_event_log
 
 
@@ -157,17 +157,12 @@ def _flag(key: str) -> str:
 
 
 @contextmanager
-def _option_values(name: str = "option") -> Iterator[None]:
-    """Report option values of the wrong type or out of range as usage errors.
-
-    Config files can hold ``null``, lists or infinities where numbers belong,
-    so the casts raise ``TypeError`` and ``OverflowError`` as well as
-    ``ValueError``.
-    """
+def _option_values() -> Iterator[None]:
+    """Report option values a config class rejects as usage errors."""
     try:
         yield
     except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad {name} value: {exc}") from exc
+        raise UsageError(f"bad option value: {exc}") from exc
 
 
 def _cast(key: str, value: object) -> object:
@@ -184,15 +179,12 @@ def _cast(key: str, value: object) -> object:
             return None
         raise UsageError(f"config key {key!r} must not be null")
     flag = _flag(key)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if typ is bool and not isinstance(value, bool):
-        raise UsageError(f"{flag} must be true or false, got {value!r}")
-    if typ is int and not (number and (isinstance(value, int) or value.is_integer())):
-        raise UsageError(f"{flag} must be an integer, got {value!r}")
-    if typ is float and not number:
+    if typ is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise UsageError(f"{flag} must be a number, got {value!r}")
-    with _option_values(flag):
-        value = typ(value)
+    try:
+        value = {bool: json_bool, int: json_int}.get(typ, typ)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{flag} {exc}") from exc
     if typ is float and not math.isfinite(value):
         raise UsageError(f"{flag} must be finite, got {value}")
     _check_range(flag, key, value)
@@ -310,6 +302,8 @@ def _train_options(resolved: dict) -> TrainOptions:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
+    if resolved["bots"] + resolved["normals"] < 1:
+        raise UsageError("--bots and --normals must add up to at least 1")
     with _option_values():
         cfg = GenConfig(
             n_bots=resolved["bots"],
@@ -319,6 +313,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             separability=resolved["separability"],
             seed=resolved["seed"],
         )
+        if cfg.steps < 2:
+            raise UsageError(f"--days and --interval-hours must give at least two snapshots, got {cfg.steps}")
     data = generate(cfg)
     out = _out_dir(args)
     log_path = out / "status_log.csv"
@@ -526,13 +522,15 @@ def cmd_score(args: argparse.Namespace) -> int:
     timelines, _ = load_timelines(args.log, args.labels, bundle.schema, keep_unlabeled=True)
     rows = []
     skipped = 0
-    for timeline in timelines:
-        windows = windows_from_timelines([timeline], bundle.schema, bundle.window_config)
+    # one character at a time: windowing the whole log at once holds every window in memory
+    for c, (cid, y) in enumerate(zip(timelines.character_id.tolist(), timelines.y.tolist())):
+        windows = windows_from_timelines(timelines[c : c + 1], bundle.schema, bundle.window_config)
         if not windows:
             skipped += 1
             continue
         probs = predict_probs(bundle.params, bundle.config, windows.x)
-        rows.append((timeline.character_id, float(probs.mean()), timeline.label))
+        label = "" if math.isnan(y) else (Label.BOT if y else Label.NORMAL).value
+        rows.append((cid, float(probs.mean()), label))
     rows.sort(key=lambda r: (-r[1], r[0]))
 
     out = _out_dir(args)
@@ -540,7 +538,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     with open(scores_path, "w", encoding="utf-8") as fh:
         fh.write("character_id,probability,label\n")
         for cid, prob, label in rows:
-            fh.write(f"{cid},{prob:.6f},{label.value if label else ''}\n")
+            fh.write(f"{cid},{prob:.6f},{label}\n")
     inputs = [Path(args.model), Path(args.log)]
     if args.labels:
         inputs.append(Path(args.labels))
@@ -641,15 +639,9 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DataError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, UsageError) else 2 if isinstance(exc, DataError) else 3
 
 
 def main() -> None:

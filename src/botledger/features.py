@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericError
-from .schema import CharacterTimeline, FeatureSchema, Label, WindowSet
+from .schema import FeatureSchema, Label, Timelines, WindowSet, json_int
 
 # Rule 1 drops a feature when its standardized mean difference is below this.
 RULE1_SMD_THRESHOLD = 0.01
@@ -51,6 +49,7 @@ class WindowConfig:
             raise ValueError("window_length must be at least 2")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
+        object.__setattr__(self, "scaling_scope", ScalingScope(self.scaling_scope))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "scaling_scope": self.scaling_scope.value}
@@ -59,8 +58,8 @@ class WindowConfig:
     def from_dict(doc: dict) -> "WindowConfig":
         try:
             return WindowConfig(
-                window_length=int(doc["window_length"]),
-                stride=int(doc["stride"]),
+                window_length=json_int(doc["window_length"]),
+                stride=json_int(doc["stride"]),
                 scaling_scope=ScalingScope(doc["scaling_scope"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -93,40 +92,44 @@ def window_start_indices(length: int, window_length: int, stride: int) -> range:
     return range(0, length - window_length + 1, stride)
 
 
-def windows_from_timelines(
-    timelines: Sequence[CharacterTimeline], schema: FeatureSchema, cfg: WindowConfig
-) -> WindowSet:
-    """Scale each timeline's active features and cut sliding windows,
-    concatenated in timeline order.
+def windows_from_timelines(timelines: Timelines, schema: FeatureSchema, cfg: WindowConfig) -> WindowSet:
+    """Scale each character's active features and cut sliding windows, in order.
 
-    Per-character scope scales each feature over the whole timeline before
-    cutting, so windows keep their position relative to the character's own
-    range; per-window scope rescales each window in isolation.
+    Per-character scope scales each feature over the character's whole
+    timeline, rows after its last full window included, so windows keep
+    their position relative to the character's own range; per-window scope
+    rescales each window in isolation.  Characters shorter than one window
+    yield none.
     """
-    cols = list(schema.active_indices())
-    if not cols:
+    cols = np.array(schema.active_indices(), dtype=np.intp)
+    if not len(cols):
         raise ValueError("schema has no active features")
-    xs = [np.empty((0, cfg.window_length, len(cols)))]
-    windowed: list[CharacterTimeline] = []
-    for timeline in timelines:
-        if len(timeline) < cfg.window_length:
-            continue
-        raw = timeline.values[:, cols]
-        if cfg.scaling_scope is ScalingScope.PER_CHARACTER:
-            raw = _minmax(raw, axis=0)
-        # (windows, features, steps) -> (windows, steps, features)
-        x = sliding_window_view(raw, cfg.window_length, axis=0)[:: cfg.stride].transpose(0, 2, 1)
-        if cfg.scaling_scope is ScalingScope.PER_WINDOW:
-            x = _minmax(x, axis=1)
-        xs.append(x)
-        windowed.append(timeline)
-    counts = [len(x) for x in xs]
+    length = np.diff(timelines.bounds)
+    counts = np.where(length >= cfg.window_length, (length - cfg.window_length) // cfg.stride + 1, 0)
+    windowed = counts > 0
+    counts = counts[windowed]
+    first = np.repeat(timelines.bounds[:-1][windowed], counts)
+    start = (np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)) * cfg.stride
+    # one gather: (windows, steps, features)
+    x = timelines.values[(first + start)[:, None, None] + np.arange(cfg.window_length)[:, None], cols]
+    if cfg.scaling_scope is ScalingScope.PER_WINDOW:
+        x = _minmax(x, axis=1)
+    elif len(x):
+        lo = np.minimum.reduceat(timelines.values, timelines.bounds[:-1])[windowed][:, cols]
+        hi = np.maximum.reduceat(timelines.values, timelines.bounds[:-1])[windowed][:, cols]
+        # min and max are finite exactly when every value of the timeline is
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise NumericError("cannot scale a series with non-finite values")
+        span = np.repeat(hi - lo, counts, axis=0)[:, None]
+        x -= np.repeat(lo, counts, axis=0)[:, None]  # exactly 0 wherever the span is 0
+        np.divide(x, span, out=x, where=span != 0.0)
+    ids = timelines.character_id[windowed]
     return WindowSet(
-        x=np.concatenate(xs),
-        y=np.repeat([np.nan if t.label is None else t.label.encode() for t in windowed], counts[1:]),
+        x=x,
+        y=np.repeat(timelines.y[windowed], counts),
         # only windowed characters' ids set the string width
-        character=np.repeat(np.array([t.character_id for t in windowed], dtype=str), counts[1:]),
-        start=np.concatenate([np.arange(n) * cfg.stride for n in counts]),
+        character=np.repeat(ids.astype(f"U{np.char.str_len(ids).max(initial=1)}"), counts),
+        start=start,
     )
 
 
@@ -167,7 +170,7 @@ class EliminationReport:
 
 
 def eliminate_noninfluential(
-    timelines: Sequence[CharacterTimeline], schema: FeatureSchema
+    timelines: Timelines, schema: FeatureSchema
 ) -> tuple[FeatureSchema, EliminationReport]:
     """Deactivate features that cannot distinguish bots from normals.
 
@@ -175,15 +178,11 @@ def eliminate_noninfluential(
     pooled by label.  Both groups must be present; dropping every active
     feature is fatal.
     """
-    by_label: dict[Label, list[np.ndarray]] = {Label.BOT: [], Label.NORMAL: []}
-    for timeline in timelines:
-        if timeline.label is not None and len(timeline):
-            by_label[timeline.label].append(timeline.values)
-    if not by_label[Label.BOT] or not by_label[Label.NORMAL]:
+    lengths = np.diff(timelines.bounds)
+    bot, normal = (timelines.values[np.repeat(timelines.y == code, lengths)] for code in (1.0, 0.0))
+    if not len(bot) or not len(normal):
         raise DataError("feature elimination needs records from both label groups")
-    bot = np.concatenate(by_label[Label.BOT])
-    normal = np.concatenate(by_label[Label.NORMAL])
-    if bot.shape[1] != len(schema) or normal.shape[1] != len(schema):
+    if timelines.values.shape[1] != len(schema):
         raise DataError("record width does not match the feature schema")
 
     entries: list[FeatureEvidence] = []

@@ -9,7 +9,7 @@ leakage inflates scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .network import (
     init_adam,
     init_params,
 )
-from .schema import CharacterTimeline, FeatureSchema, Label, WindowSet
+from .schema import FeatureSchema, Label, Timelines, WindowSet
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ConfusionMatrix:
         )
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,9 @@ class Metrics:
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        doc = {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-        if self.flags:
-            doc["flags"] = list(self.flags)
+        doc = {**asdict(self), "flags": list(self.flags)}
+        if not self.flags:
+            del doc["flags"]
         return doc
 
 
@@ -165,67 +160,44 @@ def make_folds(
     if np.isnan(y).any():
         raise ValueError("cross-validation needs labeled samples")
     rng = np.random.default_rng(seed)
-    assignments = np.full(len(samples), -1, dtype=int)
-
+    # the units dealt to folds: characters (sorted by id) or single windows
     if group_by_character:
         _, first, inverse = np.unique(samples.character, return_index=True, return_inverse=True)
         conflicted = np.flatnonzero(y[first][inverse] != y)
         if conflicted.size:
             character = str(samples.character[conflicted[0]])
             raise DataError(f"character {character!r} carries conflicting labels")
-        char_fold = np.full(len(first), -1, dtype=int)
-        for label in (Label.BOT, Label.NORMAL):
-            chars = np.flatnonzero(y[first] == label.encode())  # sorted by character id
-            if len(chars) < k:
-                raise DataError(
-                    f"insufficient class members: {len(chars)} {label.value} characters "
-                    f"for k={k} grouped folds"
-                )
-            order = rng.permutation(len(chars))
-            char_fold[chars[order]] = np.arange(len(chars)) % k
-        assignments = char_fold[inverse]
+        unit_y, unit, kind = y[first], "characters", " grouped"
     else:
-        for label in (Label.BOT, Label.NORMAL):
-            indices = np.flatnonzero(y == label.encode())
-            if len(indices) < k:
-                raise DataError(
-                    f"insufficient class members: {len(indices)} {label.value} samples "
-                    f"for k={k} folds"
-                )
-            order = rng.permutation(len(indices))
-            assignments[indices[order]] = np.arange(len(indices)) % k
+        inverse, unit_y, unit, kind = np.arange(len(y)), y, "samples", ""
+    unit_fold = np.full(len(unit_y), -1, dtype=int)
+    for label in (Label.BOT, Label.NORMAL):
+        members = np.flatnonzero(unit_y == label.encode())
+        if len(members) < k:
+            raise DataError(
+                f"insufficient class members: {len(members)} {label.value} {unit} for k={k}{kind} folds"
+            )
+        unit_fold[members[rng.permutation(len(members))]] = np.arange(len(members)) % k
 
-    plan = FoldPlan(k=k, assignments=assignments, grouped=group_by_character)
+    plan = FoldPlan(k=k, assignments=unit_fold[inverse], grouped=group_by_character)
     plan.validate(samples)
     return plan
 
 
-def split_by_period(
-    timelines: Sequence[CharacterTimeline], period_seconds: float
-) -> list[tuple[int, list[CharacterTimeline]]]:
+def split_by_period(timelines: Timelines, period_seconds: float) -> list[tuple[int, Timelines]]:
     """Partition records into consecutive half-open periods.
 
     A record at time t belongs to period floor((t - anchor) / period), where
     the anchor is the earliest record, so boundary records always fall into
-    the later period.  Returns (period index, sub-timelines) sorted by
+    the later period.  Returns (period index, that period's rows) sorted by
     period; characters with no records in a period are simply absent there.
     """
     if period_seconds <= 0:
         raise ValueError("period length must be positive")
-    starts = [t.timestamps[0] for t in timelines if len(t)]
-    if not starts:
+    if not len(timelines.timestamp):
         return []
-    anchor = min(starts)
-
-    buckets: dict[int, list[CharacterTimeline]] = {}
-    for timeline in sorted(timelines, key=lambda t: t.character_id):
-        periods = np.floor((timeline.timestamps - anchor) / period_seconds).astype(int)
-        for period in np.unique(periods).tolist():
-            rows = periods == period
-            buckets.setdefault(period, []).append(
-                replace(timeline, timestamps=timeline.timestamps[rows], values=timeline.values[rows])
-            )
-    return sorted(buckets.items())
+    period = np.floor((timelines.timestamp - timelines.timestamp.min()) / period_seconds).astype(int)
+    return [(p, timelines.select(period == p)) for p in np.unique(period).tolist()]
 
 
 # Share of the training windows early stopping holds out for validation.
@@ -346,12 +318,7 @@ class EvalRow:
     n_test: int
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "metrics": self.metrics.to_dict(),
-            "confusion": self.confusion.to_dict(),
-            "n_test": self.n_test,
-        }
+        return {**asdict(self), "metrics": self.metrics.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -364,12 +331,7 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "average": self.average.to_dict(),
-            "confusion_total": self.confusion_total.to_dict(),
-            "config": self.config,
-        }
+        return {**asdict(self), "rows": [r.to_dict() for r in self.rows], "average": self.average.to_dict()}
 
 
 def average_metrics(rows: Sequence[Metrics]) -> Metrics:
@@ -443,7 +405,7 @@ def cross_validate(
 
 
 def cross_validate_by_period(
-    timelines: Sequence[CharacterTimeline],
+    timelines: Timelines,
     schema: FeatureSchema,
     window_cfg: WindowConfig,
     cfg: ModelConfig,

@@ -5,8 +5,8 @@ the schema's feature columns, one row per snapshot.  Label files are CSV with
 a ``# as_of: <timestamp>`` comment line, a ``character_id,label`` header, and
 one row per character.  Parsing is strict about structure (bad header is
 fatal) but tolerant of bad rows, which are dropped and counted by reason.
-The kept rows go into columns, and each character's timeline is a slice of
-them after one sort by (character, timestamp).
+The kept rows go into columns, which one sort by (character, timestamp)
+turns into one ``Timelines``.
 
 A status log is read in blocks of whole lines.  Vectorised byte checks
 screen each block, and the lines that pass go through one ``np.loadtxt``
@@ -36,7 +36,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import DataError
-from .schema import CharacterTimeline, FeatureSchema, Label, StatusRecord
+from .schema import FeatureSchema, Label, StatusRecord, Timelines
 
 META_COLUMNS = ("character_id", "account_id", "timestamp")
 
@@ -62,8 +62,10 @@ class IngestStats:
         return self.records_read - self.records_dropped
 
     def drop(self, reason: str, count: int = 1) -> None:
-        self.records_dropped += count
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + count
+        """Count rows dropped for ``reason``; a reason that drops none is not listed."""
+        if count:
+            self.records_dropped += count
+            self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + count
 
     def to_dict(self) -> dict:
         return {
@@ -144,8 +146,7 @@ def _check_row(row: list[str], n_fields: int) -> str | tuple[str, list[float]]:
 def _keep_valid(ids: np.ndarray, rows: np.ndarray, stats: IngestStats) -> StatusRows:
     """The (timestamp, values) rows whose values are all finite and non-negative."""
     valid = np.isfinite(rows[:, 1:]).all(axis=1) & (rows[:, 1:] >= 0.0).all(axis=1)
-    if not valid.all():
-        stats.drop(REASON_INVALID_VALUE, int(len(valid) - valid.sum()))
+    stats.drop(REASON_INVALID_VALUE, int(len(valid) - valid.sum()))
     return StatusRows(ids[valid], rows[valid, 0], rows[valid, 1:])
 
 
@@ -260,8 +261,7 @@ def _parse_block(block: bytes, n_fields: int, limit: int, stats: IngestStats) ->
         )
     ok = fast & np.isfinite(rows[:, 0])
     stats.records_read += n_fast
-    if ok.sum() < n_fast:
-        stats.drop(REASON_MALFORMED, n_fast - int(ok.sum()))
+    stats.drop(REASON_MALFORMED, n_fast - int(ok.sum()))
     row_ids: dict[int, str] = {}
     for i, row in zip(slow.tolist(), csv.reader([block[starts[i]:ends[i]].decode("utf-8") for i in slow])):
         if not row:
@@ -325,13 +325,13 @@ def build_timelines(
     labels: LabelFile | None,
     *,
     keep_unlabeled: bool = False,
-) -> tuple[list[CharacterTimeline], IngestStats]:
+) -> tuple[Timelines, IngestStats]:
     """Group rows per character, sort by time, and attach labels.
 
     Within a character, rows sharing a timestamp collapse to the one that
     appeared last in the input.  Characters absent from the label file are
     dropped unless ``keep_unlabeled`` (the scoring path) is set, in which case
-    they carry ``label=None``.  Sorting is stable, so equal-timestamp handling
+    their ``y`` is NaN.  Sorting is stable, so equal-timestamp handling
     does not depend on input order beyond last-wins.
     """
     stats = IngestStats()
@@ -339,30 +339,33 @@ def build_timelines(
 
     ids, code = np.unique(rows.character_id, return_inverse=True)
     order = np.lexsort((rows.timestamp, code))  # stable: input order breaks ties
-    code, timestamps, values = code[order], rows.timestamp[order], rows.values[order]
+    code, timestamps = code[order], rows.timestamp[order]
     # a row is superseded by the next one when both hold the same character and time
     kept = np.ones(len(order), dtype=bool)
     kept[:-1] = (code[1:] != code[:-1]) | (timestamps[1:] != timestamps[:-1])
-    bounds = np.searchsorted(code, np.arange(len(ids) + 1))
 
-    timelines: list[CharacterTimeline] = []
-    for c, character_id in enumerate(ids.tolist()):
-        rows_of = slice(bounds[c], bounds[c + 1])
-        label: Label | None = None
-        if labels is not None:
-            label = labels.entries.get(character_id)
-            if label is None and not keep_unlabeled:
-                stats.drop(REASON_UNLABELED, int(bounds[c + 1] - bounds[c]))
-                continue
-        keep = kept[rows_of]
-        if not keep.all():
-            stats.drop(REASON_DUPLICATE_TIMESTAMP, int(len(keep) - keep.sum()))
-        timelines.append(
-            CharacterTimeline(character_id, label, timestamps[rows_of][keep], values[rows_of][keep])
-        )
+    y = np.full(len(ids), np.nan)
+    if labels is not None and labels.entries:
+        names = np.array(list(labels.entries))
+        by_name = np.argsort(names)
+        at = by_name[np.searchsorted(names, ids, sorter=by_name).clip(max=len(names) - 1)]
+        found = names[at] == ids
+        y[found] = np.array(list(labels.entries.values()), dtype=float)[at[found]]
+    chars_kept = ~np.isnan(y) | (labels is None or keep_unlabeled)
+    of_kept_char = chars_kept[code]
+    stats.drop(REASON_UNLABELED, int(np.count_nonzero(~of_kept_char)))
+    stats.drop(REASON_DUPLICATE_TIMESTAMP, int(np.count_nonzero(of_kept_char & ~kept)))
+    kept &= of_kept_char
 
+    timelines = Timelines(
+        character_id=ids[chars_kept],
+        y=y[chars_kept],
+        bounds=np.append(np.searchsorted(code[kept], np.flatnonzero(chars_kept)), np.count_nonzero(kept)),
+        timestamp=timestamps[kept],
+        values=rows.values[order[kept]],
+    )
     stats.characters_total = len(ids)
-    stats.characters_labeled = sum(1 for t in timelines if t.label is not None)
+    stats.characters_labeled = int(np.count_nonzero(~np.isnan(timelines.y)))
     return timelines, stats
 
 
@@ -372,7 +375,7 @@ def load_timelines(
     schema: FeatureSchema,
     *,
     keep_unlabeled: bool = False,
-) -> tuple[list[CharacterTimeline], IngestStats]:
+) -> tuple[Timelines, IngestStats]:
     """Convenience wrapper: parse a log (and optional labels) into timelines."""
     rows, stats = parse_status_log(log_path, schema)
     labels = read_label_file(labels_path) if labels_path is not None else None

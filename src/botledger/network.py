@@ -74,6 +74,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
+from .schema import json_bool, json_int
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -129,12 +130,12 @@ class ModelConfig:
     def from_dict(doc: dict) -> "ModelConfig":
         try:
             return ModelConfig(
-                input_dim=int(doc["input_dim"]),
-                hidden_dim=int(doc["hidden_dim"]),
+                input_dim=json_int(doc["input_dim"]),
+                hidden_dim=json_int(doc["hidden_dim"]),
                 dropout_p=float(doc["dropout_p"]),
                 l2_lambda=float(doc["l2_lambda"]),
-                use_batchnorm=bool(doc["use_batchnorm"]),
-                seed=int(doc["seed"]),
+                use_batchnorm=json_bool(doc["use_batchnorm"]),
+                seed=json_int(doc["seed"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model config document: {exc}") from exc

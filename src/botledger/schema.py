@@ -8,10 +8,13 @@ was fitted on.
 
 Data takes three forms.  ``StatusRecord`` is one log row, as the synthetic
 generator emits it and the log writer takes it.  Ingestion reads a log into
-one ``CharacterTimeline`` per character: a timestamp vector and a
-(T, n_features) value array.  Windowing cuts timelines into one
-``WindowSet``, an (N, L, D) window array with a label, a character and a
-start row per window; ``samples.npz`` stores exactly those four arrays.
+one ``Timelines``: every character's rows as shared columns, sorted by
+character and then time, with a label code per character and the row bounds
+of each.  A stage that works per character or per period selects rows with a
+mask or slices a character range; none builds an object per character.
+Windowing cuts the timelines into one ``WindowSet``, an (N, L, D) window
+array with a label, a character and a start row per window;
+``samples.npz`` stores exactly those four arrays.
 """
 
 from __future__ import annotations
@@ -43,6 +46,20 @@ class Label(enum.Enum):
             return Label(text.strip().lower())
         except ValueError:
             raise DataError(f"unknown label {text!r} (expected 'bot' or 'normal')") from None
+
+
+def json_int(value: object) -> int:
+    """A JSON integer field: an integral number (``4.0`` is 4), never a boolean or a string."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def json_bool(value: object) -> bool:
+    """A JSON switch: ``true`` or ``false``, never a number or a string."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
 
 
 class FeatureType(enum.Enum):
@@ -118,10 +135,10 @@ class FeatureSchema:
     def from_dict(doc: dict) -> "FeatureSchema":
         try:
             features = tuple(
-                Feature(id=int(f["id"]), name=str(f["name"]), type=FeatureType(f["type"]))
+                Feature(id=json_int(f["id"]), name=str(f["name"]), type=FeatureType(f["type"]))
                 for f in doc["features"]
             )
-            active = tuple(bool(a) for a in doc["active"])
+            active = tuple(json_bool(a) for a in doc["active"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed feature schema document: {exc}") from exc
         return FeatureSchema(features, active)
@@ -158,27 +175,55 @@ class StatusRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class CharacterTimeline:
-    """All snapshots of one character as columns, strictly increasing in time.
+class Timelines:
+    """Every character's snapshots as columns, sorted by character and time.
 
-    ``label`` is None for characters being scored without ground truth.
+    Character ``c`` is ``character_id[c]`` (ascending) with target ``y[c]``,
+    coded like ``WindowSet.y``.  Its rows are ``bounds[c]:bounds[c + 1]`` of
+    ``timestamp`` and ``values``, strictly increasing in time, and every
+    character owns at least one row.
     """
 
-    character_id: str
-    label: Label | None
-    timestamps: np.ndarray  # shape (T,)
-    values: np.ndarray  # shape (T, n_features), raw units, row t taken at timestamps[t]
+    character_id: np.ndarray  # (C,) str
+    y: np.ndarray  # (C,) 1.0 bot, 0.0 normal, NaN unlabeled
+    bounds: np.ndarray  # (C + 1,) int64, from 0 to N
+    timestamp: np.ndarray  # (N,)
+    values: np.ndarray  # (N, n_features), raw units
 
     def __post_init__(self) -> None:
-        timestamps = np.asarray(self.timestamps, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if timestamps.ndim != 1 or values.ndim != 2 or len(values) != len(timestamps):
-            raise ValueError("timeline needs timestamps (T,) and values (T, n_features)")
-        object.__setattr__(self, "timestamps", timestamps)
-        object.__setattr__(self, "values", values)
+        for name, dtype in (("character_id", str), ("y", float), ("bounds", np.int64), ("timestamp", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        n_rows, bounds = len(self.timestamp), self.bounds
+        if self.timestamp.ndim != 1 or self.values.ndim != 2 or len(self.values) != n_rows:
+            raise ValueError("timelines need timestamp (N,) and values (N, n_features)")
+        if not self.character_id.shape == self.y.shape == (len(bounds) - 1,):
+            raise ValueError("character_id and y need one entry per character, bounds one more")
+        if bounds[0] != 0 or bounds[-1] != n_rows or (np.diff(bounds) < 1).any():
+            raise ValueError("bounds must rise from 0 to the row count by at least one row")
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.character_id)
+
+    def __getitem__(self, characters: slice) -> "Timelines":
+        """A range of characters, sharing this object's row arrays."""
+        start, stop, step = characters.indices(len(self))
+        if step != 1:
+            raise ValueError("only contiguous character ranges can be sliced")
+        lo, hi = self.bounds[start], self.bounds[stop]
+        return Timelines(
+            self.character_id[start:stop], self.y[start:stop], self.bounds[start : stop + 1] - lo,
+            self.timestamp[lo:hi], self.values[lo:hi],
+        )
+
+    def select(self, rows: np.ndarray) -> "Timelines":
+        """The rows a boolean mask keeps; a character left with none is dropped."""
+        ends = np.concatenate(([0], np.cumsum(rows)))[self.bounds]
+        owned = ends[1:] > ends[:-1]
+        return Timelines(
+            self.character_id[owned], self.y[owned], np.concatenate(([0], ends[1:][owned])),
+            self.timestamp[rows], self.values[rows],
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,22 +242,19 @@ class WindowSet:
     start: np.ndarray  # (N,) int64
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        character = np.asarray(self.character)
-        start = np.asarray(self.start, dtype=np.int64)
+        for name, dtype in (("x", float), ("y", float), ("character", None), ("start", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        x, y = self.x, self.y
         if x.ndim != 3:
             raise ValueError("window array x must be 3-D (windows, steps, features)")
         if not np.isfinite(x).all():
             raise ValueError("window array x contains non-finite values")
         if x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise ValueError("window values must lie in [0, 1]")
-        if not y.shape == character.shape == start.shape == (len(x),):
+        if not y.shape == self.character.shape == self.start.shape == (len(x),):
             raise ValueError("y, character and start must hold one entry per window")
         if not ((y == 0.0) | (y == 1.0) | np.isnan(y)).all():
             raise ValueError("window targets must be 0, 1 or NaN (unlabeled)")
-        for name, value in (("x", x), ("y", y), ("character", character), ("start", start)):
-            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.x)

@@ -28,7 +28,7 @@ from botledger.harness import (
 from botledger.ingest import StatusRows, build_timelines
 from botledger.model_io import ModelBundle, load_model, save_model
 from botledger.network import ModelConfig, forward, gradient_check, init_params
-from botledger.schema import CharacterTimeline, Label, canonical_schema
+from botledger.schema import Label, Timelines, canonical_schema
 from botledger.synth import (
     GenConfig,
     generate,
@@ -82,13 +82,13 @@ def test_window_counts() -> None:
     schema = canonical_schema()
     rng = np.random.default_rng(3)
 
-    def timeline(n: int) -> CharacterTimeline:
+    def timeline(n: int) -> Timelines:
         values = rng.uniform(1, 9, size=(n, len(schema)))
-        return CharacterTimeline("c1", Label.NORMAL, 3600.0 * np.arange(n), values)
+        return Timelines(["c1"], [Label.NORMAL.encode()], [0, n], 3600.0 * np.arange(n), values)
 
-    shorter = windows_from_timelines([timeline(5)], schema, WindowConfig(window_length=6, stride=1))
+    shorter = windows_from_timelines(timeline(5), schema, WindowConfig(window_length=6, stride=1))
     assert len(shorter) == 0
-    exact = windows_from_timelines([timeline(6)], schema, WindowConfig(window_length=6, stride=3))
+    exact = windows_from_timelines(timeline(6), schema, WindowConfig(window_length=6, stride=3))
     assert len(exact) == 1
     assert exact.x[0].shape == (6, len(schema))
     print("PASS windowing: exhaustive (L, w, s) sweep to L=50 plus boundary cases")

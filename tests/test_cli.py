@@ -194,6 +194,39 @@ def test_featurize_bytes_are_pinned(tmp_path, capsys) -> None:
         assert got == digests, scope
 
 
+def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
+    # digests of the bytes written while timelines were one object per character
+    data = tmp_path / "data"
+    assert run(
+        ["synth", "--bots", "6", "--normals", "18", "--days", "14", "--seed", "3", "--out", str(data)]
+    ) == 0
+    log, labels = str(data / "status_log.csv"), str(data / "labels.csv")
+    assert run(["featurize", "--log", log, "--labels", labels, "--out", str(tmp_path / "feat")]) == 0
+    assert run(
+        ["train", "--samples", str(tmp_path / "feat"), "--epochs", "1", "--seed", "3",
+         "--out", str(tmp_path / "model")]
+    ) == 0
+    crossval = ["crossval", "--log", log, "--labels", labels, "--k", "3", "--epochs", "1", "--seed", "3"]
+    runs = {
+        "cv/report.json": (
+            [*crossval, "--out", str(tmp_path / "cv")],
+            "2fccea67587c366efcb07d21cd022da3d9e6d328f6ee38f6dd9fd125e7e67080",
+        ),
+        "cvp/report.json": (
+            [*crossval, "--by-period", "7", "--out", str(tmp_path / "cvp")],
+            "8a6e265658708e61080acf31c644666c8a7c4e0adaacc50c861887769e436964",
+        ),
+        "score/scores.csv": (
+            ["score", "--log", log, "--labels", labels, "--model", str(tmp_path / "model" / "model.bin"),
+             "--out", str(tmp_path / "score")],
+            "c2685ca5cf893d62a1c9268470c3cb5da8e996590309519ca04850ad558cbd76",
+        ),
+    }
+    for name, (argv, digest) in runs.items():
+        assert run(argv) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_featurize_window_longer_than_history(dataset, tmp_path, capsys) -> None:
     rc = run(
         [
@@ -617,6 +650,29 @@ def _narrow_featurize_schema(blob: bytes) -> bytes:
     return json.dumps(_drop_first_active_feature(json.loads(blob), "schema")).encode()
 
 
+def _set_field(*path, value):
+    """An edit that sets ``doc[path[0]][path[1]]...`` to ``value``."""
+
+    def edit(doc: dict) -> dict:
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return doc
+
+    return edit
+
+
+def _model_field(*path, value):
+    """Rewrite one field of a model.bin's metadata."""
+    return _with_model_metadata(_set_field(*path, value=value))
+
+
+def _featurize_field(*path, value):
+    """Rewrite one field of a featurize.json."""
+    return lambda blob: json.dumps(_set_field(*path, value=value)(json.loads(blob))).encode()
+
+
 def _with_samples(name, edit):
     """Rewrite one array of a samples.npz through ``edit``."""
 
@@ -735,6 +791,21 @@ def _put(index, value):
         ("crossval", {"stride": 0}, None, 1),
         ("synth", {"bots": -1}, None, 1),
         ("score", None, ("model.bin", None), 2),
+        # option combinations synth cannot run
+        ("synth", {"days": 1, "interval_hours": 100}, None, 1),
+        ("synth", {"bots": 0, "normals": 0}, None, 1),
+        # artifact fields cast strictly: switches are JSON booleans, integer
+        # fields integral numbers
+        ("score", None, ("model.bin", _model_field("model_config", "use_batchnorm", value="false")), 2),
+        ("score", None, ("model.bin", _model_field("model_config", "use_batchnorm", value=1)), 2),
+        ("score", None, ("model.bin", _model_field("model_config", "hidden_dim", value=32.9)), 2),
+        ("score", None, ("model.bin", _model_field("model_config", "seed", value="11")), 2),
+        ("score", None, ("model.bin", _model_field("feature_schema", "active", 0, value=1)), 2),
+        ("score", None, ("model.bin", _model_field("feature_schema", "features", 0, "id", value=1.5)), 2),
+        ("score", None, ("model.bin", _model_field("window_config", "window_length", value=24.5)), 2),
+        ("score", None, ("model.bin", _model_field("window_config", "stride", value=True)), 2),
+        ("train", None, ("featurize.json", _featurize_field("window_config", "stride", value="12")), 2),
+        ("train", None, ("featurize.json", _featurize_field("schema", "active", 0, value="true")), 2),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -767,6 +838,20 @@ def test_malformed_inputs_exit_with_documented_code(
         argv += ["--config", str(cfg_path)]
     assert run(argv) == code
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["--days", "1", "--interval-hours", "100"], ("--days", "--interval-hours")),
+        (["--bots", "0", "--normals", "0"], ("--bots", "--normals")),
+    ],
+)
+def test_synth_option_combinations_name_both_flags(argv, flags, tmp_path, capsys) -> None:
+    assert run(["synth", *argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags), err
     assert not (tmp_path / "out").exists()
 
 

@@ -13,14 +13,26 @@ from botledger.features import (
     window_start_indices,
     windows_from_timelines,
 )
-from botledger.schema import CharacterTimeline, Label, canonical_schema
+from botledger.schema import Label, Timelines, canonical_schema
 
 SCHEMA = canonical_schema()
 
 
+def _timelines(*characters):
+    """(id, label, value matrix) characters as one Timelines, rows at t = 0, 1, ..."""
+    matrices = [np.asarray(matrix, dtype=float) for _, _, matrix in characters]
+    lengths = [len(matrix) for matrix in matrices]
+    return Timelines(
+        character_id=np.array([cid for cid, _, _ in characters]),
+        y=[np.nan if label is None else label.encode() for _, label, _ in characters],
+        bounds=np.cumsum([0, *lengths]),
+        timestamp=np.concatenate([np.arange(n, dtype=float) for n in lengths]),
+        values=np.concatenate(matrices),
+    )
+
+
 def _timeline(cid, label, matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    return CharacterTimeline(cid, label, np.arange(len(matrix), dtype=float), matrix)
+    return _timelines((cid, label, matrix))
 
 
 # --- min-max scaling -------------------------------------------------------
@@ -79,7 +91,7 @@ def test_slide_windows_starts_and_labels() -> None:
     matrix = np.tile(np.arange(10.0)[:, None], (1, 9))
     timeline = _timeline("c1", Label.BOT, matrix)
     cfg = WindowConfig(window_length=4, stride=2)
-    samples = windows_from_timelines([timeline], SCHEMA, cfg)
+    samples = windows_from_timelines(timeline, SCHEMA, cfg)
     assert samples.character.tolist() == ["c1"] * 4
     assert samples.start.tolist() == [0, 2, 4, 6]
     assert samples.y.tolist() == [1.0] * 4
@@ -88,7 +100,7 @@ def test_slide_windows_starts_and_labels() -> None:
 
 def test_slide_windows_short_timeline_yields_nothing() -> None:
     timeline = _timeline("c1", Label.BOT, np.ones((3, 9)))
-    assert len(windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 1))) == 0
+    assert len(windows_from_timelines(timeline, SCHEMA, WindowConfig(4, 1))) == 0
 
 
 def test_per_character_vs_per_window_scaling() -> None:
@@ -98,11 +110,11 @@ def test_per_character_vs_per_window_scaling() -> None:
     matrix[:, 1] = 1.0  # constant; scales to zeros either way
     timeline = _timeline("c1", Label.NORMAL, matrix)
 
-    per_char = windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 4, ScalingScope.PER_CHARACTER))
+    per_char = windows_from_timelines(timeline, SCHEMA, WindowConfig(4, 4, ScalingScope.PER_CHARACTER))
     assert np.allclose(per_char.x[1][:, 0], np.array([4, 5, 6, 7]) / 7.0)
     assert per_char.x[1][:, 1].tolist() == [0.0] * 4
 
-    per_win = windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 4, ScalingScope.PER_WINDOW))
+    per_win = windows_from_timelines(timeline, SCHEMA, WindowConfig(4, 4, ScalingScope.PER_WINDOW))
     assert per_win.x[1][:, 0].tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
     assert per_win.x[1][:, 1].tolist() == [0.0] * 4
 
@@ -111,7 +123,7 @@ def test_per_window_exact_example() -> None:
     matrix = np.ones((4, 9))
     matrix[:, 0] = [1.0, 2.0, 3.0, 5.0]
     timeline = _timeline("c1", Label.NORMAL, matrix)
-    samples = windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 1, ScalingScope.PER_WINDOW))
+    samples = windows_from_timelines(timeline, SCHEMA, WindowConfig(4, 1, ScalingScope.PER_WINDOW))
     assert len(samples) == 1
     assert samples.x[0][:, 0].tolist() == [0.0, 0.25, 0.5, 1.0]
 
@@ -119,15 +131,56 @@ def test_per_window_exact_example() -> None:
 def test_slide_windows_respects_active_mask() -> None:
     schema = SCHEMA.deactivate([0, 8])
     timeline = _timeline("c1", Label.BOT, np.tile(np.arange(6.0)[:, None], (1, 9)))
-    samples = windows_from_timelines([timeline], schema, WindowConfig(3, 3))
+    samples = windows_from_timelines(timeline, schema, WindowConfig(3, 3))
     assert samples.x[0].shape == (3, 7)
 
 
 def test_windows_from_timelines_concatenates_in_order() -> None:
-    t1 = _timeline("a", Label.BOT, np.tile(np.arange(5.0)[:, None], (1, 9)))
-    t2 = _timeline("b", Label.NORMAL, np.tile(np.arange(4.0)[:, None], (1, 9)))
-    samples = windows_from_timelines([t1, t2], SCHEMA, WindowConfig(3, 1))
+    timelines = _timelines(
+        ("a", Label.BOT, np.tile(np.arange(5.0)[:, None], (1, 9))),
+        ("b", Label.NORMAL, np.tile(np.arange(4.0)[:, None], (1, 9))),
+    )
+    samples = windows_from_timelines(timelines, SCHEMA, WindowConfig(3, 1))
     assert samples.character.tolist() == ["a", "a", "a", "b", "b"]
+
+
+@pytest.mark.parametrize("scope", list(ScalingScope))
+def test_windows_of_many_characters_equal_one_character_calls(scope) -> None:
+    rng = np.random.default_rng(4)
+    shapes = [(Label.BOT, 11), (Label.NORMAL, 3), (None, 8), (Label.NORMAL, 4), (Label.BOT, 5)]
+    characters = [(f"c{i}", label, rng.uniform(1, 9, (n, 9))) for i, (label, n) in enumerate(shapes)]
+    cfg = WindowConfig(4, 3, scope)
+    whole = windows_from_timelines(_timelines(*characters), SCHEMA, cfg)
+    parts = [windows_from_timelines(_timeline(*character), SCHEMA, cfg) for character in characters]
+    assert len(whole) == 3 + 0 + 2 + 1 + 1
+    assert np.array_equal(whole.x, np.concatenate([p.x for p in parts]))
+    assert np.array_equal(whole.y, np.concatenate([p.y for p in parts]), equal_nan=True)
+    assert whole.character.tolist() == sum((p.character.tolist() for p in parts), [])
+    assert whole.start.tolist() == sum((p.start.tolist() for p in parts), [])
+
+
+def test_per_character_scale_covers_rows_after_the_last_window() -> None:
+    # window 4, stride 3 cuts b at row 0 only; its maximum sits in row 5
+    matrix = np.ones((6, 9))
+    matrix[:, 0] = [0.0, 1.0, 2.0, 3.0, 4.0, 10.0]
+    timelines = _timelines(("a", Label.NORMAL, np.ones((5, 9))), ("b", Label.BOT, matrix))
+    samples = windows_from_timelines(timelines, SCHEMA, WindowConfig(4, 3))
+    assert samples.character.tolist() == ["a", "b"]
+    assert samples.x[1][:, 0].tolist() == [0.0, 0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_trailing_row_of_windowed_character_is_numeric_error(bad) -> None:
+    matrix = np.ones((6, 9))
+    matrix[5, 3] = bad  # in no window of length 4, stride 3
+    short = np.ones((2, 9))
+    short[1, 3] = bad
+    cfg, plain = WindowConfig(4, 3), ("a", Label.NORMAL, np.ones((5, 9)))
+    with pytest.raises(NumericError):
+        windows_from_timelines(_timelines(plain, ("b", Label.BOT, matrix)), SCHEMA, cfg)
+    # a character too short for a window is never scaled
+    samples = windows_from_timelines(_timelines(plain, ("s", None, short)), SCHEMA, cfg)
+    assert samples.character.tolist() == ["a"]
 
 
 def test_window_config_validation() -> None:
@@ -135,6 +188,10 @@ def test_window_config_validation() -> None:
         WindowConfig(window_length=1, stride=1)
     with pytest.raises(ValueError):
         WindowConfig(window_length=4, stride=0)
+    # a scope given by its name scales as that scope
+    assert WindowConfig(4, 1, "per-window").scaling_scope is ScalingScope.PER_WINDOW
+    with pytest.raises(ValueError):
+        WindowConfig(4, 1, "global")
 
 
 # --- feature elimination ----------------------------------------------------
@@ -165,13 +222,12 @@ def _elimination_fixture():
     normal2[:, [1, 2, 3, 5, 7, 8]] += 0.5
     bot2[:, 6] = 7.5
     normal2[:, 6] = 7.5
-    timelines = [
-        _timeline("b1", Label.BOT, bot),
-        _timeline("b2", Label.BOT, bot2),
-        _timeline("n1", Label.NORMAL, normal),
-        _timeline("n2", Label.NORMAL, normal2),
-    ]
-    return timelines
+    return _timelines(
+        ("b1", Label.BOT, bot),
+        ("b2", Label.BOT, bot2),
+        ("n1", Label.NORMAL, normal),
+        ("n2", Label.NORMAL, normal2),
+    )
 
 
 def test_elimination_drops_exactly_engineered_columns() -> None:
@@ -201,14 +257,14 @@ def test_elimination_evidence_values() -> None:
 
 
 def test_elimination_needs_both_groups() -> None:
-    bots_only = [_timeline("b1", Label.BOT, np.ones((3, 9)))]
+    bots_only = _timeline("b1", Label.BOT, np.ones((3, 9)))
     with pytest.raises(DataError):
         eliminate_noninfluential(bots_only, SCHEMA)
 
 
 def test_elimination_dropping_everything_is_fatal() -> None:
     same = np.ones((4, 9))
-    timelines = [_timeline("b", Label.BOT, same), _timeline("n", Label.NORMAL, same)]
+    timelines = _timelines(("b", Label.BOT, same), ("n", Label.NORMAL, same))
     with pytest.raises(DataError):
         eliminate_noninfluential(timelines, SCHEMA)
 
@@ -222,7 +278,7 @@ def test_rule2_never_fires_with_any_nonzero() -> None:
         for col in range(9):
             target = bot if rng.random() < 0.5 else normal
             target[int(rng.integers(0, 5)), col] = float(rng.uniform(1e-9, 1.0))
-        timelines = [_timeline("b", Label.BOT, bot), _timeline("n", Label.NORMAL, normal)]
+        timelines = _timelines(("b", Label.BOT, bot), ("n", Label.NORMAL, normal))
         _, report = eliminate_noninfluential(timelines, SCHEMA)
         assert not any(e.dropped_rule2 for e in report.entries)
 
@@ -230,7 +286,7 @@ def test_rule2_never_fires_with_any_nonzero() -> None:
 def test_rule2_flag_accuracy_even_when_all_dropped() -> None:
     bot = np.zeros((5, 9))
     normal = np.zeros((5, 9))
-    timelines = [_timeline("b", Label.BOT, bot), _timeline("n", Label.NORMAL, normal)]
+    timelines = _timelines(("b", Label.BOT, bot), ("n", Label.NORMAL, normal))
     with pytest.raises(DataError):
         eliminate_noninfluential(timelines, SCHEMA)
 
@@ -241,9 +297,8 @@ def test_rule2_flag_accuracy_even_when_all_dropped() -> None:
 def _sample_set():
     matrix = np.zeros((8, 9))
     matrix[:, 0] = np.linspace(0, 7, 8)
-    bot = _timeline("b1", Label.BOT, matrix)
-    normal = _timeline("n1", Label.NORMAL, matrix)
-    return windows_from_timelines([bot, normal], SCHEMA, WindowConfig(8, 1))
+    timelines = _timelines(("b1", Label.BOT, matrix), ("n1", Label.NORMAL, matrix))
+    return windows_from_timelines(timelines, SCHEMA, WindowConfig(8, 1))
 
 
 def test_summary_quartiles_frozen_example() -> None:
@@ -251,7 +306,7 @@ def test_summary_quartiles_frozen_example() -> None:
     matrix = np.zeros((4, 9))
     matrix[:, 0] = [0.0, 1.0, 4.0, 10.0]
     timeline = _timeline("b1", Label.BOT, matrix)
-    samples = windows_from_timelines([timeline], SCHEMA, WindowConfig(4, 1))
+    samples = windows_from_timelines(timeline, SCHEMA, WindowConfig(4, 1))
     # need a normal sample too for the summary to be complete? no: missing label flagged
     summary = summarize_distributions(samples, SCHEMA)
     row = next(r for r in summary.rows if r.feature_name == "Number of Items")

@@ -21,7 +21,7 @@ from botledger.harness import (
     train,
 )
 from botledger.network import ModelConfig, bce_loss, forward, init_params
-from botledger.schema import CharacterTimeline, Label, WindowSet
+from botledger.schema import Label, Timelines, WindowSet
 
 
 def window_set(windows):
@@ -244,48 +244,55 @@ def test_conflicting_character_labels_rejected() -> None:
 
 # ---------------------------------------------------------------- periods
 
-def _timeline(cid, label, timestamps):
-    return CharacterTimeline(cid, label, timestamps, np.zeros((len(timestamps), 2)))
+def _timelines(*characters):
+    """(id, label, timestamps) characters as one Timelines of two zero columns."""
+    lengths = [len(timestamps) for _, _, timestamps in characters]
+    return Timelines(
+        character_id=np.array([cid for cid, _, _ in characters], dtype=str),
+        y=[label.encode() for _, label, _ in characters],
+        bounds=np.cumsum([0, *lengths]),
+        timestamp=[t for _, _, timestamps in characters for t in timestamps],
+        values=np.zeros((sum(lengths), 2)),
+    )
 
 
 def test_split_by_period_four_weeks() -> None:
     day = 86400.0
     hours = np.arange(0, 28 * 24) * 3600.0
-    tl = _timeline("c1", Label.BOT, hours)
-    parts = split_by_period([tl], 7 * day)
+    parts = split_by_period(_timelines(("c1", Label.BOT, hours)), 7 * day)
     assert [p for p, _ in parts] == [0, 1, 2, 3]
     for _, subs in parts:
-        assert len(subs) == 1 and len(subs[0]) == 7 * 24
+        assert len(subs) == 1 and subs.bounds.tolist() == [0, 7 * 24]
 
 
 def test_split_boundary_goes_to_later_period() -> None:
-    tl = _timeline("c1", Label.NORMAL, [0.0, 100.0, 200.0])
-    parts = split_by_period([tl], 100.0)
+    parts = split_by_period(_timelines(("c1", Label.NORMAL, [0.0, 100.0, 200.0])), 100.0)
     assert [p for p, _ in parts] == [0, 1, 2]
-    assert parts[1][1][0].timestamps.tolist() == [100.0]
-    assert parts[2][1][0].timestamps.tolist() == [200.0]
+    assert parts[1][1].timestamp.tolist() == [100.0]
+    assert parts[2][1].timestamp.tolist() == [200.0]
 
 
 def test_split_timeline_confined_to_one_period() -> None:
-    inside = _timeline("late", Label.BOT, [250.0, 260.0])
-    spanning = _timeline("wide", Label.NORMAL, [0.0, 150.0, 250.0])
-    parts = dict(split_by_period([inside, spanning], 100.0))
-    assert {t.character_id for t in parts[2]} == {"late", "wide"}
-    assert {t.character_id for t in parts[0]} == {"wide"}
-    assert "late" not in {t.character_id for t in parts[1]}
+    timelines = _timelines(("late", Label.BOT, [250.0, 260.0]), ("wide", Label.NORMAL, [0.0, 150.0, 250.0]))
+    parts = dict(split_by_period(timelines, 100.0))
+    assert parts[2].character_id.tolist() == ["late", "wide"]
+    assert parts[2].y.tolist() == [1.0, 0.0]
+    assert parts[2].bounds.tolist() == [0, 2, 3]
+    assert parts[0].character_id.tolist() == ["wide"]
+    assert parts[1].character_id.tolist() == ["wide"]
+    assert parts[1].timestamp.tolist() == [150.0]
 
 
 def test_split_anchor_defaults_to_earliest_record() -> None:
-    tl = _timeline("c1", Label.BOT, [1000.0, 1050.0, 1120.0])
-    parts = split_by_period([tl], 100.0)
+    parts = split_by_period(_timelines(("c1", Label.BOT, [1000.0, 1050.0, 1120.0])), 100.0)
     assert [p for p, _ in parts] == [0, 1]
-    assert len(parts[0][1][0]) == 2
+    assert parts[0][1].bounds.tolist() == [0, 2]
 
 
 def test_split_rejects_bad_period() -> None:
     with pytest.raises(ValueError):
-        split_by_period([], 0.0)
-    assert split_by_period([], 7.0) == []
+        split_by_period(_timelines(), 0.0)
+    assert split_by_period(_timelines(), 7.0) == []
 
 
 # --------------------------------------------------------------- training

@@ -198,9 +198,10 @@ def test_build_timelines_sorts_and_labels() -> None:
     records = [_rec("c2", 5), _rec("c1", 9), _rec("c1", 3), _rec("c1", 5)]
     labels = LabelFile({"c1": Label.BOT, "c2": Label.NORMAL}, as_of="2024-02-01")
     timelines, stats = build_timelines(_rows(records), labels)
-    assert [t.character_id for t in timelines] == ["c1", "c2"]
-    assert timelines[0].label is Label.BOT
-    assert timelines[0].timestamps.tolist() == [3.0, 5.0, 9.0]
+    assert timelines.character_id.tolist() == ["c1", "c2"]
+    assert timelines.y.tolist() == [1.0, 0.0]
+    assert timelines.bounds.tolist() == [0, 3, 4]
+    assert timelines.timestamp.tolist() == [3.0, 5.0, 9.0, 5.0]
     assert stats.records_read == 4
     assert stats.records_dropped == 0
     assert stats.characters_total == 2
@@ -211,30 +212,34 @@ def test_build_timelines_duplicate_timestamp_keeps_last() -> None:
     records = [_rec("c1", 5, fill=1.0), _rec("c1", 5, fill=2.0), _rec("c1", 6, fill=3.0)]
     labels = LabelFile({"c1": Label.NORMAL}, as_of="")
     timelines, stats = build_timelines(_rows(records), labels)
-    assert timelines[0].timestamps.tolist() == [5.0, 6.0]
-    assert timelines[0].values[0, 0] == 2.0  # later input row won
+    assert timelines.timestamp.tolist() == [5.0, 6.0]
+    assert timelines.values[0, 0] == 2.0  # later input row won
     assert stats.drop_reasons == {"duplicate_timestamp": 1}
 
 
 def test_build_timelines_drops_unlabeled() -> None:
-    records = [_rec("known", 1), _rec("ghost", 1), _rec("ghost", 2)]
+    # a dropped character's duplicate rows count as unlabeled, a kept one's as duplicates
+    records = [_rec("known", 1), _rec("ghost", 1), _rec("ghost", 2), _rec("ghost", 2)]
     labels = LabelFile({"known": Label.BOT}, as_of="")
     timelines, stats = build_timelines(_rows(records), labels)
-    assert [t.character_id for t in timelines] == ["known"]
-    assert stats.drop_reasons == {"unlabeled": 2}
+    assert timelines.character_id.tolist() == ["known"]
+    assert stats.drop_reasons == {"unlabeled": 3}
     assert stats.records_kept == 1
 
     kept, stats2 = build_timelines(_rows(records), labels, keep_unlabeled=True)
-    assert [t.character_id for t in kept] == ["ghost", "known"]
-    assert kept[0].label is None
-    assert stats2.records_dropped == 0
+    assert kept.character_id.tolist() == ["ghost", "known"]
+    assert np.isnan(kept.y[0]) and kept.y[1] == 1.0
+    assert kept.bounds.tolist() == [0, 2, 3]
+    assert stats2.drop_reasons == {"duplicate_timestamp": 1}
+    assert stats2.records_dropped == 1
+    assert stats2.characters_labeled == 1
 
 
 def test_build_timelines_no_label_file_keeps_everyone() -> None:
     records = [_rec("x", 1), _rec("y", 1)]
     timelines, _ = build_timelines(_rows(records), None)
-    assert [t.character_id for t in timelines] == ["x", "y"]
-    assert all(t.label is None for t in timelines)
+    assert timelines.character_id.tolist() == ["x", "y"]
+    assert np.isnan(timelines.y).all()
 
 
 def test_timeline_order_is_input_order_independent() -> None:
@@ -247,11 +252,11 @@ def test_timeline_order_is_input_order_independent() -> None:
     for trial in range(20):
         shuffled = [base[i] for i in rng.permutation(len(base))]
         got, _ = build_timelines(_rows(shuffled), labels)
-        assert [t.character_id for t in got] == [t.character_id for t in reference]
-        for a, b in zip(got, reference):
-            ts = a.timestamps
-            assert (np.diff(ts) > 0).all()  # strictly increasing
-            assert np.array_equal(a.values, b.values)
+        assert got.character_id.tolist() == reference.character_id.tolist()
+        assert got.bounds.tolist() == reference.bounds.tolist() == [0, 20, 35]
+        for c in range(len(got)):
+            assert (np.diff(got[c : c + 1].timestamp) > 0).all()  # strictly increasing
+        assert np.array_equal(got.values, reference.values)
 
 
 def test_conservation_read_equals_kept_plus_dropped(tmp_path) -> None:
@@ -312,7 +317,7 @@ def test_load_timelines_end_to_end(tmp_path) -> None:
     _write_log(log, [_row(cid="c1", ts=t) for t in range(3)] + [_row(cid="ghost", ts=0)])
     write_label_file(labels_path, LabelFile({"c1": Label.BOT}, as_of="x"))
     timelines, stats = load_timelines(log, labels_path, SCHEMA)
-    assert [t.character_id for t in timelines] == ["c1"]
+    assert timelines.character_id.tolist() == ["c1"]
     assert stats.records_read == 4
     assert stats.drop_reasons == {"unlabeled": 1}
     assert stats.records_kept == 3

@@ -3,10 +3,10 @@ import pytest
 
 from botledger.errors import DataError
 from botledger.schema import (
-    CharacterTimeline,
     FeatureSchema,
     FeatureType,
     Label,
+    Timelines,
     WindowSet,
     canonical_schema,
 )
@@ -87,10 +87,42 @@ def test_window_set_validation() -> None:
 
 
 def test_timeline_matrix_order() -> None:
-    timeline = CharacterTimeline(
-        "c1", Label.NORMAL, [1.0, 2.0, 3.0], [np.full(9, float(t)) for t in (1, 2, 3)]
+    timeline = Timelines(
+        ["c1"], [Label.NORMAL.encode()], [0, 3], [1.0, 2.0, 3.0], [np.full(9, float(t)) for t in (1, 2, 3)]
     )
-    assert len(timeline) == 3
-    assert timeline.timestamps.tolist() == [1.0, 2.0, 3.0]
+    assert len(timeline) == 1
+    assert timeline.timestamp.tolist() == [1.0, 2.0, 3.0]
     assert timeline.values.shape == (3, 9)
     assert timeline.values[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+
+def _three_characters() -> Timelines:
+    values = np.arange(12.0).reshape(6, 2)
+    return Timelines(["a", "b", "c"], [1.0, 0.0, np.nan], [0, 2, 3, 6], np.arange(6.0), values)
+
+
+def test_timelines_slice_shares_rows() -> None:
+    timelines = _three_characters()
+    tail = timelines[1:]
+    assert tail.character_id.tolist() == ["b", "c"]
+    assert tail.bounds.tolist() == [0, 1, 4]
+    assert tail.timestamp.tolist() == [2.0, 3.0, 4.0, 5.0]
+    assert np.shares_memory(tail.values, timelines.values)
+    assert np.shares_memory(tail.timestamp, timelines.timestamp)
+    assert len(timelines[3:]) == 0 and timelines[3:].bounds.tolist() == [0]
+    with pytest.raises(ValueError):
+        timelines[::2]
+
+
+def test_timelines_select_drops_characters_left_without_rows() -> None:
+    kept = _three_characters().select(np.array([True, False, False, False, True, True]))
+    assert kept.character_id.tolist() == ["a", "c"]
+    assert kept.y[0] == 1.0 and np.isnan(kept.y[1])
+    assert kept.bounds.tolist() == [0, 1, 3]
+    assert kept.values[:, 0].tolist() == [0.0, 8.0, 10.0]
+
+
+@pytest.mark.parametrize("bounds", [[0, 2, 2, 6], [1, 2, 3, 6], [0, 2, 3, 5], [0, 3, 6]])
+def test_timelines_bounds_give_every_character_rows(bounds) -> None:
+    with pytest.raises(ValueError):
+        Timelines(["a", "b", "c"], [1.0, 0.0, np.nan], bounds, np.arange(6.0), np.zeros((6, 2)))

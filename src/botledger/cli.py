@@ -8,7 +8,12 @@ distribution and elimination tables.
 
 Each option is one row of ``_OPTIONS``: its type, default, allowed range
 and argparse extras.  Its flag is the key with dashes, and a switch sets the
-opposite of its default (``--no-batchnorm`` sets ``batchnorm`` false).
+opposite of its default (``--no-batchnorm`` sets ``batchnorm`` false).  An
+option that sets a config field names that field and takes its default and
+range from it, as declared with ``schema.setting``, so the library and the
+CLI check the same ranges; only the CLI's own options state theirs in the
+row.  ``_config`` builds every config from the resolved options.
+
 Option precedence is CLI flag, then ``--config`` JSON file (keyed like the
 table), then the ``BOTLEDGER_SEED`` environment variable (seeds only), then
 built-in defaults.  ``_resolve`` casts every value to its option's type
@@ -17,12 +22,12 @@ JSON booleans, integer options only integral numbers, and float options only
 finite numbers.  A value outside its option's range is a usage error that
 names the flag.
 
-Output directories are made just before the first file is written, so a
-command that fails on its options or inputs leaves no ``--out`` behind.
-
-Every artifact-writing command drops a ``manifest.json`` beside its outputs
-with the resolved options, as cast, and sha256 checksums of inputs and
-outputs, so reruns can be compared byte-for-byte.
+``_write_outputs`` is the only writer of artifacts.  It makes ``--out``
+just before the first file is written, so a command that fails on its
+options or inputs leaves no ``--out`` behind, and it drops a
+``manifest.json`` beside the outputs with the resolved options, as cast, and
+sha256 checksums of inputs and outputs, so reruns can be compared
+byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or artifact error, 3 numeric
 failure.
@@ -37,10 +42,9 @@ import math
 import os
 import sys
 import zipfile
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,7 +71,20 @@ from .harness import (
 from .ingest import load_timelines, write_label_file, write_status_log
 from .model_io import ModelBundle, load_model, save_model
 from .network import ModelConfig
-from .schema import FeatureSchema, Label, WindowSet, canonical_schema, json_bool, json_int
+from .schema import (
+    POSITIVE,
+    UNIT,
+    FeatureSchema,
+    Label,
+    Range,
+    WindowSet,
+    at_least,
+    canonical_schema,
+    check_setting,
+    json_bool,
+    json_float,
+    json_int,
+)
 from .synth import GenConfig, generate, write_event_log
 
 
@@ -80,62 +97,54 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _field_defaults(cls: type) -> dict:
-    return {f.name: f.default for f in fields(cls)}
+class _Option(NamedTuple):
+    type: type
+    default: object
+    allowed: Range | None
+    extras: dict  # argparse extras
+    field: tuple[type, str] | None = None  # the config class and field the option sets
 
 
-_GEN = _field_defaults(GenConfig)
-_WINDOW = _field_defaults(WindowConfig)
-_MODEL = _field_defaults(ModelConfig)
-_TRAIN = _field_defaults(TrainOptions)
-
-# A numeric option's allowed values: a test and how the error message states it.
-_Range = tuple[Callable[[float], bool], str]
+def _setting(owner: type, name: str, typ: type, **extras) -> _Option:
+    """The option that sets field ``name`` of ``owner``, with that field's default and range."""
+    (f,) = (f for f in fields(owner) if f.name == name)
+    return _Option(typ, f.default, f.metadata.get("allowed"), extras, (owner, name))
 
 
-def _at_least(low: int) -> _Range:
-    return (lambda v: v >= low), "non-negative" if low == 0 else f"at least {low}"
-
-
-_POSITIVE: _Range = ((lambda v: v > 0), "positive")
-_UNIT: _Range = ((lambda v: 0 <= v <= 1), "in [0, 1]")
-_UNIT_OPEN: _Range = ((lambda v: 0 <= v < 1), "in [0, 1)")
-
-# Every option a command resolves: key -> (type, default, range, argparse extras).
-_OPTIONS: dict[str, tuple[type, object, _Range | None, dict]] = {
-    "bots": (int, 10, _at_least(0), {}),
-    "normals": (int, 40, _at_least(0), {}),
-    "days": (float, _GEN["days"], _POSITIVE, {}),
-    "interval_hours": (float, _GEN["snapshot_interval"] / 3600.0, _POSITIVE, {"help": "snapshot interval"}),
-    "separability": (
-        float, _GEN["separability"], _UNIT, {"help": "0: bots behave like humans; 1: fully bot-like"}
+# Every option a command resolves.
+_OPTIONS: dict[str, _Option] = {
+    "bots": _setting(GenConfig, "n_bots", int),
+    "normals": _setting(GenConfig, "n_normals", int),
+    "days": _setting(GenConfig, "days", float),
+    "interval_hours": _Option(float, GenConfig.snapshot_interval / 3600.0, POSITIVE, {"help": "snapshot interval"}),
+    "separability": _setting(GenConfig, "separability", float, help="0: bots behave like humans; 1: fully bot-like"),
+    "window_length": _setting(WindowConfig, "window_length", int, help="timesteps per training window"),
+    "stride": _setting(WindowConfig, "stride", int, help="offset between consecutive windows"),
+    "scaling_scope": _setting(
+        WindowConfig, "scaling_scope", ScalingScope, choices=[s.value for s in ScalingScope],
+        help="min-max over the whole timeline or each window",
     ),
-    "window_length": (int, _WINDOW["window_length"], _at_least(2), {"help": "timesteps per training window"}),
-    "stride": (int, _WINDOW["stride"], _at_least(1), {"help": "offset between consecutive windows"}),
-    "scaling_scope": (
-        ScalingScope,
-        _WINDOW["scaling_scope"],
-        None,
-        {"choices": [s.value for s in ScalingScope], "help": "min-max over the whole timeline or each window"},
-    ),
-    "hidden_dim": (int, _MODEL["hidden_dim"], _at_least(1), {"help": "LSTM hidden width"}),
-    "dropout": (float, _MODEL["dropout_p"], _UNIT_OPEN, {"help": "dropout probability on the final hidden state"}),
-    "l2": (float, _MODEL["l2_lambda"], _at_least(0), {"help": "L2 penalty on weight matrices"}),
-    "batch_size": (int, _TRAIN["batch_size"], _at_least(1), {}),
-    "epochs": (int, _TRAIN["epochs"], _at_least(0), {}),
-    "lr": (float, _TRAIN["lr"], _POSITIVE, {"help": "Adam learning rate"}),
-    "batchnorm": (bool, _MODEL["use_batchnorm"], None, {"help": "disable input batch normalization"}),
-    "early_stop_patience": (int, _TRAIN["early_stop_patience"], _at_least(1), {"help": "enable early stopping"}),
-    "k": (int, 10, _at_least(2), {"help": "number of folds"}),
-    "threshold": (float, 0.5, _UNIT, {"help": "bot decision threshold (ties count as bot)"}),
-    "by_period": (
+    "hidden_dim": _setting(ModelConfig, "hidden_dim", int, help="LSTM hidden width"),
+    "dropout": _setting(ModelConfig, "dropout_p", float, help="dropout probability on the final hidden state"),
+    "l2": _setting(ModelConfig, "l2_lambda", float, help="L2 penalty on weight matrices"),
+    "batch_size": _setting(TrainOptions, "batch_size", int),
+    "epochs": _setting(TrainOptions, "epochs", int),
+    "lr": _setting(TrainOptions, "lr", float, help="Adam learning rate"),
+    "batchnorm": _setting(ModelConfig, "use_batchnorm", bool, help="disable input batch normalization"),
+    "early_stop_patience": _setting(TrainOptions, "early_stop_patience", int, help="enable early stopping"),
+    "k": _Option(int, 10, at_least(2), {"help": "number of folds"}),
+    "threshold": _Option(float, 0.5, UNIT, {"help": "bot decision threshold (ties count as bot)"}),
+    "by_period": _Option(
         float,
         None,
-        _POSITIVE,
+        POSITIVE,
         {"nargs": "?", "const": 7.0, "help": "split rows by calendar period of this many days (default 7)"},
     ),
-    "leaky_folds": (bool, False, None, {"help": "assign windows to folds individually instead of per character"}),
-    "seed": (int, None, _at_least(0), {}),
+    "leaky_folds": _Option(
+        bool, False, None, {"help": "assign windows to folds individually instead of per character"}
+    ),
+    # one seed feeds every config of a command, some through derive_seed
+    "seed": _Option(int, None, at_least(0), {}),
 }
 _WINDOW_KEYS = ("window_length", "stride", "scaling_scope")
 _MODEL_KEYS = ("hidden_dim", "dropout", "l2", "batch_size", "epochs", "lr", "batchnorm")
@@ -151,50 +160,30 @@ _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
 
 
 def _flag(key: str) -> str:
-    typ, default, _, _ = _OPTIONS[key]
+    option = _OPTIONS[key]
     name = key.replace("_", "-")
-    return f"--no-{name}" if typ is bool and default else f"--{name}"
+    return f"--no-{name}" if option.type is bool and option.default else f"--{name}"
 
 
-@contextmanager
-def _option_values() -> Iterator[None]:
-    """Report option values a config class rejects as usage errors."""
-    try:
-        yield
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad option value: {exc}") from exc
-
-
-def _cast(key: str, value: object) -> object:
-    """``value`` as the type of option ``key``.
+def _cast(key: str, value: object, source: str | None = None) -> object:
+    """``value`` as the type of option ``key``, named ``source`` (its flag) in errors.
 
     Only JSON's own types convert: a switch takes ``true`` or ``false``, an
     integer option an integral number (``4.0`` is 4), and a float option a
     finite number.  Strings and booleans are never numbers.  The value must
     lie in the option's range.
     """
-    typ, default, _, _ = _OPTIONS[key]
+    option = _OPTIONS[key]
     if value is None:
-        if default is None:
+        if option.default is None:
             return None
         raise UsageError(f"config key {key!r} must not be null")
-    flag = _flag(key)
-    if typ is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise UsageError(f"{flag} must be a number, got {value!r}")
     try:
-        value = {bool: json_bool, int: json_int}.get(typ, typ)(value)
+        value = {bool: json_bool, int: json_int, float: json_float}.get(option.type, option.type)(value)
+        check_setting(value, option.allowed)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{flag} {exc}") from exc
-    if typ is float and not math.isfinite(value):
-        raise UsageError(f"{flag} must be finite, got {value}")
-    _check_range(flag, key, value)
+        raise UsageError(f"{source or _flag(key)} {exc}") from exc
     return value
-
-
-def _check_range(source: str, key: str, value: object) -> None:
-    allowed = _OPTIONS[key][2]
-    if allowed is not None and not allowed[0](value):
-        raise UsageError(f"{source} must be {allowed[1]}, got {value}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -213,7 +202,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags, in rising precedence,
     and cast every value to its option's type."""
     keys = _COMMAND_OPTIONS[args.command]
-    resolved = {key: _OPTIONS[key][1] for key in keys}
+    resolved = {key: _OPTIONS[key].default for key in keys}
     if args.config:
         file_cfg = _load_config_file(args.config)
         unknown = set(file_cfg) - set(keys)
@@ -228,108 +217,91 @@ def _resolve(args: argparse.Namespace) -> dict:
     if "seed" in resolved and resolved["seed"] is None:
         env = os.environ.get("BOTLEDGER_SEED", "0")
         try:
-            resolved["seed"] = int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"BOTLEDGER_SEED must be an integer, got {env!r}") from None
-        _check_range("BOTLEDGER_SEED", "seed", resolved["seed"])
+        resolved["seed"] = _cast("seed", seed, "BOTLEDGER_SEED")
     return resolved
+
+
+def _config(cls: type, resolved: dict, **fixed):
+    """A ``cls`` from the resolved options that set its fields, plus ``fixed`` field values."""
+    values = {
+        option.field[1]: resolved[key]
+        for key, option in _OPTIONS.items()
+        if key in resolved and option.field and option.field[0] is cls
+    }
+    try:
+        return cls(**values, **fixed)
+    except ValueError as exc:  # a field computed from options, such as the interval in seconds
+        raise UsageError(f"bad option value: {exc}") from exc
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
+def _write_outputs(
+    args: argparse.Namespace,
     resolved: dict,
-    inputs: list[Path],
-    outputs: list[Path],
+    inputs: list,
     seeds: dict,
-) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": resolved,
-        "seeds": seeds,
-        "inputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in inputs],
-        "outputs": [{"name": p.name, "sha256": _sha256(p)} for p in outputs],
-    }
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
+    outputs: dict[str, dict | str | Callable[[Path], object]],
+) -> Path:
+    """Make ``--out`` and write each named output into it: a dict as JSON, a
+    str as text, and a callable is given the path to write.  Then write
+    ``manifest.json`` with the resolved options, as cast, and the sha256 of
+    every input and output."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+
+    def write(name: str, content: dict | str | Callable[[Path], object]) -> None:
+        if callable(content):
+            content(out / name)
+        else:
+            text = content if isinstance(content, str) else json.dumps(content, indent=2, sort_keys=True) + "\n"
+            (out / name).write_text(text, encoding="utf-8")
+
+    for name, content in outputs.items():
+        write(name, content)
+    write(
+        "manifest.json",
+        {
+            "command": args.command,
+            "version": __version__,
+            "config": resolved,
+            "seeds": seeds,
+            "inputs": [{"path": str(Path(p)), "sha256": _sha256(Path(p))} for p in inputs],
+            "outputs": [{"name": name, "sha256": _sha256(out / name)} for name in outputs],
+        },
+    )
     return out
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _window_config(resolved: dict) -> WindowConfig:
-    with _option_values():
-        return WindowConfig(
-            window_length=resolved["window_length"],
-            stride=resolved["stride"],
-            scaling_scope=resolved["scaling_scope"],
-        )
-
-
-def _model_config(resolved: dict, input_dim: int) -> ModelConfig:
-    with _option_values():
-        return ModelConfig(
-            input_dim=input_dim,
-            hidden_dim=resolved["hidden_dim"],
-            dropout_p=resolved["dropout"],
-            l2_lambda=resolved["l2"],
-            use_batchnorm=resolved["batchnorm"],
-            seed=resolved["seed"],
-        )
-
-
-def _train_options(resolved: dict) -> TrainOptions:
-    with _option_values():
-        return TrainOptions(
-            epochs=resolved["epochs"],
-            batch_size=resolved["batch_size"],
-            lr=resolved["lr"],
-            shuffle_seed=derive_seed(resolved["seed"], 0x5EED),
-            early_stop_patience=resolved.get("early_stop_patience"),
-        )
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     if resolved["bots"] + resolved["normals"] < 1:
         raise UsageError("--bots and --normals must add up to at least 1")
-    with _option_values():
-        cfg = GenConfig(
-            n_bots=resolved["bots"],
-            n_normals=resolved["normals"],
-            days=resolved["days"],
-            snapshot_interval=resolved["interval_hours"] * 3600.0,
-            separability=resolved["separability"],
-            seed=resolved["seed"],
-        )
-        if cfg.steps < 2:
-            raise UsageError(f"--days and --interval-hours must give at least two snapshots, got {cfg.steps}")
+    cfg = _config(
+        GenConfig, resolved, snapshot_interval=resolved["interval_hours"] * 3600.0, seed=resolved["seed"]
+    )
+    try:
+        steps = cfg.steps
+    except OverflowError as exc:  # days / interval beyond the float range
+        raise UsageError(f"bad option value: {exc}") from exc
+    if steps < 2:
+        raise UsageError(f"--days and --interval-hours must give at least two snapshots, got {steps}")
     data = generate(cfg)
-    out = _out_dir(args)
-    log_path = out / "status_log.csv"
-    labels_path = out / "labels.csv"
-    events_path = out / "events.log"
-    write_status_log(log_path, data.records, canonical_schema())
-    write_label_file(labels_path, data.labels)
-    write_event_log(events_path, data.events)
-    _write_manifest(
-        out,
-        "synth",
+    out = _write_outputs(
+        args,
         resolved,
         inputs=[],
-        outputs=[log_path, labels_path, events_path],
         seeds={"seed": cfg.seed},
+        outputs={
+            "status_log.csv": lambda path: write_status_log(path, data.records, canonical_schema()),
+            "labels.csv": lambda path: write_label_file(path, data.labels),
+            "events.log": lambda path: write_event_log(path, data.events),
+        },
     )
     n_bots = sum(1 for lab in data.labels.entries.values() if lab is Label.BOT)
     print(
@@ -346,8 +318,7 @@ def _prepare_samples(args: argparse.Namespace, resolved: dict):
     if not timelines:
         raise DataError("no labeled timelines present in the input")
     active_schema, elim_report = eliminate_noninfluential(timelines, schema)
-    window_cfg = _window_config(resolved)
-    return timelines, stats, active_schema, elim_report, window_cfg
+    return timelines, stats, active_schema, elim_report, _config(WindowConfig, resolved)
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
@@ -358,36 +329,24 @@ def cmd_featurize(args: argparse.Namespace) -> int:
         raise DataError(
             "no windows produced; every timeline is shorter than the window length"
         )
-    out = _out_dir(args)
-    samples_path = out / "samples.npz"
-    with open(samples_path, "wb") as fh:
-        np.savez(
-            fh,
-            x=samples.x,
-            y=samples.y,
-            origin_character=samples.character,
-            origin_start=samples.start,
-        )
-    meta_path = out / "featurize.json"
-    _write_json(
-        meta_path,
-        {
-            "schema": schema.to_dict(),
-            "window_config": window_cfg.to_dict(),
-            "elimination": elim_report.to_dict(),
-            "ingest": stats.to_dict(),
-            "n_samples": len(samples),
-        },
-    )
-    elim_path = out / "elimination_report.txt"
-    elim_path.write_text(format_elimination_text(elim_report), encoding="utf-8")
-    _write_manifest(
-        out,
-        "featurize",
+    out = _write_outputs(
+        args,
         resolved,
-        inputs=[Path(args.log), Path(args.labels)],
-        outputs=[samples_path, meta_path, elim_path],
+        inputs=[args.log, args.labels],
         seeds={},
+        outputs={
+            "samples.npz": lambda path: np.savez(
+                path, x=samples.x, y=samples.y, origin_character=samples.character, origin_start=samples.start
+            ),
+            "featurize.json": {
+                "schema": schema.to_dict(),
+                "window_config": window_cfg.to_dict(),
+                "elimination": elim_report.to_dict(),
+                "ingest": stats.to_dict(),
+                "n_samples": len(samples),
+            },
+            "elimination_report.txt": format_elimination_text(elim_report),
+        },
     )
     kept = len(schema.active_indices())
     print(
@@ -409,6 +368,9 @@ def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, Windo
         window_cfg = WindowConfig.from_dict(meta["window_config"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read featurize metadata {meta_path}: {exc}") from exc
+    width = len(schema.active_indices())
+    if not width:
+        raise DataError(f"featurize metadata {meta_path} marks no feature active")
     try:
         with np.load(npz_path) as bundle:
             samples = WindowSet(
@@ -423,16 +385,19 @@ def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, Windo
         raise DataError(f"sample archive {npz_path} holds no windows")
     if np.isnan(samples.y).any():
         raise DataError(f"sample archive {npz_path} holds unlabeled windows")
-    width = len(schema.active_indices())
     if samples.x.shape[2] != width:
         raise DataError(f"windows in {npz_path} are not {width} features wide as {meta_path} says")
     return samples, schema, window_cfg, meta
 
 
+def _train_options(resolved: dict) -> TrainOptions:
+    return _config(TrainOptions, resolved, shuffle_seed=derive_seed(resolved["seed"], 0x5EED))
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     samples, schema, window_cfg, _ = _load_samples_dir(args.samples)
-    cfg = _model_config(resolved, input_dim=samples.x.shape[2])
+    cfg = _config(ModelConfig, resolved, input_dim=samples.x.shape[2], seed=resolved["seed"])
     opts = _train_options(resolved)
     params, log = train(samples, cfg, opts)
     summary = {
@@ -441,30 +406,21 @@ def cmd_train(args: argparse.Namespace) -> int:
         "final_loss": log[-1]["loss"] if log else None,
         "seed": cfg.seed,
     }
-    out = _out_dir(args)
-    model_path = out / "model.bin"
-    save_model(
-        model_path,
-        ModelBundle(
-            params=params,
-            config=cfg,
-            schema=schema,
-            window_config=window_cfg,
-            training_summary=summary,
-        ),
+    bundle = ModelBundle(
+        params=params, config=cfg, schema=schema, window_config=window_cfg, training_summary=summary
     )
-    log_path = out / "training_log.json"
-    _write_json(log_path, {"epochs": log, "summary": summary})
-    _write_manifest(
-        out,
-        "train",
+    out = _write_outputs(
+        args,
         resolved,
         inputs=[Path(args.samples) / "samples.npz", Path(args.samples) / "featurize.json"],
-        outputs=[model_path, log_path],
         seeds={"seed": cfg.seed, "shuffle_seed": opts.shuffle_seed},
+        outputs={
+            "model.bin": lambda path: save_model(path, bundle),
+            "training_log.json": {"epochs": log, "summary": summary},
+        },
     )
     final = f"{summary['final_loss']:.6f}" if log else "n/a"
-    print(f"trained on {len(samples)} windows for {len(log)} epochs (final loss {final}); model at {model_path}")
+    print(f"trained on {len(samples)} windows for {len(log)} epochs (final loss {final}); model at {out / 'model.bin'}")
     return 0
 
 
@@ -473,7 +429,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     seed, k, period_days, threshold = resolved["seed"], resolved["k"], resolved["by_period"], resolved["threshold"]
     timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
     grouped = not resolved["leaky_folds"]
-    cfg = _model_config(resolved, input_dim=len(schema.active_indices()))
+    cfg = _config(ModelConfig, resolved, input_dim=len(schema.active_indices()), seed=seed)
     opts = _train_options(resolved)
     folds = {"k": k, "seed": seed, "threshold": threshold, "group_by_character": grouped}
     detail: dict = {}
@@ -495,23 +451,9 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         text += f"skipped, no windows: {', '.join(detail['skipped_periods'])}\n"
     print(text, end="")
     if args.out:
-        out = _out_dir(args)
-        report_json = out / "report.json"
-        report_txt = out / "report.txt"
-        doc = report.to_dict()
-        doc["ingest"] = stats.to_dict()
-        doc["elimination"] = elim_report.to_dict()
-        doc.update(detail)
-        _write_json(report_json, doc)
-        report_txt.write_text(text, encoding="utf-8")
-        _write_manifest(
-            out,
-            "crossval",
-            resolved,
-            inputs=[Path(args.log), Path(args.labels)],
-            outputs=[report_json, report_txt],
-            seeds={"seed": seed},
-        )
+        doc = {**report.to_dict(), "ingest": stats.to_dict(), "elimination": elim_report.to_dict(), **detail}
+        outputs = {"report.json": doc, "report.txt": text}
+        _write_outputs(args, resolved, inputs=[args.log, args.labels], seeds={"seed": seed}, outputs=outputs)
     return 0
 
 
@@ -533,20 +475,13 @@ def cmd_score(args: argparse.Namespace) -> int:
         rows.append((cid, float(probs.mean()), label))
     rows.sort(key=lambda r: (-r[1], r[0]))
 
-    out = _out_dir(args)
-    scores_path = out / "scores.csv"
-    with open(scores_path, "w", encoding="utf-8") as fh:
-        fh.write("character_id,probability,label\n")
-        for cid, prob, label in rows:
-            fh.write(f"{cid},{prob:.6f},{label}\n")
-    inputs = [Path(args.model), Path(args.log)]
-    if args.labels:
-        inputs.append(Path(args.labels))
-    _write_manifest(out, "score", resolved, inputs=inputs, outputs=[scores_path], seeds={})
+    csv = "character_id,probability,label\n" + "".join(f"{cid},{prob:.6f},{label}\n" for cid, prob, label in rows)
+    inputs = [p for p in (args.model, args.log, args.labels) if p]
+    out = _write_outputs(args, resolved, inputs=inputs, seeds={}, outputs={"scores.csv": csv})
     flagged = sum(1 for _, prob, _ in rows if prob >= threshold)
     print(
         f"scored {len(rows)} characters ({flagged} at or above threshold {threshold:g}, "
-        f"{skipped} skipped as shorter than the window); scores at {scores_path}"
+        f"{skipped} skipped as shorter than the window); scores at {out / 'scores.csv'}"
     )
     return 0
 
@@ -561,26 +496,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     text = format_distribution_text(summary) + "\n" + format_elimination_text(elim_report)
     print(text, end="")
     if args.out:
-        out = _out_dir(args)
-        report_txt = out / "report.txt"
-        report_json = out / "report.json"
-        report_txt.write_text(text, encoding="utf-8")
-        _write_json(
-            report_json,
-            {
-                "distributions": summary.to_dict(),
-                "elimination": elim_report.to_dict(),
-                "ingest": stats.to_dict(),
-                "window_config": window_cfg.to_dict(),
-            },
-        )
-        _write_manifest(
-            out,
-            "report",
-            resolved,
-            inputs=[Path(args.log), Path(args.labels)],
-            outputs=[report_txt, report_json],
-            seeds={},
+        doc = {
+            "distributions": summary.to_dict(),
+            "elimination": elim_report.to_dict(),
+            "ingest": stats.to_dict(),
+            "window_config": window_cfg.to_dict(),
+        }
+        _write_outputs(
+            args, resolved, inputs=[args.log, args.labels], seeds={}, outputs={"report.txt": text, "report.json": doc}
         )
     return 0
 
@@ -608,7 +531,7 @@ def build_parser() -> _Parser:
         for flag, required, path_help in paths:
             p.add_argument(flag, required=required, help=path_help)
         for key in _COMMAND_OPTIONS[command]:
-            typ, default, _, extras = _OPTIONS[key]
+            typ, default, _, extras, _ = _OPTIONS[key]
             if typ is bool:
                 extras = {"action": "store_const", "const": not default, **extras}
             elif "choices" not in extras:  # a choice stays a string, so argparse lists the choices

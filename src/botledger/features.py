@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .schema import FeatureSchema, Label, Timelines, WindowSet, json_int
+from .schema import FeatureSchema, Label, Timelines, WindowSet, at_least, check_settings, json_int, setting
 
 # Rule 1 drops a feature when its standardized mean difference is below this.
 RULE1_SMD_THRESHOLD = 0.01
@@ -40,15 +40,12 @@ class ScalingScope(str, enum.Enum):
 
 @dataclass(frozen=True)
 class WindowConfig:
-    window_length: int = 24
-    stride: int = 12
+    window_length: int = setting(24, at_least(2))
+    stride: int = setting(12, at_least(1))
     scaling_scope: ScalingScope = ScalingScope.PER_CHARACTER
 
     def __post_init__(self) -> None:
-        if self.window_length < 2:
-            raise ValueError("window_length must be at least 2")
-        if self.stride < 1:
-            raise ValueError("stride must be at least 1")
+        check_settings(self)
         object.__setattr__(self, "scaling_scope", ScalingScope(self.scaling_scope))
 
     def to_dict(self) -> dict:
@@ -175,8 +172,8 @@ def eliminate_noninfluential(
     """Deactivate features that cannot distinguish bots from normals.
 
     Statistics are computed over every raw record of every labeled timeline,
-    pooled by label.  Both groups must be present; dropping every active
-    feature is fatal.
+    pooled by label, and every such value must be finite.  Both groups must
+    be present; dropping every active feature is fatal.
     """
     lengths = np.diff(timelines.bounds)
     bot, normal = (timelines.values[np.repeat(timelines.y == code, lengths)] for code in (1.0, 0.0))
@@ -184,6 +181,8 @@ def eliminate_noninfluential(
         raise DataError("feature elimination needs records from both label groups")
     if timelines.values.shape[1] != len(schema):
         raise DataError("record width does not match the feature schema")
+    if not (np.isfinite(bot).all() and np.isfinite(normal).all()):
+        raise NumericError("cannot compute feature statistics over non-finite values")
 
     entries: list[FeatureEvidence] = []
     drop_indices: list[int] = []

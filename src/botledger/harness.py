@@ -27,7 +27,7 @@ from .network import (
     init_adam,
     init_params,
 )
-from .schema import FeatureSchema, Label, Timelines, WindowSet
+from .schema import POSITIVE, FeatureSchema, Label, Timelines, WindowSet, at_least, check_settings, setting
 
 
 @dataclass(frozen=True)
@@ -208,21 +208,13 @@ HOLDOUT_FRACTION = 0.1
 class TrainOptions:
     """Training-loop settings; ``early_stop_patience`` None trains every epoch."""
 
-    epochs: int = 5
-    batch_size: int = 64
-    lr: float = 1e-3
+    epochs: int = setting(5, at_least(0))
+    batch_size: int = setting(64, at_least(1))
+    lr: float = setting(1e-3, POSITIVE)
     shuffle_seed: int = 0
-    early_stop_patience: int | None = None
+    early_stop_patience: int | None = setting(None, at_least(1))
 
-    def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be at least 1")
+    __post_init__ = check_settings
 
 
 def _epoch_batches(n: int, batch_size: int, order: np.ndarray, merge_singleton: bool) -> list[np.ndarray]:

@@ -74,7 +74,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .schema import json_bool, json_int
+from .schema import UNIT_OPEN, at_least, check_settings, json_bool, json_float, json_int, setting
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -108,20 +108,14 @@ L2_FIELDS = tuple(name for name, _, role in _TENSORS if role == "weight")
 class ModelConfig:
     """Hyperparameters that fix the network's shape and regularization."""
 
-    input_dim: int
-    hidden_dim: int = 32
-    dropout_p: float = 0.2
-    l2_lambda: float = 1e-4
+    input_dim: int = setting(allowed=at_least(1))
+    hidden_dim: int = setting(32, at_least(1))
+    dropout_p: float = setting(0.2, UNIT_OPEN)
+    l2_lambda: float = setting(1e-4, at_least(0))
     use_batchnorm: bool = True
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.input_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("input_dim and hidden_dim must be positive")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0, 1)")
-        if self.l2_lambda < 0.0:
-            raise ValueError("l2_lambda must be non-negative")
+    __post_init__ = check_settings
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,12 +126,12 @@ class ModelConfig:
             return ModelConfig(
                 input_dim=json_int(doc["input_dim"]),
                 hidden_dim=json_int(doc["hidden_dim"]),
-                dropout_p=float(doc["dropout_p"]),
-                l2_lambda=float(doc["l2_lambda"]),
+                dropout_p=json_float(doc["dropout_p"]),
+                l2_lambda=json_float(doc["l2_lambda"]),
                 use_batchnorm=json_bool(doc["use_batchnorm"]),
                 seed=json_int(doc["seed"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"malformed model config document: {exc}") from exc
 
 

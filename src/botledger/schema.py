@@ -15,13 +15,19 @@ mask or slices a character range; none builds an object per character.
 Windowing cuts the timelines into one ``WindowSet``, an (N, L, D) window
 array with a label, a character and a start row per window;
 ``samples.npz`` stores exactly those four arrays.
+
+The strict JSON casts (``json_int``, ``json_bool``, ``json_float``) and the
+config ranges live here too.  A config dataclass declares each field's
+default and allowed range once, with ``setting``, and ``check_settings`` is
+its range check; the command line reads both from the same fields.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+import math
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +66,54 @@ def json_bool(value: object) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
     return value
+
+
+def json_float(value: object) -> float:
+    """A JSON number field as a float, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+class Range(NamedTuple):
+    """A setting's allowed values: a test, and how an error message states it."""
+
+    test: Callable[[float], bool]
+    text: str
+
+
+def at_least(low: int) -> Range:
+    return Range(lambda v: v >= low, "non-negative" if low == 0 else f"at least {low}")
+
+
+POSITIVE = Range(lambda v: v > 0, "positive")
+UNIT = Range(lambda v: 0 <= v <= 1, "in [0, 1]")
+UNIT_OPEN = Range(lambda v: 0 <= v < 1, "in [0, 1)")
+
+
+def setting(default: object = MISSING, allowed: Range | None = None):
+    """A config field with its default and its allowed range, for ``check_settings``."""
+    return field(default=default, metadata={"allowed": allowed})
+
+
+def check_setting(value: object, allowed: Range | None) -> None:
+    """Raise ``ValueError`` if ``value`` is a non-finite float or lies outside ``allowed``."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    if allowed is not None and not allowed.test(value):
+        raise ValueError(f"must be {allowed.text}, got {value}")
+
+
+def check_settings(config: object) -> None:
+    """Check every set field of a config dataclass against its ``setting`` range;
+    a field left at ``None`` is unset."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is not None:
+            try:
+                check_setting(value, f.metadata.get("allowed"))
+            except ValueError as exc:
+                raise ValueError(f"{f.name} {exc}") from None
 
 
 class FeatureType(enum.Enum):

@@ -30,7 +30,17 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import LabelFile
-from .schema import FeatureSchema, Label, StatusRecord, canonical_schema
+from .schema import (
+    POSITIVE,
+    UNIT,
+    FeatureSchema,
+    Label,
+    StatusRecord,
+    at_least,
+    canonical_schema,
+    check_settings,
+    setting,
+)
 
 # Fixed valuation of one item, used for purchases and evaluated asset values.
 ITEM_PRICE = 50.0
@@ -122,20 +132,17 @@ def draw_character_params(
 
 @dataclass(frozen=True)
 class GenConfig:
-    n_bots: int
-    n_normals: int
-    days: float = 28.0
-    snapshot_interval: float = 3600.0  # seconds
-    separability: float = 1.0
+    n_bots: int = setting(10, at_least(0))
+    n_normals: int = setting(40, at_least(0))
+    days: float = setting(28.0, POSITIVE)
+    snapshot_interval: float = setting(3600.0, POSITIVE)  # seconds
+    separability: float = setting(1.0, UNIT)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_bots < 0 or self.n_normals < 0 or self.n_bots + self.n_normals < 1:
+        check_settings(self)
+        if self.n_bots + self.n_normals < 1:
             raise ValueError("need at least one character")
-        if self.days <= 0 or self.snapshot_interval <= 0:
-            raise ValueError("days and snapshot_interval must be positive")
-        if not 0.0 <= self.separability <= 1.0:
-            raise ValueError("separability must lie in [0, 1]")
 
     @property
     def steps(self) -> int:

@@ -5,10 +5,12 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,11 @@ import botledger
 import botledger.cli as cli
 from botledger.cli import run
 from botledger.errors import DataError, NumericError
+from botledger.features import WindowConfig
+from botledger.harness import TrainOptions
 from botledger.model_io import ModelBundle, load_model, save_model
+from botledger.network import ModelConfig
+from botledger.synth import GenConfig
 
 
 @pytest.fixture(scope="module")
@@ -806,6 +812,19 @@ def _put(index, value):
         ("score", None, ("model.bin", _model_field("window_config", "stride", value=True)), 2),
         ("train", None, ("featurize.json", _featurize_field("window_config", "stride", value="12")), 2),
         ("train", None, ("featurize.json", _featurize_field("schema", "active", 0, value="true")), 2),
+        # float fields of model.bin are JSON numbers and finite
+        ("score", None, ("model.bin", _model_field("model_config", "dropout_p", value="0.1")), 2),
+        ("score", None, ("model.bin", _model_field("model_config", "l2_lambda", value=float("nan"))), 2),
+        # featurize output that keeps no feature, with windows zero features wide
+        (
+            "train",
+            None,
+            [
+                ("featurize.json", _featurize_field("schema", "active", value=[False] * 9)),
+                ("samples.npz", _with_samples("x", lambda x: x[:, :, :0])),
+            ],
+            2,
+        ),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -820,8 +839,8 @@ def test_malformed_inputs_exit_with_documented_code(
     cfg_path = inputs / "cfg.json"
     if config is not None:
         cfg_path.write_text(json.dumps(config))
-    if corrupt is not None:
-        name, content = corrupt
+    # one (file, content) pair, or a list of them
+    for name, content in [corrupt] if isinstance(corrupt, tuple) else corrupt or []:
         target = (samples if name in ("featurize.json", "samples.npz") else inputs) / name
         if content is None:
             target.unlink()
@@ -935,26 +954,30 @@ def test_negative_seed_or_patience_names_the_flag(command, key, value, features,
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "command, key, value, want",
-    [
-        ("synth", "bots", -1, "non-negative"),
-        ("synth", "days", 0, "positive"),
-        ("synth", "separability", 1.5, "in [0, 1]"),
-        ("featurize", "window_length", 1, "at least 2"),
-        ("featurize", "stride", 0, "at least 1"),
-        ("train", "hidden_dim", 0, "at least 1"),
-        ("train", "epochs", -1, "non-negative"),
-        ("train", "batch_size", 0, "at least 1"),
-        ("train", "dropout", 1.5, "in [0, 1)"),
-        ("train", "l2", -0.5, "non-negative"),
-        ("train", "lr", 0, "positive"),
-        ("crossval", "k", 1, "at least 2"),
-        ("crossval", "threshold", 1.5, "in [0, 1]"),
-        ("crossval", "by_period", 0, "positive"),
-        ("score", "threshold", -1, "in [0, 1]"),
-    ],
-)
+_OUT_OF_RANGE = [
+    ("synth", "bots", -1, "non-negative"),
+    ("synth", "days", 0, "positive"),
+    ("synth", "separability", 1.5, "in [0, 1]"),
+    ("featurize", "window_length", 1, "at least 2"),
+    ("featurize", "stride", 0, "at least 1"),
+    ("train", "hidden_dim", 0, "at least 1"),
+    ("train", "epochs", -1, "non-negative"),
+    ("train", "batch_size", 0, "at least 1"),
+    ("train", "dropout", 1.5, "in [0, 1)"),
+    ("train", "l2", -0.5, "non-negative"),
+    ("train", "lr", 0, "positive"),
+    ("crossval", "k", 1, "at least 2"),
+    ("crossval", "threshold", 1.5, "in [0, 1]"),
+    ("crossval", "by_period", 0, "positive"),
+    ("score", "threshold", -1, "in [0, 1]"),
+    ("synth", "normals", -1, "non-negative"),
+    ("synth", "interval_hours", 0, "positive"),
+    ("synth", "seed", -1, "non-negative"),
+    ("train", "early_stop_patience", 0, "at least 1"),
+]
+
+
+@pytest.mark.parametrize("command, key, value, want", _OUT_OF_RANGE)
 def test_out_of_range_option_names_the_flag(command, key, value, want, tmp_path, capsys) -> None:
     # ranges are checked before any input is read, so the paths need not exist
     paths = {
@@ -971,6 +994,33 @@ def test_out_of_range_option_names_the_flag(command, key, value, want, tmp_path,
         err = capsys.readouterr().err
         assert f"error: {cli._flag(key)} must be {want}, got " in err, (source, err)
         assert not (tmp_path / "out").exists()
+    # an option that sets a config field takes its range from that field
+    if cli._OPTIONS[key].field is not None:
+        owner, name = cli._OPTIONS[key].field
+        required = {"input_dim": 1} if owner is ModelConfig else {}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {want}, got {value}")):
+            owner(**required, **{name: value})
+
+
+def test_every_ranged_option_is_range_tested() -> None:
+    tested = {key for _, key, _, _ in _OUT_OF_RANGE}
+    assert tested == {key for key, option in cli._OPTIONS.items() if option.allowed is not None}
+
+
+_CONFIG_FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (GenConfig, WindowConfig, ModelConfig, TrainOptions)
+    for f in fields(cls)
+    if f.type == "float"
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("cls, name", _CONFIG_FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in _CONFIG_FLOAT_FIELDS])
+def test_config_float_fields_reject_non_finite(cls, name, value) -> None:
+    required = {"input_dim": 1} if cls is ModelConfig else {}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {value}")):
+        cls(**required, **{name: value})
 
 
 _FLOAT_FLAGS = [

@@ -256,6 +256,14 @@ def test_elimination_evidence_values() -> None:
     )
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_elimination_rejects_non_finite_values(value) -> None:
+    timelines = _elimination_fixture()
+    timelines.values[3, 2] = value
+    with pytest.raises(NumericError):
+        eliminate_noninfluential(timelines, SCHEMA)
+
+
 def test_elimination_needs_both_groups() -> None:
     bots_only = _timeline("b1", Label.BOT, np.ones((3, 9)))
     with pytest.raises(DataError):

@@ -23,7 +23,7 @@ from .harness import (
 from .ingest import build_timelines, load_timelines, parse_status_log, read_label_file
 from .model_io import ModelBundle, load_model, save_model
 from .network import ModelConfig, ModelParams, forward, gradient_check, init_params
-from .schema import FeatureSchema, Label, StatusRecord, Timelines, WindowSet, canonical_schema
+from .schema import FeatureSchema, Label, StatusLog, StatusRecord, Timelines, WindowSet, canonical_schema
 from .synth import Archetype, GenConfig, generate
 
 __version__ = "0.1.0"
@@ -43,6 +43,7 @@ __all__ = [
     "ModelParams",
     "NumericError",
     "ScalingScope",
+    "StatusLog",
     "StatusRecord",
     "Timelines",
     "TrainOptions",

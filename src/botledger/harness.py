@@ -211,7 +211,7 @@ class TrainOptions:
     epochs: int = setting(5, at_least(0))
     batch_size: int = setting(64, at_least(1))
     lr: float = setting(1e-3, POSITIVE)
-    shuffle_seed: int = 0
+    shuffle_seed: int = setting(0, at_least(0))
     early_stop_patience: int | None = setting(None, at_least(1))
 
     __post_init__ = check_settings

@@ -15,11 +15,16 @@ its id and account are printable ASCII, and its timestamp and values use
 only ``0-9 . e E + -``.  Any other line goes through the csv module and
 ``float()`` on its own, in place: blank, short or long rows, padded or
 non-ASCII ids, and numerals with spaces or such as ``nan``, ``inf`` or
-``1_0``.  A file holding a quote, a CR or a NUL, a file whose header does
-not match, and one with a screened numeral loadtxt rejects (``1e``,
-``1.2.3``) are read row by row with the csv module from the start.  On the
-screened characters loadtxt and ``float()`` accept the same strings and
-give the same doubles, so both paths give the same rows, dtypes and counts.
+``1_0``.  A CR LF line end is read as an LF.  A file holding a quote, a NUL
+or a CR anywhere else, a file whose header does not match, and one with a
+screened numeral loadtxt rejects (``1e``, ``1.2.3``) are read row by row
+with the csv module from the start.  On the screened characters loadtxt and
+``float()`` accept the same strings and give the same doubles, so both paths
+give the same rows, dtypes and counts.
+
+``write_status_log`` writes a ``StatusLog`` a block of rows per ``%`` call.
+It csv-encodes each distinct id and account and formats each distinct
+timestamp once, so its bytes are those ``csv.writer`` gives row by row.
 """
 
 from __future__ import annotations
@@ -31,12 +36,12 @@ from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DataError
-from .schema import FeatureSchema, Label, StatusRecord, Timelines
+from .schema import FeatureSchema, Label, StatusLog, Timelines
 
 META_COLUMNS = ("character_id", "account_id", "timestamp")
 
@@ -285,21 +290,31 @@ def _parse_block(block: bytes, n_fields: int, limit: int, stats: IngestStats) ->
 def _parse_blocks(path: str | Path, want: list[str]) -> tuple[StatusRows, IngestStats]:
     """The fast path: the log a block of lines at a time through ``_parse_block``.
 
-    Raises ``_RowPathNeeded`` for a file that only the per-row path reads
-    right: one holding a quote (a quoted field may span lines), a CR or a
-    NUL, or whose first line is not the header ``want``.
+    A CR directly before an LF ends its line with it, as in the csv module,
+    and is dropped.  Raises ``_RowPathNeeded`` for a file that only the
+    per-row path reads right: one holding a quote (a quoted field may span
+    lines), a NUL or any other CR, or whose first line is not the header
+    ``want``.
     """
     stats = IngestStats()
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         header = fh.readline()
-        if header != (",".join(want) + "\n").encode():
+        if header.replace(b"\r\n", b"\n") != (",".join(want) + "\n").encode():
             raise _RowPathNeeded
         capacity = 1  # at most one row per newline, plus a last line without one
+        crlf = split_cr = False  # split_cr: the last block read ended in a CR
         for block in iter(partial(fh.read, _BLOCK_BYTES), b""):
-            if b'"' in block or b"\r" in block or b"\0" in block:
+            if b'"' in block or b"\0" in block or split_cr and not block.startswith(b"\n"):
                 raise _RowPathNeeded
+            split_cr = block.endswith(b"\r")
+            if b"\r" in block:
+                if block.count(b"\r") != block.count(b"\r\n") + split_cr:
+                    raise _RowPathNeeded
+                crlf = True
             capacity += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")))
+        if split_cr:
+            raise _RowPathNeeded
         fh.seek(len(header))
         # kept rows go straight into these, so no whole-file temporaries are built
         timestamps = np.empty(capacity)
@@ -308,7 +323,7 @@ def _parse_blocks(path: str | Path, want: list[str]) -> tuple[StatusRows, Ingest
         n_kept = 0
         width = 1  # numpy's width for the ids of every parsed row, as in np.array(ids)
         for block in _line_blocks(fh):
-            ids, rows = _parse_block(block, len(want), limit, stats)
+            ids, rows = _parse_block(block.replace(b"\r", b"") if crlf else block, len(want), limit, stats)
             if len(ids):
                 width = max(width, ids.itemsize // 4)
             kept = _keep_valid(ids, rows, stats)
@@ -418,15 +433,41 @@ def read_label_file(path: str | Path) -> LabelFile:
     return LabelFile(entries=entries, as_of=as_of)
 
 
-def write_status_log(path: str | Path, records: Iterable[StatusRecord], schema: FeatureSchema) -> None:
+# Rows formatted per ``%`` call by ``write_status_log``; bounds its buffers.
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it as one field of a longer row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text, ""])  # a lone empty field is quoted
+    return out.getvalue()[:-2]
+
+
+def _encoded(column: np.ndarray, encode: Callable[..., str]) -> np.ndarray:
+    """``encode`` of each entry of ``column``, called once per distinct value."""
+    distinct, code = np.unique(column, return_inverse=True)
+    return np.array([encode(v) for v in distinct.tolist()], dtype=object)[code.ravel()]
+
+
+def write_status_log(path: str | Path, log: StatusLog, schema: FeatureSchema) -> None:
+    """Write ``log`` as a status log, bytes as ``csv.writer`` gives them.
+
+    Ids and accounts are csv-encoded once per distinct string and timestamps
+    formatted once per distinct time; a block of rows at a time then goes
+    through one ``%`` with two decimals per value.
+    """
+    if log.values.shape[1] != len(schema):
+        raise ValueError(f"log rows hold {log.values.shape[1]} values, the schema {len(schema)} features")
+    meta = (_encoded(log.character_id, _csv_field), _encoded(log.account_id, _csv_field),
+            _encoded(log.timestamp, format_timestamp))
+    row = "%s,%s,%s" + ",%.2f" * len(schema) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(expected_header(schema))
-        for rec in records:
-            writer.writerow(
-                [rec.character_id, rec.account_id, format_timestamp(rec.timestamp)]
-                + [f"{v:.2f}" for v in rec.values]
-            )
+        csv.writer(fh, lineterminator="\n").writerow(expected_header(schema))
+        for lo in range(0, len(log), _WRITE_BLOCK_ROWS):
+            block = slice(lo, lo + _WRITE_BLOCK_ROWS)
+            fields = np.column_stack([*(column[block] for column in meta), log.values[block]])
+            fh.write(row * len(fields) % tuple(fields.ravel().tolist()))
 
 
 def write_label_file(path: str | Path, labels: LabelFile) -> None:

@@ -113,7 +113,7 @@ class ModelConfig:
     dropout_p: float = setting(0.2, UNIT_OPEN)
     l2_lambda: float = setting(1e-4, at_least(0))
     use_batchnorm: bool = True
-    seed: int = 0
+    seed: int = setting(0, at_least(0))
 
     __post_init__ = check_settings
 

@@ -6,15 +6,18 @@ elimination, windowing, the model file) carries a ``FeatureSchema`` so that
 a trained model can always be applied to a log with the exact column set it
 was fitted on.
 
-Data takes three forms.  ``StatusRecord`` is one log row, as the synthetic
-generator emits it and the log writer takes it.  Ingestion reads a log into
-one ``Timelines``: every character's rows as shared columns, sorted by
-character and then time, with a label code per character and the row bounds
-of each.  A stage that works per character or per period selects rows with a
-mask or slices a character range; none builds an object per character.
-Windowing cuts the timelines into one ``WindowSet``, an (N, L, D) window
-array with a label, a character and a start row per window;
-``samples.npz`` stores exactly those four arrays.
+Data takes three forms, each a set of columns.  The write side holds a log
+as one ``StatusLog``: the ids, accounts, times and values of its rows, in
+write order, which the synthetic generator fills and the log writer formats
+a block of rows at a time; iterating it yields each row as a
+``StatusRecord`` view, built on demand.  Ingestion reads a log into one
+``Timelines``: every character's rows as shared columns, sorted by
+character and then time, with a label code per character and the row
+bounds of each.  A stage that works per character or per period selects
+rows with a mask or slices a character range; none builds an object per
+character.  Windowing cuts the timelines into one ``WindowSet``, an
+(N, L, D) window array with a label, a character and a start row per
+window; ``samples.npz`` stores exactly those four arrays.
 
 The strict JSON casts (``json_int``, ``json_bool``, ``json_float``) and the
 config ranges live here too.  A config dataclass declares each field's
@@ -27,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -215,17 +218,42 @@ def canonical_schema() -> FeatureSchema:
     return FeatureSchema(features, (True,) * len(features))
 
 
-@dataclass(frozen=True, eq=False)
-class StatusRecord:
-    """One periodic snapshot of a character's financial state."""
+class StatusRecord(NamedTuple):
+    """One status-log row, as iterating a ``StatusLog`` yields it."""
 
     character_id: str
     account_id: str
     timestamp: float
-    values: np.ndarray  # shape (n_features,), raw units
+    values: np.ndarray  # (n_features,), raw units
+
+
+@dataclass(frozen=True, eq=False)
+class StatusLog:
+    """Status-log rows as columns, in the order they are written.
+
+    Row ``i`` is character ``character_id[i]`` of account ``account_id[i]``
+    at ``timestamp[i]`` with ``values[i]``.  Iterating yields each row as a
+    ``StatusRecord``.
+    """
+
+    character_id: np.ndarray  # (N,) str
+    account_id: np.ndarray  # (N,) str
+    timestamp: np.ndarray  # (N,)
+    values: np.ndarray  # (N, n_features), raw units
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        for name, dtype in (("character_id", str), ("account_id", str), ("timestamp", float), ("values", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shapes = {self.character_id.shape, self.account_id.shape, self.timestamp.shape, self.values.shape[:1]}
+        if self.values.ndim != 2 or len(shapes) != 1:
+            raise ValueError("a status log needs id, account and timestamp columns (N,) and values (N, n_features)")
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __iter__(self) -> Iterator[StatusRecord]:
+        columns = (self.character_id.tolist(), self.account_id.tolist(), self.timestamp.tolist(), self.values)
+        return map(StatusRecord, *columns)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,6 +18,9 @@ parameter vector from a matched human archetype (0: statistically identical
 to humans) to its fully bot-like target (1: easy to separate).  Everything is
 driven by ``numpy`` generators keyed as [seed, character index], so output is
 reproducible record-for-record for a given config.
+
+Each character's snapshots fill one (steps, 9) array, and ``generate``
+returns every row as one ``StatusLog`` ordered by time and then character id.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .schema import (
     UNIT,
     FeatureSchema,
     Label,
-    StatusRecord,
+    StatusLog,
     at_least,
     canonical_schema,
     check_settings,
@@ -137,7 +140,7 @@ class GenConfig:
     days: float = setting(28.0, POSITIVE)
     snapshot_interval: float = setting(3600.0, POSITIVE)  # seconds
     separability: float = setting(1.0, UNIT)
-    seed: int = 0
+    seed: int = setting(0, at_least(0))
 
     def __post_init__(self) -> None:
         check_settings(self)
@@ -200,7 +203,7 @@ EVENT_LOG_HEADER = "# event\ttimestamp\tcharacter\tcounterparty\tamount\tdetail_
 
 @dataclass(frozen=True)
 class GeneratedDataset:
-    records: list[StatusRecord]
+    records: StatusLog
     labels: LabelFile
     events: list[DumpEvent | PurchaseEvent]
     config: GenConfig
@@ -231,20 +234,19 @@ class _Wallet:
     acct_items: float = 0.0
     mail_value: float = 0.0  # asset value in transit this snapshot
 
-    def snapshot_values(self) -> np.ndarray:
+    def snapshot(self) -> tuple[float, ...]:
+        """The nine status-log values, in canonical column order."""
         total_cash = self.cash_inv + self.cash_bank + self.cash_vendor
-        return np.array(
-            [
-                self.items_inv + self.items_bank + self.acct_items,
-                total_cash,
-                self.cash_inv,
-                self.cash_bank,
-                self.cash_vendor,
-                total_cash + ITEM_PRICE * (self.items_inv + self.items_bank),
-                self.mail_value,
-                self.cash_bank + ITEM_PRICE * self.items_bank,
-                self.acct_cash + ITEM_PRICE * self.acct_items,
-            ]
+        return (
+            self.items_inv + self.items_bank + self.acct_items,
+            total_cash,
+            self.cash_inv,
+            self.cash_bank,
+            self.cash_vendor,
+            total_cash + ITEM_PRICE * (self.items_inv + self.items_bank),
+            self.mail_value,
+            self.cash_bank + ITEM_PRICE * self.items_bank,
+            self.acct_cash + ITEM_PRICE * self.acct_items,
         )
 
 
@@ -268,12 +270,17 @@ def _roster(cfg: GenConfig) -> tuple[list[_CharacterSpec], list[str]]:
     return specs, banker_ids
 
 
+def _timestamps(cfg: GenConfig) -> np.ndarray:
+    """The snapshot times, one per step."""
+    return DEFAULT_START + np.arange(cfg.steps) * cfg.snapshot_interval
+
+
 def _simulate_character(
     spec: _CharacterSpec,
     cfg: GenConfig,
     incoming: dict[int, float],
-) -> tuple[list[StatusRecord], list[DumpEvent | PurchaseEvent]]:
-    """Run one character forward; returns its snapshots and events.
+) -> tuple[np.ndarray, list[DumpEvent | PurchaseEvent]]:
+    """Run one character forward; returns its (steps, 9) snapshots and events.
 
     ``incoming`` maps step index to cash already dumped toward this character
     (empty for everyone but bankers).  Step order: activity roll, income and
@@ -295,11 +302,10 @@ def _simulate_character(
     steps_per_day = max(1, int(round(86400.0 / cfg.snapshot_interval)))
     dump_prob = min(1.0, params.dumps_per_day * interval_hours / 24.0)
 
-    records: list[StatusRecord] = []
+    snapshots = np.empty((cfg.steps, len(canonical_schema())))
     events: list[DumpEvent | PurchaseEvent] = []
     idle_today = False
-    for step in range(cfg.steps):
-        ts = DEFAULT_START + step * cfg.snapshot_interval
+    for step, ts in enumerate(_timestamps(cfg).tolist()):
         w.mail_value = 0.0
         if step > 0:
             if step % steps_per_day == 0:
@@ -382,10 +388,8 @@ def _simulate_character(
             w.cash_bank += received
             w.mail_value += received
 
-        records.append(
-            StatusRecord(spec.character_id, spec.account_id, ts, w.snapshot_values())
-        )
-    return records, events
+        snapshots[step] = w.snapshot()
+    return snapshots, events
 
 
 def generate(cfg: GenConfig) -> GeneratedDataset:
@@ -394,29 +398,28 @@ def generate(cfg: GenConfig) -> GeneratedDataset:
         raise DataError("simulation horizon must cover at least two snapshots")
     specs, _ = _roster(cfg)
 
-    # farmers and humans first; their dumps form the bankers' receipt schedule
+    # bankers last: the farmers' dumps form their receipt schedule
     receipts: dict[str, dict[int, float]] = {}
-    records: list[StatusRecord] = []
+    snapshots: dict[str, np.ndarray] = {}
     events: list[DumpEvent | PurchaseEvent] = []
-    deferred = []
-    for spec in specs:
-        if spec.archetype is Archetype.BANKER_BOT:
-            deferred.append(spec)
-            continue
-        recs, evs = _simulate_character(spec, cfg, {})
-        records.extend(recs)
+    for spec in sorted(specs, key=lambda spec: spec.archetype is Archetype.BANKER_BOT):
+        snapshots[spec.character_id], evs = _simulate_character(spec, cfg, receipts.get(spec.character_id, {}))
         events.extend(evs)
         for ev in evs:
             if isinstance(ev, DumpEvent):
                 step = int(round((ev.timestamp - DEFAULT_START) / cfg.snapshot_interval))
                 plan = receipts.setdefault(ev.to_character, {})
                 plan[step] = plan.get(step, 0.0) + ev.amount
-    for spec in deferred:
-        recs, evs = _simulate_character(spec, cfg, receipts.get(spec.character_id, {}))
-        records.extend(recs)
-        events.extend(evs)
 
-    records.sort(key=lambda r: (r.timestamp, r.character_id))
+    # every character snapshots at the same times, so rows ordered by time
+    # and then id are the steps in turn, each holding the ids in sorted order
+    by_id = sorted(specs, key=lambda spec: spec.character_id)
+    records = StatusLog(
+        np.tile([spec.character_id for spec in by_id], cfg.steps),
+        np.tile([spec.account_id for spec in by_id], cfg.steps),
+        np.repeat(_timestamps(cfg), len(by_id)),
+        np.stack([snapshots[spec.character_id] for spec in by_id], axis=1).reshape(cfg.steps * len(by_id), -1),
+    )
     events.sort(key=lambda e: (e.timestamp, e.to_line()))
 
     end = DEFAULT_START + cfg.days * 86400.0
@@ -446,17 +449,12 @@ def _feature_index(feature: str, schema: FeatureSchema) -> int:
 
 
 def inject_constant_feature(
-    records: list[StatusRecord],
+    records: StatusLog,
     feature: str,
     value: float,
     schema: FeatureSchema | None = None,
-) -> list[StatusRecord]:
+) -> StatusLog:
     """Copy of the records with one feature column forced to a constant."""
-    schema = schema if schema is not None else canonical_schema()
-    idx = _feature_index(feature, schema)
-    out: list[StatusRecord] = []
-    for rec in records:
-        values = rec.values.copy()
-        values[idx] = value
-        out.append(StatusRecord(rec.character_id, rec.account_id, rec.timestamp, values))
-    return out
+    values = records.values.copy()
+    values[:, _feature_index(feature, schema if schema is not None else canonical_schema())] = value
+    return replace(records, values=values)

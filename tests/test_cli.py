@@ -141,6 +141,23 @@ def test_synth_bytes_are_pinned(tmp_path) -> None:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_synth_bytes_are_pinned_for_fractional_timestamps(tmp_path) -> None:
+    # digests of the bytes written while synth built one row object per snapshot;
+    # a 0.3333-hour interval gives timestamps with decimals, and seven bots one banker
+    out = tmp_path / "synth"
+    assert run(
+        ["synth", "--bots", "7", "--normals", "5", "--days", "2", "--interval-hours", "0.3333",
+         "--seed", "5", "--out", str(out)]
+    ) == 0
+    pinned = {
+        "status_log.csv": "9bafab8d366f8552ba99184751ebc63ebad5cdce293317a0850ba7870769e9b3",
+        "labels.csv": "683ebbe6a72908b07bdffaa9cd94ae84bf98eb79743b14a32435467a6a9988a6",
+        "events.log": "c83bbe4ad7c828c6bd86da029f0dd134a88280d3d31c17bbb2d25d167dddc77a",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_synth_seed_changes_output(dataset, tmp_path) -> None:
     other = tmp_path / "other"
     rc = run(
@@ -1021,6 +1038,18 @@ def test_config_float_fields_reject_non_finite(cls, name, value) -> None:
     required = {"input_dim": 1} if cls is ModelConfig else {}
     with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {value}")):
         cls(**required, **{name: value})
+
+
+_SEED_FIELDS = [(GenConfig, "seed"), (ModelConfig, "seed"), (TrainOptions, "shuffle_seed")]
+
+
+@pytest.mark.parametrize("cls, name", _SEED_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in _SEED_FIELDS])
+def test_config_seed_fields_reject_negatives(cls, name) -> None:
+    # a negative seed would otherwise fail later, inside numpy's generator
+    required = {"input_dim": 4} if cls is ModelConfig else {}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be non-negative, got -1")):
+        cls(**required, **{name: -1})
+    assert getattr(cls(**required, **{name: 0}), name) == 0
 
 
 _FLOAT_FLAGS = [

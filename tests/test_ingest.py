@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from botledger.ingest import (
     write_label_file,
     write_status_log,
 )
-from botledger.schema import Label, StatusRecord, canonical_schema
+from botledger.schema import Label, StatusLog, StatusRecord, canonical_schema
 
 SCHEMA = canonical_schema()
 
@@ -161,13 +162,58 @@ def test_fast_path_matches_per_row_path(block_bytes, monkeypatch, tmp_path) -> N
         path.write_bytes(text.encode("utf-8"))
         want = _as_compared(_parse_per_row(path))
         assert _as_compared(parse_status_log(path, SCHEMA)) == want, variant
-        if variant in ("mixed", "no final newline"):
+        if variant in ("mixed", "no final newline", "crlf"):
             assert _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA))) == want, variant
         else:
             with pytest.raises((ingest._RowPathNeeded, ValueError)):
                 ingest._parse_blocks(path, expected_header(SCHEMA))
     # the widest id was on an invalid row; numpy sizes the id array by it all the same
     assert want[0] == np.dtype("U30")
+
+
+@pytest.mark.parametrize("block_bytes", [ingest._BLOCK_BYTES, 4093])
+def test_crlf_log_takes_the_fast_path(block_bytes, monkeypatch, tmp_path) -> None:
+    # reads of 4093 bytes split four CR LF pairs of this log between two reads
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    body = "\n".join([",".join(expected_header(SCHEMA)), *_mixed_log_lines()]) + "\n"
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(body.encode("utf-8"))
+    crlf.write_bytes(body.replace("\n", "\r\n").encode("utf-8"))
+    want = _as_compared(parse_status_log(lf, SCHEMA))
+
+    def per_row(*args):
+        raise AssertionError("a CRLF log went row by row")
+
+    monkeypatch.setattr(ingest, "_parse_rows", per_row)
+    assert _as_compared(parse_status_log(crlf, SCHEMA)) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{body}\r", "{body}1\r2\n", "{header}\r{body}", "{body}\r\r\n", "{body}\n\r"],
+    ids=["cr at the end", "cr inside a row", "cr ending the header", "cr before crlf", "cr after lf"],
+)
+def test_lone_cr_goes_row_by_row(text, tmp_path) -> None:
+    header = ",".join(expected_header(SCHEMA))
+    body = "\r\n".join([header, *_mixed_log_lines(400)])
+    path = tmp_path / "log.csv"
+    path.write_bytes(text.format(header=header, body=body).encode("utf-8"))
+    with pytest.raises(ingest._RowPathNeeded):
+        ingest._parse_blocks(path, expected_header(SCHEMA))
+    assert _as_compared(parse_status_log(path, SCHEMA)) == _as_compared(_parse_per_row(path))
+
+
+def test_lone_cr_ending_a_read_goes_row_by_row(monkeypatch, tmp_path) -> None:
+    header = (",".join(expected_header(SCHEMA)) + "\r\n").encode("utf-8")
+    body = ("\r\n".join(_mixed_log_lines(400)) + "\r\n").encode("utf-8")
+    at = next(i for i in range(4000, len(body)) if body[i - 1 : i + 1].isalnum())  # inside a field
+    # the CR is the last byte of the first read, and the next read starts with no LF
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", at + 1)
+    path = tmp_path / "log.csv"
+    path.write_bytes(header + body[:at] + b"\r" + body[at:])
+    with pytest.raises(ingest._RowPathNeeded):
+        ingest._parse_blocks(path, expected_header(SCHEMA))
+    assert _as_compared(parse_status_log(path, SCHEMA)) == _as_compared(_parse_per_row(path))
 
 
 def test_field_over_csv_limit_is_fatal_on_both_paths(tmp_path) -> None:
@@ -183,6 +229,11 @@ def test_field_over_csv_limit_is_fatal_on_both_paths(tmp_path) -> None:
 
 def _rec(cid, ts, fill=1.0):
     return StatusRecord(cid, f"a_{cid}", float(ts), np.full(9, fill))
+
+
+def _log(records):
+    """The records as one columnar status log."""
+    return StatusLog(*(np.array(column) for column in zip(*records)))
 
 
 def _rows(records):
@@ -303,12 +354,62 @@ def test_label_file_header_mismatch(tmp_path) -> None:
 def test_status_log_roundtrip(tmp_path) -> None:
     path = tmp_path / "log.csv"
     records = [_rec("c1", 10, fill=2.25), _rec("c2", 11, fill=0.0)]
-    write_status_log(path, records, SCHEMA)
+    write_status_log(path, _log(records), SCHEMA)
     clone, stats = parse_status_log(path, SCHEMA)
     assert stats.records_dropped == 0
     assert clone.character_id.tolist() == ["c1", "c2"]
     assert clone.timestamp[0] == 10.0
     assert clone.values[0].tolist() == [2.25] * 9
+
+
+# ids the csv module must quote, or that an encoder could get wrong
+_AWKWARD_TEXT = ["c1", "", "has,comma", 'has"quote', "has\nnewline", "has\rcr", " leading space", "ünïcødé 日本"]
+
+
+def test_block_writer_matches_csv_writer(monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(ingest, "_WRITE_BLOCK_ROWS", 7)  # many blocks, the last one short
+    rng = np.random.default_rng(11)
+    n = 2000
+    ids = [_AWKWARD_TEXT[i] for i in rng.integers(0, len(_AWKWARD_TEXT), n)]
+    accounts = [_AWKWARD_TEXT[i] for i in rng.integers(0, len(_AWKWARD_TEXT), n)]
+    timestamps = rng.choice([1e20, 0.1, -3.0, 1704067200.0, 1704068399.88, -0.0, float("nan")], n).tolist()
+    values = rng.standard_normal((n, len(SCHEMA))) * 10.0 ** rng.integers(-4, 14, (n, len(SCHEMA)))
+    special = [float("nan"), float("inf"), float("-inf"), -0.0, 2.675, 0.005, 0.125, 1e300, 5e-324]
+    values.flat[rng.choice(values.size, len(special) * 20, replace=False)] = special * 20
+    path = tmp_path / "log.csv"
+    write_status_log(path, StatusLog(ids, accounts, timestamps, values), SCHEMA)
+
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(expected_header(SCHEMA))
+    for row in zip(ids, accounts, timestamps, values.tolist()):
+        writer.writerow([row[0], row[1], ingest.format_timestamp(row[2])] + [f"{v:.2f}" for v in row[3]])
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+
+
+def test_block_writer_round_trips_clean_rows(monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(ingest, "_WRITE_BLOCK_ROWS", 16)
+    rng = np.random.default_rng(12)
+    n = 100
+    log = StatusLog(
+        [f"c{i % 7}" for i in range(n)],
+        [f"acct_c{i % 7}" for i in range(n)],
+        1704067200.0 + 1199.88 * np.arange(n),
+        rng.integers(0, 10**9, (n, len(SCHEMA))) / 100.0,  # exact at two decimals
+    )
+    path = tmp_path / "log.csv"
+    write_status_log(path, log, SCHEMA)
+    rows, stats = parse_status_log(path, SCHEMA)
+    assert stats.records_read == n and stats.records_dropped == 0
+    assert rows.character_id.tolist() == log.character_id.tolist()
+    assert rows.timestamp.tobytes() == log.timestamp.tobytes()
+    assert rows.values.tobytes() == log.values.tobytes()
+
+
+def test_writer_rejects_rows_that_do_not_fit_the_schema(tmp_path) -> None:
+    log = StatusLog(["c1"], ["a1"], [0.0], np.zeros((1, len(SCHEMA) - 1)))
+    with pytest.raises(ValueError, match="8 values"):
+        write_status_log(tmp_path / "log.csv", log, SCHEMA)
 
 
 def test_load_timelines_end_to_end(tmp_path) -> None:

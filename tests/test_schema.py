@@ -6,6 +6,7 @@ from botledger.schema import (
     FeatureSchema,
     FeatureType,
     Label,
+    StatusLog,
     Timelines,
     WindowSet,
     canonical_schema,
@@ -126,3 +127,14 @@ def test_timelines_select_drops_characters_left_without_rows() -> None:
 def test_timelines_bounds_give_every_character_rows(bounds) -> None:
     with pytest.raises(ValueError):
         Timelines(["a", "b", "c"], [1.0, 0.0, np.nan], bounds, np.arange(6.0), np.zeros((6, 2)))
+
+
+def test_status_log_columns_must_agree() -> None:
+    columns = {"character_id": ["a", "b"], "account_id": ["x", "y"], "timestamp": [1, 2], "values": np.zeros((2, 3))}
+    log = StatusLog(**columns)
+    assert log.timestamp.dtype == float and len(log) == 2
+    assert [tuple(r[:3]) for r in log] == [("a", "x", 1.0), ("b", "y", 2.0)]
+    for bad in ({"character_id": ["a"]}, {"account_id": ["x", "y", "z"]}, {"timestamp": [[1, 2]]},
+                {"values": np.zeros(2)}, {"values": np.zeros((3, 3))}):
+        with pytest.raises(ValueError):
+            StatusLog(**{**columns, **bad})

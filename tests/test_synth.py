@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from botledger.errors import DataError
-from botledger.schema import Label, canonical_schema
+from botledger.schema import Label, StatusLog, StatusRecord, canonical_schema
 from botledger.synth import (
     DEFAULT_START,
     EVENT_LOG_HEADER,
@@ -29,6 +29,11 @@ BASE_CFG = GenConfig(n_bots=12, n_normals=12, days=7.0, seed=3)
 @pytest.fixture(scope="module")
 def dataset():
     return generate(BASE_CFG)
+
+
+def head(log, n=5):
+    """The first ``n`` rows of a status log."""
+    return StatusLog(log.character_id[:n], log.account_id[:n], log.timestamp[:n], log.values[:n])
 
 
 def by_character(records):
@@ -158,6 +163,18 @@ def test_snapshot_cadence(dataset) -> None:
         assert np.all(np.diff(stamps) == BASE_CFG.snapshot_interval)
 
 
+def test_records_iterate_as_rows_in_time_then_id_order(dataset) -> None:
+    # what a caller that loops over records sees: one row view per snapshot
+    rows = list(dataset.records)
+    assert len(dataset.records) == len(rows) == 24 * BASE_CFG.steps
+    assert all(isinstance(r, StatusRecord) for r in rows)
+    keys = [(r.timestamp, r.character_id) for r in rows]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(r.account_id == f"acct_{r.character_id}" for r in rows)
+    assert all(type(r.character_id) is str and type(r.timestamp) is float for r in rows)
+    assert np.array_equal(np.array([r.values for r in rows]), dataset.records.values)
+
+
 def test_stocks_never_negative(dataset) -> None:
     values = np.array([r.values for r in dataset.records])
     assert values.min() >= 0.0
@@ -262,12 +279,12 @@ def test_inject_constant_feature_by_display_name(dataset) -> None:
 
 def test_inject_unknown_feature_rejected(dataset) -> None:
     with pytest.raises(DataError):
-        inject_constant_feature(dataset.records[:5], "no_such_feature", 0.0)
+        inject_constant_feature(head(dataset.records), "no_such_feature", 0.0)
 
 
 def test_inject_respects_custom_schema(dataset) -> None:
     schema = canonical_schema()
-    injected = inject_constant_feature(dataset.records[:5], "Total Cash", 1.0, schema)
+    injected = inject_constant_feature(head(dataset.records), "Total Cash", 1.0, schema)
     assert all(r.values[1] == 1.0 for r in injected)
 
 

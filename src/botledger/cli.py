@@ -9,18 +9,17 @@ distribution and elimination tables.
 Each option is one row of ``_OPTIONS``: its type, default, allowed range
 and argparse extras.  Its flag is the key with dashes, and a switch sets the
 opposite of its default (``--no-batchnorm`` sets ``batchnorm`` false).  An
-option that sets a config field names that field and takes its default and
-range from it, as declared with ``schema.setting``, so the library and the
+option that sets a config field names that field and takes its type,
+default and range from it, as declared on the field, so the library and the
 CLI check the same ranges; only the CLI's own options state theirs in the
 row.  ``_config`` builds every config from the resolved options.
 
 Option precedence is CLI flag, then ``--config`` JSON file (keyed like the
 table), then the ``BOTLEDGER_SEED`` environment variable (seeds only), then
 built-in defaults.  ``_resolve`` casts every value to its option's type
-once, so commands read typed values.  The cast is strict: switches take only
-JSON booleans, integer options only integral numbers, and float options only
-finite numbers.  A value outside its option's range is a usage error that
-names the flag.
+once, with the strict ``schema.json_value`` that also reads ``model.bin``
+and ``featurize.json``.  A value outside its option's range is a usage
+error that names the flag.
 
 ``_write_outputs`` is the only writer of artifacts.  It makes ``--out``
 just before the first file is written, so a command that fails on its
@@ -42,7 +41,7 @@ import math
 import os
 import sys
 import zipfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -68,7 +67,7 @@ from .harness import (
     predict_probs,
     train,
 )
-from .ingest import load_timelines, write_label_file, write_status_log
+from .ingest import csv_field, load_timelines, write_label_file, write_status_log
 from .model_io import ModelBundle, load_model, save_model
 from .network import ModelConfig
 from .schema import (
@@ -81,9 +80,9 @@ from .schema import (
     at_least,
     canonical_schema,
     check_setting,
-    json_bool,
-    json_float,
-    json_int,
+    field_types,
+    json_value,
+    read_document,
 )
 from .synth import GenConfig, generate, write_event_log
 
@@ -105,33 +104,33 @@ class _Option(NamedTuple):
     field: tuple[type, str] | None = None  # the config class and field the option sets
 
 
-def _setting(owner: type, name: str, typ: type, **extras) -> _Option:
-    """The option that sets field ``name`` of ``owner``, with that field's default and range."""
+def _setting(owner: type, name: str, **extras) -> _Option:
+    """The option that sets field ``name`` of ``owner``, with that field's type, default and range."""
     (f,) = (f for f in fields(owner) if f.name == name)
-    return _Option(typ, f.default, f.metadata.get("allowed"), extras, (owner, name))
+    return _Option(field_types(owner)[name], f.default, f.metadata.get("allowed"), extras, (owner, name))
 
 
 # Every option a command resolves.
 _OPTIONS: dict[str, _Option] = {
-    "bots": _setting(GenConfig, "n_bots", int),
-    "normals": _setting(GenConfig, "n_normals", int),
-    "days": _setting(GenConfig, "days", float),
+    "bots": _setting(GenConfig, "n_bots"),
+    "normals": _setting(GenConfig, "n_normals"),
+    "days": _setting(GenConfig, "days"),
     "interval_hours": _Option(float, GenConfig.snapshot_interval / 3600.0, POSITIVE, {"help": "snapshot interval"}),
-    "separability": _setting(GenConfig, "separability", float, help="0: bots behave like humans; 1: fully bot-like"),
-    "window_length": _setting(WindowConfig, "window_length", int, help="timesteps per training window"),
-    "stride": _setting(WindowConfig, "stride", int, help="offset between consecutive windows"),
+    "separability": _setting(GenConfig, "separability", help="0: bots behave like humans; 1: fully bot-like"),
+    "window_length": _setting(WindowConfig, "window_length", help="timesteps per training window"),
+    "stride": _setting(WindowConfig, "stride", help="offset between consecutive windows"),
     "scaling_scope": _setting(
-        WindowConfig, "scaling_scope", ScalingScope, choices=[s.value for s in ScalingScope],
+        WindowConfig, "scaling_scope", choices=[s.value for s in ScalingScope],
         help="min-max over the whole timeline or each window",
     ),
-    "hidden_dim": _setting(ModelConfig, "hidden_dim", int, help="LSTM hidden width"),
-    "dropout": _setting(ModelConfig, "dropout_p", float, help="dropout probability on the final hidden state"),
-    "l2": _setting(ModelConfig, "l2_lambda", float, help="L2 penalty on weight matrices"),
-    "batch_size": _setting(TrainOptions, "batch_size", int),
-    "epochs": _setting(TrainOptions, "epochs", int),
-    "lr": _setting(TrainOptions, "lr", float, help="Adam learning rate"),
-    "batchnorm": _setting(ModelConfig, "use_batchnorm", bool, help="disable input batch normalization"),
-    "early_stop_patience": _setting(TrainOptions, "early_stop_patience", int, help="enable early stopping"),
+    "hidden_dim": _setting(ModelConfig, "hidden_dim", help="LSTM hidden width"),
+    "dropout": _setting(ModelConfig, "dropout_p", help="dropout probability on the final hidden state"),
+    "l2": _setting(ModelConfig, "l2_lambda", help="L2 penalty on weight matrices"),
+    "batch_size": _setting(TrainOptions, "batch_size"),
+    "epochs": _setting(TrainOptions, "epochs"),
+    "lr": _setting(TrainOptions, "lr", help="Adam learning rate"),
+    "batchnorm": _setting(ModelConfig, "use_batchnorm", help="disable input batch normalization"),
+    "early_stop_patience": _setting(TrainOptions, "early_stop_patience", help="enable early stopping"),
     "k": _Option(int, 10, at_least(2), {"help": "number of folds"}),
     "threshold": _Option(float, 0.5, UNIT, {"help": "bot decision threshold (ties count as bot)"}),
     "by_period": _Option(
@@ -166,20 +165,15 @@ def _flag(key: str) -> str:
 
 
 def _cast(key: str, value: object, source: str | None = None) -> object:
-    """``value`` as the type of option ``key``, named ``source`` (its flag) in errors.
-
-    Only JSON's own types convert: a switch takes ``true`` or ``false``, an
-    integer option an integral number (``4.0`` is 4), and a float option a
-    finite number.  Strings and booleans are never numbers.  The value must
-    lie in the option's range.
-    """
+    """``value`` cast to the type of option ``key`` by ``json_value`` and checked
+    against its range, named ``source`` (its flag) in errors."""
     option = _OPTIONS[key]
     if value is None:
         if option.default is None:
             return None
         raise UsageError(f"config key {key!r} must not be null")
     try:
-        value = {bool: json_bool, int: json_int, float: json_float}.get(option.type, option.type)(value)
+        value = json_value(option.type, value)
         check_setting(value, option.allowed)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{source or _flag(key)} {exc}") from exc
@@ -339,8 +333,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
                 path, x=samples.x, y=samples.y, origin_character=samples.character, origin_start=samples.start
             ),
             "featurize.json": {
-                "schema": schema.to_dict(),
-                "window_config": window_cfg.to_dict(),
+                "schema": asdict(schema),
+                "window_config": asdict(window_cfg),
                 "elimination": elim_report.to_dict(),
                 "ingest": stats.to_dict(),
                 "n_samples": len(samples),
@@ -364,9 +358,9 @@ def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, Windo
         raise DataError(f"{samples_dir} does not look like featurize output")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        schema = FeatureSchema.from_dict(meta["schema"])
-        window_cfg = WindowConfig.from_dict(meta["window_config"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        schema = read_document(FeatureSchema, meta["schema"], "feature schema")
+        window_cfg = read_document(WindowConfig, meta["window_config"], "window config")
+    except (OSError, ValueError, KeyError, TypeError, DataError) as exc:
         raise DataError(f"cannot read featurize metadata {meta_path}: {exc}") from exc
     width = len(schema.active_indices())
     if not width:
@@ -475,7 +469,9 @@ def cmd_score(args: argparse.Namespace) -> int:
         rows.append((cid, float(probs.mean()), label))
     rows.sort(key=lambda r: (-r[1], r[0]))
 
-    csv = "character_id,probability,label\n" + "".join(f"{cid},{prob:.6f},{label}\n" for cid, prob, label in rows)
+    csv = "character_id,probability,label\n" + "".join(
+        f"{csv_field(cid)},{prob:.6f},{label}\n" for cid, prob, label in rows
+    )
     inputs = [p for p in (args.model, args.log, args.labels) if p]
     out = _write_outputs(args, resolved, inputs=inputs, seeds={}, outputs={"scores.csv": csv})
     flagged = sum(1 for _, prob, _ in rows if prob >= threshold)
@@ -500,7 +496,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "distributions": summary.to_dict(),
             "elimination": elim_report.to_dict(),
             "ingest": stats.to_dict(),
-            "window_config": window_cfg.to_dict(),
+            "window_config": asdict(window_cfg),
         }
         _write_outputs(
             args, resolved, inputs=[args.log, args.labels], seeds={}, outputs={"report.txt": text, "report.json": doc}

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .schema import FeatureSchema, Label, Timelines, WindowSet, at_least, check_settings, json_int, setting
+from .schema import FeatureSchema, Label, Timelines, WindowSet, at_least, check_settings, setting
 
 # Rule 1 drops a feature when its standardized mean difference is below this.
 RULE1_SMD_THRESHOLD = 0.01
@@ -47,20 +47,6 @@ class WindowConfig:
     def __post_init__(self) -> None:
         check_settings(self)
         object.__setattr__(self, "scaling_scope", ScalingScope(self.scaling_scope))
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "scaling_scope": self.scaling_scope.value}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "WindowConfig":
-        try:
-            return WindowConfig(
-                window_length=json_int(doc["window_length"]),
-                stride=json_int(doc["stride"]),
-                scaling_scope=ScalingScope(doc["scaling_scope"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed window config document: {exc}") from exc
 
 
 def _minmax(values: np.ndarray, axis: int) -> np.ndarray:
@@ -147,9 +133,6 @@ class FeatureEvidence:
     def dropped(self) -> bool:
         return self.dropped_rule1 or self.dropped_rule2
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EliminationReport:
@@ -162,7 +145,7 @@ class EliminationReport:
         return {
             "threshold": RULE1_SMD_THRESHOLD,
             "epsilon": SMD_EPSILON,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 

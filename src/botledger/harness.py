@@ -48,9 +48,6 @@ class ConfusionMatrix:
             self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -388,7 +385,7 @@ def cross_validate(
             "seed": seed,
             "threshold": threshold,
             "group_by_character": group_by_character,
-            "model": cfg.to_dict(),
+            "model": asdict(cfg),
             "epochs": opts.epochs,
             "batch_size": opts.batch_size,
             "lr": opts.lr,

@@ -437,7 +437,7 @@ def read_label_file(path: str | Path) -> LabelFile:
 _WRITE_BLOCK_ROWS = 4096
 
 
-def _csv_field(text: str) -> str:
+def csv_field(text: str) -> str:
     """``text`` as the csv module writes it as one field of a longer row."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow([text, ""])  # a lone empty field is quoted
@@ -459,7 +459,7 @@ def write_status_log(path: str | Path, log: StatusLog, schema: FeatureSchema) ->
     """
     if log.values.shape[1] != len(schema):
         raise ValueError(f"log rows hold {log.values.shape[1]} values, the schema {len(schema)} features")
-    meta = (_encoded(log.character_id, _csv_field), _encoded(log.account_id, _csv_field),
+    meta = (_encoded(log.character_id, csv_field), _encoded(log.account_id, csv_field),
             _encoded(log.timestamp, format_timestamp))
     row = "%s,%s,%s" + ",%.2f" * len(schema) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:

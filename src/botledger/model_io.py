@@ -6,13 +6,16 @@ Layout, little-endian throughout:
     bytes 4-7   format version (u32)
     bytes 8-11  metadata length in bytes (u32)
     ...         metadata: canonical UTF-8 JSON object (model config, feature
-                schema, window config, training summary)
+                schema and window config as ``dataclasses.asdict`` gives
+                them, training summary)
     ...         ``ModelParams.flat`` as raw float64, which holds the tensors
                 in C order in the sequence W_x, W_h, b, bn_gamma, bn_beta,
                 bn_running_mean, bn_running_var, W_out, b_out
 
-The payload length is implied by the metadata's model config, so the reader
-can verify it exactly.  Unknown magic or version is rejected rather than
+The configs are read back with ``schema.read_document``, so a field of the
+wrong type or a config its constructor rejects is a ``DataError``.  The
+payload length is implied by the metadata's model config, so the reader can
+verify it exactly.  Unknown magic or version is rejected rather than
 guessed at, and so is metadata whose feature schema does not feed
 ``input_dim`` features to the model.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import DataError
 from .features import WindowConfig
 from .network import ModelConfig, ModelParams, param_layout
-from .schema import FeatureSchema
+from .schema import FeatureSchema, read_document
 
 MAGIC = b"BOTW"
 FORMAT_VERSION = 1
@@ -51,9 +54,9 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
     if (params.input_dim, params.hidden_dim) != (cfg.input_dim, cfg.hidden_dim):
         raise ValueError("model params do not match the model config's dimensions")
     metadata = {
-        "model_config": cfg.to_dict(),
-        "feature_schema": bundle.schema.to_dict(),
-        "window_config": bundle.window_config.to_dict(),
+        "model_config": asdict(cfg),
+        "feature_schema": asdict(bundle.schema),
+        "window_config": asdict(bundle.window_config),
         "training_summary": bundle.training_summary,
     }
     meta_bytes = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -93,9 +96,9 @@ def load_model(path: str | Path) -> ModelBundle:
         if key not in metadata:
             raise DataError(f"model file {path} metadata lacks {key!r}")
 
-    config = ModelConfig.from_dict(metadata["model_config"])
-    schema = FeatureSchema.from_dict(metadata["feature_schema"])
-    window_config = WindowConfig.from_dict(metadata["window_config"])
+    config = read_document(ModelConfig, metadata["model_config"], "model config")
+    schema = read_document(FeatureSchema, metadata["feature_schema"], "feature schema")
+    window_config = read_document(WindowConfig, metadata["window_config"], "window config")
     n_active = len(schema.active_indices())
     if n_active != config.input_dim:
         raise DataError(

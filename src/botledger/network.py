@@ -67,14 +67,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .schema import UNIT_OPEN, at_least, check_settings, json_bool, json_float, json_int, setting
+from .schema import UNIT_OPEN, at_least, check_settings, setting
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -116,23 +116,6 @@ class ModelConfig:
     seed: int = setting(0, at_least(0))
 
     __post_init__ = check_settings
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ModelConfig":
-        try:
-            return ModelConfig(
-                input_dim=json_int(doc["input_dim"]),
-                hidden_dim=json_int(doc["hidden_dim"]),
-                dropout_p=json_float(doc["dropout_p"]),
-                l2_lambda=json_float(doc["l2_lambda"]),
-                use_batchnorm=json_bool(doc["use_batchnorm"]),
-                seed=json_int(doc["seed"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"malformed model config document: {exc}") from exc
 
 
 class ParamLayout(NamedTuple):

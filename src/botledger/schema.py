@@ -19,22 +19,26 @@ character.  Windowing cuts the timelines into one ``WindowSet``, an
 (N, L, D) window array with a label, a character and a start row per
 window; ``samples.npz`` stores exactly those four arrays.
 
-The strict JSON casts (``json_int``, ``json_bool``, ``json_float``) and the
-config ranges live here too.  A config dataclass declares each field's
-default and allowed range once, with ``setting``, and ``check_settings`` is
-its range check; the command line reads both from the same fields.
+Config documents are read here too.  A config dataclass declares each
+field's type as its annotation and its default and range with ``setting``;
+it is written with ``dataclasses.asdict`` and read back by ``read_document``,
+which casts each field by its type with the strict ``json_value``.  The
+command line reads types, defaults and ranges from the same fields.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Iterable, Iterator, NamedTuple
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import DataError
+
+T = TypeVar("T")
 
 
 class Label(enum.Enum):
@@ -57,25 +61,18 @@ class Label(enum.Enum):
             raise DataError(f"unknown label {text!r} (expected 'bot' or 'normal')") from None
 
 
-def json_int(value: object) -> int:
-    """A JSON integer field: an integral number (``4.0`` is 4), never a boolean or a string."""
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def json_bool(value: object) -> bool:
-    """A JSON switch: ``true`` or ``false``, never a number or a string."""
-    if not isinstance(value, bool):
+def json_value(typ: type, value: object):
+    """A JSON field's ``value`` as ``typ``: a bool only from a JSON boolean, an int
+    only from an integral number (``4.0`` is 4) and a float from any number.  Any
+    other type, such as ``str`` or an enum, is called on ``value``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typ is bool and not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
-    return value
-
-
-def json_float(value: object) -> float:
-    """A JSON number field as a float, never a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if typ is int and not (number and (isinstance(value, int) or value.is_integer())):
+        raise ValueError(f"must be an integer, got {value!r}")
+    if typ is float and not number:
         raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
+    return typ(value)
 
 
 class Range(NamedTuple):
@@ -119,7 +116,47 @@ def check_settings(config: object) -> None:
                 raise ValueError(f"{f.name} {exc}") from None
 
 
-class FeatureType(enum.Enum):
+@functools.cache
+def field_types(cls: type) -> dict[str, type]:
+    """Each field of dataclass ``cls`` with its declared type, resolved once per
+    class; ``X | None`` reads as ``X``."""
+    hints = get_type_hints(cls)
+    optional = {name: get_args(t)[0] for name, t in hints.items() if type(None) in get_args(t)}
+    return {f.name: optional.get(f.name, hints[f.name]) for f in fields(cls)}
+
+
+def read_document(cls: type[T], doc: object, what: str) -> T:
+    """A ``cls`` from the JSON form of ``dataclasses.asdict``, each field cast by its
+    declared type; any fault, the constructor's own checks included, raises
+    ``DataError("malformed <what> document: <field> ...")``."""
+    try:
+        return _read(cls, doc, "")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed {what} document: {exc}") from exc
+
+
+def _read(typ: type, value: object, at: str):
+    """``value`` as ``typ``, a dataclass read from an object and ``tuple[X, ...]``
+    from a list; a fault names the field at path ``at``."""
+    if is_dataclass(typ):
+        if not isinstance(value, dict):
+            raise ValueError(f"{at or 'the document'} must be an object, got {value!r}")
+        paths = {name: f"{at}.{name}" if at else name for name in field_types(typ)}
+        missing = [path for name, path in paths.items() if name not in value]
+        if missing:
+            raise ValueError(f"{', '.join(missing)} missing")
+        return typ(**{name: _read(t, value[name], paths[name]) for name, t in field_types(typ).items()})
+    if get_origin(typ) is tuple:
+        if not isinstance(value, (list, tuple)):  # a tuple as asdict leaves it
+            raise ValueError(f"{at} must be a list, got {value!r}")
+        return tuple(_read(get_args(typ)[0], item, f"{at}[{i}]") for i, item in enumerate(value))
+    try:
+        return json_value(typ, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{at} {exc}") from None
+
+
+class FeatureType(str, enum.Enum):
     ITEM = "Item"
     CASH = "Cash"
     EVALUATED_ASSET_VALUE = "EvaluatedAssetValue"
@@ -179,26 +216,6 @@ class FeatureSchema:
         if not any(mask):
             raise DataError("no active features remain after deactivation")
         return FeatureSchema(self.features, mask)
-
-    def to_dict(self) -> dict:
-        return {
-            "features": [
-                {"id": f.id, "name": f.name, "type": f.type.value} for f in self.features
-            ],
-            "active": list(self.active),
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "FeatureSchema":
-        try:
-            features = tuple(
-                Feature(id=json_int(f["id"]), name=str(f["name"]), type=FeatureType(f["type"]))
-                for f in doc["features"]
-            )
-            active = tuple(json_bool(a) for a in doc["active"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed feature schema document: {exc}") from exc
-        return FeatureSchema(features, active)
 
 
 def canonical_schema() -> FeatureSchema:

@@ -250,7 +250,7 @@ class _Wallet:
         )
 
 
-def _roster(cfg: GenConfig) -> tuple[list[_CharacterSpec], list[str]]:
+def _roster(cfg: GenConfig) -> list[_CharacterSpec]:
     n_bankers = 0 if cfg.n_bots < 2 else max(1, cfg.n_bots // 6)
     banker_ids = [f"b{i + 1:04d}" for i in range(n_bankers)]
     specs: list[_CharacterSpec] = []
@@ -267,7 +267,7 @@ def _roster(cfg: GenConfig) -> tuple[list[_CharacterSpec], list[str]]:
         specs.append(
             _CharacterSpec(cfg.n_bots + j, f"n{j + 1:04d}", human_cycle[j % 3], None)
         )
-    return specs, banker_ids
+    return specs
 
 
 def _timestamps(cfg: GenConfig) -> np.ndarray:
@@ -396,7 +396,7 @@ def generate(cfg: GenConfig) -> GeneratedDataset:
     """Produce a full labeled dataset: snapshots, labels, and the event log."""
     if cfg.steps < 2:
         raise DataError("simulation horizon must cover at least two snapshots")
-    specs, _ = _roster(cfg)
+    specs = _roster(cfg)
 
     # bankers last: the farmers' dumps form their receipt schedule
     receipts: dict[str, dict[int, float]] = {}

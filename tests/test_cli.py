@@ -1,6 +1,7 @@
 """End-to-end command-line workflows, option precedence, and exit codes."""
 
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -318,6 +319,23 @@ def test_score_without_labels(dataset, model_dir, tmp_path) -> None:
     lines = (out / "scores.csv").read_text().splitlines()
     assert len(lines) == 13
     assert all(line.endswith(",") for line in lines[1:])
+
+
+def test_score_quotes_ids_as_the_log_does(dataset, model_dir, tmp_path) -> None:
+    # ids that need quoting in CSV must read back as one field each
+    renamed = {"b0001": "x,1", "n0001": 'say "hi"'}
+    with open(dataset / "status_log.csv", newline="", encoding="utf-8") as fh:
+        rows = [[renamed.get(row[0], row[0]), *row[1:]] for row in csv.reader(fh)]
+    log = tmp_path / "status_log.csv"
+    with open(log, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = tmp_path / "scores"
+    assert run(["score", "--log", str(log), "--model", str(model_dir / "model.bin"), "--out", str(out)]) == 0
+    with open(out / "scores.csv", newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert len(table) == 13
+    assert {len(row) for row in table} == {3}
+    assert set(renamed.values()) <= {row[0] for row in table[1:]}
 
 
 def test_score_zero_head_ranks_by_character_id(dataset, model_dir, tmp_path, capsys) -> None:
@@ -673,6 +691,22 @@ def _narrow_featurize_schema(blob: bytes) -> bytes:
     return json.dumps(_drop_first_active_feature(json.loads(blob), "schema")).encode()
 
 
+def _shorten_active_mask(meta: dict, key: str = "feature_schema") -> dict:
+    meta[key]["active"].pop()
+    return meta
+
+
+def _repeat_first_feature_name(meta: dict, key: str = "feature_schema") -> dict:
+    features = meta[key]["features"]
+    features[1]["name"] = features[0]["name"]
+    return meta
+
+
+def _featurize_edit(edit, *args):
+    """Rewrite a featurize.json through ``edit``."""
+    return lambda blob: json.dumps(edit(json.loads(blob), *args)).encode()
+
+
 def _set_field(*path, value):
     """An edit that sets ``doc[path[0]][path[1]]...`` to ``value``."""
 
@@ -842,6 +876,11 @@ def _put(index, value):
             ],
             2,
         ),
+        # a feature schema its own constructor rejects: an active mask one
+        # entry short, or two features that share a name
+        ("score", None, ("model.bin", _with_model_metadata(_shorten_active_mask)), 2),
+        ("score", None, ("model.bin", _with_model_metadata(_repeat_first_feature_name)), 2),
+        ("train", None, ("featurize.json", _featurize_edit(_repeat_first_feature_name, "schema")), 2),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(

@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_round_trip_bit_identical(tmp_path) -> None:
     assert loaded.params.b_out == bundle.params.b_out
     assert loaded.config == bundle.config
     assert loaded.window_config == bundle.window_config
-    assert loaded.schema.to_dict() == bundle.schema.to_dict()
+    assert asdict(loaded.schema) == asdict(bundle.schema)
     assert loaded.training_summary == {"epochs": 3, "final_loss": 0.123}
 
 

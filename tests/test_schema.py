@@ -1,7 +1,12 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from botledger.errors import DataError
+from botledger.features import ScalingScope, WindowConfig
+from botledger.network import ModelConfig
 from botledger.schema import (
     FeatureSchema,
     FeatureType,
@@ -10,6 +15,8 @@ from botledger.schema import (
     Timelines,
     WindowSet,
     canonical_schema,
+    json_value,
+    read_document,
 )
 
 
@@ -30,12 +37,82 @@ def test_canonical_schema_shape() -> None:
 
 def test_schema_roundtrip_preserves_order_and_mask() -> None:
     schema = canonical_schema().deactivate([2, 6])
-    clone = FeatureSchema.from_dict(schema.to_dict())
+    clone = read_document(FeatureSchema, asdict(schema), "feature schema")
     assert clone == schema
     assert clone.active_indices() == (0, 1, 3, 4, 5, 7, 8)
     assert [f.name for f in clone.active_features()] == [
         f.name for f in schema.active_features()
     ]
+
+
+def _json(doc):
+    return json.loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ModelConfig(input_dim=7, hidden_dim=5, dropout_p=0.0, l2_lambda=0.5, use_batchnorm=False, seed=12),
+        WindowConfig(window_length=6, stride=3, scaling_scope=ScalingScope.PER_WINDOW),
+        canonical_schema().deactivate([0, 4, 8]),
+    ],
+    ids=["model", "window", "schema"],
+)
+def test_documents_round_trip_through_json(config) -> None:
+    assert read_document(type(config), _json(asdict(config)), "config") == config
+
+
+@pytest.mark.parametrize(
+    "cls, path, value, field",
+    [
+        (ModelConfig, ("hidden_dim",), "4", "hidden_dim must be an integer, got '4'"),
+        (ModelConfig, ("use_batchnorm",), 0, "use_batchnorm must be true or false"),
+        (WindowConfig, ("stride",), True, "stride must be an integer"),
+        (WindowConfig, ("scaling_scope",), "hourly", "scaling_scope"),
+        (FeatureSchema, ("features", 2, "id"), 2.5, "features[2].id must be an integer"),
+        (FeatureSchema, ("features", 2, "type"), "Gold", "features[2].type"),
+        (FeatureSchema, ("active", 1), "true", "active[1] must be true or false"),
+    ],
+)
+def test_wrongly_typed_document_field_names_the_field(cls, path, value, field) -> None:
+    default = {ModelConfig: ModelConfig(input_dim=9), WindowConfig: WindowConfig(), FeatureSchema: canonical_schema()}
+    doc = _json(asdict(default[cls]))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    with pytest.raises(DataError, match=r"^malformed config document: ") as info:
+        read_document(cls, doc, "config")
+    assert field in str(info.value)
+
+
+def test_document_faults_are_data_errors() -> None:
+    schema, model = _json(asdict(canonical_schema())), asdict(ModelConfig(input_dim=9))
+    with pytest.raises(DataError, match="seed missing"):
+        read_document(ModelConfig, {k: v for k, v in model.items() if k != "seed"}, "model config")
+    with pytest.raises(DataError, match="must be an object"):
+        read_document(WindowConfig, [24, 12], "window config")
+    with pytest.raises(DataError, match="features must be a list"):
+        read_document(FeatureSchema, {**schema, "features": 5}, "feature schema")
+    # the constructor's own checks become data errors too
+    with pytest.raises(DataError, match="active mask length"):
+        read_document(FeatureSchema, {**schema, "active": schema["active"][:-1]}, "feature schema")
+    with pytest.raises(DataError, match="seed must be non-negative"):
+        read_document(ModelConfig, {**model, "seed": -1}, "model config")
+
+
+def test_json_value_casts_strictly() -> None:
+    assert [json_value(int, 4.0), json_value(float, 3), json_value(bool, False)] == [4, 3.0, False]
+    assert type(json_value(int, 4.0)) is int and type(json_value(float, 3)) is float
+    assert json_value(str, 7) == "7"  # other types are called on the value
+    assert json_value(FeatureType, "Cash") is FeatureType.CASH
+    for typ, value in ((int, 2.5), (int, True), (int, "3"), (float, "0.1"), (float, False), (bool, 1), (bool, "true")):
+        with pytest.raises(ValueError):
+            json_value(typ, value)
+
+
+def test_feature_types_write_as_their_values() -> None:
+    assert json.dumps(asdict(canonical_schema().features[0])) == '{"id": 1, "name": "Number of Items", "type": "Item"}'
 
 
 def test_schema_deactivate_everything_is_fatal() -> None:

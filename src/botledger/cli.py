@@ -21,12 +21,13 @@ once, with the strict ``schema.json_value`` that also reads ``model.bin``
 and ``featurize.json``.  A value outside its option's range is a usage
 error that names the flag.
 
-``_write_outputs`` is the only writer of artifacts.  It makes ``--out``
-just before the first file is written, so a command that fails on its
-options or inputs leaves no ``--out`` behind, and it drops a
-``manifest.json`` beside the outputs with the resolved options, as cast, and
-sha256 checksums of inputs and outputs, so reruns can be compared
-byte-for-byte.
+``_write_outputs`` is the only writer of artifacts.  Commands hand it
+their report objects, and it writes them as JSON with ``schema.document``,
+each dataclass as its fields.  It makes ``--out`` just before the first
+file is written, so a command that fails on its options or inputs leaves no
+``--out`` behind, and it drops a ``manifest.json`` beside the outputs with
+the resolved options, as cast, and sha256 checksums of inputs and outputs,
+so reruns can be compared byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or artifact error, 3 numeric
 failure.
@@ -41,9 +42,9 @@ import math
 import os
 import sys
 import zipfile
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,7 @@ from .schema import (
     at_least,
     canonical_schema,
     check_setting,
+    document,
     field_types,
     json_value,
     read_document,
@@ -240,21 +242,24 @@ def _write_outputs(
     resolved: dict,
     inputs: list,
     seeds: dict,
-    outputs: dict[str, dict | str | Callable[[Path], object]],
+    outputs: dict[str, object],
 ) -> Path:
-    """Make ``--out`` and write each named output into it: a dict as JSON, a
-    str as text, and a callable is given the path to write.  Then write
-    ``manifest.json`` with the resolved options, as cast, and the sha256 of
-    every input and output."""
+    """Make ``--out`` and write each named output into it: a str as text, a
+    callable is given the path to write, and anything else, dataclasses
+    included, as JSON by ``schema.document``.  Then write ``manifest.json``
+    with the resolved options, as cast, and the sha256 of every input and
+    output."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def write(name: str, content: dict | str | Callable[[Path], object]) -> None:
+    def write(name: str, content: object) -> None:
         if callable(content):
             content(out / name)
+        elif isinstance(content, str):
+            (out / name).write_text(content, encoding="utf-8")
         else:
-            text = content if isinstance(content, str) else json.dumps(content, indent=2, sort_keys=True) + "\n"
-            (out / name).write_text(text, encoding="utf-8")
+            text = json.dumps(content, indent=2, sort_keys=True, default=document)
+            (out / name).write_text(text + "\n", encoding="utf-8")
 
     for name, content in outputs.items():
         write(name, content)
@@ -333,10 +338,10 @@ def cmd_featurize(args: argparse.Namespace) -> int:
                 path, x=samples.x, y=samples.y, origin_character=samples.character, origin_start=samples.start
             ),
             "featurize.json": {
-                "schema": asdict(schema),
-                "window_config": asdict(window_cfg),
-                "elimination": elim_report.to_dict(),
-                "ingest": stats.to_dict(),
+                "schema": schema,
+                "window_config": window_cfg,
+                "elimination": elim_report,
+                "ingest": stats,
                 "n_samples": len(samples),
             },
             "elimination_report.txt": format_elimination_text(elim_report),
@@ -445,7 +450,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         text += f"skipped, no windows: {', '.join(detail['skipped_periods'])}\n"
     print(text, end="")
     if args.out:
-        doc = {**report.to_dict(), "ingest": stats.to_dict(), "elimination": elim_report.to_dict(), **detail}
+        doc = {**document(report), "ingest": stats, "elimination": elim_report, **detail}
         outputs = {"report.json": doc, "report.txt": text}
         _write_outputs(args, resolved, inputs=[args.log, args.labels], seeds={"seed": seed}, outputs=outputs)
     return 0
@@ -492,12 +497,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     text = format_distribution_text(summary) + "\n" + format_elimination_text(elim_report)
     print(text, end="")
     if args.out:
-        doc = {
-            "distributions": summary.to_dict(),
-            "elimination": elim_report.to_dict(),
-            "ingest": stats.to_dict(),
-            "window_config": asdict(window_cfg),
-        }
+        doc = {"distributions": summary, "elimination": elim_report, "ingest": stats, "window_config": window_cfg}
         _write_outputs(
             args, resolved, inputs=[args.log, args.labels], seeds={}, outputs={"report.txt": text, "report.json": doc}
         )

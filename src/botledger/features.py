@@ -17,7 +17,7 @@ all held in one ``WindowSet``.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,16 +137,11 @@ class FeatureEvidence:
 @dataclass(frozen=True)
 class EliminationReport:
     entries: tuple[FeatureEvidence, ...]
+    threshold: float = field(default=RULE1_SMD_THRESHOLD, init=False)
+    epsilon: float = field(default=SMD_EPSILON, init=False)
 
     def dropped_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries if e.dropped)
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": RULE1_SMD_THRESHOLD,
-            "epsilon": SMD_EPSILON,
-            "entries": [asdict(e) for e in self.entries],
-        }
 
 
 def eliminate_noninfluential(
@@ -200,38 +195,20 @@ def eliminate_noninfluential(
 
 @dataclass(frozen=True)
 class DistributionRow:
-    feature_name: str
+    feature: str
     label: Label
-    minimum: float
+    min: float
     q1: float
     median: float
     q3: float
-    maximum: float
+    max: float
     mean: float
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature_name,
-            "label": self.label.value,
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "mean": self.mean,
-        }
 
 
 @dataclass(frozen=True)
 class DistributionSummary:
     rows: tuple[DistributionRow, ...]
     missing_labels: tuple[Label, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "missing_labels": [lab.value for lab in self.missing_labels],
-        }
 
 
 def format_elimination_text(report: EliminationReport) -> str:
@@ -270,8 +247,8 @@ def format_distribution_text(summary: DistributionSummary) -> str:
     lines = ["Scaled feature distribution by label", "=" * len(header), header, "-" * len(header)]
     for row in summary.rows:
         lines.append(
-            f"{row.feature_name:<42}{row.label.value:<8}{row.minimum:>8.4f}{row.q1:>8.4f}"
-            f"{row.median:>8.4f}{row.q3:>8.4f}{row.maximum:>8.4f}{row.mean:>8.4f}"
+            f"{row.feature:<42}{row.label.value:<8}{row.min:>8.4f}{row.q1:>8.4f}"
+            f"{row.median:>8.4f}{row.q3:>8.4f}{row.max:>8.4f}{row.mean:>8.4f}"
         )
     for label in summary.missing_labels:
         lines.append(f"(no {label.value} samples present)")
@@ -300,13 +277,13 @@ def summarize_distributions(
         for j, feature in enumerate(features):
             rows.append(
                 DistributionRow(
-                    feature_name=feature.name,
+                    feature=feature.name,
                     label=label,
-                    minimum=float(pooled[:, j].min()),
+                    min=float(pooled[:, j].min()),
                     q1=float(q1[j]),
                     median=float(med[j]),
                     q3=float(q3[j]),
-                    maximum=float(pooled[:, j].max()),
+                    max=float(pooled[:, j].max()),
                     mean=float(pooled[:, j].mean()),
                 )
             )

@@ -58,7 +58,7 @@ class Metrics:
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        doc = {**asdict(self), "flags": list(self.flags)}
+        doc = asdict(self)
         if not self.flags:
             del doc["flags"]
         return doc
@@ -306,21 +306,19 @@ class EvalRow:
     confusion: ConfusionMatrix
     n_test: int
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "metrics": self.metrics.to_dict()}
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-fold (or per-period) rows plus their arithmetic mean."""
+    """Per-fold (or per-period) rows plus their arithmetic mean and summed confusion."""
 
     rows: tuple[EvalRow, ...]
-    average: Metrics
-    confusion_total: ConfusionMatrix
-    config: dict = field(default_factory=dict)
+    config: dict
+    average: Metrics = field(init=False)
+    confusion_total: ConfusionMatrix = field(init=False)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "rows": [r.to_dict() for r in self.rows], "average": self.average.to_dict()}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "average", average_metrics([r.metrics for r in self.rows]))
+        object.__setattr__(self, "confusion_total", sum((r.confusion for r in self.rows), ConfusionMatrix()))
 
 
 def average_metrics(rows: Sequence[Metrics]) -> Metrics:
@@ -358,7 +356,6 @@ def cross_validate(
     plan = make_folds(samples, k, seed, group_by_character=group_by_character)
 
     rows: list[EvalRow] = []
-    total = ConfusionMatrix()
     for fold in range(k):
         test_idx = plan.fold_indices(fold)
         fold_cfg = replace(cfg, seed=derive_seed(seed, fold))
@@ -366,26 +363,16 @@ def cross_validate(
         params, _ = train(samples.subset(plan.assignments != fold), fold_cfg, fold_opts)
         probs = predict_probs(params, fold_cfg, samples.x[test_idx])
         cm = confusion_from_predictions(probs, samples.y[test_idx], threshold)
-        rows.append(
-            EvalRow(
-                name=f"Fold {fold + 1}",
-                metrics=compute_metrics(cm),
-                confusion=cm,
-                n_test=len(test_idx),
-            )
-        )
-        total = total + cm
+        rows.append(EvalRow(f"Fold {fold + 1}", compute_metrics(cm), cm, n_test=len(test_idx)))
 
     return EvalReport(
         rows=tuple(rows),
-        average=average_metrics([r.metrics for r in rows]),
-        confusion_total=total,
         config={
             "k": k,
             "seed": seed,
             "threshold": threshold,
             "group_by_character": group_by_character,
-            "model": asdict(cfg),
+            "model": cfg,
             "epochs": opts.epochs,
             "batch_size": opts.batch_size,
             "lr": opts.lr,
@@ -414,7 +401,7 @@ def cross_validate_by_period(
     other periods keep their names and seeds.  Returns one row per evaluated
     period, holding that period's average metrics and summed confusion;
     every evaluated period's full report as ``{"name", "report"}``
-    documents; and the names of the skipped periods.  Raises ``DataError``
+    dicts; and the names of the skipped periods.  Raises ``DataError``
     when no period produces a window.
     """
     row_name = "Week" if period_days == 7.0 else "Period"
@@ -437,21 +424,12 @@ def cross_validate_by_period(
             threshold=threshold,
             group_by_character=group_by_character,
         )
-        periods.append({"name": name, "report": sub.to_dict()})
-        rows.append(
-            EvalRow(
-                name=name,
-                metrics=sub.average,
-                confusion=sub.confusion_total,
-                n_test=sub.confusion_total.total,
-            )
-        )
+        periods.append({"name": name, "report": sub})
+        rows.append(EvalRow(name, sub.average, sub.confusion_total, n_test=sub.confusion_total.total))
     if not rows:
         raise DataError(f"no {row_name.lower()} produced windows")
     report = EvalReport(
         rows=tuple(rows),
-        average=average_metrics([r.metrics for r in rows]),
-        confusion_total=sum((r.confusion for r in rows), ConfusionMatrix()),
         # the periods share every setting but the seed
         config={**sub.config, "seed": seed, "by_period_days": period_days},
     )

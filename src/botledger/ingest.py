@@ -33,7 +33,7 @@ import csv
 import io
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Mapping
@@ -73,14 +73,7 @@ class IngestStats:
             self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + count
 
     def to_dict(self) -> dict:
-        return {
-            "records_read": self.records_read,
-            "records_kept": self.records_kept,
-            "records_dropped": self.records_dropped,
-            "characters_total": self.characters_total,
-            "characters_labeled": self.characters_labeled,
-            "drop_reasons": dict(sorted(self.drop_reasons.items())),
-        }
+        return {**asdict(self), "records_kept": self.records_kept}
 
 
 @dataclass(frozen=True)
@@ -403,29 +396,35 @@ def load_timelines(
 
 
 def read_label_file(path: str | Path) -> LabelFile:
-    """Parse a label file; duplicate characters or unknown labels are fatal."""
+    """Parse a label file; duplicate characters or unknown labels are fatal.
+
+    Lines starting with ``#`` are comments.  The other lines are csv, so a
+    quoted id reads unquoted, as ingest reads it; a fault names its line.
+    """
     entries: dict[str, Label] = {}
     as_of = ""
+    lines: list[str] = []
+    numbers: list[int] = []  # the file's line number of each line in ``lines``
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = []
-            for line in fh:
+            for number, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if stripped.startswith("#"):
                     body = stripped.lstrip("#").strip()
                     if body.lower().startswith("as_of:"):
                         as_of = body[len("as_of:"):].strip()
-                    continue
-                if stripped:
-                    rows.append(stripped)
-    except (OSError, UnicodeDecodeError) as exc:
+                elif stripped:
+                    lines.append(line)
+                    numbers.append(number)
+        reader = csv.reader(lines)
+        rows = [(numbers[reader.line_num - 1], [c.strip() for c in row]) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read label file {path}: {exc}") from exc
-    if not rows or [c.strip() for c in rows[0].split(",")] != ["character_id", "label"]:
+    if not rows or rows[0][1] != ["character_id", "label"]:
         raise DataError(f"label file header mismatch in {path}: expected character_id,label")
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = [c.strip() for c in row.split(",")]
+    for number, parts in rows[1:]:
         if len(parts) != 2 or not parts[0]:
-            raise DataError(f"malformed label row {lineno} in {path}: {row!r}")
+            raise DataError(f"malformed label row on line {number} of {path}: {parts!r}")
         character_id, label_text = parts
         if character_id in entries:
             raise DataError(f"duplicate label entry for character {character_id!r} in {path}")
@@ -475,7 +474,7 @@ def write_label_file(path: str | Path, labels: LabelFile) -> None:
         fh.write(f"# as_of: {labels.as_of}\n")
         fh.write("character_id,label\n")
         for character_id in sorted(labels.entries):
-            fh.write(f"{character_id},{labels.entries[character_id].value}\n")
+            fh.write(f"{csv_field(character_id)},{labels.entries[character_id].value}\n")
 
 
 def format_timestamp(value: float) -> str:

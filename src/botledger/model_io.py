@@ -6,7 +6,7 @@ Layout, little-endian throughout:
     bytes 4-7   format version (u32)
     bytes 8-11  metadata length in bytes (u32)
     ...         metadata: canonical UTF-8 JSON object (model config, feature
-                schema and window config as ``dataclasses.asdict`` gives
+                schema and window config as ``schema.document`` writes
                 them, training summary)
     ...         ``ModelParams.flat`` as raw float64, which holds the tensors
                 in C order in the sequence W_x, W_h, b, bn_gamma, bn_beta,
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DataError
 from .features import WindowConfig
 from .network import ModelConfig, ModelParams, param_layout
-from .schema import FeatureSchema, read_document
+from .schema import FeatureSchema, document, read_document
 
 MAGIC = b"BOTW"
 FORMAT_VERSION = 1
@@ -54,12 +54,12 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
     if (params.input_dim, params.hidden_dim) != (cfg.input_dim, cfg.hidden_dim):
         raise ValueError("model params do not match the model config's dimensions")
     metadata = {
-        "model_config": asdict(cfg),
-        "feature_schema": asdict(bundle.schema),
-        "window_config": asdict(bundle.window_config),
+        "model_config": cfg,
+        "feature_schema": bundle.schema,
+        "window_config": bundle.window_config,
         "training_summary": bundle.training_summary,
     }
-    meta_bytes = json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta_bytes = json.dumps(metadata, sort_keys=True, separators=(",", ":"), default=document).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))

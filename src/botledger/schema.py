@@ -19,11 +19,12 @@ character.  Windowing cuts the timelines into one ``WindowSet``, an
 (N, L, D) window array with a label, a character and a start row per
 window; ``samples.npz`` stores exactly those four arrays.
 
-Config documents are read here too.  A config dataclass declares each
+Every JSON artifact is written by ``document``, as ``json.dumps``'s
+``default``: a dataclass as its fields.  A config dataclass declares each
 field's type as its annotation and its default and range with ``setting``;
-it is written with ``dataclasses.asdict`` and read back by ``read_document``,
-which casts each field by its type with the strict ``json_value``.  The
-command line reads types, defaults and ranges from the same fields.
+``read_document`` reads it back, casting each field by its type with the
+strict ``json_value``.  The command line reads types, defaults and ranges
+from the same fields.
 """
 
 from __future__ import annotations
@@ -125,8 +126,19 @@ def field_types(cls: type) -> dict[str, type]:
     return {f.name: optional.get(f.name, hints[f.name]) for f in fields(cls)}
 
 
+def document(obj: object) -> object:
+    """The JSON form of ``obj``, as ``json.dumps``'s ``default``: an enum as its
+    value, a dataclass with a ``to_dict`` through it, any other dataclass as its
+    fields."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if is_dataclass(obj):
+        return obj.to_dict() if hasattr(obj, "to_dict") else {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def read_document(cls: type[T], doc: object, what: str) -> T:
-    """A ``cls`` from the JSON form of ``dataclasses.asdict``, each field cast by its
+    """A ``cls`` from the JSON that ``document`` writes, each field cast by its
     declared type; any fault, the constructor's own checks included, raises
     ``DataError("malformed <what> document: <field> ...")``."""
     try:

@@ -218,6 +218,20 @@ def test_featurize_bytes_are_pinned(tmp_path, capsys) -> None:
         assert got == digests, scope
 
 
+def test_featurize_keeps_a_character_whose_id_is_quoted(dataset, tmp_path, capsys) -> None:
+    # both files quote b0001; csv reads "b0001" as b0001 in each, so its labels still apply
+    log, labels = tmp_path / "status_log.csv", tmp_path / "labels.csv"
+    log.write_text(re.sub(r"(?m)^b0001,", '"b0001",', (dataset / "status_log.csv").read_text()))
+    labels.write_text((dataset / "labels.csv").read_text().replace("\nb0001,", '\n"b0001",'))
+    assert '"b0001",bot' in labels.read_text()
+    out = tmp_path / "feat"
+    assert run(["featurize", "--log", str(log), "--labels", str(labels), "--out", str(out)]) == 0
+    ingest = json.loads((out / "featurize.json").read_text())["ingest"]
+    assert "unlabeled" not in ingest["drop_reasons"]
+    with np.load(out / "samples.npz") as bundle:
+        assert "b0001" in bundle["origin_character"].tolist()
+
+
 def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
     # digests of the bytes written while timelines were one object per character
     data = tmp_path / "data"
@@ -248,6 +262,29 @@ def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
     }
     for name, (argv, digest) in runs.items():
         assert run(argv) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_report_and_train_bytes_are_pinned(tmp_path, capsys) -> None:
+    # digests of the bytes written while each report built its JSON by hand;
+    # training stops early after epoch 2, so the log carries an early_stop entry
+    data = tmp_path / "data"
+    assert run(
+        ["synth", "--bots", "3", "--normals", "5", "--days", "3", "--seed", "21", "--out", str(data)]
+    ) == 0
+    log, labels = str(data / "status_log.csv"), str(data / "labels.csv")
+    assert run(["featurize", "--log", log, "--labels", labels, "--out", str(tmp_path / "feat")]) == 0
+    assert run(
+        ["train", "--samples", str(tmp_path / "feat"), "--epochs", "6", "--early-stop-patience", "1",
+         "--lr", "0.05", "--seed", "4", "--out", str(tmp_path / "model")]
+    ) == 0
+    assert run(["report", "--log", log, "--labels", labels, "--out", str(tmp_path / "report")]) == 0
+    pinned = {
+        "report/report.json": "9b8bdf5011c79984aee06b73dce8c682555279eac0dbe8153c3bf67e856b16b7",
+        "model/model.bin": "20494c8f7e196586581e15f2945086d0c44ef9d431e4d9b6848d4f0ebe6c151d",
+        "model/training_log.json": "04f6eb20aa86c216819cc9b94c81e32fe19483e9b684e2eed4c7749e20cf653f",
+    }
+    for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 

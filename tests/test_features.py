@@ -317,9 +317,9 @@ def test_summary_quartiles_frozen_example() -> None:
     samples = windows_from_timelines(timeline, SCHEMA, WindowConfig(4, 1))
     # need a normal sample too for the summary to be complete? no: missing label flagged
     summary = summarize_distributions(samples, SCHEMA)
-    row = next(r for r in summary.rows if r.feature_name == "Number of Items")
+    row = next(r for r in summary.rows if r.feature == "Number of Items")
     assert row.label is Label.BOT
-    assert row.minimum == 0.0 and row.maximum == 1.0
+    assert row.min == 0.0 and row.max == 1.0
     assert row.q1 == pytest.approx(0.075, abs=1e-12)
     assert row.median == pytest.approx(0.25, abs=1e-12)
     assert row.q3 == pytest.approx(0.55, abs=1e-12)
@@ -330,17 +330,17 @@ def test_summary_quartiles_frozen_example() -> None:
 def test_summary_identical_groups_give_identical_rows() -> None:
     samples = _sample_set()
     summary = summarize_distributions(samples, SCHEMA)
-    bot_rows = {r.feature_name: r for r in summary.rows if r.label is Label.BOT}
-    normal_rows = {r.feature_name: r for r in summary.rows if r.label is Label.NORMAL}
+    bot_rows = {r.feature: r for r in summary.rows if r.label is Label.BOT}
+    normal_rows = {r.feature: r for r in summary.rows if r.label is Label.NORMAL}
     assert set(bot_rows) == set(normal_rows)
     for name in bot_rows:
         b, n = bot_rows[name], normal_rows[name]
-        assert (b.minimum, b.q1, b.median, b.q3, b.maximum, b.mean) == (
-            n.minimum,
+        assert (b.min, b.q1, b.median, b.q3, b.max, b.mean) == (
+            n.min,
             n.q1,
             n.median,
             n.q3,
-            n.maximum,
+            n.max,
             n.mean,
         )
     assert summary.missing_labels == ()

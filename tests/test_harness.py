@@ -1,5 +1,7 @@
 """Metrics, fold hygiene, period splitting, and training-loop behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from botledger.harness import (
     train,
 )
 from botledger.network import ModelConfig, bce_loss, forward, init_params
-from botledger.schema import Label, Timelines, WindowSet
+from botledger.schema import Label, Timelines, WindowSet, document
 
 
 def window_set(windows):
@@ -432,7 +434,7 @@ def test_cross_validate_reproducible() -> None:
     opts = TrainOptions(epochs=5, batch_size=8, lr=1e-2)
     r1 = cross_validate(samples, cfg, opts, k=2, seed=8)
     r2 = cross_validate(samples, cfg, opts, k=2, seed=8)
-    assert r1.to_dict() == r2.to_dict()
+    assert json.dumps(r1, default=document) == json.dumps(r2, default=document)
 
 
 def test_report_average_row_matches_mean() -> None:
@@ -468,6 +470,6 @@ def test_derive_seed_stable_and_distinct() -> None:
 def test_eval_row_serialization() -> None:
     cm = ConfusionMatrix(tp=5, fp=1, tn=6, fn=0)
     row = EvalRow(name="Fold 1", metrics=compute_metrics(cm), confusion=cm, n_test=12)
-    doc = row.to_dict()
+    doc = json.loads(json.dumps(row, default=document))
     assert doc["name"] == "Fold 1"
     assert doc["confusion"] == {"tp": 5, "fp": 1, "tn": 6, "fn": 0}

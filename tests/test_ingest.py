@@ -330,6 +330,20 @@ def test_label_file_roundtrip(tmp_path) -> None:
     assert dict(clone.entries) == dict(original.entries)
 
 
+def test_label_file_roundtrip_quotes_ids(tmp_path) -> None:
+    path = tmp_path / "labels.csv"
+    original = LabelFile({"c,4": Label.BOT, 'say "hi"': Label.NORMAL, "n1": Label.NORMAL}, as_of="x")
+    write_label_file(path, original)
+    assert dict(read_label_file(path).entries) == dict(original.entries)
+
+
+def test_label_file_malformed_row_names_its_line(tmp_path) -> None:
+    path = tmp_path / "labels.csv"
+    path.write_text("# as_of: x\ncharacter_id,label\n\n# note\nc1,bot\nc2,bot,extra\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 6 of"):
+        read_label_file(path)
+
+
 def test_label_file_bad_label(tmp_path) -> None:
     path = tmp_path / "labels.csv"
     path.write_text("character_id,label\nc1,cyborg\n", encoding="utf-8")

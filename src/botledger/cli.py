@@ -11,8 +11,10 @@ and argparse extras.  Its flag is the key with dashes, and a switch sets the
 opposite of its default (``--no-batchnorm`` sets ``batchnorm`` false).  An
 option that sets a config field names that field and takes its type,
 default and range from it, as declared on the field, so the library and the
-CLI check the same ranges; only the CLI's own options state theirs in the
-row.  ``_config`` builds every config from the resolved options.
+CLI check the same ranges; only ``seed``, ``by_period`` and ``leaky_folds``,
+which no config holds, state theirs in the row.  ``_config`` builds every
+config from the resolved options; they are in range by then, so it passes
+them to the constructor as they are.
 
 Option precedence is CLI flag, then ``--config`` JSON file (keyed like the
 table), then the ``BOTLEDGER_SEED`` environment variable (seeds only), then
@@ -60,6 +62,7 @@ from .features import (
     windows_from_timelines,
 )
 from .harness import (
+    FoldOptions,
     TrainOptions,
     cross_validate,
     cross_validate_by_period,
@@ -73,7 +76,6 @@ from .model_io import ModelBundle, load_model, save_model
 from .network import ModelConfig
 from .schema import (
     POSITIVE,
-    UNIT,
     FeatureSchema,
     Label,
     Range,
@@ -117,7 +119,7 @@ _OPTIONS: dict[str, _Option] = {
     "bots": _setting(GenConfig, "n_bots"),
     "normals": _setting(GenConfig, "n_normals"),
     "days": _setting(GenConfig, "days"),
-    "interval_hours": _Option(float, GenConfig.snapshot_interval / 3600.0, POSITIVE, {"help": "snapshot interval"}),
+    "interval_hours": _setting(GenConfig, "interval_hours", help="snapshot interval"),
     "separability": _setting(GenConfig, "separability", help="0: bots behave like humans; 1: fully bot-like"),
     "window_length": _setting(WindowConfig, "window_length", help="timesteps per training window"),
     "stride": _setting(WindowConfig, "stride", help="offset between consecutive windows"),
@@ -133,8 +135,8 @@ _OPTIONS: dict[str, _Option] = {
     "lr": _setting(TrainOptions, "lr", help="Adam learning rate"),
     "batchnorm": _setting(ModelConfig, "use_batchnorm", help="disable input batch normalization"),
     "early_stop_patience": _setting(TrainOptions, "early_stop_patience", help="enable early stopping"),
-    "k": _Option(int, 10, at_least(2), {"help": "number of folds"}),
-    "threshold": _Option(float, 0.5, UNIT, {"help": "bot decision threshold (ties count as bot)"}),
+    "k": _setting(FoldOptions, "k", help="number of folds"),
+    "threshold": _setting(FoldOptions, "threshold", help="bot decision threshold (ties count as bot)"),
     "by_period": _Option(
         float,
         None,
@@ -227,10 +229,7 @@ def _config(cls: type, resolved: dict, **fixed):
         for key, option in _OPTIONS.items()
         if key in resolved and option.field and option.field[0] is cls
     }
-    try:
-        return cls(**values, **fixed)
-    except ValueError as exc:  # a field computed from options, such as the interval in seconds
-        raise UsageError(f"bad option value: {exc}") from exc
+    return cls(**values, **fixed)
 
 
 def _sha256(path: Path) -> str:
@@ -281,9 +280,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     if resolved["bots"] + resolved["normals"] < 1:
         raise UsageError("--bots and --normals must add up to at least 1")
-    cfg = _config(
-        GenConfig, resolved, snapshot_interval=resolved["interval_hours"] * 3600.0, seed=resolved["seed"]
-    )
+    cfg = _config(GenConfig, resolved, seed=resolved["seed"])
     try:
         steps = cfg.steps
     except OverflowError as exc:  # days / interval beyond the float range
@@ -425,25 +422,24 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    seed, k, period_days, threshold = resolved["seed"], resolved["k"], resolved["by_period"], resolved["threshold"]
+    seed, period_days = resolved["seed"], resolved["by_period"]
     timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
-    grouped = not resolved["leaky_folds"]
     cfg = _config(ModelConfig, resolved, input_dim=len(schema.active_indices()), seed=seed)
     opts = _train_options(resolved)
-    folds = {"k": k, "seed": seed, "threshold": threshold, "group_by_character": grouped}
+    folds = _config(FoldOptions, resolved, seed=seed, group_by_character=not resolved["leaky_folds"])
     detail: dict = {}
 
     if period_days is None:
         samples = windows_from_timelines(timelines, schema, window_cfg)
         if not samples:
             raise DataError("no windows produced from the input timelines")
-        report = cross_validate(samples, cfg, opts, **folds)
-        title = f"Cross-validation results (k={k}, seed={seed})"
+        report = cross_validate(samples, cfg, opts, folds)
+        title = f"Cross-validation results (k={folds.k}, seed={seed})"
     else:
         report, detail["periods"], detail["skipped_periods"] = cross_validate_by_period(
-            timelines, schema, window_cfg, cfg, opts, period_days=period_days, **folds
+            timelines, schema, window_cfg, cfg, opts, folds, period_days
         )
-        title = f"Cross-validation by period (k={k}, seed={seed}, period={period_days:g}d)"
+        title = f"Cross-validation by period (k={folds.k}, seed={seed}, period={period_days:g}d)"
 
     text = format_report_text(report, title)
     if detail.get("skipped_periods"):

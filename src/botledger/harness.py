@@ -27,7 +27,7 @@ from .network import (
     init_adam,
     init_params,
 )
-from .schema import POSITIVE, FeatureSchema, Label, Timelines, WindowSet, at_least, check_settings, setting
+from .schema import POSITIVE, UNIT, FeatureSchema, Label, Timelines, WindowSet, at_least, check_settings, setting
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,22 @@ def compute_metrics(cm: ConfusionMatrix) -> Metrics:
     return Metrics(accuracy, precision, recall, f1, tuple(flags))
 
 
+@dataclass(frozen=True)
+class FoldOptions:
+    """Cross-validation settings: ``k`` folds dealt from ``seed``, grouped by
+    character unless ``group_by_character`` is off, and a probability at or
+    above ``threshold`` counted as bot."""
+
+    seed: int = setting(0, at_least(0))
+    k: int = setting(10, at_least(2))
+    threshold: float = setting(0.5, UNIT)
+    group_by_character: bool = setting(True)
+
+    __post_init__ = check_settings
+
+
 def confusion_from_predictions(
-    probabilities: np.ndarray, labels: np.ndarray, threshold: float = 0.5
+    probabilities: np.ndarray, labels: np.ndarray, threshold: float = FoldOptions.threshold
 ) -> ConfusionMatrix:
     """Threshold probabilities (ties classify as bot) and count outcomes."""
     p = np.asarray(probabilities, dtype=float)
@@ -135,13 +149,7 @@ class FoldPlan:
                 raise ValueError(f"character {character!r} spans multiple folds")
 
 
-def make_folds(
-    samples: WindowSet,
-    k: int,
-    seed: int,
-    *,
-    group_by_character: bool = True,
-) -> FoldPlan:
+def make_folds(samples: WindowSet, folds: FoldOptions) -> FoldPlan:
     """Stratified k-fold assignment, grouped by character unless disabled.
 
     Group mode shuffles each label's sorted characters with the seeded
@@ -149,16 +157,15 @@ def make_folds(
     across folds differ by at most one.  Either mode requires at least k
     members per class.
     """
-    if k < 2:
-        raise ValueError("k must be at least 2")
     if not samples:
         raise ValueError("cannot fold an empty sample list")
     y = samples.y
     if np.isnan(y).any():
         raise ValueError("cross-validation needs labeled samples")
-    rng = np.random.default_rng(seed)
+    k = folds.k
+    rng = np.random.default_rng(folds.seed)
     # the units dealt to folds: characters (sorted by id) or single windows
-    if group_by_character:
+    if folds.group_by_character:
         _, first, inverse = np.unique(samples.character, return_index=True, return_inverse=True)
         conflicted = np.flatnonzero(y[first][inverse] != y)
         if conflicted.size:
@@ -176,7 +183,7 @@ def make_folds(
             )
         unit_fold[members[rng.permutation(len(members))]] = np.arange(len(members)) % k
 
-    plan = FoldPlan(k=k, assignments=unit_fold[inverse], grouped=group_by_character)
+    plan = FoldPlan(k=k, assignments=unit_fold[inverse], grouped=folds.group_by_character)
     plan.validate(samples)
     return plan
 
@@ -338,40 +345,30 @@ def derive_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 
-def cross_validate(
-    samples: WindowSet,
-    cfg: ModelConfig,
-    opts: TrainOptions,
-    *,
-    k: int,
-    seed: int,
-    threshold: float = 0.5,
-    group_by_character: bool = True,
-) -> EvalReport:
+def cross_validate(samples: WindowSet, cfg: ModelConfig, opts: TrainOptions, folds: FoldOptions) -> EvalReport:
     """Stratified k-fold evaluation; each fold trains a fresh model.
 
-    Per-fold model and shuffle seeds are derived from (seed, fold index), so
-    the whole run is reproducible from the one experiment seed.
+    Per-fold model and shuffle seeds are derived from (``folds.seed``, fold
+    index), so the whole run is reproducible from the one experiment seed.
+    The report's ``config`` holds the fields of ``folds`` beside the model
+    and training settings.
     """
-    plan = make_folds(samples, k, seed, group_by_character=group_by_character)
+    plan = make_folds(samples, folds)
 
     rows: list[EvalRow] = []
-    for fold in range(k):
+    for fold in range(folds.k):
         test_idx = plan.fold_indices(fold)
-        fold_cfg = replace(cfg, seed=derive_seed(seed, fold))
-        fold_opts = replace(opts, shuffle_seed=derive_seed(seed, fold, 1))
+        fold_cfg = replace(cfg, seed=derive_seed(folds.seed, fold))
+        fold_opts = replace(opts, shuffle_seed=derive_seed(folds.seed, fold, 1))
         params, _ = train(samples.subset(plan.assignments != fold), fold_cfg, fold_opts)
         probs = predict_probs(params, fold_cfg, samples.x[test_idx])
-        cm = confusion_from_predictions(probs, samples.y[test_idx], threshold)
+        cm = confusion_from_predictions(probs, samples.y[test_idx], folds.threshold)
         rows.append(EvalRow(f"Fold {fold + 1}", compute_metrics(cm), cm, n_test=len(test_idx)))
 
     return EvalReport(
         rows=tuple(rows),
         config={
-            "k": k,
-            "seed": seed,
-            "threshold": threshold,
-            "group_by_character": group_by_character,
+            **asdict(folds),
             "model": cfg,
             "epochs": opts.epochs,
             "batch_size": opts.batch_size,
@@ -386,17 +383,13 @@ def cross_validate_by_period(
     window_cfg: WindowConfig,
     cfg: ModelConfig,
     opts: TrainOptions,
-    *,
+    folds: FoldOptions,
     period_days: float,
-    k: int,
-    seed: int,
-    threshold: float = 0.5,
-    group_by_character: bool = True,
 ) -> tuple[EvalReport, list[dict], list[str]]:
     """A separate k-fold evaluation of each calendar period's windows.
 
     Each period is windowed on its own and cross-validated with a seed
-    derived from (seed, period ordinal).  A period too short for one window
+    derived from (``folds.seed``, period ordinal).  A period too short for one window
     (typically the last, partial one) is skipped and keeps its name, so the
     other periods keep their names and seeds.  Returns one row per evaluated
     period, holding that period's average metrics and summed confusion;
@@ -415,15 +408,7 @@ def cross_validate_by_period(
         if not samples:
             skipped.append(name)
             continue
-        sub = cross_validate(
-            samples,
-            cfg,
-            opts,
-            k=k,
-            seed=derive_seed(seed, ordinal),
-            threshold=threshold,
-            group_by_character=group_by_character,
-        )
+        sub = cross_validate(samples, cfg, opts, replace(folds, seed=derive_seed(folds.seed, ordinal)))
         periods.append({"name": name, "report": sub})
         rows.append(EvalRow(name, sub.average, sub.confusion_total, n_test=sub.confusion_total.total))
     if not rows:
@@ -431,7 +416,7 @@ def cross_validate_by_period(
     report = EvalReport(
         rows=tuple(rows),
         # the periods share every setting but the seed
-        config={**sub.config, "seed": seed, "by_period_days": period_days},
+        config={**sub.config, "seed": folds.seed, "by_period_days": period_days},
     )
     return report, periods, skipped
 

@@ -474,7 +474,10 @@ def write_label_file(path: str | Path, labels: LabelFile) -> None:
         fh.write(f"# as_of: {labels.as_of}\n")
         fh.write("character_id,label\n")
         for character_id in sorted(labels.entries):
-            fh.write(f"{csv_field(character_id)},{labels.entries[character_id].value}\n")
+            field = csv_field(character_id)
+            if field.lstrip().startswith("#"):  # unquoted, the reader would take the row for a comment
+                field = f'"{field}"'
+            fh.write(f"{field},{labels.entries[character_id].value}\n")
 
 
 def format_timestamp(value: float) -> str:

@@ -17,7 +17,7 @@ wrong type or a config its constructor rejects is a ``DataError``.  The
 payload length is implied by the metadata's model config, so the reader can
 verify it exactly.  Unknown magic or version is rejected rather than
 guessed at, and so is metadata whose feature schema does not feed
-``input_dim`` features to the model.
+``input_dim`` features to the model, and a payload holding NaN or ±inf.
 """
 
 from __future__ import annotations
@@ -114,6 +114,9 @@ def load_model(path: str | Path) -> ModelBundle:
             f"expected {layout.size * 8}"
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        bad = next(name for name, (where, _) in layout.views.items() if not np.isfinite(flat[where]).all())
+        raise DataError(f"model file {path} tensor {bad} holds a non-finite value")
     return ModelBundle(
         params=ModelParams(flat, layout),
         config=config,

@@ -135,10 +135,14 @@ def draw_character_params(
 
 @dataclass(frozen=True)
 class GenConfig:
+    """A synthetic dataset: ``n_bots`` and ``n_normals`` characters snapshotted every
+    ``interval_hours`` for ``days``.  Synth reads the interval only as
+    ``snapshot_interval``, in seconds."""
+
     n_bots: int = setting(10, at_least(0))
     n_normals: int = setting(40, at_least(0))
     days: float = setting(28.0, POSITIVE)
-    snapshot_interval: float = setting(3600.0, POSITIVE)  # seconds
+    interval_hours: float = setting(1.0, POSITIVE)
     separability: float = setting(1.0, UNIT)
     seed: int = setting(0, at_least(0))
 
@@ -146,6 +150,10 @@ class GenConfig:
         check_settings(self)
         if self.n_bots + self.n_normals < 1:
             raise ValueError("need at least one character")
+
+    @property
+    def snapshot_interval(self) -> float:  # seconds
+        return self.interval_hours * 3600.0
 
     @property
     def steps(self) -> int:

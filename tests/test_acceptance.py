@@ -21,6 +21,7 @@ from botledger.features import (
     windows_from_timelines,
 )
 from botledger.harness import (
+    FoldOptions,
     compute_metrics,
     confusion_from_predictions,
     make_folds,
@@ -199,7 +200,7 @@ def test_fold_hygiene_and_leakage_direction(tmp_path, capsys) -> None:
     ]) == 0
 
     samples, _, _, _ = _load_samples_dir(str(feat))
-    plan = make_folds(samples, k=3, seed=13, group_by_character=True)
+    plan = make_folds(samples, FoldOptions(k=3, seed=13, group_by_character=True))
     plan.validate(samples)
     all_indices = np.concatenate([plan.fold_indices(f) for f in range(plan.k)])
     assert sorted(all_indices.tolist()) == list(range(len(samples)))

@@ -23,8 +23,9 @@ from botledger.cli import run
 from botledger.errors import DataError, NumericError
 from botledger.features import WindowConfig
 from botledger.harness import TrainOptions
+from botledger.ingest import LabelFile, read_label_file, write_label_file
 from botledger.model_io import ModelBundle, load_model, save_model
-from botledger.network import ModelConfig
+from botledger.network import ModelConfig, param_layout
 from botledger.synth import GenConfig
 
 
@@ -232,6 +233,21 @@ def test_featurize_keeps_a_character_whose_id_is_quoted(dataset, tmp_path, capsy
         assert "b0001" in bundle["origin_character"].tolist()
 
 
+def test_featurize_keeps_a_character_whose_id_starts_with_a_hash(dataset, tmp_path, capsys) -> None:
+    # b0001 is #x in both files; the label file must not turn its row into a comment
+    log, labels = tmp_path / "status_log.csv", tmp_path / "labels.csv"
+    log.write_text(re.sub(r"(?m)^b0001,", "#x,", (dataset / "status_log.csv").read_text()))
+    entries = dict(read_label_file(dataset / "labels.csv").entries)
+    entries["#x"] = entries.pop("b0001")
+    write_label_file(labels, LabelFile(entries, as_of=""))
+    out = tmp_path / "feat"
+    assert run(["featurize", "--log", str(log), "--labels", str(labels), "--out", str(out)]) == 0
+    ingest = json.loads((out / "featurize.json").read_text())["ingest"]
+    assert "unlabeled" not in ingest["drop_reasons"]
+    with np.load(out / "samples.npz") as bundle:
+        assert "#x" in bundle["origin_character"].tolist()
+
+
 def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
     # digests of the bytes written while timelines were one object per character
     data = tmp_path / "data"
@@ -258,6 +274,12 @@ def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
             ["score", "--log", log, "--labels", labels, "--model", str(tmp_path / "model" / "model.bin"),
              "--out", str(tmp_path / "score")],
             "c2685ca5cf893d62a1c9268470c3cb5da8e996590309519ca04850ad558cbd76",
+        ),
+        # taken while the fold settings were four keyword arguments
+        "cvl/report.json": (
+            ["crossval", "--log", log, "--labels", labels, "--k", "2", "--epochs", "1", "--seed", "3",
+             "--by-period", "2", "--leaky-folds", "--threshold", "0.4", "--out", str(tmp_path / "cvl")],
+            "f59aa4a1f851c7dcf0a6833a4d133218078305bead19d07656000f7d2562a4f8",
         ),
     }
     for name, (argv, digest) in runs.items():
@@ -286,6 +308,35 @@ def test_report_and_train_bytes_are_pinned(tmp_path, capsys) -> None:
     }
     for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.fixture(scope="module")
+def short_dataset(tmp_path_factory):
+    """Six characters over half a day: 12 hourly rows each, fewer than one 24-step window."""
+    out = tmp_path_factory.mktemp("short")
+    assert run(["synth", "--bots", "2", "--normals", "4", "--days", "0.5", "--seed", "11", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [([], "no windows produced from the input timelines"), (["--by-period", "7"], "no week produced windows")],
+)
+def test_crossval_without_one_full_window_is_a_data_error(short_dataset, extra, message, tmp_path, capsys) -> None:
+    log, labels = str(short_dataset / "status_log.csv"), str(short_dataset / "labels.csv")
+    assert run(["crossval", "--log", log, "--labels", labels, *extra, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_score_skips_characters_shorter_than_the_window(short_dataset, model_dir, tmp_path, capsys) -> None:
+    out = tmp_path / "score"
+    argv = ["score", "--log", str(short_dataset / "status_log.csv"), "--model", str(model_dir / "model.bin")]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert "scored 0 characters (0 at or above threshold 0.5, 6 skipped as shorter than the window)" in (
+        capsys.readouterr().out
+    )
+    assert (out / "scores.csv").read_text() == "character_id,probability,label\n"
 
 
 def test_featurize_window_longer_than_history(dataset, tmp_path, capsys) -> None:
@@ -718,6 +769,25 @@ def _with_model_metadata(edit):
     return rewrite
 
 
+def _with_tensor_entry(name, value):
+    """Set the first entry of tensor ``name`` in a model.bin's payload to ``value``."""
+
+    def rewrite(blob: bytes) -> bytes:
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        cfg = json.loads(blob[12 : 12 + meta_len])["model_config"]
+        where, _ = param_layout(cfg["input_dim"], cfg["hidden_dim"]).views[name]
+        flat = np.frombuffer(blob[12 + meta_len :], dtype="<f8").copy()
+        flat[where.start] = value
+        return blob[: 12 + meta_len] + flat.tobytes()
+
+    return rewrite
+
+
+def _drop_window_config(meta: dict) -> dict:
+    del meta["window_config"]
+    return meta
+
+
 def _drop_first_active_feature(meta: dict, key: str = "feature_schema") -> dict:
     active = meta[key]["active"]
     active[active.index(True)] = False
@@ -918,6 +988,12 @@ def _put(index, value):
         ("score", None, ("model.bin", _with_model_metadata(_shorten_active_mask)), 2),
         ("score", None, ("model.bin", _with_model_metadata(_repeat_first_feature_name)), 2),
         ("train", None, ("featurize.json", _featurize_edit(_repeat_first_feature_name, "schema")), 2),
+        # a tensor holding NaN or inf, a metadata length past the end of the
+        # file, and metadata without a window config
+        ("score", None, ("model.bin", _with_tensor_entry("b_out", np.nan)), 2),
+        ("score", None, ("model.bin", _with_tensor_entry("W_x", np.inf)), 2),
+        ("score", None, ("model.bin", lambda blob: blob[:8] + struct.pack("<I", len(blob)) + blob[12:]), 2),
+        ("score", None, ("model.bin", _with_model_metadata(_drop_window_config)), 2),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -1098,6 +1174,11 @@ def test_out_of_range_option_names_the_flag(command, key, value, want, tmp_path,
 def test_every_ranged_option_is_range_tested() -> None:
     tested = {key for _, key, _, _ in _OUT_OF_RANGE}
     assert tested == {key for key, option in cli._OPTIONS.items() if option.allowed is not None}
+
+
+def test_only_seed_by_period_and_leaky_folds_state_their_own_setting() -> None:
+    # every other option takes its type, default and range from a config field
+    assert {key for key, option in cli._OPTIONS.items() if option.field is None} == {"seed", "by_period", "leaky_folds"}
 
 
 _CONFIG_FLOAT_FIELDS = [

@@ -1,6 +1,7 @@
 """Metrics, fold hygiene, period splitting, and training-loop behavior."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from botledger.errors import DataError
 from botledger.harness import (
     ConfusionMatrix,
     EvalRow,
+    FoldOptions,
     TrainOptions,
     average_metrics,
     compute_metrics,
@@ -164,9 +166,23 @@ def test_average_metrics_merges_flags() -> None:
 
 # ------------------------------------------------------------------ folds
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"threshold": float("nan")}, "threshold must be finite, got nan"),
+    ],
+)
+def test_fold_options_reject_values_outside_their_range(values, message) -> None:
+    # k and an out-of-range threshold are checked with their flags in test_cli
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FoldOptions(**values)
+    assert FoldOptions() == FoldOptions(seed=0, k=10, threshold=0.5, group_by_character=True)
+
+
 def test_fold_balance_perfect_stratification() -> None:
     samples = one_window_samples(30, 70)
-    plan = make_folds(samples, k=10, seed=0)
+    plan = make_folds(samples, FoldOptions(k=10, seed=0))
     for fold in range(10):
         idx = plan.fold_indices(fold)
         labels = samples.y[idx].tolist()
@@ -176,7 +192,7 @@ def test_fold_balance_perfect_stratification() -> None:
 
 def test_folds_group_characters() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=5)
-    plan = make_folds(samples, k=3, seed=1)
+    plan = make_folds(samples, FoldOptions(k=3, seed=1))
     fold_of = {}
     for i, character in enumerate(samples.character):
         fold_of.setdefault(character, set()).add(int(plan.assignments[i]))
@@ -186,17 +202,17 @@ def test_folds_group_characters() -> None:
 
 def test_folds_deterministic_under_seed() -> None:
     samples = one_window_samples(12, 20)
-    a = make_folds(samples, k=4, seed=9)
-    b = make_folds(samples, k=4, seed=9)
+    a = make_folds(samples, FoldOptions(k=4, seed=9))
+    b = make_folds(samples, FoldOptions(k=4, seed=9))
     assert np.array_equal(a.assignments, b.assignments)
-    c = make_folds(samples, k=4, seed=10)
+    c = make_folds(samples, FoldOptions(k=4, seed=10))
     assert not np.array_equal(a.assignments, c.assignments)
 
 
 def test_folds_insufficient_class_members() -> None:
     samples = one_window_samples(3, 40)
     with pytest.raises(DataError, match="insufficient class members"):
-        make_folds(samples, k=10, seed=0)
+        make_folds(samples, FoldOptions(k=10, seed=0))
 
 
 def test_leaky_folds_split_characters() -> None:
@@ -206,8 +222,8 @@ def test_leaky_folds_split_characters() -> None:
         + [(np.full((4, 2), 0.6), Label.NORMAL, ("n0", i)) for i in range(8)]
     )
     with pytest.raises(DataError):
-        make_folds(samples, k=2, seed=0)
-    plan = make_folds(samples, k=2, seed=0, group_by_character=False)
+        make_folds(samples, FoldOptions(k=2, seed=0))
+    plan = make_folds(samples, FoldOptions(k=2, seed=0, group_by_character=False))
     assert not plan.grouped
     plan.validate(samples)
     bot_folds = {int(plan.assignments[i]) for i, y in enumerate(samples.y) if y == 1.0}
@@ -216,7 +232,7 @@ def test_leaky_folds_split_characters() -> None:
 
 def test_validate_rejects_tampered_assignments() -> None:
     samples = one_window_samples(4, 4)
-    plan = make_folds(samples, k=2, seed=0)
+    plan = make_folds(samples, FoldOptions(k=2, seed=0))
     plan.assignments[0] = 99
     with pytest.raises(ValueError):
         plan.validate(samples)
@@ -224,7 +240,7 @@ def test_validate_rejects_tampered_assignments() -> None:
 
 def test_validate_rejects_character_leakage() -> None:
     samples = toy_separable(n_chars_per_class=4, windows_per_char=3)
-    plan = make_folds(samples, k=2, seed=0)
+    plan = make_folds(samples, FoldOptions(k=2, seed=0))
     victim = samples.character[0]
     idx = [i for i, character in enumerate(samples.character) if character == victim]
     plan.assignments[idx[0]] = 1 - plan.assignments[idx[0]]
@@ -241,7 +257,7 @@ def test_conflicting_character_labels_rejected() -> None:
         + one_window_triples(4, 4)
     )
     with pytest.raises(DataError, match="conflicting labels"):
-        make_folds(samples, k=2, seed=0)
+        make_folds(samples, FoldOptions(k=2, seed=0))
 
 
 # ---------------------------------------------------------------- periods
@@ -419,7 +435,7 @@ def test_cross_validate_separable() -> None:
     samples = toy_separable(n_chars_per_class=8, windows_per_char=4, seed=1)
     cfg = ModelConfig(2, 16, 0.2, 1e-4, seed=0)
     report = cross_validate(
-        samples, cfg, TrainOptions(epochs=30, batch_size=8, lr=1e-2), k=2, seed=3
+        samples, cfg, TrainOptions(epochs=30, batch_size=8, lr=1e-2), FoldOptions(k=2, seed=3)
     )
     assert report.average.f1 >= 0.95
     assert [r.name for r in report.rows] == ["Fold 1", "Fold 2"]
@@ -432,15 +448,15 @@ def test_cross_validate_reproducible() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4)
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=0)
     opts = TrainOptions(epochs=5, batch_size=8, lr=1e-2)
-    r1 = cross_validate(samples, cfg, opts, k=2, seed=8)
-    r2 = cross_validate(samples, cfg, opts, k=2, seed=8)
+    r1 = cross_validate(samples, cfg, opts, FoldOptions(k=2, seed=8))
+    r2 = cross_validate(samples, cfg, opts, FoldOptions(k=2, seed=8))
     assert json.dumps(r1, default=document) == json.dumps(r2, default=document)
 
 
 def test_report_average_row_matches_mean() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4)
     cfg = ModelConfig(2, 8, 0.0, 0.0, seed=0)
-    report = cross_validate(samples, cfg, TrainOptions(epochs=5, batch_size=8, lr=1e-2), k=3, seed=1)
+    report = cross_validate(samples, cfg, TrainOptions(epochs=5, batch_size=8, lr=1e-2), FoldOptions(k=3, seed=1))
     for field in ("accuracy", "precision", "recall", "f1"):
         manual = sum(getattr(r.metrics, field) for r in report.rows) / len(report.rows)
         assert abs(getattr(report.average, field) - manual) < 1e-12
@@ -451,8 +467,7 @@ def test_format_report_text_layout() -> None:
         toy_separable(n_chars_per_class=4, windows_per_char=2, seed=7),
         ModelConfig(2, 8, 0.0, 0.0, seed=0),
         TrainOptions(epochs=2, batch_size=8, lr=1e-2),
-        k=2,
-        seed=0,
+        FoldOptions(k=2, seed=0),
     )
     text = format_report_text(report)
     lines = text.splitlines()

@@ -337,6 +337,17 @@ def test_label_file_roundtrip_quotes_ids(tmp_path) -> None:
     assert dict(read_label_file(path).entries) == dict(original.entries)
 
 
+def test_label_file_roundtrip_keeps_ids_that_start_with_a_hash(tmp_path) -> None:
+    # unquoted, "#x,bot" would read as a comment line and drop the label
+    path = tmp_path / "labels.csv"
+    original = LabelFile({"#x": Label.BOT, "#y,1": Label.BOT, "n": Label.NORMAL}, as_of="x")
+    write_label_file(path, original)
+    assert dict(read_label_file(path).entries) == dict(original.entries)
+    # the reader strips each field, so a leading space is lost but the label is not
+    write_label_file(path, LabelFile({" #z": Label.NORMAL}, as_of="x"))
+    assert dict(read_label_file(path).entries) == {"#z": Label.NORMAL}
+
+
 def test_label_file_malformed_row_names_its_line(tmp_path) -> None:
     path = tmp_path / "labels.csv"
     path.write_text("# as_of: x\ncharacter_id,label\n\n# note\nc1,bot\nc2,bot,extra\n", encoding="utf-8")

@@ -172,3 +172,14 @@ def test_extra_payload_rejected(tmp_path) -> None:
         fh.write(b"\x00" * 8)
     with pytest.raises(DataError, match="payload"):
         load_model(path)
+
+
+@pytest.mark.parametrize("name, value", [("b_out", np.nan), ("bn_running_var", np.inf), ("W_x", -np.inf)])
+def test_non_finite_tensor_rejected(tmp_path, name, value) -> None:
+    bundle = make_bundle()
+    where, _ = bundle.params.layout.views[name]
+    bundle.params.flat[where.start] = value
+    path = tmp_path / "model.bin"
+    save_model(path, bundle)
+    with pytest.raises(DataError, match=f"model file {path} tensor {name} holds a non-finite value"):
+        load_model(path)

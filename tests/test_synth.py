@@ -106,7 +106,7 @@ def test_draws_jitter_but_preserve_exact_zeros() -> None:
 
 def test_gen_config_steps() -> None:
     assert GenConfig(1, 1).steps == 28 * 24
-    assert GenConfig(1, 1, days=1.0, snapshot_interval=1800.0).steps == 48
+    assert GenConfig(1, 1, days=1.0, interval_hours=0.5).steps == 48
 
 
 def test_gen_config_validation() -> None:

@@ -283,8 +283,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _config(GenConfig, resolved, seed=resolved["seed"])
     try:
         steps = cfg.steps
-    except OverflowError as exc:  # days / interval beyond the float range
-        raise UsageError(f"bad option value: {exc}") from exc
+    except OverflowError:  # days / interval beyond the float range
+        raise UsageError("--days and --interval-hours must give a finite number of snapshots") from None
     if steps < 2:
         raise UsageError(f"--days and --interval-hours must give at least two snapshots, got {steps}")
     data = generate(cfg)
@@ -423,17 +423,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_crossval(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     seed, period_days = resolved["seed"], resolved["by_period"]
-    timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
-    cfg = _config(ModelConfig, resolved, input_dim=len(schema.active_indices()), seed=seed)
+    timelines, stats, _, elim_report, window_cfg = _prepare_samples(args, resolved)
+    schema = canonical_schema()  # every feature: the global fit is only reported, each fold fits its own
+    cfg = _config(ModelConfig, resolved, input_dim=len(schema), seed=seed)
     opts = _train_options(resolved)
     folds = _config(FoldOptions, resolved, seed=seed, group_by_character=not resolved["leaky_folds"])
     detail: dict = {}
 
     if period_days is None:
-        samples = windows_from_timelines(timelines, schema, window_cfg)
-        if not samples:
-            raise DataError("no windows produced from the input timelines")
-        report = cross_validate(samples, cfg, opts, folds)
+        report = cross_validate(timelines, schema, window_cfg, cfg, opts, folds)
         title = f"Cross-validation results (k={folds.k}, seed={seed})"
     else:
         report, detail["periods"], detail["skipped_periods"] = cross_validate_by_period(

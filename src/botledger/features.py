@@ -150,47 +150,31 @@ def eliminate_noninfluential(
     """Deactivate features that cannot distinguish bots from normals.
 
     Statistics are computed over every raw record of every labeled timeline,
-    pooled by label, and every such value must be finite.  Both groups must
-    be present; dropping every active feature is fatal.
+    pooled by label, and every such value must be finite; an unlabeled (NaN)
+    character takes no part, which is how each cross-validation fold fits on
+    its training characters alone.  Both groups must be present; dropping
+    every active feature is fatal.  Each moment reduces whole rows of a
+    contiguous ``(features, rows)`` copy, with the bits of one column alone.
     """
-    lengths = np.diff(timelines.bounds)
-    bot, normal = (timelines.values[np.repeat(timelines.y == code, lengths)] for code in (1.0, 0.0))
-    if not len(bot) or not len(normal):
+    row_y = np.repeat(timelines.y, np.diff(timelines.bounds))
+    bot, normal = (np.ascontiguousarray(timelines.values[row_y == code].T) for code in (1.0, 0.0))
+    if not bot.shape[1] or not normal.shape[1]:
         raise DataError("feature elimination needs records from both label groups")
     if timelines.values.shape[1] != len(schema):
         raise DataError("record width does not match the feature schema")
     if not (np.isfinite(bot).all() and np.isfinite(normal).all()):
         raise NumericError("cannot compute feature statistics over non-finite values")
 
-    entries: list[FeatureEvidence] = []
-    drop_indices: list[int] = []
-    for idx, feature in enumerate(schema.features):
-        b, n = bot[:, idx], normal[:, idx]
-        sum_b, sum_n = float(b.sum()), float(n.sum())
-        std_b, std_n = float(b.std()), float(n.std())
-        # identically zero in a group <=> zero sum and zero spread
-        rule2 = sum_b == 0.0 and std_b == 0.0 and sum_n == 0.0 and std_n == 0.0
-        pooled = float(np.sqrt((b.var() + n.var()) / 2.0))
-        effect = abs(float(b.mean()) - float(n.mean())) / (pooled + SMD_EPSILON)
-        rule1 = effect < RULE1_SMD_THRESHOLD
-        entries.append(
-            FeatureEvidence(
-                name=feature.name,
-                effect_size=effect,
-                sum_bot=sum_b,
-                sum_normal=sum_n,
-                std_bot=std_b,
-                std_normal=std_n,
-                dropped_rule1=rule1,
-                dropped_rule2=rule2,
-            )
-        )
-        if (rule1 or rule2) and schema.active[idx]:
-            drop_indices.append(idx)
-
-    report = EliminationReport(tuple(entries))
-    new_schema = schema.deactivate(drop_indices) if drop_indices else schema
-    return new_schema, report
+    sum_b, sum_n = bot.sum(axis=1), normal.sum(axis=1)
+    var_b, var_n = bot.var(axis=1), normal.var(axis=1)
+    std_b, std_n = np.sqrt(var_b), np.sqrt(var_n)
+    effect = np.abs(bot.mean(axis=1) - normal.mean(axis=1)) / (np.sqrt((var_b + var_n) / 2.0) + SMD_EPSILON)
+    rule1 = effect < RULE1_SMD_THRESHOLD
+    # identically zero in a group <=> zero sum and zero spread
+    rule2 = (sum_b == 0.0) & (std_b == 0.0) & (sum_n == 0.0) & (std_n == 0.0)
+    columns = zip(*(a.tolist() for a in (effect, sum_b, sum_n, std_b, std_n, rule1, rule2)))
+    report = EliminationReport(tuple(FeatureEvidence(f.name, *column) for f, column in zip(schema.features, columns)))
+    return schema.deactivate(np.flatnonzero((rule1 | rule2) & np.array(schema.active))), report
 
 
 @dataclass(frozen=True)

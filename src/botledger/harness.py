@@ -4,7 +4,8 @@ Fold assignment is stratified by label and, by default, grouped by character:
 every window cut from one character lands in the same fold, so a model is
 never tested on slices of a timeline it trained on.  The leaky mode assigns
 windows independently (still stratified) to expose how much that kind of
-leakage inflates scores.
+leakage inflates scores.  In either mode each fold fits feature elimination
+on the labels of its own training characters alone.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .features import WindowConfig, windows_from_timelines
+from .features import WindowConfig, eliminate_noninfluential, windows_from_timelines
 from .network import (
     TRAIN_DTYPE,
     ModelConfig,
@@ -157,8 +158,6 @@ def make_folds(samples: WindowSet, folds: FoldOptions) -> FoldPlan:
     across folds differ by at most one.  Either mode requires at least k
     members per class.
     """
-    if not samples:
-        raise ValueError("cannot fold an empty sample list")
     y = samples.y
     if np.isnan(y).any():
         raise ValueError("cross-validation needs labeled samples")
@@ -283,6 +282,7 @@ def train(
             grads = backward(trace, yb, params, cfg)
             params, state = adam_step(params, grads, state)
         entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
+        log.append(entry)
         if holdout is not None:
             val_probs, _ = forward(params, x[holdout], cfg, training=False)
             entry["val_loss"] = bce_loss(val_probs, y[holdout], params, cfg.l2_lambda)
@@ -292,12 +292,9 @@ def train(
                 stale = 0
             else:
                 stale += 1
-            log.append(entry)
             if stale >= opts.early_stop_patience:
                 entry["early_stop"] = True
                 break
-        else:
-            log.append(entry)
     return (params if holdout is None else best_params), log
 
 
@@ -345,23 +342,40 @@ def derive_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 
-def cross_validate(samples: WindowSet, cfg: ModelConfig, opts: TrainOptions, folds: FoldOptions) -> EvalReport:
-    """Stratified k-fold evaluation; each fold trains a fresh model.
+def cross_validate(
+    timelines: Timelines,
+    schema: FeatureSchema,
+    window_cfg: WindowConfig,
+    cfg: ModelConfig,
+    opts: TrainOptions,
+    folds: FoldOptions,
+) -> EvalReport:
+    """Stratified k-fold evaluation; each fold fits its own elimination and trains a fresh model.
 
-    Per-fold model and shuffle seeds are derived from (``folds.seed``, fold
-    index), so the whole run is reproducible from the one experiment seed.
-    The report's ``config`` holds the fields of ``folds`` beside the model
-    and training settings.
+    ``timelines`` is windowed once, over every active column of ``schema``.
+    Each fold refits ``eliminate_noninfluential`` with every label hidden but
+    those of the characters owning a training window, so no test label helps
+    choose the features, and trains and predicts on the columns it keeps.
+    Model and shuffle seeds derive from (``folds.seed``, fold index).  The
+    report's ``config`` holds the fields of ``folds`` beside the model and
+    training settings.  Raises ``DataError`` when no window is cut or a
+    fold's fit keeps no feature.
     """
+    samples = windows_from_timelines(timelines, schema, window_cfg)
+    if not samples:
+        raise DataError("no windows produced from the input timelines")
     plan = make_folds(samples, folds)
 
     rows: list[EvalRow] = []
     for fold in range(folds.k):
-        test_idx = plan.fold_indices(fold)
-        fold_cfg = replace(cfg, seed=derive_seed(folds.seed, fold))
+        test_idx, training = plan.fold_indices(fold), plan.assignments != fold
+        trained = np.isin(timelines.character_id, samples.character[training])
+        fold_schema, _ = eliminate_noninfluential(replace(timelines, y=np.where(trained, timelines.y, np.nan)), schema)
+        keep = np.array(fold_schema.active)[np.array(schema.active)]
+        fold_cfg = replace(cfg, input_dim=int(keep.sum()), seed=derive_seed(folds.seed, fold))
         fold_opts = replace(opts, shuffle_seed=derive_seed(folds.seed, fold, 1))
-        params, _ = train(samples.subset(plan.assignments != fold), fold_cfg, fold_opts)
-        probs = predict_probs(params, fold_cfg, samples.x[test_idx])
+        params, _ = train(samples.subset(training, keep), fold_cfg, fold_opts)
+        probs = predict_probs(params, fold_cfg, samples.subset(test_idx, keep).x)
         cm = confusion_from_predictions(probs, samples.y[test_idx], folds.threshold)
         rows.append(EvalRow(f"Fold {fold + 1}", compute_metrics(cm), cm, n_test=len(test_idx)))
 
@@ -386,16 +400,17 @@ def cross_validate_by_period(
     folds: FoldOptions,
     period_days: float,
 ) -> tuple[EvalReport, list[dict], list[str]]:
-    """A separate k-fold evaluation of each calendar period's windows.
+    """A separate ``cross_validate`` of each calendar period's rows.
 
-    Each period is windowed on its own and cross-validated with a seed
-    derived from (``folds.seed``, period ordinal).  A period too short for one window
-    (typically the last, partial one) is skipped and keeps its name, so the
-    other periods keep their names and seeds.  Returns one row per evaluated
-    period, holding that period's average metrics and summed confusion;
-    every evaluated period's full report as ``{"name", "report"}``
-    dicts; and the names of the skipped periods.  Raises ``DataError``
-    when no period produces a window.
+    Each period is windowed, and each of its folds fits elimination, on that
+    period's rows alone, with a seed derived from (``folds.seed``, period
+    ordinal).  A period in which no character has ``window_length`` rows
+    (typically the last, partial one) yields no window; it is skipped and
+    keeps its name, so the other periods keep their names and seeds.
+    Returns one row per evaluated period, holding that period's average
+    metrics and summed confusion; every evaluated period's full report as
+    ``{"name", "report"}`` dicts; and the names of the skipped periods.
+    Raises ``DataError`` when no period produces a window.
     """
     row_name = "Week" if period_days == 7.0 else "Period"
     rows: list[EvalRow] = []
@@ -404,11 +419,11 @@ def cross_validate_by_period(
     splits = split_by_period(timelines, period_days * 86400.0)
     for ordinal, (_, period_timelines) in enumerate(splits, start=1):
         name = f"{row_name} {ordinal}"
-        samples = windows_from_timelines(period_timelines, schema, window_cfg)
-        if not samples:
+        if not (np.diff(period_timelines.bounds) >= window_cfg.window_length).any():
             skipped.append(name)
             continue
-        sub = cross_validate(samples, cfg, opts, replace(folds, seed=derive_seed(folds.seed, ordinal)))
+        period_folds = replace(folds, seed=derive_seed(folds.seed, ordinal))
+        sub = cross_validate(period_timelines, schema, window_cfg, cfg, opts, period_folds)
         periods.append({"name": name, "report": sub})
         rows.append(EvalRow(name, sub.average, sub.confusion_total, n_test=sub.confusion_total.total))
     if not rows:

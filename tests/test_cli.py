@@ -23,10 +23,11 @@ from botledger.cli import run
 from botledger.errors import DataError, NumericError
 from botledger.features import WindowConfig
 from botledger.harness import TrainOptions
-from botledger.ingest import LabelFile, read_label_file, write_label_file
+from botledger.ingest import LabelFile, read_label_file, write_label_file, write_status_log
 from botledger.model_io import ModelBundle, load_model, save_model
 from botledger.network import ModelConfig, param_layout
-from botledger.synth import GenConfig
+from botledger.schema import Label, StatusLog, canonical_schema
+from botledger.synth import DEFAULT_START, GenConfig
 
 
 @pytest.fixture(scope="module")
@@ -646,6 +647,48 @@ def test_crossval_by_period_skips_periods_without_windows(fortnight, tmp_path, c
     assert "no period produced windows" in capsys.readouterr().err
 
 
+def test_crossval_by_period_evaluates_periods_of_exactly_one_window(tmp_path, capsys) -> None:
+    data = tmp_path / "data"
+    assert run(["synth", "--bots", "3", "--normals", "4", "--days", "2", "--seed", "5", "--out", str(data)]) == 0
+    argv = [
+        "crossval",
+        "--log", str(data / "status_log.csv"),
+        "--labels", str(data / "labels.csv"),
+        "--k", "2",
+        "--epochs", "1",
+        "--seed", "5",
+        "--by-period", "1",
+    ]
+    # 48 hourly rows in 1-day periods: each character holds exactly 24 rows, one default window, per period
+    assert run(argv + ["--out", str(tmp_path / "cv")]) == 0
+    doc = json.loads((tmp_path / "cv" / "report.json").read_text())
+    assert [p["name"] for p in doc["periods"]] == ["Period 1", "Period 2"]
+    assert doc["skipped_periods"] == []
+    assert [row["n_test"] for row in doc["rows"]] == [7, 7]
+    capsys.readouterr()
+
+    assert run(argv + ["--window-length", "25"]) == 2
+    assert "error: no period produced windows\n" in capsys.readouterr().err
+
+
+def test_crossval_fold_whose_fit_keeps_no_feature_is_a_data_error(tmp_path, capsys) -> None:
+    # every character logs the same series but bot b0, whose rows alone separate the classes: the fit over
+    # every character keeps all nine features, and the fold that tests b0 hides its label and keeps none
+    ids, rows = ["b0", "b1", "b2", "n0", "n1", "n2"], 48
+    values = np.tile(np.arange(rows, dtype=float)[:, None] * np.arange(1, 10), (len(ids), 1))
+    values[:rows] += 1000.0
+    timestamps = np.tile(DEFAULT_START + 3600.0 * np.arange(rows), len(ids))
+    log, labels = str(tmp_path / "log.csv"), str(tmp_path / "labels.csv")
+    write_status_log(log, StatusLog(np.repeat(ids, rows), np.repeat(ids, rows), timestamps, values), canonical_schema())
+    write_label_file(labels, LabelFile({c: Label.BOT if c[0] == "b" else Label.NORMAL for c in ids}, as_of=""))
+    assert run(["report", "--log", log, "--labels", labels]) == 0
+    assert "dropped 0 of 9 features" in capsys.readouterr().out
+    argv = ["crossval", "--log", log, "--labels", labels, "--k", "2", "--epochs", "1", "--out", str(tmp_path / "cv")]
+    assert run(argv) == 2
+    assert "error: no active features remain after deactivation\n" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
+
+
 def test_numeric_error_maps_to_exit_3(monkeypatch, tmp_path, capsys) -> None:
     def explode(args):
         raise NumericError("loss diverged")
@@ -1034,6 +1077,7 @@ def test_malformed_inputs_exit_with_documented_code(
     [
         (["--days", "1", "--interval-hours", "100"], ("--days", "--interval-hours")),
         (["--bots", "0", "--normals", "0"], ("--bots", "--normals")),
+        (["--days", "1e308", "--interval-hours", "1e-300"], ("--days", "--interval-hours")),
     ],
 )
 def test_synth_option_combinations_name_both_flags(argv, flags, tmp_path, capsys) -> None:

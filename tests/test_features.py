@@ -3,6 +3,7 @@ import pytest
 
 from botledger.errors import DataError, NumericError
 from botledger.features import (
+    SMD_EPSILON,
     ScalingScope,
     WindowConfig,
     eliminate_noninfluential,
@@ -254,6 +255,23 @@ def test_elimination_evidence_values() -> None:
     assert const.effect_size == pytest.approx(
         abs(7.25 - 7.25) / (np.sqrt((0.25**2 + 0.25**2) / 2) + 1e-9)
     )
+
+
+def test_elimination_moments_match_a_per_column_reference() -> None:
+    # each column's moments, reduced on its own as a strided slice, give the same bits
+    rng = np.random.default_rng(11)
+    labels = (Label.BOT, Label.NORMAL, None)
+    timelines = _timelines(
+        *((f"c{i:02d}", labels[i % 3], rng.lognormal(3.0, 2.0, (int(rng.integers(5, 300)), 9))) for i in range(12))
+    )
+    _, report = eliminate_noninfluential(timelines, SCHEMA)
+    row_y = np.repeat(timelines.y, np.diff(timelines.bounds))
+    bot, normal = timelines.values[row_y == 1.0], timelines.values[row_y == 0.0]
+    for j, e in enumerate(report.entries):
+        b, n = bot[:, j], normal[:, j]
+        effect = abs(float(b.mean()) - float(n.mean())) / (float(np.sqrt((b.var() + n.var()) / 2.0)) + SMD_EPSILON)
+        want = (float(b.sum()), float(n.sum()), float(b.std()), float(n.std()), effect)
+        assert (e.sum_bot, e.sum_normal, e.std_bot, e.std_normal, e.effect_size) == want, e.name
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])

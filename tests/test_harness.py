@@ -2,12 +2,14 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from botledger import harness
 from botledger.errors import DataError
+from botledger.features import WindowConfig, eliminate_noninfluential, windows_from_timelines
 from botledger.harness import (
     ConfusionMatrix,
     EvalRow,
@@ -25,7 +27,7 @@ from botledger.harness import (
     train,
 )
 from botledger.network import ModelConfig, bce_loss, forward, init_params
-from botledger.schema import Label, Timelines, WindowSet, document
+from botledger.schema import FeatureSchema, Label, Timelines, WindowSet, canonical_schema, document
 
 
 def window_set(windows):
@@ -50,6 +52,28 @@ def toy_separable(n_chars_per_class=4, windows_per_char=4, t=8, d=2, seed=0):
             m2 = np.clip(0.5 + rng.normal(0, 0.03, (t, d)), 0.0, 1.0)
             out.append((m2, Label.NORMAL, (f"n{c}", w)))
     return window_set(out)
+
+
+TOY_SCHEMA = FeatureSchema(canonical_schema().features[:2], (True, True))
+TOY_WINDOWS = WindowConfig(window_length=8, stride=8)
+
+
+def toy_timelines(samples):
+    """Each character's windows end to end, then a 0 row and a 1 row, as its
+    timeline, so per-character scaling leaves the windows as they were and
+    ``TOY_WINDOWS`` cuts them again; bots sit one unit higher, so elimination
+    keeps both columns."""
+    ids = np.unique(samples.character)
+    y = [samples.y[samples.character == cid][0] for cid in ids]
+    ends = np.repeat([[0.0], [1.0]], samples.x.shape[2], axis=1)
+    blocks = [np.concatenate([*samples.x[samples.character == cid], ends]) + label for cid, label in zip(ids, y)]
+    return Timelines(
+        character_id=ids,
+        y=y,
+        bounds=np.cumsum([0, *map(len, blocks)]),
+        timestamp=np.arange(sum(map(len, blocks))),
+        values=np.concatenate(blocks),
+    )
 
 
 def one_window_triples(n_bots, n_normals, seed=0):
@@ -435,7 +459,8 @@ def test_cross_validate_separable() -> None:
     samples = toy_separable(n_chars_per_class=8, windows_per_char=4, seed=1)
     cfg = ModelConfig(2, 16, 0.2, 1e-4, seed=0)
     report = cross_validate(
-        samples, cfg, TrainOptions(epochs=30, batch_size=8, lr=1e-2), FoldOptions(k=2, seed=3)
+        toy_timelines(samples), TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=30, batch_size=8, lr=1e-2),
+        FoldOptions(k=2, seed=3),
     )
     assert report.average.f1 >= 0.95
     assert [r.name for r in report.rows] == ["Fold 1", "Fold 2"]
@@ -448,15 +473,19 @@ def test_cross_validate_reproducible() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4)
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=0)
     opts = TrainOptions(epochs=5, batch_size=8, lr=1e-2)
-    r1 = cross_validate(samples, cfg, opts, FoldOptions(k=2, seed=8))
-    r2 = cross_validate(samples, cfg, opts, FoldOptions(k=2, seed=8))
+    timelines = toy_timelines(samples)
+    r1 = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, FoldOptions(k=2, seed=8))
+    r2 = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, FoldOptions(k=2, seed=8))
     assert json.dumps(r1, default=document) == json.dumps(r2, default=document)
 
 
 def test_report_average_row_matches_mean() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4)
     cfg = ModelConfig(2, 8, 0.0, 0.0, seed=0)
-    report = cross_validate(samples, cfg, TrainOptions(epochs=5, batch_size=8, lr=1e-2), FoldOptions(k=3, seed=1))
+    report = cross_validate(
+        toy_timelines(samples), TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=5, batch_size=8, lr=1e-2),
+        FoldOptions(k=3, seed=1),
+    )
     for field in ("accuracy", "precision", "recall", "f1"):
         manual = sum(getattr(r.metrics, field) for r in report.rows) / len(report.rows)
         assert abs(getattr(report.average, field) - manual) < 1e-12
@@ -464,7 +493,9 @@ def test_report_average_row_matches_mean() -> None:
 
 def test_format_report_text_layout() -> None:
     report = cross_validate(
-        toy_separable(n_chars_per_class=4, windows_per_char=2, seed=7),
+        toy_timelines(toy_separable(n_chars_per_class=4, windows_per_char=2, seed=7)),
+        TOY_SCHEMA,
+        TOY_WINDOWS,
         ModelConfig(2, 8, 0.0, 0.0, seed=0),
         TrainOptions(epochs=2, batch_size=8, lr=1e-2),
         FoldOptions(k=2, seed=0),
@@ -488,3 +519,66 @@ def test_eval_row_serialization() -> None:
     doc = json.loads(json.dumps(row, default=document))
     assert doc["name"] == "Fold 1"
     assert doc["confusion"] == {"tp": 5, "fp": 1, "tn": 6, "fn": 0}
+
+
+def same_series_timelines(n_bots=6, n_normals=12, rows=16):
+    """Every character logs the same two-column series, so no column separates the classes."""
+    ids = [f"b{i:02d}" for i in range(n_bots)] + [f"n{i:02d}" for i in range(n_normals)]
+    series = np.column_stack([np.linspace(0.0, 1.0, rows), np.linspace(1.0, 3.0, rows) ** 2])
+    return Timelines(
+        character_id=ids,
+        y=[1.0] * n_bots + [0.0] * n_normals,
+        bounds=np.arange(len(ids) + 1) * rows,
+        timestamp=np.arange(len(ids) * rows),
+        values=np.tile(series, (len(ids), 1)),
+    )
+
+
+def shifted(timelines, characters, columns, by):
+    """``timelines`` with ``columns`` raised by ``by`` on the rows of ``characters``."""
+    values = timelines.values.copy()
+    rows = np.repeat(np.isin(timelines.character_id, characters), np.diff(timelines.bounds))
+    values[np.ix_(rows, columns)] += by
+    return replace(timelines, values=values)
+
+
+def first_fold_characters(timelines, folds):
+    """The characters ``cross_validate`` tests in its first fold, and the bots among them."""
+    samples = windows_from_timelines(timelines, TOY_SCHEMA, TOY_WINDOWS)
+    tested = make_folds(samples, folds).assignments == 0
+    return set(samples.character[tested].tolist()), sorted(set(samples.character[tested & (samples.y == 1.0)]))
+
+
+def test_each_fold_fits_elimination_on_its_training_characters(monkeypatch) -> None:
+    folds = FoldOptions(k=3, seed=4)
+    base = same_series_timelines()
+    signal = shifted(base, base.character_id[base.y == 1.0], [0], by=1.0)  # column 0 separates in every fold
+    tested, leakers = first_fold_characters(signal, folds)
+    # column 1 separates the classes only through the bots fold 1 tests
+    timelines = shifted(signal, leakers, [1], by=5.0)
+    assert eliminate_noninfluential(timelines, TOY_SCHEMA)[1].dropped_names() == ()
+
+    fits = []
+
+    def recording(timelines, schema):
+        fitted, report = eliminate_noninfluential(timelines, schema)
+        fits.append((set(timelines.character_id[np.isnan(timelines.y)].tolist()), report.dropped_names()))
+        return fitted, report
+
+    monkeypatch.setattr(harness, "eliminate_noninfluential", recording)
+    cfg = ModelConfig(2, 4, 0.0, 0.0)
+    report = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=0), folds)
+    assert len(report.rows) == len(fits) == 3
+    assert fits[0] == (tested, ("Total Cash",))  # fold 1 hides its test labels and drops the leak
+    assert all(not (hidden & set(leakers)) and dropped == () for hidden, dropped in fits[1:])
+
+
+def test_fold_whose_fit_keeps_no_feature_is_a_data_error() -> None:
+    folds = FoldOptions(k=3, seed=4)
+    base = same_series_timelines()
+    _, leakers = first_fold_characters(base, folds)
+    timelines = shifted(base, leakers, [0, 1], by=5.0)
+    assert eliminate_noninfluential(timelines, TOY_SCHEMA)[0] == TOY_SCHEMA
+    cfg = ModelConfig(2, 4, 0.0, 0.0)
+    with pytest.raises(DataError, match="no active features remain"):
+        cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=0), folds)

@@ -120,7 +120,7 @@ _OPTIONS: dict[str, _Option] = {
     "normals": _setting(GenConfig, "n_normals"),
     "days": _setting(GenConfig, "days"),
     "interval_hours": _setting(GenConfig, "interval_hours", help="snapshot interval"),
-    "separability": _setting(GenConfig, "separability", help="0: bots behave like humans; 1: fully bot-like"),
+    "separability": _setting(GenConfig, "separability", help="0: bots mimic their human archetypes; 1: fully bot-like"),
     "window_length": _setting(WindowConfig, "window_length", help="timesteps per training window"),
     "stride": _setting(WindowConfig, "stride", help="offset between consecutive windows"),
     "scaling_scope": _setting(

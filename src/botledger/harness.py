@@ -359,7 +359,7 @@ def cross_validate(
     Model and shuffle seeds derive from (``folds.seed``, fold index).  The
     report's ``config`` holds the fields of ``folds`` beside the model and
     training settings.  Raises ``DataError`` when no window is cut or a
-    fold's fit keeps no feature.
+    fold's fit keeps no feature; the latter names the fold.
     """
     samples = windows_from_timelines(timelines, schema, window_cfg)
     if not samples:
@@ -370,7 +370,12 @@ def cross_validate(
     for fold in range(folds.k):
         test_idx, training = plan.fold_indices(fold), plan.assignments != fold
         trained = np.isin(timelines.character_id, samples.character[training])
-        fold_schema, _ = eliminate_noninfluential(replace(timelines, y=np.where(trained, timelines.y, np.nan)), schema)
+        fold_timelines = replace(timelines, y=np.where(trained, timelines.y, np.nan))
+        try:
+            fold_schema, _ = eliminate_noninfluential(fold_timelines, schema)
+        except DataError as exc:
+            reason = "its training characters leave no feature that separates the classes"
+            raise DataError(f"Fold {fold + 1}: {reason}; elimination error: {exc}") from exc
         keep = np.array(fold_schema.active)[np.array(schema.active)]
         fold_cfg = replace(cfg, input_dim=int(keep.sum()), seed=derive_seed(folds.seed, fold))
         fold_opts = replace(opts, shuffle_seed=derive_seed(folds.seed, fold, 1))
@@ -410,7 +415,8 @@ def cross_validate_by_period(
     Returns one row per evaluated period, holding that period's average
     metrics and summed confusion; every evaluated period's full report as
     ``{"name", "report"}`` dicts; and the names of the skipped periods.
-    Raises ``DataError`` when no period produces a window.
+    Raises ``DataError`` when no period produces a window, and names the
+    period in one that its ``cross_validate`` raises.
     """
     row_name = "Week" if period_days == 7.0 else "Period"
     rows: list[EvalRow] = []
@@ -423,7 +429,10 @@ def cross_validate_by_period(
             skipped.append(name)
             continue
         period_folds = replace(folds, seed=derive_seed(folds.seed, ordinal))
-        sub = cross_validate(period_timelines, schema, window_cfg, cfg, opts, period_folds)
+        try:
+            sub = cross_validate(period_timelines, schema, window_cfg, cfg, opts, period_folds)
+        except DataError as exc:
+            raise DataError(f"{name}, {exc}") from exc
         periods.append({"name": name, "report": sub})
         rows.append(EvalRow(name, sub.average, sub.confusion_total, n_test=sub.confusion_total.total))
     if not rows:

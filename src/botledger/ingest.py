@@ -8,19 +8,19 @@ fatal) but tolerant of bad rows, which are dropped and counted by reason.
 The kept rows go into columns, which one sort by (character, timestamp)
 turns into one ``Timelines``.
 
-A status log is read in blocks of whole lines.  Vectorised byte checks
+A status log is read once, in blocks of whole lines.  Vectorised byte checks
 screen each block, and the lines that pass go through one ``np.loadtxt``
 call per block.  A line passes when it has every field, none of them empty,
 its id and account are printable ASCII, and its timestamp and values use
 only ``0-9 . e E + -``.  Any other line goes through the csv module and
 ``float()`` on its own, in place: blank, short or long rows, padded or
 non-ASCII ids, and numerals with spaces or such as ``nan``, ``inf`` or
-``1_0``.  A CR LF line end is read as an LF.  A file holding a quote, a NUL
-or a CR anywhere else, a file whose header does not match, and one with a
-screened numeral loadtxt rejects (``1e``, ``1.2.3``) are read row by row
-with the csv module from the start.  On the screened characters loadtxt and
-``float()`` accept the same strings and give the same doubles, so both paths
-give the same rows, dtypes and counts.
+``1_0``.  A CR LF line end is read as an LF.  The first block holding a
+quote, a NUL or a CR anywhere else sends the whole file to the csv module,
+row by row from the start, as a screened numeral loadtxt rejects (``1e``,
+``1.2.3``) and a header that does not match do.  On the screened characters
+loadtxt and ``float()`` accept the same strings and give the same doubles,
+so both paths give the same rows, dtypes and counts.
 
 ``write_status_log`` writes a ``StatusLog`` a block of rows per ``%`` call.
 It csv-encodes each distinct id and account and formats each distinct
@@ -192,7 +192,7 @@ _BYTE_FLAGS = (
 
 
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """The rest of ``fh`` in blocks of whole lines, each ending in a newline."""
+    """The rest of ``fh`` in blocks of whole lines; only the last may lack its newline."""
     tail = b""
     for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
         tail += chunk
@@ -201,7 +201,7 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
             yield tail[:cut]
             tail = tail[cut:]
     if tail:
-        yield tail + b"\n"
+        yield tail
 
 
 def _screen(raw: np.ndarray, block: bytes, n_fields: int, limit: int) -> tuple[np.ndarray, ...]:
@@ -281,51 +281,37 @@ def _parse_block(block: bytes, n_fields: int, limit: int, stats: IngestStats) ->
 
 
 def _parse_blocks(path: str | Path, want: list[str]) -> tuple[StatusRows, IngestStats]:
-    """The fast path: the log a block of lines at a time through ``_parse_block``.
+    """The fast path: the log read once, a block of lines at a time, through ``_parse_block``.
 
-    A CR directly before an LF ends its line with it, as in the csv module,
-    and is dropped.  Raises ``_RowPathNeeded`` for a file that only the
-    per-row path reads right: one holding a quote (a quoted field may span
-    lines), a NUL or any other CR, or whose first line is not the header
-    ``want``.
+    Each block is checked before it is parsed.  A CR directly before an LF
+    ends its line with it, as in the csv module, and is dropped.  Raises
+    ``_RowPathNeeded`` when the first line is not the header ``want``, and at
+    the first block holding a quote (a quoted field may span lines), a NUL or
+    any other CR, which only the per-row path reads right.  The parsed rows
+    end as the per-row path's do: packed, then screened by ``_keep_valid``.
     """
     stats = IngestStats()
     limit = csv.field_size_limit()
+    ids = [np.empty(0, dtype="U1")]
+    rows = array("d")
     with open(path, "rb") as fh:
-        header = fh.readline()
-        if header.replace(b"\r\n", b"\n") != (",".join(want) + "\n").encode():
+        if fh.readline().replace(b"\r\n", b"\n") != (",".join(want) + "\n").encode():
             raise _RowPathNeeded
-        capacity = 1  # at most one row per newline, plus a last line without one
-        crlf = split_cr = False  # split_cr: the last block read ended in a CR
-        for block in iter(partial(fh.read, _BLOCK_BYTES), b""):
-            if b'"' in block or b"\0" in block or split_cr and not block.startswith(b"\n"):
-                raise _RowPathNeeded
-            split_cr = block.endswith(b"\r")
-            if b"\r" in block:
-                if block.count(b"\r") != block.count(b"\r\n") + split_cr:
-                    raise _RowPathNeeded
-                crlf = True
-            capacity += int(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")))
-        if split_cr:
-            raise _RowPathNeeded
-        fh.seek(len(header))
-        # kept rows go straight into these, so no whole-file temporaries are built
-        timestamps = np.empty(capacity)
-        values = np.empty((capacity, len(want) - len(META_COLUMNS)))
-        id_blocks = [np.empty(0, dtype="U1")]
-        n_kept = 0
-        width = 1  # numpy's width for the ids of every parsed row, as in np.array(ids)
         for block in _line_blocks(fh):
-            ids, rows = _parse_block(block.replace(b"\r", b"") if crlf else block, len(want), limit, stats)
-            if len(ids):
-                width = max(width, ids.itemsize // 4)
-            kept = _keep_valid(ids, rows, stats)
-            timestamps[n_kept:n_kept + len(kept)] = kept.timestamp
-            values[n_kept:n_kept + len(kept)] = kept.values
-            n_kept += len(kept)
-            id_blocks.append(kept.character_id)
-    character_id = np.concatenate(id_blocks).astype(f"U{width}", copy=False)
-    return StatusRows(character_id, timestamps[:n_kept], values[:n_kept]), stats
+            if b'"' in block or b"\0" in block:
+                raise _RowPathNeeded
+            if b"\r" in block:  # checked before the last line gets its newline: a final lone CR fails
+                if block.count(b"\r") != block.count(b"\r\n"):
+                    raise _RowPathNeeded
+                block = block.replace(b"\r\n", b"\n")
+            if not block.endswith(b"\n"):
+                block += b"\n"
+            block_ids, block_rows = _parse_block(block, len(want), limit, stats)
+            ids.append(block_ids)
+            rows.frombytes(block_rows.view(np.uint8))  # frombytes takes only byte buffers
+    # numpy sizes the ids by the widest parsed one, as np.array(ids) does on the per-row path
+    matrix = np.frombuffer(rows, dtype=float).reshape(-1, len(want) - 2)
+    return _keep_valid(np.concatenate(ids), matrix, stats), stats
 
 
 def build_timelines(

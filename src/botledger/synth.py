@@ -14,10 +14,13 @@ at a regular interval, with two populations:
   be audited from the outside.
 
 A separability knob in [0, 1] linearly interpolates each bot archetype's
-parameter vector from a matched human archetype (0: statistically identical
-to humans) to its fully bot-like target (1: easy to separate).  Everything is
-driven by ``numpy`` generators keyed as [seed, character index], so output is
-reproducible record-for-record for a given config.
+parameter vector from a matched human archetype (0: drawn as that human
+archetype) to its fully bot-like target (1: easy to separate).  At 0 the
+populations still differ: farmers match hardcore humans and bankers
+merchants, while humans are a third each casual, hardcore and merchant, so
+0 is not a population null.  Everything is driven by ``numpy`` generators
+keyed as [seed, character index], so output is reproducible record-for-record
+for a given config.
 
 Each character's snapshots fill one (steps, 9) array, and ``generate``
 returns every row as one ``StatusLog`` ordered by time and then character id.

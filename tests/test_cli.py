@@ -685,7 +685,12 @@ def test_crossval_fold_whose_fit_keeps_no_feature_is_a_data_error(tmp_path, caps
     assert "dropped 0 of 9 features" in capsys.readouterr().out
     argv = ["crossval", "--log", log, "--labels", labels, "--k", "2", "--epochs", "1", "--out", str(tmp_path / "cv")]
     assert run(argv) == 2
-    assert "error: no active features remain after deactivation\n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: no active features remain after deactivation\n" in err
+    assert "error: Fold 2: its training characters leave no feature that separates the classes;" in err
+    assert not (tmp_path / "cv").exists()
+    assert run(argv + ["--by-period", "1"]) == 2
+    assert "error: Period 1, Fold 1: its training characters leave no feature" in capsys.readouterr().err
     assert not (tmp_path / "cv").exists()
 
 

@@ -188,6 +188,29 @@ def test_crlf_log_takes_the_fast_path(block_bytes, monkeypatch, tmp_path) -> Non
     assert _as_compared(parse_status_log(crlf, SCHEMA)) == want
 
 
+@pytest.mark.parametrize("block_bytes", [ingest._BLOCK_BYTES, 4093])
+def test_fast_path_reads_the_log_once(block_bytes, monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join([",".join(expected_header(SCHEMA)), *_mixed_log_lines()]) + "\n", encoding="utf-8")
+    read = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            read.append(n)
+            return n
+
+    def counting_open(file, mode):
+        assert mode == "rb"
+        return io.BufferedReader(CountingFile(file))
+
+    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+    want = _as_compared(_parse_per_row(path))
+    assert _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA))) == want
+    assert sum(read) == path.stat().st_size
+
+
 @pytest.mark.parametrize(
     "text",
     ["{body}\r", "{body}1\r2\n", "{header}\r{body}", "{body}\r\r\n", "{body}\n\r"],

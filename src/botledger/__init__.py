@@ -6,7 +6,6 @@ from .features import (
     ScalingScope,
     WindowConfig,
     eliminate_noninfluential,
-    minmax_scale,
     summarize_distributions,
     windows_from_timelines,
 )
@@ -22,7 +21,7 @@ from .harness import (
 )
 from .ingest import build_timelines, load_timelines, parse_status_log, read_label_file
 from .model_io import ModelBundle, load_model, save_model
-from .network import ModelConfig, ModelParams, forward, gradient_check, init_params
+from .network import ModelConfig, ModelParams, forward, init_params
 from .schema import FeatureSchema, Label, StatusLog, StatusRecord, Timelines, WindowSet, canonical_schema
 from .synth import Archetype, GenConfig, generate
 
@@ -56,12 +55,10 @@ __all__ = [
     "eliminate_noninfluential",
     "forward",
     "generate",
-    "gradient_check",
     "init_params",
     "load_model",
     "load_timelines",
     "make_folds",
-    "minmax_scale",
     "parse_status_log",
     "read_label_file",
     "save_model",

@@ -58,23 +58,6 @@ def _minmax(values: np.ndarray, axis: int) -> np.ndarray:
     return np.divide(values - lo, span, out=np.zeros_like(values), where=span != 0.0)
 
 
-def minmax_scale(series: np.ndarray) -> np.ndarray:
-    """Map a 1-D series onto [0, 1]; a constant series maps to zeros."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("series must be a non-empty 1-D array")
-    return _minmax(x, axis=0)
-
-
-def window_start_indices(length: int, window_length: int, stride: int) -> range:
-    """Start offsets of every full window; empty when length < window_length."""
-    if window_length < 1 or stride < 1:
-        raise ValueError("window_length and stride must be positive")
-    if length < window_length:
-        return range(0)
-    return range(0, length - window_length + 1, stride)
-
-
 def windows_from_timelines(timelines: Timelines, schema: FeatureSchema, cfg: WindowConfig) -> WindowSet:
     """Scale each character's active features and cut sliding windows, in order.
 

@@ -26,7 +26,7 @@ The LSTM kernel follows the cuDNN recipe (Appleyard et al. 2016):
   at both extremes and needs no branch on the sign of ``z``;
 * the i/f/o rows of the gate pre-activations are pre-scaled by 1/2 (exact,
   being a power of two), so one ``tanh`` call per step over all 4H rows
-  yields every gate, and ``cell_step`` and ``forward`` share that formula;
+  yields every gate;
 * the input projection ``W_x x + b`` is one stacked product over all T
   timesteps before the time loop, leaving one ``W_h h`` GEMM per step;
 * training keeps every step's gates (``acts`` itself), ``c``, ``tanh(c)``
@@ -57,10 +57,7 @@ dtype.  What float32 rounding would distort stays float64: the readout
 ``z``, the probabilities (so ``PROB_CLIP`` keeps its meaning) and the loss;
 the master weights, gradients, Adam moments and batch-norm running
 statistics in ``flat``; and every inference call, since callers pass
-float64 windows.  ``cell_step`` and ``gradient_check`` stay float64 because
-a central difference with a 1e-5 step needs more digits than float32's
-~1e-7 resolution keeps: in float32 the check would measure rounding, not
-the gradient.
+float64 windows.
 """
 
 from __future__ import annotations
@@ -100,7 +97,6 @@ _TENSORS = (
     ("b_out", (), "trained"),
 )
 PARAM_NAMES = tuple(name for name, _, _ in _TENSORS)
-TRAINABLE = tuple(name for name, _, role in _TENSORS if role != "stat")
 L2_FIELDS = tuple(name for name, _, role in _TENSORS if role == "weight")
 
 
@@ -239,23 +235,6 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return params
 
 
-def cell_step(
-    params: ModelParams, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """One LSTM step; accepts single vectors or (B, .) batches.
-
-    Returns ``h_t``, ``c_t`` and the gate activations ``(i, f, g, o)``.
-    """
-    scale = _gate_scale(params.hidden_dim)
-    a = (x_t @ params.W_x.T + h_prev @ params.W_h.T + params.b) * scale
-    i, f, g, o = np.split(_activate_gates(a, scale, 1.0 - scale), 4, axis=-1)
-    c_t = f * c_prev + i * g
-    if not np.isfinite(c_t).all():
-        raise NumericError("numeric overflow in LSTM cell state")
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t, (i, f, g, o)
-
-
 def _bn_apply(batch: np.ndarray, params: ModelParams, training: bool) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a (B, D) or (B, T, D) batch; returns (output, pre-affine
     x_hat), both feature-major: (D, B) or (T, D, B).
@@ -287,15 +266,6 @@ def _bn_apply(batch: np.ndarray, params: ModelParams, training: bool) -> tuple[n
     gamma = params.bn_gamma.astype(x.dtype, copy=False)[:, None]
     beta = params.bn_beta.astype(x.dtype, copy=False)[:, None]
     return gamma * x_hat + beta, x_hat
-
-
-def batchnorm_forward(batch: np.ndarray, params: ModelParams, training: bool) -> np.ndarray:
-    """Public batch-norm entry point over one (B, D) matrix."""
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2:
-        raise ValueError("batchnorm expects a 2-D (batch, features) matrix")
-    out, _ = _bn_apply(batch, params, training)
-    return out.T
 
 
 @dataclass
@@ -571,80 +541,3 @@ def adam_step(
         step_count=t,
     )
     return ModelParams(params.flat - update, layout), new_state
-
-
-@dataclass(frozen=True)
-class GradientCheckReport:
-    per_tensor: dict[str, float]
-    max_relative_error: float
-    entries_checked: int
-    tolerance: float
-    perturbation: float
-    passed: bool
-
-
-def gradient_check(
-    cfg: ModelConfig,
-    seed: int,
-    perturbation: float = 1e-5,
-    tolerance: float = 1e-4,
-    *,
-    window_length: int = 4,
-    batch_size: int = 2,
-    max_entries_per_tensor: int = 50,
-) -> GradientCheckReport:
-    """Compare analytic gradients against central differences.
-
-    Uses a small random batch and random labels.  Dropout must be disabled
-    (its mask would change under perturbation); networks are kept small so
-    every entry of the small tensors gets checked, with large tensors
-    subsampled.  Relative error per entry is
-    ``|ga - gn| / max(|ga|, |gn|, 1e-8)``.
-    """
-    if cfg.dropout_p != 0.0:
-        raise ValueError("gradient check requires dropout_p = 0")
-    if cfg.hidden_dim > 10:
-        raise ValueError("gradient check is meant for small nets (hidden_dim <= 10)")
-    rng = np.random.default_rng(seed)
-    params = init_params(cfg)
-    batch = rng.random((batch_size, window_length, cfg.input_dim))
-    labels = rng.integers(0, 2, size=batch_size).astype(float)
-
-    _, trace = forward(params.copy(), batch, cfg, training=True)
-    analytic = backward(trace, labels, params, cfg)
-
-    def loss_at(p: ModelParams) -> float:
-        probs, _ = forward(p.copy(), batch, cfg, training=True)
-        return bce_loss(probs, labels, p, cfg.l2_lambda)
-
-    per_tensor: dict[str, float] = {}
-    checked = 0
-    for name in TRAINABLE:
-        where, _ = params.layout.views[name]
-        size = where.stop - where.start
-        if size <= max_entries_per_tensor:
-            offsets = list(range(size))
-        else:
-            offsets = sorted(rng.choice(size, size=max_entries_per_tensor, replace=False).tolist())
-        worst = 0.0
-        for index in (where.start + k for k in offsets):
-            plus = params.copy()
-            minus = params.copy()
-            plus.flat[index] += perturbation
-            minus.flat[index] -= perturbation
-            ga_entry = float(analytic.flat[index])
-            gn_entry = (loss_at(plus) - loss_at(minus)) / (2.0 * perturbation)
-            rel = abs(ga_entry - gn_entry) / max(abs(ga_entry), abs(gn_entry), 1e-8)
-            worst = max(worst, rel)
-            checked += 1
-        per_tensor[name] = worst
-
-    max_err = max(per_tensor.values())
-    return GradientCheckReport(
-        per_tensor=per_tensor,
-        max_relative_error=max_err,
-        entries_checked=checked,
-        tolerance=tolerance,
-        perturbation=perturbation,
-        passed=max_err < tolerance,
-    )

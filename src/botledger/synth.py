@@ -39,7 +39,6 @@ from .ingest import LabelFile
 from .schema import (
     POSITIVE,
     UNIT,
-    FeatureSchema,
     Label,
     StatusLog,
     at_least,
@@ -450,22 +449,3 @@ def write_event_log(path, events: list[DumpEvent | PurchaseEvent]) -> None:
         fh.write(EVENT_LOG_HEADER + "\n")
         for ev in events:
             fh.write(ev.to_line() + "\n")
-
-
-def _feature_index(feature: str, schema: FeatureSchema) -> int:
-    for idx, f in enumerate(schema.features):
-        if feature in (f.name, f.column):
-            return idx
-    raise DataError(f"unknown feature {feature!r}")
-
-
-def inject_constant_feature(
-    records: StatusLog,
-    feature: str,
-    value: float,
-    schema: FeatureSchema | None = None,
-) -> StatusLog:
-    """Copy of the records with one feature column forced to a constant."""
-    values = records.values.copy()
-    values[:, _feature_index(feature, schema if schema is not None else canonical_schema())] = value
-    return replace(records, values=values)

@@ -14,10 +14,9 @@ import pytest
 
 from botledger.cli import run, _load_samples_dir
 from botledger.features import (
+    ScalingScope,
     WindowConfig,
     eliminate_noninfluential,
-    minmax_scale,
-    window_start_indices,
     windows_from_timelines,
 )
 from botledger.harness import (
@@ -28,13 +27,10 @@ from botledger.harness import (
 )
 from botledger.ingest import StatusRows, build_timelines
 from botledger.model_io import ModelBundle, load_model, save_model
-from botledger.network import ModelConfig, forward, gradient_check, init_params
+from botledger.network import ModelConfig, forward, init_params
 from botledger.schema import Label, Timelines, canonical_schema
-from botledger.synth import (
-    GenConfig,
-    generate,
-    inject_constant_feature,
-)
+from botledger.synth import GenConfig, generate
+from reference import gradient_check
 
 
 def test_gradient_fidelity() -> None:
@@ -52,33 +48,46 @@ def test_gradient_fidelity() -> None:
     print(f"PASS gradient fidelity: max rel err {worst:.2e} over 5 seeds in {elapsed:.1f}s")
 
 
+def _minmax_scale(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled by the program as one character's only window, in both scopes."""
+    schema = canonical_schema()
+    timeline = Timelines(["c1"], [0.0], [0, len(x)], np.arange(len(x)), np.tile(x[:, None], (1, len(schema))))
+    windows = [windows_from_timelines(timeline, schema, WindowConfig(len(x), 1, scope)) for scope in ScalingScope]
+    scaled = [w.x[0, :, 0] for w in windows]
+    assert scaled[0].tobytes() == scaled[1].tobytes()
+    return scaled[0]
+
+
 def test_scaling_properties() -> None:
-    """Min-max scaling: bounds, idempotence, order, constants, exact example."""
+    """Min-max scaling in both scopes: bounds, idempotence, order, constants, exact example."""
     rng = np.random.default_rng(2)
     for trial in range(1000):
         n = int(rng.integers(2, 40))
         x = rng.normal(loc=rng.uniform(-50, 50), scale=rng.uniform(0.1, 100), size=n)
-        scaled = minmax_scale(x)
+        scaled = _minmax_scale(x)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0, trial
-        assert np.array_equal(minmax_scale(scaled), scaled), trial
+        assert np.array_equal(_minmax_scale(scaled), scaled), trial
         order = np.argsort(x, kind="stable")
         assert np.all(np.diff(scaled[order]) >= 0.0), trial
     for value in (0.0, -3.5, 1e12):
-        assert np.array_equal(minmax_scale(np.full(7, value)), np.zeros(7))
-    exact = minmax_scale(np.array([3.0, 5.0, 7.0]))
+        assert np.array_equal(_minmax_scale(np.full(7, value)), np.zeros(7))
+    exact = _minmax_scale(np.array([3.0, 5.0, 7.0]))
     assert exact.tolist() == [0.0, 0.5, 1.0]
-    print("PASS scaling: 1000-vector property suite plus exact [3,5,7] -> [0,0.5,1]")
+    print("PASS scaling: 1000-vector property suite in both scopes plus exact [3,5,7] -> [0,0.5,1]")
 
 
 def test_window_counts() -> None:
-    """Start-index count matches floor((L-w)/s)+1 for every L <= 50."""
-    for length in range(0, 51):
-        for w in range(1, length + 3):
-            for s in range(1, length + 2):
-                starts = window_start_indices(length, w, s)
-                expected = 0 if length < w else (length - w) // s + 1
-                assert len(starts) == expected, (length, w, s)
-                assert all(start + w <= length for start in starts), (length, w, s)
+    """Windows cut per character match floor((L-w)/s)+1 for every L <= 50, w >= 2."""
+    lengths = np.arange(1, 51)
+    ids = np.array([f"c{length:02d}" for length in lengths])
+    values = np.ones((lengths.sum(), len(canonical_schema())))
+    characters = Timelines(ids, np.zeros(len(ids)), np.cumsum([0, *lengths]), np.arange(len(values)), values)
+    for w in range(2, 53):  # WindowConfig rejects w = 1
+        for s in range(1, 52):
+            windows = windows_from_timelines(characters, canonical_schema(), WindowConfig(window_length=w, stride=s))
+            expected = np.where(lengths < w, 0, (lengths - w) // s + 1)
+            assert np.array_equal(windows.character, np.repeat(ids, expected)), (w, s)
+            assert (windows.start + w <= np.repeat(lengths, expected)).all(), (w, s)
 
     schema = canonical_schema()
     rng = np.random.default_rng(3)
@@ -92,21 +101,18 @@ def test_window_counts() -> None:
     exact = windows_from_timelines(timeline(6), schema, WindowConfig(window_length=6, stride=3))
     assert len(exact) == 1
     assert exact.x[0].shape == (6, len(schema))
-    print("PASS windowing: exhaustive (L, w, s) sweep to L=50 plus boundary cases")
+    print("PASS windowing: per-character window counts over every (L, w, s) to L=50, w >= 2, plus boundary cases")
 
 
 def test_elimination_drops_injected_features() -> None:
     """A zeroed column and a constant column are dropped; the other seven stay."""
     data = generate(GenConfig(n_bots=6, n_normals=12, days=7.0, seed=3))
-    records = inject_constant_feature(data.records, "Cash in Vendor", 0.0)
-    records = inject_constant_feature(records, "Number of Items", 7.0)
-    rows = StatusRows(
-        np.array([r.character_id for r in records]),
-        np.array([r.timestamp for r in records]),
-        np.array([r.values for r in records]),
-    )
-    timelines, _ = build_timelines(rows, data.labels)
     schema = canonical_schema()
+    names = [f.name for f in schema.features]
+    values = data.records.values.copy()
+    values[:, names.index("Cash in Vendor")] = 0.0
+    values[:, names.index("Number of Items")] = 7.0
+    timelines, _ = build_timelines(StatusRows(data.records.character_id, data.records.timestamp, values), data.labels)
 
     active, report = eliminate_noninfluential(timelines, schema)
     assert set(report.dropped_names()) == {"Cash in Vendor", "Number of Items"}
@@ -178,7 +184,7 @@ def test_end_to_end_learnability(tmp_path, monkeypatch, capsys) -> None:
     elapsed = time.perf_counter() - started
     capsys.readouterr()
 
-    doc = json.loads((report_dir / "report.json").read_text())
+    doc = json.loads((report_dir / "report.json").read_text(encoding="utf-8"))
     mean_f1 = doc["average"]["f1"]
     assert len(doc["rows"]) == 10
     assert mean_f1 >= 0.95, f"mean F1 {mean_f1:.4f}"
@@ -225,8 +231,8 @@ def test_fold_hygiene_and_leakage_direction(tmp_path, capsys) -> None:
     assert run(common + ["--leaky-folds", "--out", str(leaky_dir)]) == 0
     capsys.readouterr()
 
-    grouped_f1 = json.loads((grouped_dir / "report.json").read_text())["average"]["f1"]
-    leaky_f1 = json.loads((leaky_dir / "report.json").read_text())["average"]["f1"]
+    grouped_f1 = json.loads((grouped_dir / "report.json").read_text(encoding="utf-8"))["average"]["f1"]
+    leaky_f1 = json.loads((leaky_dir / "report.json").read_text(encoding="utf-8"))["average"]["f1"]
     assert leaky_f1 >= grouped_f1, f"leaky {leaky_f1:.4f} < grouped {grouped_f1:.4f}"
     print(
         f"PASS fold hygiene: partition and grouping invariants hold; "
@@ -235,7 +241,7 @@ def test_fold_hygiene_and_leakage_direction(tmp_path, capsys) -> None:
 
 
 def _manifest_outputs(path) -> list:
-    return json.loads((path / "manifest.json").read_text())["outputs"]
+    return json.loads((path / "manifest.json").read_text(encoding="utf-8"))["outputs"]
 
 
 def test_commands_are_deterministic(tmp_path, monkeypatch, capsys) -> None:
@@ -317,7 +323,7 @@ def test_weekly_report_shape(tmp_path, capsys) -> None:
     ]) == 0
     shown = capsys.readouterr().out
 
-    doc = json.loads((out / "report.json").read_text())
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
     names = [row["name"] for row in doc["rows"]]
     assert names == ["Week 1", "Week 2", "Week 3", "Week 4"]
     assert "average" in doc

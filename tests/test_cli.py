@@ -106,7 +106,7 @@ def test_help_and_version_exit_zero(capsys) -> None:
 def test_synth_writes_dataset_and_manifest(dataset) -> None:
     for name in ("status_log.csv", "labels.csv", "events.log", "manifest.json"):
         assert (dataset / name).is_file(), name
-    manifest = json.loads((dataset / "manifest.json").read_text())
+    manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "synth"
     assert manifest["seeds"] == {"seed": 11}
     assert manifest["config"]["bots"] == 4
@@ -123,8 +123,8 @@ def test_synth_reruns_are_byte_identical(dataset, tmp_path) -> None:
         ["synth", "--bots", "4", "--normals", "8", "--days", "3", "--seed", "11", "--out", str(again)]
     )
     assert rc == 0
-    first = json.loads((dataset / "manifest.json").read_text())["outputs"]
-    second = json.loads((again / "manifest.json").read_text())["outputs"]
+    first = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))["outputs"]
+    second = json.loads((again / "manifest.json").read_text(encoding="utf-8"))["outputs"]
     assert first == second
     assert (dataset / "status_log.csv").read_bytes() == (again / "status_log.csv").read_bytes()
 
@@ -173,7 +173,7 @@ def test_synth_seed_changes_output(dataset, tmp_path) -> None:
 def test_featurize_outputs(features, capsys) -> None:
     assert (features / "samples.npz").is_file()
     assert (features / "elimination_report.txt").is_file()
-    meta = json.loads((features / "featurize.json").read_text())
+    meta = json.loads((features / "featurize.json").read_text(encoding="utf-8"))
     assert meta["window_config"]["window_length"] == 24
     assert meta["window_config"]["stride"] == 12
     assert meta["n_samples"] > 0
@@ -223,12 +223,14 @@ def test_featurize_bytes_are_pinned(tmp_path, capsys) -> None:
 def test_featurize_keeps_a_character_whose_id_is_quoted(dataset, tmp_path, capsys) -> None:
     # both files quote b0001; csv reads "b0001" as b0001 in each, so its labels still apply
     log, labels = tmp_path / "status_log.csv", tmp_path / "labels.csv"
-    log.write_text(re.sub(r"(?m)^b0001,", '"b0001",', (dataset / "status_log.csv").read_text()))
-    labels.write_text((dataset / "labels.csv").read_text().replace("\nb0001,", '\n"b0001",'))
-    assert '"b0001",bot' in labels.read_text()
+    quoted = re.sub(r"(?m)^b0001,", '"b0001",', (dataset / "status_log.csv").read_text(encoding="utf-8"))
+    log.write_text(quoted, encoding="utf-8")
+    quoted = (dataset / "labels.csv").read_text(encoding="utf-8").replace("\nb0001,", '\n"b0001",')
+    labels.write_text(quoted, encoding="utf-8")
+    assert '"b0001",bot' in labels.read_text(encoding="utf-8")
     out = tmp_path / "feat"
     assert run(["featurize", "--log", str(log), "--labels", str(labels), "--out", str(out)]) == 0
-    ingest = json.loads((out / "featurize.json").read_text())["ingest"]
+    ingest = json.loads((out / "featurize.json").read_text(encoding="utf-8"))["ingest"]
     assert "unlabeled" not in ingest["drop_reasons"]
     with np.load(out / "samples.npz") as bundle:
         assert "b0001" in bundle["origin_character"].tolist()
@@ -237,13 +239,14 @@ def test_featurize_keeps_a_character_whose_id_is_quoted(dataset, tmp_path, capsy
 def test_featurize_keeps_a_character_whose_id_starts_with_a_hash(dataset, tmp_path, capsys) -> None:
     # b0001 is #x in both files; the label file must not turn its row into a comment
     log, labels = tmp_path / "status_log.csv", tmp_path / "labels.csv"
-    log.write_text(re.sub(r"(?m)^b0001,", "#x,", (dataset / "status_log.csv").read_text()))
+    hashed = re.sub(r"(?m)^b0001,", "#x,", (dataset / "status_log.csv").read_text(encoding="utf-8"))
+    log.write_text(hashed, encoding="utf-8")
     entries = dict(read_label_file(dataset / "labels.csv").entries)
     entries["#x"] = entries.pop("b0001")
     write_label_file(labels, LabelFile(entries, as_of=""))
     out = tmp_path / "feat"
     assert run(["featurize", "--log", str(log), "--labels", str(labels), "--out", str(out)]) == 0
-    ingest = json.loads((out / "featurize.json").read_text())["ingest"]
+    ingest = json.loads((out / "featurize.json").read_text(encoding="utf-8"))["ingest"]
     assert "unlabeled" not in ingest["drop_reasons"]
     with np.load(out / "samples.npz") as bundle:
         assert "#x" in bundle["origin_character"].tolist()
@@ -321,13 +324,28 @@ def short_dataset(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "extra, message",
-    [([], "no windows produced from the input timelines"), (["--by-period", "7"], "no week produced windows")],
+    [
+        (["crossval"], "no windows produced from the input timelines"),
+        (["crossval", "--by-period", "7"], "no week produced windows"),
+        (["report"], "no windows produced from the input timelines"),
+    ],
 )
 def test_crossval_without_one_full_window_is_a_data_error(short_dataset, extra, message, tmp_path, capsys) -> None:
+    # extra is the command and its options; report fails on the same short log
     log, labels = str(short_dataset / "status_log.csv"), str(short_dataset / "labels.csv")
-    assert run(["crossval", "--log", log, "--labels", labels, *extra, "--out", str(tmp_path / "out")]) == 2
+    command, *options = extra
+    assert run([command, "--log", log, "--labels", labels, *options, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["featurize", "crossval", "report"])
+def test_label_file_naming_no_logged_character_is_a_data_error(dataset, command, tmp_path, capsys) -> None:
+    labels, out = tmp_path / "labels.csv", tmp_path / "out"
+    write_label_file(labels, LabelFile({"nobody": Label.BOT}, as_of=""))
+    assert run([command, "--log", str(dataset / "status_log.csv"), "--labels", str(labels), "--out", str(out)]) == 2
+    assert "error: no labeled timelines present in the input\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_score_skips_characters_shorter_than_the_window(short_dataset, model_dir, tmp_path, capsys) -> None:
@@ -337,7 +355,7 @@ def test_score_skips_characters_shorter_than_the_window(short_dataset, model_dir
     assert "scored 0 characters (0 at or above threshold 0.5, 6 skipped as shorter than the window)" in (
         capsys.readouterr().out
     )
-    assert (out / "scores.csv").read_text() == "character_id,probability,label\n"
+    assert (out / "scores.csv").read_text(encoding="utf-8") == "character_id,probability,label\n"
 
 
 def test_featurize_window_longer_than_history(dataset, tmp_path, capsys) -> None:
@@ -356,10 +374,10 @@ def test_featurize_window_longer_than_history(dataset, tmp_path, capsys) -> None
 
 def test_train_writes_model_and_log(model_dir) -> None:
     assert (model_dir / "model.bin").is_file()
-    log = json.loads((model_dir / "training_log.json").read_text())
+    log = json.loads((model_dir / "training_log.json").read_text(encoding="utf-8"))
     assert log["summary"]["epochs_run"] == 1
     assert log["epochs"][0]["epoch"] == 1
-    manifest = json.loads((model_dir / "manifest.json").read_text())
+    manifest = json.loads((model_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == "train"
     assert manifest["config"]["epochs"] == 1
     assert len(manifest["inputs"]) == 2
@@ -385,7 +403,7 @@ def test_score_chain(dataset, model_dir, tmp_path, capsys) -> None:
     )
     assert rc == 0
     assert "scored 12 characters" in capsys.readouterr().out
-    lines = (out / "scores.csv").read_text().splitlines()
+    lines = (out / "scores.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "character_id,probability,label"
     assert len(lines) == 13
     probs = [float(line.split(",")[1]) for line in lines[1:]]
@@ -405,7 +423,7 @@ def test_score_without_labels(dataset, model_dir, tmp_path) -> None:
         ]
     )
     assert rc == 0
-    lines = (out / "scores.csv").read_text().splitlines()
+    lines = (out / "scores.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 13
     assert all(line.endswith(",") for line in lines[1:])
 
@@ -446,7 +464,7 @@ def test_score_zero_head_ranks_by_character_id(dataset, model_dir, tmp_path, cap
     )
     assert rc == 0
     assert "12 at or above threshold 0.5" in capsys.readouterr().out
-    lines = (out / "scores.csv").read_text().splitlines()[1:]
+    lines = (out / "scores.csv").read_text(encoding="utf-8").splitlines()[1:]
     ids = [line.split(",")[0] for line in lines]
     assert ids == sorted(ids)
     assert {line.split(",")[1] for line in lines} == {"0.500000"}
@@ -481,8 +499,8 @@ def test_report_prints_tables(dataset, tmp_path, capsys) -> None:
     )
     assert rc == 0
     shown = capsys.readouterr().out
-    assert (out / "report.txt").read_text() == shown
-    doc = json.loads((out / "report.json").read_text())
+    assert (out / "report.txt").read_text(encoding="utf-8") == shown
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert set(doc) == {"distributions", "elimination", "ingest", "window_config"}
 
 
@@ -520,8 +538,8 @@ def test_crossval_out_artifacts_match_stdout(dataset, tmp_path, capsys) -> None:
     )
     assert rc == 0
     shown = capsys.readouterr().out
-    assert (out / "report.txt").read_text() == shown
-    doc = json.loads((out / "report.json").read_text())
+    assert (out / "report.txt").read_text(encoding="utf-8") == shown
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert len(doc["rows"]) == 3
     assert doc["average"]["f1"] == pytest.approx(
         float(np.mean([row["metrics"]["f1"] for row in doc["rows"]])), abs=1e-12
@@ -637,10 +655,10 @@ def test_crossval_by_period_skips_periods_without_windows(fortnight, tmp_path, c
     shown = capsys.readouterr().out
     assert "Period 3" in shown and "Period 4" not in shown.split("Average")[0]
     assert "skipped, no windows: Period 4" in shown
-    doc = json.loads((tmp_path / "cv" / "report.json").read_text())
+    doc = json.loads((tmp_path / "cv" / "report.json").read_text(encoding="utf-8"))
     assert doc["skipped_periods"] == ["Period 4"]
     assert [p["name"] for p in doc["periods"]] == ["Period 1", "Period 2", "Period 3"]
-    assert (tmp_path / "cv" / "report.txt").read_text() == shown
+    assert (tmp_path / "cv" / "report.txt").read_text(encoding="utf-8") == shown
 
     # 0.2-day periods are all shorter than one 24-hour window
     assert run(argv + ["--by-period", "0.2"]) == 2
@@ -661,7 +679,7 @@ def test_crossval_by_period_evaluates_periods_of_exactly_one_window(tmp_path, ca
     ]
     # 48 hourly rows in 1-day periods: each character holds exactly 24 rows, one default window, per period
     assert run(argv + ["--out", str(tmp_path / "cv")]) == 0
-    doc = json.loads((tmp_path / "cv" / "report.json").read_text())
+    doc = json.loads((tmp_path / "cv" / "report.json").read_text(encoding="utf-8"))
     assert [p["name"] for p in doc["periods"]] == ["Period 1", "Period 2"]
     assert doc["skipped_periods"] == []
     assert [row["n_test"] for row in doc["rows"]] == [7, 7]
@@ -709,7 +727,7 @@ def test_env_seed_fallback(monkeypatch, tmp_path) -> None:
     out = tmp_path / "env"
     rc = run(["synth", "--bots", "2", "--normals", "2", "--days", "1", "--out", str(out)])
     assert rc == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["seeds"] == {"seed": 99}
 
 
@@ -720,7 +738,7 @@ def test_flag_overrides_env_seed(monkeypatch, tmp_path) -> None:
         ["synth", "--bots", "2", "--normals", "2", "--days", "1", "--seed", "5", "--out", str(out)]
     )
     assert rc == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["seeds"] == {"seed": 5}
 
 
@@ -729,7 +747,7 @@ def test_seed_defaults_to_zero_without_env(monkeypatch, tmp_path) -> None:
     out = tmp_path / "zero"
     rc = run(["synth", "--bots", "2", "--normals", "2", "--days", "1", "--out", str(out)])
     assert rc == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["seeds"] == {"seed": 0}
 
 
@@ -752,11 +770,11 @@ def test_invalid_env_seed_is_usage_error(monkeypatch, tmp_path, capsys) -> None:
 
 def test_config_file_between_defaults_and_flags(tmp_path) -> None:
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"bots": 3, "days": 1.0, "normals": 2}))
+    cfg_path.write_text(json.dumps({"bots": 3, "days": 1.0, "normals": 2}), encoding="utf-8")
     from_file = tmp_path / "from_file"
     rc = run(["synth", "--config", str(cfg_path), "--seed", "7", "--out", str(from_file)])
     assert rc == 0
-    manifest = json.loads((from_file / "manifest.json").read_text())
+    manifest = json.loads((from_file / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["bots"] == 3
 
     overridden = tmp_path / "overridden"
@@ -764,14 +782,14 @@ def test_config_file_between_defaults_and_flags(tmp_path) -> None:
         ["synth", "--config", str(cfg_path), "--bots", "5", "--seed", "7", "--out", str(overridden)]
     )
     assert rc == 0
-    manifest = json.loads((overridden / "manifest.json").read_text())
+    manifest = json.loads((overridden / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"]["bots"] == 5
     assert manifest["config"]["days"] == 1.0
 
 
 def test_config_unknown_key_is_data_error(tmp_path, capsys) -> None:
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"bogus": 1}))
+    cfg_path.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
     rc = run(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
@@ -779,9 +797,9 @@ def test_config_unknown_key_is_data_error(tmp_path, capsys) -> None:
 
 def test_config_must_be_json_object(tmp_path) -> None:
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text("[1, 2]")
+    cfg_path.write_text("[1, 2]", encoding="utf-8")
     assert run(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
-    cfg_path.write_text("{nope")
+    cfg_path.write_text("{nope", encoding="utf-8")
     assert run(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
     assert run(["synth", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == 2
 
@@ -1055,7 +1073,7 @@ def test_malformed_inputs_exit_with_documented_code(
         shutil.copy(path, inputs)
     cfg_path = inputs / "cfg.json"
     if config is not None:
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
     # one (file, content) pair, or a list of them
     for name, content in [corrupt] if isinstance(corrupt, tuple) else corrupt or []:
         target = (samples if name in ("featurize.json", "samples.npz") else inputs) / name
@@ -1107,7 +1125,7 @@ def test_synth_option_combinations_name_both_flags(argv, flags, tmp_path, capsys
 )
 def test_config_value_of_wrong_type_names_the_flag(key, value, want, tmp_path, capsys) -> None:
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({key: value}))
+    cfg_path.write_text(json.dumps({key: value}), encoding="utf-8")
     argv = ["crossval", "--log", "log.csv", "--labels", "labels.csv", "--config", str(cfg_path)]
     assert run([*argv, "--out", str(tmp_path / "out")]) == 1
     assert f"{cli._flag(key)} {want}" in capsys.readouterr().err
@@ -1117,7 +1135,7 @@ def test_config_value_of_wrong_type_names_the_flag(key, value, want, tmp_path, c
 def test_integral_config_numbers_are_accepted(monkeypatch, tmp_path) -> None:
     monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"k": 4.0, "seed": 7.0, "lr": 1, "batchnorm": False}))
+    cfg_path.write_text(json.dumps({"k": 4.0, "seed": 7.0, "lr": 1, "batchnorm": False}), encoding="utf-8")
     args = cli.build_parser().parse_args(
         ["crossval", "--log", "log.csv", "--labels", "labels.csv", "--config", str(cfg_path)]
     )
@@ -1164,7 +1182,7 @@ def test_negative_seed_or_patience_names_the_flag(command, key, value, features,
         "crossval": ["--log", "log.csv", "--labels", "labels.csv"],
     }[command]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({key: value}))
+    cfg_path.write_text(json.dumps({key: value}), encoding="utf-8")
     for source in ([cli._flag(key), str(value)], ["--config", str(cfg_path)]):
         assert run([command, *paths, *source, "--out", str(tmp_path / "out")]) == 1, source
         err = capsys.readouterr().err
@@ -1206,7 +1224,7 @@ def test_out_of_range_option_names_the_flag(command, key, value, want, tmp_path,
         "score": ["--log", "log.csv", "--model", "model.bin"],
     }[command]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({key: value}))
+    cfg_path.write_text(json.dumps({key: value}), encoding="utf-8")
     for source in ([f"{cli._flag(key)}={value}"], ["--config", str(cfg_path)]):
         assert run([command, *paths, *source, "--out", str(tmp_path / "out")]) == 1, source
         err = capsys.readouterr().err
@@ -1306,13 +1324,13 @@ def test_flags_are_exactly_the_config_keys(monkeypatch, tmp_path) -> None:
         resolved = cli._resolve(args)
         assert set(resolved) == keys, command
         # every flag is a config key, and the resolved values read back unchanged
-        cfg_path.write_text(json.dumps(resolved))
+        cfg_path.write_text(json.dumps(resolved), encoding="utf-8")
         args.config = str(cfg_path)
         assert cli._resolve(args) == resolved, command
         # the options of other commands are not
         others = every_key - keys
         if others:
-            cfg_path.write_text(json.dumps(dict.fromkeys(others, 1)))
+            cfg_path.write_text(json.dumps(dict.fromkeys(others, 1)), encoding="utf-8")
             with pytest.raises(DataError, match="unknown config keys") as err:
                 cli._resolve(args)
             assert all(key in str(err.value) for key in others), command
@@ -1320,14 +1338,14 @@ def test_flags_are_exactly_the_config_keys(monkeypatch, tmp_path) -> None:
 
 def test_no_batchnorm_flag_equals_config_key(features, tmp_path) -> None:
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"batchnorm": False}))
+    cfg_path.write_text(json.dumps({"batchnorm": False}), encoding="utf-8")
     argv = ["train", "--samples", str(features), "--epochs", "1", "--seed", "11"]
     by_flag, by_file = tmp_path / "flag", tmp_path / "file"
     assert run(argv + ["--no-batchnorm", "--out", str(by_flag)]) == 0
     assert run(argv + ["--config", str(cfg_path), "--out", str(by_file)]) == 0
     assert (by_flag / "model.bin").read_bytes() == (by_file / "model.bin").read_bytes()
     assert load_model(by_flag / "model.bin").config.use_batchnorm is False
-    configs = [json.loads((out / "manifest.json").read_text())["config"] for out in (by_flag, by_file)]
+    configs = [json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"] for out in (by_flag, by_file)]
     assert configs[0] == configs[1]
     assert configs[0]["batchnorm"] is False
 
@@ -1337,7 +1355,7 @@ def test_module_entry_points_print_version(module) -> None:
     src = str(Path(botledger.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-m", module, "--version"], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", module, "--version"], capture_output=True, encoding="utf-8", env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"botledger {botledger.__version__}\n"

@@ -9,9 +9,7 @@ from botledger.features import (
     eliminate_noninfluential,
     format_distribution_text,
     format_elimination_text,
-    minmax_scale,
     summarize_distributions,
-    window_start_indices,
     windows_from_timelines,
 )
 from botledger.schema import Label, Timelines, canonical_schema
@@ -39,24 +37,34 @@ def _timeline(cid, label, matrix):
 # --- min-max scaling -------------------------------------------------------
 
 
+def _scaled(series, scope: ScalingScope = ScalingScope.PER_CHARACTER) -> np.ndarray:
+    """``series`` scaled as the single window of a one-character timeline."""
+    x = np.asarray(series, dtype=float)
+    timeline = _timeline("c1", Label.NORMAL, np.tile(x[:, None], (1, len(SCHEMA))))
+    return windows_from_timelines(timeline, SCHEMA, WindowConfig(len(x), 1, scope)).x[0, :, 0]
+
+
+def _scaled_in_both_scopes(series) -> np.ndarray:
+    scaled = _scaled(series)
+    assert _scaled(series, ScalingScope.PER_WINDOW).tobytes() == scaled.tobytes()
+    return scaled
+
+
 def test_minmax_exact_examples() -> None:
-    assert minmax_scale(np.array([3.0, 5.0, 7.0])).tolist() == [0.0, 0.5, 1.0]
-    assert minmax_scale(np.array([0.0, 10.0, 2.0, 8.0])).tolist() == [0.0, 1.0, 0.2, 0.8]
+    assert _scaled([3.0, 5.0, 7.0]).tolist() == [0.0, 0.5, 1.0]
+    assert _scaled([0.0, 10.0, 2.0, 8.0]).tolist() == [0.0, 1.0, 0.2, 0.8]
 
 
 def test_minmax_degenerate_series_maps_to_zeros() -> None:
-    assert minmax_scale(np.array([4.0, 4.0, 4.0])).tolist() == [0.0, 0.0, 0.0]
+    assert _scaled([4.0, 4.0, 4.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_minmax_rejects_bad_input() -> None:
-    with pytest.raises(NumericError):
-        minmax_scale(np.array([1.0, np.nan]))
-    with pytest.raises(NumericError):
-        minmax_scale(np.array([1.0, np.inf]))
-    with pytest.raises(ValueError):
-        minmax_scale(np.array([]))
-    with pytest.raises(ValueError):
-        minmax_scale(np.zeros((2, 2)))
+    for scope in ScalingScope:
+        with pytest.raises(NumericError):
+            _scaled([1.0, np.nan], scope)
+        with pytest.raises(NumericError):
+            _scaled([1.0, np.inf], scope)
 
 
 def test_minmax_properties_random_vectors() -> None:
@@ -64,14 +72,14 @@ def test_minmax_properties_random_vectors() -> None:
     for _ in range(1000):
         n = int(rng.integers(2, 40))
         x = rng.normal(scale=float(rng.uniform(0.1, 100)), size=n)
-        scaled = minmax_scale(x)
+        scaled = _scaled_in_both_scopes(x)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
         if x.max() > x.min():
             assert scaled.min() == 0.0 and scaled.max() == 1.0
             # order preservation
             assert (np.argsort(x, kind="stable") == np.argsort(scaled, kind="stable")).all()
         # idempotence
-        again = minmax_scale(scaled)
+        again = _scaled_in_both_scopes(scaled)
         assert np.allclose(again, scaled, atol=1e-12)
 
 
@@ -79,13 +87,20 @@ def test_minmax_properties_random_vectors() -> None:
 
 
 def test_window_count_formula_sweep() -> None:
-    for length in range(1, 51):
-        for w in range(1, length + 1):
-            for s in range(1, length + 1):
-                got = len(window_start_indices(length, w, s))
-                assert got == (length - w) // s + 1
-    assert len(window_start_indices(3, 4, 1)) == 0  # shorter than the window
-    assert len(window_start_indices(4, 4, 9)) == 1  # exactly one window
+    ids = [f"c{length:02d}" for length in range(1, 51)]
+    timelines = _timelines(*((cid, Label.NORMAL, np.ones((length, len(SCHEMA)))) for length, cid in enumerate(ids, 1)))
+
+    def counts(w: int, s: int) -> dict[str, int]:
+        samples = windows_from_timelines(timelines, SCHEMA, WindowConfig(window_length=w, stride=s))
+        return dict(zip(*np.unique(samples.character, return_counts=True)))
+
+    for w in range(2, 51):  # WindowConfig rejects w = 1
+        for s in range(1, 51):
+            got = counts(w, s)
+            for length, cid in enumerate(ids, 1):
+                assert got.get(cid, 0) == (0 if length < w else (length - w) // s + 1)
+    assert "c03" not in counts(4, 1)  # shorter than the window
+    assert counts(4, 9)["c04"] == 1  # exactly one window
 
 
 def test_slide_windows_starts_and_labels() -> None:

@@ -8,9 +8,9 @@ from botledger.network import (
     ModelConfig,
     backward,
     forward,
-    gradient_check,
     init_params,
 )
+from reference import gradient_check
 
 SMALL = ModelConfig(input_dim=3, hidden_dim=4, dropout_p=0.0, l2_lambda=1e-3, seed=0)
 

@@ -7,20 +7,19 @@ from botledger.errors import DataError, NumericError
 from botledger.network import (
     BN_EPS,
     PROB_CLIP,
-    TRAINABLE,
     ModelConfig,
     ModelParams,
+    _bn_apply,
     adam_step,
     backward,
-    batchnorm_forward,
     bce_loss,
-    cell_step,
     forward,
     init_adam,
     init_params,
     param_layout,
     sigmoid,
 )
+from reference import TRAINABLE, cell_step
 
 
 def _zero_params(input_dim: int, hidden_dim: int) -> ModelParams:
@@ -182,6 +181,11 @@ def test_sigmoid_matches_two_branch_formula() -> None:
 
 
 # --- batch norm ---------------------------------------------------------------
+
+
+def batchnorm_forward(batch: np.ndarray, params: ModelParams, training: bool) -> np.ndarray:
+    """``_bn_apply`` over one (B, D) matrix, returned batch-major."""
+    return _bn_apply(batch, params, training)[0].T
 
 
 def test_batchnorm_training_two_point_batch() -> None:

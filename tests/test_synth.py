@@ -5,8 +5,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from botledger.errors import DataError
-from botledger.schema import Label, StatusLog, StatusRecord, canonical_schema
+from botledger.schema import Label, StatusRecord
 from botledger.synth import (
     DEFAULT_START,
     EVENT_LOG_HEADER,
@@ -19,7 +18,6 @@ from botledger.synth import (
     archetype_params,
     draw_character_params,
     generate,
-    inject_constant_feature,
     write_event_log,
 )
 
@@ -29,11 +27,6 @@ BASE_CFG = GenConfig(n_bots=12, n_normals=12, days=7.0, seed=3)
 @pytest.fixture(scope="module")
 def dataset():
     return generate(BASE_CFG)
-
-
-def head(log, n=5):
-    """The first ``n`` rows of a status log."""
-    return StatusLog(log.character_id[:n], log.account_id[:n], log.timestamp[:n], log.values[:n])
 
 
 def by_character(records):
@@ -256,36 +249,6 @@ def test_event_log_roundtrip(tmp_path, dataset) -> None:
 def test_events_sorted_by_time(dataset) -> None:
     stamps = [e.timestamp for e in dataset.events]
     assert stamps == sorted(stamps)
-
-
-# -------------------------------------------------------------- injection
-
-def test_inject_zero_feature(dataset) -> None:
-    injected = inject_constant_feature(dataset.records, "cash_in_vendor", 0.0)
-    idx = 4
-    for before, after in zip(dataset.records, injected):
-        assert after.values[idx] == 0.0
-        mask = np.ones(9, dtype=bool)
-        mask[idx] = False
-        assert np.array_equal(before.values[mask], after.values[mask])
-    # source untouched
-    assert any(r.values[idx] > 0.0 for r in dataset.records)
-
-
-def test_inject_constant_feature_by_display_name(dataset) -> None:
-    injected = inject_constant_feature(dataset.records, "Number of Items", 7.0)
-    assert all(r.values[0] == 7.0 for r in injected)
-
-
-def test_inject_unknown_feature_rejected(dataset) -> None:
-    with pytest.raises(DataError):
-        inject_constant_feature(head(dataset.records), "no_such_feature", 0.0)
-
-
-def test_inject_respects_custom_schema(dataset) -> None:
-    schema = canonical_schema()
-    injected = inject_constant_feature(head(dataset.records), "Total Cash", 1.0, schema)
-    assert all(r.values[1] == 1.0 for r in injected)
 
 
 def test_lerp_identity_and_endpoints() -> None:

@@ -395,7 +395,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     samples, schema, window_cfg, _ = _load_samples_dir(args.samples)
     cfg = _config(ModelConfig, resolved, input_dim=samples.x.shape[2], seed=resolved["seed"])
     opts = _train_options(resolved)
-    params, log = train(samples, cfg, opts)
+    params, log = train(samples.x, samples.y, cfg, opts)
     summary = {
         "n_samples": len(samples),
         "epochs_run": len(log),

@@ -8,10 +8,10 @@ Elimination applies two rules over the raw (unscaled) timelines:
   separate them;
 * rule 2 (invariance): the feature is identically zero in both groups.
 
-Scaling maps each series onto [0, 1] with ``(x - min) / (max - min)``; a
-degenerate series (max == min) maps to all zeros rather than dividing by
-zero.  Windowing then cuts the scaled timelines into fixed-length slices,
-all held in one ``WindowSet``.
+Windowing cuts the timelines into fixed-length slices, all held in one
+``WindowSet``, and maps each onto [0, 1] with ``(x - lo) / (hi - lo)``; a
+degenerate series (hi == lo) maps to all zeros rather than dividing by
+zero.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ SMD_EPSILON = 1e-9
 
 
 class ScalingScope(str, enum.Enum):
-    """Where min-max statistics come from: the whole timeline or each window."""
+    """Where min-max's ``lo`` and ``hi`` come from: the whole timeline or each window."""
 
     PER_CHARACTER = "per-character"
     PER_WINDOW = "per-window"
@@ -49,23 +49,15 @@ class WindowConfig:
         object.__setattr__(self, "scaling_scope", ScalingScope(self.scaling_scope))
 
 
-def _minmax(values: np.ndarray, axis: int) -> np.ndarray:
-    """Min-max scale along ``axis``; a constant slice maps to zeros."""
-    if not np.isfinite(values).all():
-        raise NumericError("cannot scale a series with non-finite values")
-    lo = values.min(axis=axis, keepdims=True)
-    span = values.max(axis=axis, keepdims=True) - lo
-    return np.divide(values - lo, span, out=np.zeros_like(values), where=span != 0.0)
-
-
 def windows_from_timelines(timelines: Timelines, schema: FeatureSchema, cfg: WindowConfig) -> WindowSet:
-    """Scale each character's active features and cut sliding windows, in order.
+    """Cut sliding windows of each character's active features, in order, and scale them.
 
-    Per-character scope scales each feature over the character's whole
+    One min-max step scales every window; the scope supplies its ``lo`` and
+    ``hi``.  Per-character scope takes them over the character's whole
     timeline, rows after its last full window included, so windows keep
     their position relative to the character's own range; per-window scope
-    rescales each window in isolation.  Characters shorter than one window
-    yield none.
+    takes them over the window's own steps.  Non-finite values raise
+    ``NumericError``.  Characters shorter than one window yield none.
     """
     cols = np.array(schema.active_indices(), dtype=np.intp)
     if not len(cols):
@@ -78,17 +70,17 @@ def windows_from_timelines(timelines: Timelines, schema: FeatureSchema, cfg: Win
     start = (np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)) * cfg.stride
     # one gather: (windows, steps, features)
     x = timelines.values[(first + start)[:, None, None] + np.arange(cfg.window_length)[:, None], cols]
-    if cfg.scaling_scope is ScalingScope.PER_WINDOW:
-        x = _minmax(x, axis=1)
-    elif len(x):
-        lo = np.minimum.reduceat(timelines.values, timelines.bounds[:-1])[windowed][:, cols]
-        hi = np.maximum.reduceat(timelines.values, timelines.bounds[:-1])[windowed][:, cols]
-        # min and max are finite exactly when every value of the timeline is
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise NumericError("cannot scale a series with non-finite values")
-        span = np.repeat(hi - lo, counts, axis=0)[:, None]
-        x -= np.repeat(lo, counts, axis=0)[:, None]  # exactly 0 wherever the span is 0
-        np.divide(x, span, out=x, where=span != 0.0)
+    if cfg.scaling_scope is ScalingScope.PER_WINDOW or not len(x):  # reduceat needs indices
+        lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+    else:  # the character's whole timeline, repeated for each of its windows
+        owner = np.repeat(np.flatnonzero(windowed), counts)[:, None, None]
+        lo, hi = (f.reduceat(timelines.values, timelines.bounds[:-1])[owner, cols] for f in (np.minimum, np.maximum))
+    # min and max are finite exactly when every value they span is
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise NumericError("cannot scale a series with non-finite values")
+    span = hi - lo
+    x -= lo  # exactly 0 wherever the span is 0
+    np.divide(x, span, out=x, where=span != 0.0)
     ids = timelines.character_id[windowed]
     return WindowSet(
         x=x,

@@ -121,37 +121,28 @@ def confusion_from_predictions(
     )
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Sample-to-fold assignment; folds partition the sample indices."""
-
-    k: int
-    assignments: np.ndarray  # (n_samples,) ints in [0, k)
-    grouped: bool
-
-    def fold_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def validate(self, samples: WindowSet) -> None:
-        """Assert the partition and (when grouped) no-character-leakage."""
-        if self.assignments.shape != (len(samples),):
-            raise ValueError("fold assignments do not cover the sample list")
-        if self.assignments.min() < 0 or self.assignments.max() >= self.k:
-            raise ValueError("fold assignment out of range")
-        counts = np.bincount(self.assignments, minlength=self.k)
-        if (counts == 0).any():
-            raise ValueError("every fold must receive at least one sample")
-        if self.grouped:
-            # every window must sit in the fold of its character's first window
-            _, first, inverse = np.unique(samples.character, return_index=True, return_inverse=True)
-            leaked = np.flatnonzero(self.assignments[first][inverse] != self.assignments)
-            if leaked.size:
-                character = str(samples.character[leaked[0]])
-                raise ValueError(f"character {character!r} spans multiple folds")
+def check_folds(fold_of: np.ndarray, samples: WindowSet, folds: FoldOptions) -> None:
+    """Raise ``ValueError`` unless ``fold_of`` deals each window of ``samples``
+    to one of ``folds.k`` folds, leaves no fold empty and, when grouped by
+    character, deals every window of a character to one fold."""
+    if fold_of.shape != (len(samples),):
+        raise ValueError("fold assignments do not cover the sample list")
+    if fold_of.min() < 0 or fold_of.max() >= folds.k:
+        raise ValueError("fold assignment out of range")
+    if (np.bincount(fold_of, minlength=folds.k) == 0).any():
+        raise ValueError("every fold must receive at least one sample")
+    if folds.group_by_character:
+        # every window must sit in the fold of its character's first window
+        _, first, inverse = np.unique(samples.character, return_index=True, return_inverse=True)
+        leaked = np.flatnonzero(fold_of[first][inverse] != fold_of)
+        if leaked.size:
+            character = str(samples.character[leaked[0]])
+            raise ValueError(f"character {character!r} spans multiple folds")
 
 
-def make_folds(samples: WindowSet, folds: FoldOptions) -> FoldPlan:
-    """Stratified k-fold assignment, grouped by character unless disabled.
+def make_folds(samples: WindowSet, folds: FoldOptions) -> np.ndarray:
+    """Each window's fold in ``[0, folds.k)``: stratified k-fold, grouped by
+    character unless disabled, and checked by ``check_folds``.
 
     Group mode shuffles each label's sorted characters with the seeded
     generator and deals them round-robin, so per-label character counts
@@ -182,9 +173,9 @@ def make_folds(samples: WindowSet, folds: FoldOptions) -> FoldPlan:
             )
         unit_fold[members[rng.permutation(len(members))]] = np.arange(len(members)) % k
 
-    plan = FoldPlan(k=k, assignments=unit_fold[inverse], grouped=folds.group_by_character)
-    plan.validate(samples)
-    return plan
+    fold_of = unit_fold[inverse]
+    check_folds(fold_of, samples, folds)
+    return fold_of
 
 
 def split_by_period(timelines: Timelines, period_seconds: float) -> list[tuple[int, Timelines]]:
@@ -228,12 +219,9 @@ def _epoch_batches(n: int, batch_size: int, order: np.ndarray, merge_singleton: 
     return batches
 
 
-def train(
-    samples: WindowSet,
-    cfg: ModelConfig,
-    opts: TrainOptions,
-) -> tuple[ModelParams, list[dict]]:
-    """Minibatch Adam training; returns the trained params and per-epoch log.
+def train(x: np.ndarray, y: np.ndarray, cfg: ModelConfig, opts: TrainOptions) -> tuple[ModelParams, list[dict]]:
+    """Minibatch Adam training on windows ``x`` with targets ``y``; returns the
+    trained params and per-epoch log.
 
     Batches are reshuffled every epoch from a dedicated generator; dropout
     masks come from a second generator so batch order and masks stay
@@ -248,7 +236,6 @@ def train(
     float32 without a float32 copy of the whole set; the validation forward
     stays float64.
     """
-    x, y = samples.x, samples.y
     classes = set(np.unique(y).tolist())
     if classes != {0.0, 1.0}:
         raise DataError("training needs labeled samples, at least one of each class")
@@ -352,10 +339,12 @@ def cross_validate(
 ) -> EvalReport:
     """Stratified k-fold evaluation; each fold fits its own elimination and trains a fresh model.
 
-    ``timelines`` is windowed once, over every active column of ``schema``.
-    Each fold refits ``eliminate_noninfluential`` with every label hidden but
-    those of the characters owning a training window, so no test label helps
-    choose the features, and trains and predicts on the columns it keeps.
+    ``timelines`` is windowed once, over every active column of ``schema``,
+    and ``make_folds`` gives each window its fold.  Each fold refits
+    ``eliminate_noninfluential`` with every label hidden but those of the
+    characters owning a training window, so no test label helps choose the
+    features, then trains on the other folds' window arrays and predicts its
+    own, on the columns it keeps.
     Model and shuffle seeds derive from (``folds.seed``, fold index).  The
     report's ``config`` holds the fields of ``folds`` beside the model and
     training settings.  Raises ``DataError`` when no window is cut or a
@@ -364,11 +353,11 @@ def cross_validate(
     samples = windows_from_timelines(timelines, schema, window_cfg)
     if not samples:
         raise DataError("no windows produced from the input timelines")
-    plan = make_folds(samples, folds)
+    fold_of = make_folds(samples, folds)
 
     rows: list[EvalRow] = []
     for fold in range(folds.k):
-        test_idx, training = plan.fold_indices(fold), plan.assignments != fold
+        test, training = fold_of == fold, fold_of != fold
         trained = np.isin(timelines.character_id, samples.character[training])
         fold_timelines = replace(timelines, y=np.where(trained, timelines.y, np.nan))
         try:
@@ -379,10 +368,11 @@ def cross_validate(
         keep = np.array(fold_schema.active)[np.array(schema.active)]
         fold_cfg = replace(cfg, input_dim=int(keep.sum()), seed=derive_seed(folds.seed, fold))
         fold_opts = replace(opts, shuffle_seed=derive_seed(folds.seed, fold, 1))
-        params, _ = train(samples.subset(training, keep), fold_cfg, fold_opts)
-        probs = predict_probs(params, fold_cfg, samples.subset(test_idx, keep).x)
-        cm = confusion_from_predictions(probs, samples.y[test_idx], folds.threshold)
-        rows.append(EvalRow(f"Fold {fold + 1}", compute_metrics(cm), cm, n_test=len(test_idx)))
+        x = samples.x if keep.all() else samples.x[..., keep]
+        params, _ = train(x[training], samples.y[training], fold_cfg, fold_opts)
+        probs = predict_probs(params, fold_cfg, x[test])
+        cm = confusion_from_predictions(probs, samples.y[test], folds.threshold)
+        rows.append(EvalRow(f"Fold {fold + 1}", compute_metrics(cm), cm, n_test=cm.total))
 
     return EvalReport(
         rows=tuple(rows),

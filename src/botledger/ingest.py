@@ -384,26 +384,32 @@ def load_timelines(
 def read_label_file(path: str | Path) -> LabelFile:
     """Parse a label file; duplicate characters or unknown labels are fatal.
 
-    Lines starting with ``#`` are comments.  The other lines are csv, so a
-    quoted id reads unquoted, as ingest reads it; a fault names its line.
+    The file is csv, so a quoted id reads unquoted, as ingest reads it, and
+    may span lines.  Between records, a line starting with ``#`` is a
+    comment and a blank line is skipped; inside a quoted field either is
+    data.  A fault names the last line of its record.
     """
     entries: dict[str, Label] = {}
-    as_of = ""
-    lines: list[str] = []
-    numbers: list[int] = []  # the file's line number of each line in ``lines``
+    as_of, number, in_record = "", 0, False
+
+    def data_lines(fh):
+        nonlocal as_of, number, in_record
+        for number, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not in_record and stripped.startswith("#"):
+                body = stripped.lstrip("#").strip()
+                if body.lower().startswith("as_of:"):
+                    as_of = body[len("as_of:"):].strip()
+            elif in_record or stripped:
+                in_record = True  # until the reader returns the record this line starts or continues
+                yield line
+
+    rows: list[tuple[int, list[str]]] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if stripped.startswith("#"):
-                    body = stripped.lstrip("#").strip()
-                    if body.lower().startswith("as_of:"):
-                        as_of = body[len("as_of:"):].strip()
-                elif stripped:
-                    lines.append(line)
-                    numbers.append(number)
-        reader = csv.reader(lines)
-        rows = [(numbers[reader.line_num - 1], [c.strip() for c in row]) for row in reader]
+            for row in csv.reader(data_lines(fh)):
+                rows.append((number, [c.strip() for c in row]))
+                in_record = False
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read label file {path}: {exc}") from exc
     if not rows or rows[0][1] != ["character_id", "label"]:

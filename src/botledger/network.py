@@ -315,10 +315,10 @@ def forward(
     if batch.ndim != 3:
         raise ValueError("forward expects a (batch, time, features) array")
     n, t_steps, d = batch.shape
-    if d != cfg.input_dim or d != params.input_dim:
-        raise ValueError(
-            f"input width {d} does not match model input_dim {params.input_dim}"
-        )
+    if cfg.input_dim != params.input_dim:
+        raise ValueError(f"config input_dim {cfg.input_dim} does not match params input_dim {params.input_dim}")
+    if d != params.input_dim:
+        raise ValueError(f"input width {d} does not match model input_dim {params.input_dim}")
     if t_steps < 1:
         raise ValueError("batch must contain at least one timestep")
     if not np.isfinite(batch).all():

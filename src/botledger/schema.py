@@ -369,8 +369,3 @@ class WindowSet:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def subset(self, index: np.ndarray, features: np.ndarray | None = None) -> "WindowSet":
-        """The windows picked by a boolean mask or an index array, in that order, with the features a mask keeps."""
-        x = self.x[index] if features is None or features.all() else self.x[index][..., features]
-        return WindowSet(x, self.y[index], self.character[index], self.start[index])

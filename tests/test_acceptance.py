@@ -21,6 +21,7 @@ from botledger.features import (
 )
 from botledger.harness import (
     FoldOptions,
+    check_folds,
     compute_metrics,
     confusion_from_predictions,
     make_folds,
@@ -206,17 +207,18 @@ def test_fold_hygiene_and_leakage_direction(tmp_path, capsys) -> None:
     ]) == 0
 
     samples, _, _, _ = _load_samples_dir(str(feat))
-    plan = make_folds(samples, FoldOptions(k=3, seed=13, group_by_character=True))
-    plan.validate(samples)
-    all_indices = np.concatenate([plan.fold_indices(f) for f in range(plan.k)])
+    folds = FoldOptions(k=3, seed=13, group_by_character=True)
+    fold_of = make_folds(samples, folds)
+    check_folds(fold_of, samples, folds)
+    all_indices = np.concatenate([np.flatnonzero(fold_of == f) for f in range(folds.k)])
     assert sorted(all_indices.tolist()) == list(range(len(samples)))
-    for fold in range(plan.k):
-        held_out = {samples.character[i] for i in plan.fold_indices(fold)}
+    for fold in range(folds.k):
+        held_out = {samples.character[i] for i in np.flatnonzero(fold_of == fold)}
         rest = {
             samples.character[i]
-            for f in range(plan.k)
+            for f in range(folds.k)
             if f != fold
-            for i in plan.fold_indices(f)
+            for i in np.flatnonzero(fold_of == f)
         }
         assert not held_out & rest, f"character leaked across fold {fold}"
 

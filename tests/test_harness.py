@@ -16,6 +16,7 @@ from botledger.harness import (
     FoldOptions,
     TrainOptions,
     average_metrics,
+    check_folds,
     compute_metrics,
     confusion_from_predictions,
     cross_validate,
@@ -206,9 +207,9 @@ def test_fold_options_reject_values_outside_their_range(values, message) -> None
 
 def test_fold_balance_perfect_stratification() -> None:
     samples = one_window_samples(30, 70)
-    plan = make_folds(samples, FoldOptions(k=10, seed=0))
+    fold_of = make_folds(samples, FoldOptions(k=10, seed=0))
     for fold in range(10):
-        idx = plan.fold_indices(fold)
+        idx = np.flatnonzero(fold_of == fold)
         labels = samples.y[idx].tolist()
         assert labels.count(1.0) == 3
         assert labels.count(0.0) == 7
@@ -216,21 +217,22 @@ def test_fold_balance_perfect_stratification() -> None:
 
 def test_folds_group_characters() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=5)
-    plan = make_folds(samples, FoldOptions(k=3, seed=1))
+    folds = FoldOptions(k=3, seed=1)
+    assignments = make_folds(samples, folds)
     fold_of = {}
     for i, character in enumerate(samples.character):
-        fold_of.setdefault(character, set()).add(int(plan.assignments[i]))
+        fold_of.setdefault(character, set()).add(int(assignments[i]))
     assert all(len(folds) == 1 for folds in fold_of.values())
-    plan.validate(samples)
+    check_folds(assignments, samples, folds)
 
 
 def test_folds_deterministic_under_seed() -> None:
     samples = one_window_samples(12, 20)
     a = make_folds(samples, FoldOptions(k=4, seed=9))
     b = make_folds(samples, FoldOptions(k=4, seed=9))
-    assert np.array_equal(a.assignments, b.assignments)
+    assert np.array_equal(a, b)
     c = make_folds(samples, FoldOptions(k=4, seed=10))
-    assert not np.array_equal(a.assignments, c.assignments)
+    assert not np.array_equal(a, c)
 
 
 def test_folds_insufficient_class_members() -> None:
@@ -247,29 +249,33 @@ def test_leaky_folds_split_characters() -> None:
     )
     with pytest.raises(DataError):
         make_folds(samples, FoldOptions(k=2, seed=0))
-    plan = make_folds(samples, FoldOptions(k=2, seed=0, group_by_character=False))
-    assert not plan.grouped
-    plan.validate(samples)
-    bot_folds = {int(plan.assignments[i]) for i, y in enumerate(samples.y) if y == 1.0}
+    leaky = FoldOptions(k=2, seed=0, group_by_character=False)
+    fold_of = make_folds(samples, leaky)
+    check_folds(fold_of, samples, leaky)
+    with pytest.raises(ValueError, match="spans multiple folds"):
+        check_folds(fold_of, samples, replace(leaky, group_by_character=True))
+    bot_folds = {int(fold_of[i]) for i, y in enumerate(samples.y) if y == 1.0}
     assert bot_folds == {0, 1}
 
 
 def test_validate_rejects_tampered_assignments() -> None:
     samples = one_window_samples(4, 4)
-    plan = make_folds(samples, FoldOptions(k=2, seed=0))
-    plan.assignments[0] = 99
+    folds = FoldOptions(k=2, seed=0)
+    fold_of = make_folds(samples, folds)
+    fold_of[0] = 99
     with pytest.raises(ValueError):
-        plan.validate(samples)
+        check_folds(fold_of, samples, folds)
 
 
 def test_validate_rejects_character_leakage() -> None:
     samples = toy_separable(n_chars_per_class=4, windows_per_char=3)
-    plan = make_folds(samples, FoldOptions(k=2, seed=0))
+    folds = FoldOptions(k=2, seed=0)
+    fold_of = make_folds(samples, folds)
     victim = samples.character[0]
     idx = [i for i, character in enumerate(samples.character) if character == victim]
-    plan.assignments[idx[0]] = 1 - plan.assignments[idx[0]]
+    fold_of[idx[0]] = 1 - fold_of[idx[0]]
     with pytest.raises(ValueError, match="spans multiple folds"):
-        plan.validate(samples)
+        check_folds(fold_of, samples, folds)
 
 
 def test_conflicting_character_labels_rejected() -> None:
@@ -342,7 +348,7 @@ def test_split_rejects_bad_period() -> None:
 def test_train_zero_epochs_returns_init() -> None:
     samples = toy_separable()
     cfg = ModelConfig(2, 8, 0.0, 0.0, seed=5)
-    params, log = train(samples, cfg, TrainOptions(epochs=0, batch_size=8))
+    params, log = train(samples.x, samples.y, cfg, TrainOptions(epochs=0, batch_size=8))
     fresh = init_params(cfg)
     assert log == []
     assert np.array_equal(params.W_x, fresh.W_x)
@@ -354,8 +360,8 @@ def test_train_deterministic() -> None:
     samples = toy_separable()
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=5)
     opts = TrainOptions(epochs=3, batch_size=8, lr=1e-2, shuffle_seed=11)
-    p1, log1 = train(samples, cfg, opts)
-    p2, log2 = train(samples, cfg, opts)
+    p1, log1 = train(samples.x, samples.y, cfg, opts)
+    p2, log2 = train(samples.x, samples.y, cfg, opts)
     assert np.array_equal(p1.W_x, p2.W_x)
     assert np.array_equal(p1.W_h, p2.W_h)
     assert log1 == log2
@@ -363,9 +369,9 @@ def test_train_deterministic() -> None:
 
 def test_train_requires_both_classes() -> None:
     samples = toy_separable()
-    samples = samples.subset(samples.y == 1.0)
+    bots = samples.y == 1.0
     with pytest.raises(DataError):
-        train(samples, ModelConfig(2, 8, 0.0, 0.0), TrainOptions(epochs=1))
+        train(samples.x[bots], samples.y[bots], ModelConfig(2, 8, 0.0, 0.0), TrainOptions(epochs=1))
 
 
 def test_train_separable_set_converges() -> None:
@@ -376,7 +382,7 @@ def test_train_separable_set_converges() -> None:
     init_probs, _ = forward(init_params(cfg).copy(), x, cfg, training=False)
     initial_loss = bce_loss(init_probs, y, init_params(cfg), cfg.l2_lambda)
 
-    params, log = train(samples, cfg, TrainOptions(epochs=50, batch_size=8, lr=1e-2))
+    params, log = train(x, y, cfg, TrainOptions(epochs=50, batch_size=8, lr=1e-2))
     probs = predict_probs(params, cfg, x)
     final_loss = bce_loss(probs, y, params, cfg.l2_lambda)
     assert final_loss <= 0.1 * initial_loss
@@ -387,7 +393,7 @@ def test_train_separable_set_converges() -> None:
 def test_train_loss_decreases_over_epochs() -> None:
     samples = toy_separable(seed=2)
     cfg = ModelConfig(2, 16, 0.0, 0.0, seed=1)
-    _, log = train(samples, cfg, TrainOptions(epochs=10, batch_size=8, lr=1e-2))
+    _, log = train(samples.x, samples.y, cfg, TrainOptions(epochs=10, batch_size=8, lr=1e-2))
     assert log[-1]["loss"] < log[0]["loss"]
     assert [e["epoch"] for e in log] == list(range(1, 11))
 
@@ -408,7 +414,7 @@ def test_train_early_stop_triggers_on_noise() -> None:
         epochs=40, batch_size=8, lr=1e-2, shuffle_seed=1, early_stop_patience=3
     )
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
-    params, log = train(noise, cfg, opts)
+    params, log = train(noise.x, noise.y, cfg, opts)
     assert len(log) < 40
     assert log[-1].get("early_stop") is True
     assert all("val_loss" in e for e in log)
@@ -435,7 +441,7 @@ def test_train_forward_is_float32_and_prediction_float64(monkeypatch) -> None:
     samples = toy_separable()
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
     opts = TrainOptions(epochs=2, batch_size=8, early_stop_patience=5)
-    params, _ = train(samples, cfg, opts)
+    params, _ = train(samples.x, samples.y, cfg, opts)
     predict_probs(params, cfg, samples.x)
     assert seen[True] == ["float32"] * 8  # 29 training windows in batches of 8, twice
     assert seen[False] == ["float64"] * 3  # two validation passes, one prediction
@@ -446,11 +452,11 @@ def test_train_rejects_empty_or_unlabeled_windows() -> None:
     cfg = ModelConfig(2, 8, 0.0, 0.0)
     samples = toy_separable()
     with pytest.raises(DataError):
-        train(samples.subset(samples.y > 1.0), cfg, TrainOptions(epochs=1))
+        train(samples.x[samples.y > 1.0], samples.y[samples.y > 1.0], cfg, TrainOptions(epochs=1))
     y = samples.y.copy()
     y[0] = np.nan
     with pytest.raises(DataError):
-        train(WindowSet(samples.x, y, samples.character, samples.start), cfg, TrainOptions(epochs=1))
+        train(samples.x, y, cfg, TrainOptions(epochs=1))
 
 
 # --------------------------------------------------------- cross-validation
@@ -489,6 +495,38 @@ def test_report_average_row_matches_mean() -> None:
     for field in ("accuracy", "precision", "recall", "f1"):
         manual = sum(getattr(r.metrics, field) for r in report.rows) / len(report.rows)
         assert abs(getattr(report.average, field) - manual) < 1e-12
+
+
+def test_cross_validate_trains_and_predicts_on_rows_of_one_window_set(monkeypatch) -> None:
+    timelines = toy_timelines(toy_separable(n_chars_per_class=10, windows_per_char=2, seed=5))
+    folds = FoldOptions(k=10, seed=6)
+    samples = windows_from_timelines(timelines, TOY_SCHEMA, TOY_WINDOWS)
+    fold_of = make_folds(samples, folds)
+    made, trained, predicted = [], [], []
+    real_post_init, real_train, real_predict = WindowSet.__post_init__, harness.train, harness.predict_probs
+
+    def counting_post_init(self):
+        made.append(len(self.x))
+        real_post_init(self)
+
+    def recording_train(x, y, cfg, opts):
+        trained.append((x.copy(), y.copy()))
+        return real_train(x, y, cfg, opts)
+
+    def recording_predict(params, cfg, x):
+        predicted.append(x.copy())
+        return real_predict(params, cfg, x)
+
+    monkeypatch.setattr(WindowSet, "__post_init__", counting_post_init)
+    monkeypatch.setattr(harness, "train", recording_train)
+    monkeypatch.setattr(harness, "predict_probs", recording_predict)
+    cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1), folds)
+    assert made == [len(samples)]  # the windowing alone; no fold builds a WindowSet of its own
+    assert len(trained) == len(predicted) == folds.k
+    for fold, ((x, y), test_x) in enumerate(zip(trained, predicted)):
+        assert np.array_equal(x, samples.x[fold_of != fold])
+        assert np.array_equal(y, samples.y[fold_of != fold])
+        assert np.array_equal(test_x, samples.x[fold_of == fold])
 
 
 def test_format_report_text_layout() -> None:
@@ -545,7 +583,7 @@ def shifted(timelines, characters, columns, by):
 def first_fold_characters(timelines, folds):
     """The characters ``cross_validate`` tests in its first fold, and the bots among them."""
     samples = windows_from_timelines(timelines, TOY_SCHEMA, TOY_WINDOWS)
-    tested = make_folds(samples, folds).assignments == 0
+    tested = make_folds(samples, folds) == 0
     return set(samples.character[tested].tolist()), sorted(set(samples.character[tested & (samples.y == 1.0)]))
 
 

@@ -371,6 +371,30 @@ def test_label_file_roundtrip_keeps_ids_that_start_with_a_hash(tmp_path) -> None
     assert dict(read_label_file(path).entries) == {"#z": Label.NORMAL}
 
 
+def test_label_file_roundtrip_keeps_ids_that_span_lines(tmp_path) -> None:
+    # a blank or "#" line inside a quoted id is part of the id, not a skipped line
+    path = tmp_path / "labels.csv"
+    ids = ["a\n\nb", "a\n#b", "a\nb", "x\r\ny", "#x"]
+    original = LabelFile({character: Label.BOT if i % 2 else Label.NORMAL for i, character in enumerate(ids)}, as_of="x")
+    write_label_file(path, original)
+    clone = read_label_file(path)
+    assert clone.as_of == "x"
+    assert dict(clone.entries) == dict(original.entries)
+
+
+def test_label_file_comment_after_a_multiline_record_is_a_comment(tmp_path) -> None:
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        'character_id,label\n"a\n# inside\n\nb",bot\n# as_of: y\n\n"c\n",normal,extra\n', encoding="utf-8"
+    )
+    with pytest.raises(DataError, match="line 9 of"):  # the last line of the malformed record
+        read_label_file(path)
+    path.write_text('character_id,label\n"a\n# inside\n\nb",bot\n# as_of: y\n\n"c\n",normal\n', encoding="utf-8")
+    clone = read_label_file(path)
+    assert clone.as_of == "y"
+    assert dict(clone.entries) == {"a\n# inside\n\nb": Label.BOT, "c": Label.NORMAL}
+
+
 def test_label_file_malformed_row_names_its_line(tmp_path) -> None:
     path = tmp_path / "labels.csv"
     path.write_text("# as_of: x\ncharacter_id,label\n\n# note\nc1,bot\nc2,bot,extra\n", encoding="utf-8")

@@ -416,6 +416,14 @@ def test_forward_dimension_mismatch() -> None:
         forward(p, np.zeros((2, 5)), cfg, training=False)
 
 
+def test_forward_width_errors_name_the_dimension_that_disagrees() -> None:
+    params = init_params(ModelConfig(input_dim=9))
+    with pytest.raises(ValueError, match="^config input_dim 8 does not match params input_dim 9$"):
+        forward(params, np.zeros((2, 4, 9)), ModelConfig(input_dim=8), training=False)
+    with pytest.raises(ValueError, match="^input width 7 does not match model input_dim 9$"):
+        forward(params, np.zeros((2, 4, 7)), ModelConfig(input_dim=9), training=False)
+
+
 def test_forward_dropout_needs_rng() -> None:
     cfg = ModelConfig(input_dim=2, hidden_dim=3, dropout_p=0.5)
     p = init_params(cfg)

@@ -184,13 +184,18 @@ def split_by_period(timelines: Timelines, period_seconds: float) -> list[tuple[i
     A record at time t belongs to period floor((t - anchor) / period), where
     the anchor is the earliest record, so boundary records always fall into
     the later period.  Returns (period index, that period's rows) sorted by
-    period; characters with no records in a period are simply absent there.
+    period; a period, or a character in a period, with no record is absent.
+    Raises ``DataError`` when an index reaches 2**53, past which a float
+    no longer holds every integer.
     """
     if period_seconds <= 0:
         raise ValueError("period length must be positive")
     if not len(timelines.timestamp):
         return []
-    period = np.floor((timelines.timestamp - timelines.timestamp.min()) / period_seconds).astype(int)
+    first = timelines.timestamp.min()
+    if not float(timelines.timestamp.max() - first) / period_seconds < 2**53:
+        raise DataError("periods too short to number: the log spans 2**53 of them or more")
+    period = np.floor((timelines.timestamp - first) / period_seconds).astype(int)
     return [(p, timelines.select(period == p)) for p in np.unique(period).tolist()]
 
 
@@ -211,8 +216,8 @@ class TrainOptions:
     __post_init__ = check_settings
 
 
-def _epoch_batches(n: int, batch_size: int, order: np.ndarray, merge_singleton: bool) -> list[np.ndarray]:
-    batches = [order[i : i + batch_size] for i in range(0, n, batch_size)]
+def _epoch_batches(batch_size: int, order: np.ndarray, merge_singleton: bool) -> list[np.ndarray]:
+    batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     if merge_singleton and len(batches) > 1 and len(batches[-1]) == 1:
         batches[-2] = np.concatenate([batches[-2], batches[-1]])
         batches.pop()
@@ -262,7 +267,7 @@ def train(x: np.ndarray, y: np.ndarray, cfg: ModelConfig, opts: TrainOptions) ->
     for epoch in range(opts.epochs):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         losses: list[float] = []
-        for batch_idx in _epoch_batches(len(order), opts.batch_size, order, cfg.use_batchnorm):
+        for batch_idx in _epoch_batches(opts.batch_size, order, cfg.use_batchnorm):
             xb, yb = x[batch_idx].astype(TRAIN_DTYPE), y[batch_idx]
             probs, trace = forward(params, xb, cfg, training=True, rng=dropout_rng)
             losses.append(bce_loss(probs, yb, params, cfg.l2_lambda))
@@ -397,28 +402,29 @@ def cross_validate_by_period(
 ) -> tuple[EvalReport, list[dict], list[str]]:
     """A separate ``cross_validate`` of each calendar period's rows.
 
-    Each period is windowed, and each of its folds fits elimination, on that
-    period's rows alone, with a seed derived from (``folds.seed``, period
-    ordinal).  A period in which no character has ``window_length`` rows
-    (typically the last, partial one) yields no window; it is skipped and
-    keeps its name, so the other periods keep their names and seeds.
-    Returns one row per evaluated period, holding that period's average
-    metrics and summed confusion; every evaluated period's full report as
-    ``{"name", "report"}`` dicts; and the names of the skipped periods.
-    Raises ``DataError`` when no period produces a window, and names the
-    period in one that its ``cross_validate`` raises.
+    Row ``Period n`` (``Week n`` for 7-day periods) is calendar period n,
+    ``split_by_period``'s index plus one.  Each period is windowed, and each
+    of its folds fits elimination, on that period's rows alone, with a seed
+    derived from (``folds.seed``, n).  A period with no record gets no row;
+    one in which no character has ``window_length`` rows (typically the
+    last, partial one) yields no window and is skipped by name.  So every
+    period keeps its name and seed.  Returns one row per evaluated period,
+    holding that period's average metrics and summed confusion; every
+    evaluated period's full report as ``{"name", "report"}`` dicts; and the
+    names of the skipped periods.  Any other ``DataError`` in a period stops
+    the run, named by its period, as a failing fold stops ``cross_validate``.
+    It is raised too when no period yields a window.
     """
     row_name = "Week" if period_days == 7.0 else "Period"
     rows: list[EvalRow] = []
     periods: list[dict] = []
     skipped: list[str] = []
-    splits = split_by_period(timelines, period_days * 86400.0)
-    for ordinal, (_, period_timelines) in enumerate(splits, start=1):
-        name = f"{row_name} {ordinal}"
+    for period, period_timelines in split_by_period(timelines, period_days * 86400.0):
+        name = f"{row_name} {period + 1}"
         if not (np.diff(period_timelines.bounds) >= window_cfg.window_length).any():
             skipped.append(name)
             continue
-        period_folds = replace(folds, seed=derive_seed(folds.seed, ordinal))
+        period_folds = replace(folds, seed=derive_seed(folds.seed, period + 1))
         try:
             sub = cross_validate(period_timelines, schema, window_cfg, cfg, opts, period_folds)
         except DataError as exc:

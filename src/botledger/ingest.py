@@ -103,11 +103,12 @@ class StatusRows:
 def parse_status_log(path: str | Path, schema: FeatureSchema) -> tuple[StatusRows, IngestStats]:
     """Parse a status log into columns, dropping and counting bad rows.
 
-    A row with the wrong field count, an empty id, an id holding a NUL or a
-    timestamp that is not a finite number is malformed; otherwise a row with
-    a value that is not a finite, non-negative number is invalid.  Plain
-    lines go through ``np.loadtxt`` a block at a time, the others through
-    the csv module row by row; both give the same rows and counts.
+    A blank row is skipped and not counted.  A row with the wrong field
+    count, an empty id, an id holding a NUL or a timestamp that is not a
+    finite number is malformed; otherwise a row with a value that is not a
+    finite, non-negative number is invalid.  Plain lines go through
+    ``np.loadtxt`` a block at a time, the others through ``_check_row`` one
+    csv row at a time; both give the same rows and counts.
     """
     want = expected_header(schema)
     try:
@@ -123,22 +124,26 @@ def parse_status_log(path: str | Path, schema: FeatureSchema) -> tuple[StatusRow
         raise DataError(f"cannot read status log {path}: {exc}") from exc
 
 
-def _check_row(row: list[str], n_fields: int) -> str | tuple[str, list[float]]:
-    """The drop reason of a non-empty csv row, or its id and its timestamp and values."""
+def _check_row(row: list[str], n_fields: int, stats: IngestStats) -> tuple[str, list[float]] | None:
+    """A csv row's id and its timestamp and values, or None: an empty row is not
+    counted, any other counts as read, and one failing a check as dropped for its reason."""
+    if not row:
+        return None
+    stats.records_read += 1
     character_id = row[0].strip()
     # a NUL in an id is malformed: numpy strings drop trailing NULs, merging ids
     if len(row) != n_fields or not character_id or "\0" in character_id or not row[1].strip():
-        return REASON_MALFORMED
+        return stats.drop(REASON_MALFORMED)
     try:
         timestamp = float(row[2])
     except ValueError:
-        return REASON_MALFORMED
+        return stats.drop(REASON_MALFORMED)
     if not math.isfinite(timestamp):
-        return REASON_MALFORMED
+        return stats.drop(REASON_MALFORMED)
     try:
         return character_id, [timestamp, *map(float, row[3:])]
     except ValueError:
-        return REASON_INVALID_VALUE
+        return stats.drop(REASON_INVALID_VALUE)
 
 
 def _keep_valid(ids: np.ndarray, rows: np.ndarray, stats: IngestStats) -> StatusRows:
@@ -157,15 +162,9 @@ def _parse_rows(reader: Iterator[list[str]], want: list[str], path: str | Path) 
     # packed doubles: per-row lists of float objects take about five times the memory
     rows = array("d")
     for row in reader:
-        if not row:
-            continue
-        stats.records_read += 1
-        checked = _check_row(row, len(want))
-        if isinstance(checked, str):
-            stats.drop(checked)
-            continue
-        ids.append(checked[0])
-        rows.extend(checked[1])
+        if checked := _check_row(row, len(want), stats):
+            ids.append(checked[0])
+            rows.extend(checked[1])
     matrix = np.frombuffer(rows, dtype=float).reshape(len(ids), len(want) - 2)
     return _keep_valid(np.array(ids, dtype=str), matrix, stats), stats
 
@@ -262,15 +261,9 @@ def _parse_block(block: bytes, n_fields: int, limit: int, stats: IngestStats) ->
     stats.drop(REASON_MALFORMED, n_fast - int(ok.sum()))
     row_ids: dict[int, str] = {}
     for i, row in zip(slow.tolist(), csv.reader([block[starts[i]:ends[i]].decode("utf-8") for i in slow])):
-        if not row:
-            continue
-        stats.records_read += 1
-        checked = _check_row(row, n_fields)
-        if isinstance(checked, str):
-            stats.drop(checked)
-            continue
-        row_ids[i], rows[i] = checked
-        ok[i] = True
+        if checked := _check_row(row, n_fields, stats):
+            row_ids[i], rows[i] = checked
+            ok[i] = True
     taken = ok & fast
     width = max([int((id_ends[taken] - starts[taken]).max(initial=1)), *map(len, row_ids.values())])
     ids = np.zeros(len(ends), dtype=f"U{width}")
@@ -323,10 +316,11 @@ def build_timelines(
     """Group rows per character, sort by time, and attach labels.
 
     Within a character, rows sharing a timestamp collapse to the one that
-    appeared last in the input.  Characters absent from the label file are
-    dropped unless ``keep_unlabeled`` (the scoring path) is set, in which case
-    their ``y`` is NaN.  Sorting is stable, so equal-timestamp handling
-    does not depend on input order beyond last-wins.
+    appeared last in the input.  A character's ``y`` is the code of its entry
+    in ``labels.entries``.  Characters absent from the label file are dropped
+    unless ``keep_unlabeled`` (the scoring path) is set, in which case their
+    ``y`` is NaN.  Sorting is stable, so equal-timestamp handling does not
+    depend on input order beyond last-wins.
     """
     stats = IngestStats()
     stats.records_read = len(rows)
@@ -338,13 +332,8 @@ def build_timelines(
     kept = np.ones(len(order), dtype=bool)
     kept[:-1] = (code[1:] != code[:-1]) | (timestamps[1:] != timestamps[:-1])
 
-    y = np.full(len(ids), np.nan)
-    if labels is not None and labels.entries:
-        names = np.array(list(labels.entries))
-        by_name = np.argsort(names)
-        at = by_name[np.searchsorted(names, ids, sorter=by_name).clip(max=len(names) - 1)]
-        found = names[at] == ids
-        y[found] = np.array(list(labels.entries.values()), dtype=float)[at[found]]
+    entries = labels.entries if labels is not None else {}
+    y = np.array([float(entries.get(cid, np.nan)) for cid in ids.tolist()])
     chars_kept = ~np.isnan(y) | (labels is None or keep_unlabeled)
     of_kept_char = chars_kept[code]
     stats.drop(REASON_UNLABELED, int(np.count_nonzero(~of_kept_char)))

@@ -22,7 +22,7 @@ import botledger.cli as cli
 from botledger.cli import run
 from botledger.errors import DataError, NumericError
 from botledger.features import WindowConfig
-from botledger.harness import TrainOptions
+from botledger.harness import TrainOptions, derive_seed
 from botledger.ingest import LabelFile, read_label_file, write_label_file, write_status_log
 from botledger.model_io import ModelBundle, load_model, save_model
 from botledger.network import ModelConfig, param_layout
@@ -663,6 +663,43 @@ def test_crossval_by_period_skips_periods_without_windows(fortnight, tmp_path, c
     # 0.2-day periods are all shorter than one 24-hour window
     assert run(argv + ["--by-period", "0.2"]) == 2
     assert "no period produced windows" in capsys.readouterr().err
+
+
+def test_crossval_by_period_numbers_weeks_by_the_calendar(tmp_path, capsys) -> None:
+    # a month whose third week logged nothing: the fourth week keeps its calendar name and seed
+    data = tmp_path / "data"
+    assert run(["synth", "--bots", "4", "--normals", "8", "--days", "28", "--seed", "3", "--out", str(data)]) == 0
+    log = data / "status_log.csv"
+    header, *lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    times = [float(line.split(",")[2]) for line in lines]
+    week = [int((t - min(times)) // (7 * 86400.0)) for t in times]
+    log.write_text(header + "".join(line for line, w in zip(lines, week) if w != 2), encoding="utf-8")
+    argv = ["crossval", "--log", str(log), "--labels", str(data / "labels.csv"), "--k", "2", "--epochs", "1",
+            "--seed", "3", "--by-period", "--out", str(tmp_path / "cv")]
+    assert run(argv) == 0
+    shown = capsys.readouterr().out
+    assert "Week 4" in shown and "Week 3" not in shown and "skipped" not in shown
+    doc = json.loads((tmp_path / "cv" / "report.json").read_text(encoding="utf-8"))
+    assert [row["name"] for row in doc["rows"]] == ["Week 1", "Week 2", "Week 4"]
+    assert [p["name"] for p in doc["periods"]] == ["Week 1", "Week 2", "Week 4"]
+    assert doc["skipped_periods"] == []
+    assert doc["periods"][2]["report"]["config"]["seed"] == derive_seed(3, 4)
+
+
+def test_crossval_by_period_too_short_to_number_is_a_data_error(fortnight, tmp_path, capsys) -> None:
+    # in 1e-300-day periods the last record falls past period 2**53, beyond which the codes lose integers
+    argv = [
+        "crossval",
+        "--log", str(fortnight / "status_log.csv"),
+        "--labels", str(fortnight / "labels.csv"),
+        "--k", "2",
+        "--epochs", "1",
+        "--by-period", "1e-300",
+        "--out", str(tmp_path / "cv"),
+    ]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: periods too short to number: the log spans 2**53 of them or more\n"
+    assert not (tmp_path / "cv").exists()
 
 
 def test_crossval_by_period_evaluates_periods_of_exactly_one_window(tmp_path, capsys) -> None:

@@ -343,6 +343,15 @@ def test_split_rejects_bad_period() -> None:
     assert split_by_period(_timelines(), 7.0) == []
 
 
+def test_split_rejects_periods_too_short_to_number() -> None:
+    # the last record's period index must stay below 2**53, where floats still hold every integer
+    timelines = _timelines(("c1", Label.BOT, [0.0, 2.0**53]))
+    assert [p for p, _ in split_by_period(timelines, 2.0)] == [0, 2**52]
+    for period in (1.0, 1e-300, 5e-324):
+        with pytest.raises(DataError, match="periods too short to number"):
+            split_by_period(timelines, period)
+
+
 # --------------------------------------------------------------- training
 
 def test_train_zero_epochs_returns_init() -> None:

@@ -1,6 +1,7 @@
 """Binary model round trips and corruption rejection."""
 
 import hashlib
+import json
 import struct
 from dataclasses import asdict
 
@@ -157,6 +158,20 @@ def test_corrupt_metadata_rejected(tmp_path) -> None:
     blob[12] = ord("X")  # breaks the leading '{'
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match="metadata"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["model_config", "feature_schema", "window_config", "training_summary"])
+def test_metadata_missing_key_rejected(tmp_path, key) -> None:
+    path = tmp_path / "model.bin"
+    save_model(path, make_bundle())
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    metadata = json.loads(blob[12 : 12 + meta_len])
+    del metadata[key]
+    meta = json.dumps(metadata).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(meta)) + meta + blob[12 + meta_len :])
+    with pytest.raises(DataError, match=f"metadata lacks '{key}'"):
         load_model(path)
 
 

@@ -11,8 +11,8 @@ and argparse extras.  Its flag is the key with dashes, and a switch sets the
 opposite of its default (``--no-batchnorm`` sets ``batchnorm`` false).  An
 option that sets a config field names that field and takes its type,
 default and range from it, as declared on the field, so the library and the
-CLI check the same ranges; only ``seed``, ``by_period`` and ``leaky_folds``,
-which no config holds, state theirs in the row.  ``_config`` builds every
+CLI check the same ranges; only ``seed``, which feeds several configs,
+states its own in the row.  ``_config`` builds every
 config from the resolved options; they are in range by then, so it passes
 them to the constructor as they are.
 
@@ -75,7 +75,6 @@ from .ingest import csv_field, load_timelines, write_label_file, write_status_lo
 from .model_io import ModelBundle, load_model, save_model
 from .network import ModelConfig
 from .schema import (
-    POSITIVE,
     FeatureSchema,
     Label,
     Range,
@@ -137,14 +136,12 @@ _OPTIONS: dict[str, _Option] = {
     "early_stop_patience": _setting(TrainOptions, "early_stop_patience", help="enable early stopping"),
     "k": _setting(FoldOptions, "k", help="number of folds"),
     "threshold": _setting(FoldOptions, "threshold", help="bot decision threshold (ties count as bot)"),
-    "by_period": _Option(
-        float,
-        None,
-        POSITIVE,
-        {"nargs": "?", "const": 7.0, "help": "split rows by calendar period of this many days (default 7)"},
+    "by_period": _setting(
+        FoldOptions, "by_period_days", nargs="?", const=7.0,
+        help="split rows by calendar period of this many days (default 7)",
     ),
-    "leaky_folds": _Option(
-        bool, False, None, {"help": "assign windows to folds individually instead of per character"}
+    "leaky_folds": _setting(
+        FoldOptions, "leaky_folds", help="assign windows to folds individually instead of per character"
     ),
     # one seed feeds every config of a command, some through derive_seed
     "seed": _Option(int, None, at_least(0), {}),
@@ -308,18 +305,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _prepare_samples(args: argparse.Namespace, resolved: dict):
-    """Shared featurize/crossval/report front half: ingest and eliminate."""
-    schema = canonical_schema()
-    timelines, stats = load_timelines(args.log, args.labels, schema)
+    """Shared featurize/crossval/report front half: labeled timelines, ingest stats, window config."""
+    timelines, stats = load_timelines(args.log, args.labels, canonical_schema())
     if not timelines:
         raise DataError("no labeled timelines present in the input")
-    active_schema, elim_report = eliminate_noninfluential(timelines, schema)
-    return timelines, stats, active_schema, elim_report, _config(WindowConfig, resolved)
+    return timelines, stats, _config(WindowConfig, resolved)
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
+    timelines, stats, window_cfg = _prepare_samples(args, resolved)
+    schema, elim_report = eliminate_noninfluential(timelines, canonical_schema())
     samples = windows_from_timelines(timelines, schema, window_cfg)
     if not samples:
         raise DataError(
@@ -383,6 +379,9 @@ def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, Windo
         raise DataError(f"sample archive {npz_path} holds unlabeled windows")
     if samples.x.shape[2] != width:
         raise DataError(f"windows in {npz_path} are not {width} features wide as {meta_path} says")
+    length = window_cfg.window_length
+    if samples.x.shape[1] != length:
+        raise DataError(f"windows in {npz_path} are {samples.x.shape[1]} steps long, not {length} as {meta_path} says")
     return samples, schema, window_cfg, meta
 
 
@@ -422,29 +421,29 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_crossval(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    seed, period_days = resolved["seed"], resolved["by_period"]
-    timelines, stats, _, elim_report, window_cfg = _prepare_samples(args, resolved)
-    schema = canonical_schema()  # every feature: the global fit is only reported, each fold fits its own
+    seed = resolved["seed"]
+    timelines, stats, window_cfg = _prepare_samples(args, resolved)
+    schema = canonical_schema()  # every feature: each fold fits its own elimination
     cfg = _config(ModelConfig, resolved, input_dim=len(schema), seed=seed)
     opts = _train_options(resolved)
-    folds = _config(FoldOptions, resolved, seed=seed, group_by_character=not resolved["leaky_folds"])
+    folds = _config(FoldOptions, resolved, seed=seed)
     detail: dict = {}
 
-    if period_days is None:
+    if folds.by_period_days is None:
         report = cross_validate(timelines, schema, window_cfg, cfg, opts, folds)
         title = f"Cross-validation results (k={folds.k}, seed={seed})"
     else:
         report, detail["periods"], detail["skipped_periods"] = cross_validate_by_period(
-            timelines, schema, window_cfg, cfg, opts, folds, period_days
+            timelines, schema, window_cfg, cfg, opts, folds
         )
-        title = f"Cross-validation by period (k={folds.k}, seed={seed}, period={period_days:g}d)"
+        title = f"Cross-validation by period (k={folds.k}, seed={seed}, period={folds.by_period_days:g}d)"
 
     text = format_report_text(report, title)
     if detail.get("skipped_periods"):
         text += f"skipped, no windows: {', '.join(detail['skipped_periods'])}\n"
     print(text, end="")
     if args.out:
-        doc = {**document(report), "ingest": stats, "elimination": elim_report, **detail}
+        doc = {**document(report), "ingest": stats, **detail}
         outputs = {"report.json": doc, "report.txt": text}
         _write_outputs(args, resolved, inputs=[args.log, args.labels], seeds={"seed": seed}, outputs=outputs)
     return 0
@@ -483,7 +482,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    timelines, stats, schema, elim_report, window_cfg = _prepare_samples(args, resolved)
+    timelines, stats, window_cfg = _prepare_samples(args, resolved)
+    schema, elim_report = eliminate_noninfluential(timelines, canonical_schema())
     samples = windows_from_timelines(timelines, schema, window_cfg)
     if not samples:
         raise DataError("no windows produced from the input timelines")

@@ -58,12 +58,6 @@ class Metrics:
     f1: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        if not self.flags:
-            del doc["flags"]
-        return doc
-
 
 def compute_metrics(cm: ConfusionMatrix) -> Metrics:
     """Accuracy/precision/recall/F1 with flagged zero-division conventions."""
@@ -92,13 +86,15 @@ def compute_metrics(cm: ConfusionMatrix) -> Metrics:
 @dataclass(frozen=True)
 class FoldOptions:
     """Cross-validation settings: ``k`` folds dealt from ``seed``, grouped by
-    character unless ``group_by_character`` is off, and a probability at or
-    above ``threshold`` counted as bot."""
+    character unless ``leaky_folds`` deals single windows, a probability at
+    or above ``threshold`` counted as bot, and, when ``by_period_days`` is
+    set, a separate evaluation of each calendar period that long."""
 
     seed: int = setting(0, at_least(0))
     k: int = setting(10, at_least(2))
     threshold: float = setting(0.5, UNIT)
-    group_by_character: bool = setting(True)
+    leaky_folds: bool = setting(False)
+    by_period_days: float | None = setting(None, POSITIVE)
 
     __post_init__ = check_settings
 
@@ -131,7 +127,7 @@ def check_folds(fold_of: np.ndarray, samples: WindowSet, folds: FoldOptions) -> 
         raise ValueError("fold assignment out of range")
     if (np.bincount(fold_of, minlength=folds.k) == 0).any():
         raise ValueError("every fold must receive at least one sample")
-    if folds.group_by_character:
+    if not folds.leaky_folds:
         # every window must sit in the fold of its character's first window
         _, first, inverse = np.unique(samples.character, return_index=True, return_inverse=True)
         leaked = np.flatnonzero(fold_of[first][inverse] != fold_of)
@@ -155,7 +151,7 @@ def make_folds(samples: WindowSet, folds: FoldOptions) -> np.ndarray:
     k = folds.k
     rng = np.random.default_rng(folds.seed)
     # the units dealt to folds: characters (sorted by id) or single windows
-    if folds.group_by_character:
+    if not folds.leaky_folds:
         _, first, inverse = np.unique(samples.character, return_index=True, return_inverse=True)
         conflicted = np.flatnonzero(y[first][inverse] != y)
         if conflicted.size:
@@ -349,11 +345,12 @@ def cross_validate(
     ``eliminate_noninfluential`` with every label hidden but those of the
     characters owning a training window, so no test label helps choose the
     features, then trains on the other folds' window arrays and predicts its
-    own, on the columns it keeps.
-    Model and shuffle seeds derive from (``folds.seed``, fold index).  The
-    report's ``config`` holds the fields of ``folds`` beside the model and
-    training settings.  Raises ``DataError`` when no window is cut or a
-    fold's fit keeps no feature; the latter names the fold.
+    own, on the columns it keeps.  Model and shuffle seeds derive from
+    (``folds.seed``, fold index).  The report's ``config`` holds the fields
+    of ``folds`` beside the model and training settings; ``by_period_days``
+    is only recorded there, as every row given is windowed.  Raises
+    ``DataError`` when no window is cut or a fold's fit keeps no feature;
+    the latter names the fold.
     """
     samples = windows_from_timelines(timelines, schema, window_cfg)
     if not samples:
@@ -398,9 +395,9 @@ def cross_validate_by_period(
     cfg: ModelConfig,
     opts: TrainOptions,
     folds: FoldOptions,
-    period_days: float,
 ) -> tuple[EvalReport, list[dict], list[str]]:
-    """A separate ``cross_validate`` of each calendar period's rows.
+    """A separate ``cross_validate`` of each calendar period of
+    ``folds.by_period_days`` days; ``ValueError`` if that is None.
 
     Row ``Period n`` (``Week n`` for 7-day periods) is calendar period n,
     ``split_by_period``'s index plus one.  Each period is windowed, and each
@@ -415,6 +412,9 @@ def cross_validate_by_period(
     the run, named by its period, as a failing fold stops ``cross_validate``.
     It is raised too when no period yields a window.
     """
+    period_days = folds.by_period_days
+    if period_days is None:
+        raise ValueError("by-period evaluation needs folds.by_period_days")
     row_name = "Week" if period_days == 7.0 else "Period"
     rows: list[EvalRow] = []
     periods: list[dict] = []
@@ -436,7 +436,7 @@ def cross_validate_by_period(
     report = EvalReport(
         rows=tuple(rows),
         # the periods share every setting but the seed
-        config={**sub.config, "seed": folds.seed, "by_period_days": period_days},
+        config={**sub.config, "seed": folds.seed},
     )
     return report, periods, skipped
 

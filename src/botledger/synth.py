@@ -216,7 +216,6 @@ class GeneratedDataset:
     records: StatusLog
     labels: LabelFile
     events: list[DumpEvent | PurchaseEvent]
-    config: GenConfig
 
 
 @dataclass
@@ -441,7 +440,7 @@ def generate(cfg: GenConfig) -> GeneratedDataset:
         },
         as_of=as_of,
     )
-    return GeneratedDataset(records=records, labels=labels, events=events, config=cfg)
+    return GeneratedDataset(records=records, labels=labels, events=events)
 
 
 def write_event_log(path, events: list[DumpEvent | PurchaseEvent]) -> None:

@@ -207,7 +207,7 @@ def test_fold_hygiene_and_leakage_direction(tmp_path, capsys) -> None:
     ]) == 0
 
     samples, _, _, _ = _load_samples_dir(str(feat))
-    folds = FoldOptions(k=3, seed=13, group_by_character=True)
+    folds = FoldOptions(k=3, seed=13, leaky_folds=False)
     fold_of = make_folds(samples, folds)
     check_folds(fold_of, samples, folds)
     all_indices = np.concatenate([np.flatnonzero(fold_of == f) for f in range(folds.k)])

@@ -19,10 +19,11 @@ import pytest
 
 import botledger
 import botledger.cli as cli
+import botledger.harness as harness
 from botledger.cli import run
 from botledger.errors import DataError, NumericError
-from botledger.features import WindowConfig
-from botledger.harness import TrainOptions, derive_seed
+from botledger.features import WindowConfig, eliminate_noninfluential
+from botledger.harness import FoldOptions, TrainOptions, derive_seed
 from botledger.ingest import LabelFile, read_label_file, write_label_file, write_status_log
 from botledger.model_io import ModelBundle, load_model, save_model
 from botledger.network import ModelConfig, param_layout
@@ -253,7 +254,8 @@ def test_featurize_keeps_a_character_whose_id_starts_with_a_hash(dataset, tmp_pa
 
 
 def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
-    # digests of the bytes written while timelines were one object per character
+    # score's digest was taken while timelines were one object per character; the crossval digests when
+    # report.json lost elimination and took every FoldOptions field and each metrics object's flags
     data = tmp_path / "data"
     assert run(
         ["synth", "--bots", "6", "--normals", "18", "--days", "14", "--seed", "3", "--out", str(data)]
@@ -268,22 +270,21 @@ def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
     runs = {
         "cv/report.json": (
             [*crossval, "--out", str(tmp_path / "cv")],
-            "2fccea67587c366efcb07d21cd022da3d9e6d328f6ee38f6dd9fd125e7e67080",
+            "a4b2db0da5b703bfbb26f7770470744f111e7226c75ae2ccc7bbf7e9b56949f5",
         ),
         "cvp/report.json": (
             [*crossval, "--by-period", "7", "--out", str(tmp_path / "cvp")],
-            "8a6e265658708e61080acf31c644666c8a7c4e0adaacc50c861887769e436964",
+            "b3f0804ee50c0f096bf14e5cbb0763f5cd795a2c3eaf3c543c89f955adcfbaa5",
         ),
         "score/scores.csv": (
             ["score", "--log", log, "--labels", labels, "--model", str(tmp_path / "model" / "model.bin"),
              "--out", str(tmp_path / "score")],
             "c2685ca5cf893d62a1c9268470c3cb5da8e996590309519ca04850ad558cbd76",
         ),
-        # taken while the fold settings were four keyword arguments
         "cvl/report.json": (
             ["crossval", "--log", log, "--labels", labels, "--k", "2", "--epochs", "1", "--seed", "3",
              "--by-period", "2", "--leaky-folds", "--threshold", "0.4", "--out", str(tmp_path / "cvl")],
-            "f59aa4a1f851c7dcf0a6833a4d133218078305bead19d07656000f7d2562a4f8",
+            "b74589b2fa92cedcd3f57c7ca0d14affad496a5300e8e41ff79f6c8e420fca1c",
         ),
     }
     for name, (argv, digest) in runs.items():
@@ -388,6 +389,19 @@ def test_train_rejects_bad_hidden_dim(features, tmp_path) -> None:
         ["train", "--samples", str(features), "--hidden-dim", "0", "--out", str(tmp_path / "m")]
     )
     assert rc == 1
+
+
+def test_train_rejects_windows_of_another_length_than_featurize_json(features, tmp_path, capsys) -> None:
+    # a model trained on 12-step windows would claim 24 and score 24-step windows
+    samples = tmp_path / "samples"
+    shutil.copytree(features, samples)
+    npz = samples / "samples.npz"
+    npz.write_bytes(_with_samples("x", lambda x: x[:, :12])(npz.read_bytes()))
+    assert run(["train", "--samples", str(samples), "--epochs", "1", "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: windows in {npz} are 12 steps long, not 24 as {samples / 'featurize.json'} says\n"
+    )
+    assert not (tmp_path / "m").exists()
 
 
 def test_score_chain(dataset, model_dir, tmp_path, capsys) -> None:
@@ -544,7 +558,54 @@ def test_crossval_out_artifacts_match_stdout(dataset, tmp_path, capsys) -> None:
     assert doc["average"]["f1"] == pytest.approx(
         float(np.mean([row["metrics"]["f1"] for row in doc["rows"]])), abs=1e-12
     )
-    assert "ingest" in doc and "elimination" in doc
+    assert "ingest" in doc and "elimination" not in doc
+
+
+def _metrics_objects(doc: object) -> list[dict]:
+    """Every metrics object in a report document: each dict that holds an f1."""
+    if isinstance(doc, list):
+        return [m for item in doc for m in _metrics_objects(item)]
+    if not isinstance(doc, dict):
+        return []
+    found = [doc] if "f1" in doc else []
+    return found + [m for value in doc.values() for m in _metrics_objects(value)]
+
+
+@pytest.mark.parametrize("by_period", [[], ["--by-period", "4.5"]])
+def test_crossval_report_holds_what_ran(by_period, fortnight, tmp_path, capsys) -> None:
+    argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
+            "--k", "2", "--epochs", "1", "--seed", "21", *by_period, "--out", str(tmp_path / "cv")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "cv" / "report.json").read_text(encoding="utf-8"))
+    detail = {"periods", "skipped_periods"} if by_period else set()
+    assert set(doc) == {"rows", "average", "confusion_total", "config", "ingest"} | detail
+    configs = [doc["config"], *(p["report"]["config"] for p in doc.get("periods", []))]
+    for config in configs:
+        assert {f.name for f in fields(FoldOptions)} <= set(config)
+        assert config["by_period_days"] == (4.5 if by_period else None) and config["leaky_folds"] is False
+    metrics = _metrics_objects(doc)
+    # the average and each row's metrics; by period, 3 rows and each period's own average and 2 folds
+    assert len(metrics) == (1 + 3 + 3 * (1 + 2) if by_period else 1 + 2)
+    assert all(isinstance(m["flags"], list) for m in metrics)
+
+
+@pytest.mark.parametrize("by_period, fits", [([], 3), (["--by-period", "4.5"], 3 * 3)])
+def test_crossval_fits_elimination_only_in_its_folds(by_period, fits, fortnight, monkeypatch, capsys) -> None:
+    # k fits a run, or k per evaluated period: 14 days in 4.5-day periods evaluate three and skip the fourth
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate_noninfluential(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "eliminate_noninfluential", counted)
+    monkeypatch.setattr(harness, "eliminate_noninfluential", counted)
+    argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
+            "--k", "3", "--epochs", "1", "--seed", "21", *by_period]
+    assert run(argv) == 0
+    assert "Average" in capsys.readouterr().out
+    assert len(calls) == fits
 
 
 def test_crossval_grouped_needs_enough_characters(dataset, capsys) -> None:
@@ -740,9 +801,10 @@ def test_crossval_fold_whose_fit_keeps_no_feature_is_a_data_error(tmp_path, caps
     assert "dropped 0 of 9 features" in capsys.readouterr().out
     argv = ["crossval", "--log", log, "--labels", labels, "--k", "2", "--epochs", "1", "--out", str(tmp_path / "cv")]
     assert run(argv) == 2
-    err = capsys.readouterr().err
-    assert "error: no active features remain after deactivation\n" in err
-    assert "error: Fold 2: its training characters leave no feature that separates the classes;" in err
+    assert capsys.readouterr().err == (
+        "error: Fold 2: its training characters leave no feature that separates the classes; "
+        "elimination error: no active features remain after deactivation\n"
+    )
     assert not (tmp_path / "cv").exists()
     assert run(argv + ["--by-period", "1"]) == 2
     assert "error: Period 1, Fold 1: its training characters leave no feature" in capsys.readouterr().err
@@ -1282,7 +1344,7 @@ def test_every_ranged_option_is_range_tested() -> None:
 
 def test_only_seed_by_period_and_leaky_folds_state_their_own_setting() -> None:
     # every other option takes its type, default and range from a config field
-    assert {key for key, option in cli._OPTIONS.items() if option.field is None} == {"seed", "by_period", "leaky_folds"}
+    assert {key for key, option in cli._OPTIONS.items() if option.field is None} == {"seed"}
 
 
 _CONFIG_FLOAT_FIELDS = [

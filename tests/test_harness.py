@@ -196,13 +196,14 @@ def test_average_metrics_merges_flags() -> None:
     [
         ({"seed": -1}, "seed must be non-negative, got -1"),
         ({"threshold": float("nan")}, "threshold must be finite, got nan"),
+        ({"by_period_days": 0}, "by_period_days must be positive, got 0"),
     ],
 )
 def test_fold_options_reject_values_outside_their_range(values, message) -> None:
     # k and an out-of-range threshold are checked with their flags in test_cli
     with pytest.raises(ValueError, match=re.escape(message)):
         FoldOptions(**values)
-    assert FoldOptions() == FoldOptions(seed=0, k=10, threshold=0.5, group_by_character=True)
+    assert FoldOptions() == FoldOptions(seed=0, k=10, threshold=0.5, leaky_folds=False, by_period_days=None)
 
 
 def test_fold_balance_perfect_stratification() -> None:
@@ -249,11 +250,11 @@ def test_leaky_folds_split_characters() -> None:
     )
     with pytest.raises(DataError):
         make_folds(samples, FoldOptions(k=2, seed=0))
-    leaky = FoldOptions(k=2, seed=0, group_by_character=False)
+    leaky = FoldOptions(k=2, seed=0, leaky_folds=True)
     fold_of = make_folds(samples, leaky)
     check_folds(fold_of, samples, leaky)
     with pytest.raises(ValueError, match="spans multiple folds"):
-        check_folds(fold_of, samples, replace(leaky, group_by_character=True))
+        check_folds(fold_of, samples, replace(leaky, leaky_folds=False))
     bot_folds = {int(fold_of[i]) for i, y in enumerate(samples.y) if y == 1.0}
     assert bot_folds == {0, 1}
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -819,6 +820,26 @@ def test_numeric_error_maps_to_exit_3(monkeypatch, tmp_path, capsys) -> None:
     rc = run(["synth", "--out", str(tmp_path / "x")])
     assert rc == 3
     assert "loss diverged" in capsys.readouterr().err
+
+
+def test_crossval_numeric_error_in_a_fold_exits_3_with_one_line(fortnight, monkeypatch, tmp_path, capfd) -> None:
+    # capfd, not capsys: a fold that trains in a forked worker writes to the inherited file descriptors
+    real_train = harness.train
+
+    def failing_train(x, y, cfg, opts):
+        if cfg.seed == derive_seed(21, 1):
+            raise NumericError("numeric overflow in gradients")
+        return real_train(x, y, cfg, opts)
+
+    monkeypatch.setattr(harness, "train", failing_train)
+    argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
+            "--k", "3", "--epochs", "1", "--seed", "21", "--out", str(tmp_path / "cv")]
+    assert run(argv) == 3
+    captured = capfd.readouterr()
+    assert captured.err == "error: numeric overflow in gradients\n"
+    assert captured.out == ""
+    assert not (tmp_path / "cv").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_env_seed_fallback(monkeypatch, tmp_path) -> None:

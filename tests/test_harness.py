@@ -1,6 +1,8 @@
 """Metrics, fold hygiene, period splitting, and training-loop behavior."""
 
 import json
+import multiprocessing
+import os
 import re
 from dataclasses import replace
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from botledger import harness
-from botledger.errors import DataError
+from botledger.errors import DataError, NumericError
 from botledger.features import WindowConfig, eliminate_noninfluential, windows_from_timelines
 from botledger.harness import (
     ConfusionMatrix,
@@ -507,36 +509,42 @@ def test_report_average_row_matches_mean() -> None:
         assert abs(getattr(report.average, field) - manual) < 1e-12
 
 
-def test_cross_validate_trains_and_predicts_on_rows_of_one_window_set(monkeypatch) -> None:
+def test_cross_validate_trains_and_predicts_on_rows_of_one_window_set(monkeypatch, tmp_path) -> None:
+    # the folds may train in forked workers, so each spy records to files: one line per WindowSet made,
+    # and each fold's arrays under its derived model seed
     timelines = toy_timelines(toy_separable(n_chars_per_class=10, windows_per_char=2, seed=5))
     folds = FoldOptions(k=10, seed=6)
     samples = windows_from_timelines(timelines, TOY_SCHEMA, TOY_WINDOWS)
     fold_of = make_folds(samples, folds)
-    made, trained, predicted = [], [], []
+    made = tmp_path / "made.txt"
     real_post_init, real_train, real_predict = WindowSet.__post_init__, harness.train, harness.predict_probs
 
     def counting_post_init(self):
-        made.append(len(self.x))
+        with open(made, "a", encoding="utf-8") as fh:
+            fh.write(f"{len(self.x)}\n")
         real_post_init(self)
 
     def recording_train(x, y, cfg, opts):
-        trained.append((x.copy(), y.copy()))
+        np.save(tmp_path / f"train-x-{cfg.seed}.npy", x)
+        np.save(tmp_path / f"train-y-{cfg.seed}.npy", y)
         return real_train(x, y, cfg, opts)
 
     def recording_predict(params, cfg, x):
-        predicted.append(x.copy())
+        np.save(tmp_path / f"predict-x-{cfg.seed}.npy", x)
         return real_predict(params, cfg, x)
 
     monkeypatch.setattr(WindowSet, "__post_init__", counting_post_init)
     monkeypatch.setattr(harness, "train", recording_train)
     monkeypatch.setattr(harness, "predict_probs", recording_predict)
     cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1), folds)
-    assert made == [len(samples)]  # the windowing alone; no fold builds a WindowSet of its own
-    assert len(trained) == len(predicted) == folds.k
-    for fold, ((x, y), test_x) in enumerate(zip(trained, predicted)):
-        assert np.array_equal(x, samples.x[fold_of != fold])
-        assert np.array_equal(y, samples.y[fold_of != fold])
-        assert np.array_equal(test_x, samples.x[fold_of == fold])
+    # the windowing alone; no fold builds a WindowSet of its own
+    assert made.read_text(encoding="utf-8").split() == [str(len(samples))]
+    assert len(list(tmp_path.glob("train-x-*"))) == len(list(tmp_path.glob("predict-x-*"))) == folds.k
+    for fold in range(folds.k):
+        seed = derive_seed(folds.seed, fold)
+        assert np.array_equal(np.load(tmp_path / f"train-x-{seed}.npy"), samples.x[fold_of != fold])
+        assert np.array_equal(np.load(tmp_path / f"train-y-{seed}.npy"), samples.y[fold_of != fold])
+        assert np.array_equal(np.load(tmp_path / f"predict-x-{seed}.npy"), samples.x[fold_of == fold])
 
 
 def test_format_report_text_layout() -> None:
@@ -630,3 +638,56 @@ def test_fold_whose_fit_keeps_no_feature_is_a_data_error() -> None:
     cfg = ModelConfig(2, 4, 0.0, 0.0)
     with pytest.raises(DataError, match="no active features remain"):
         cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=0), folds)
+
+
+def test_folds_in_workers_report_what_folds_in_process_report(monkeypatch, tmp_path) -> None:
+    folds = FoldOptions(k=3, seed=4)
+    base = same_series_timelines()
+    signal = shifted(base, base.character_id[base.y == 1.0], [0], by=1.0)
+    # fold 1 drops column 1, so a fold trains on a column subset too
+    timelines = shifted(signal, first_fold_characters(signal, folds)[1], [1], by=5.0)
+    pids = tmp_path / "pids.txt"
+    real_train = harness.train
+
+    def recording_train(x, y, cfg, opts):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_train(x, y, cfg, opts)
+
+    def run(cpus):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        cfg, opts = ModelConfig(2, 4, 0.2, 1e-4), TrainOptions(epochs=2)
+        report = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
+        ran_in = set(pids.read_text(encoding="utf-8").split())
+        pids.unlink()
+        return json.dumps(report, default=document), ran_in
+
+    monkeypatch.setattr(harness, "train", recording_train)
+    (pooled, pool_pids), (serial, serial_pids) = run(2), run(1)
+    assert serial_pids == {str(os.getpid())}
+    if harness._openblas_set_num_threads() is not None and hasattr(os, "fork"):
+        assert str(os.getpid()) not in pool_pids
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_first_failing_fold_reaches_the_caller_and_leaves_no_worker(cpus, monkeypatch) -> None:
+    # folds 2 and 3 fail, so in workers too the error is fold 2's, as in one process
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
+    folds = FoldOptions(k=4, seed=8)
+    real_train = harness.train
+
+    def failing_train(x, y, cfg, opts):
+        for fold in (1, 2):
+            if cfg.seed == derive_seed(folds.seed, fold):
+                raise NumericError(f"numeric overflow in gradients of fold {fold + 1}")
+        return real_train(x, y, cfg, opts)
+
+    cfg, opts = ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1)
+    cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness, "train", failing_train)
+    with pytest.raises(NumericError, match=r"^numeric overflow in gradients of fold 2$"):
+        cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
+    assert multiprocessing.active_children() == []

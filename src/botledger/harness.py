@@ -378,14 +378,14 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _openblas_set_num_threads() -> Callable[[int], None] | None:
-    """The thread-count setter of numpy's bundled OpenBLAS, when there is one."""
+def _openblas_function(name: str) -> Callable | None:
+    """The function ``openblas_<name>`` of numpy's bundled OpenBLAS, under
+    whichever symbol that build exports, when there is one."""
     for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(lib, name, None)
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
                 return fn
     return None
 
@@ -404,13 +404,14 @@ def _map_folds(job: _FoldJob) -> list[np.ndarray]:
     """
     k = job.folds.k
     workers = min(k, _usable_cpus())
-    pin = _openblas_set_num_threads() if workers > 1 and hasattr(os, "fork") else None
+    pin = _openblas_function("set_num_threads") if workers > 1 and hasattr(os, "fork") else None
     if pin is None:
         return [_fold_probs(fold, job) for fold in range(k)]
     # imported here, so that commands which never train folds in workers do not load them (2 MB, 10 ms)
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 
+    pin.argtypes, pin.restype = [ctypes.c_int], None
     fork = multiprocessing.get_context("fork")
     pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(job, pin))
     waiting = iter(range(k))

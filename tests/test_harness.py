@@ -510,26 +510,31 @@ def test_report_average_row_matches_mean() -> None:
 
 
 def test_cross_validate_trains_and_predicts_on_rows_of_one_window_set(monkeypatch, tmp_path) -> None:
-    # the folds may train in forked workers, so each spy records to files: one line per WindowSet made,
-    # and each fold's arrays under its derived model seed
+    # the folds may train in forked workers, so each spy records to files: one line per call (the
+    # WindowSet's length, or the fold's derived model seed), and each fold's arrays under that seed
     timelines = toy_timelines(toy_separable(n_chars_per_class=10, windows_per_char=2, seed=5))
     folds = FoldOptions(k=10, seed=6)
     samples = windows_from_timelines(timelines, TOY_SCHEMA, TOY_WINDOWS)
     fold_of = make_folds(samples, folds)
-    made = tmp_path / "made.txt"
+    made, trained, predicted = tmp_path / "made.txt", tmp_path / "trained.txt", tmp_path / "predicted.txt"
     real_post_init, real_train, real_predict = WindowSet.__post_init__, harness.train, harness.predict_probs
 
+    def log(path, value):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{value}\n")
+
     def counting_post_init(self):
-        with open(made, "a", encoding="utf-8") as fh:
-            fh.write(f"{len(self.x)}\n")
+        log(made, len(self.x))
         real_post_init(self)
 
     def recording_train(x, y, cfg, opts):
+        log(trained, cfg.seed)
         np.save(tmp_path / f"train-x-{cfg.seed}.npy", x)
         np.save(tmp_path / f"train-y-{cfg.seed}.npy", y)
         return real_train(x, y, cfg, opts)
 
     def recording_predict(params, cfg, x):
+        log(predicted, cfg.seed)
         np.save(tmp_path / f"predict-x-{cfg.seed}.npy", x)
         return real_predict(params, cfg, x)
 
@@ -539,7 +544,10 @@ def test_cross_validate_trains_and_predicts_on_rows_of_one_window_set(monkeypatc
     cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1), folds)
     # the windowing alone; no fold builds a WindowSet of its own
     assert made.read_text(encoding="utf-8").split() == [str(len(samples))]
-    assert len(list(tmp_path.glob("train-x-*"))) == len(list(tmp_path.glob("predict-x-*"))) == folds.k
+    # each fold trains and predicts exactly once
+    seeds = sorted(str(derive_seed(folds.seed, fold)) for fold in range(folds.k))
+    assert sorted(trained.read_text(encoding="utf-8").split()) == seeds
+    assert sorted(predicted.read_text(encoding="utf-8").split()) == seeds
     for fold in range(folds.k):
         seed = derive_seed(folds.seed, fold)
         assert np.array_equal(np.load(tmp_path / f"train-x-{seed}.npy"), samples.x[fold_of != fold])
@@ -665,7 +673,7 @@ def test_folds_in_workers_report_what_folds_in_process_report(monkeypatch, tmp_p
     monkeypatch.setattr(harness, "train", recording_train)
     (pooled, pool_pids), (serial, serial_pids) = run(2), run(1)
     assert serial_pids == {str(os.getpid())}
-    if harness._openblas_set_num_threads() is not None and hasattr(os, "fork"):
+    if harness._openblas_function("set_num_threads") is not None and hasattr(os, "fork"):
         assert str(os.getpid()) not in pool_pids
     assert pooled == serial
 

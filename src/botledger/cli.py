@@ -364,7 +364,7 @@ def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, Windo
     if not width:
         raise DataError(f"featurize metadata {meta_path} marks no feature active")
     try:
-        with np.load(npz_path) as bundle:
+        with open(npz_path, "rb") as fh, np.load(fh) as bundle:
             samples = WindowSet(
                 x=bundle["x"],
                 y=bundle["y"],

@@ -18,7 +18,6 @@ import ctypes
 import glob
 import os
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -395,12 +394,12 @@ def _map_folds(job: _FoldJob) -> list[np.ndarray]:
 
     One forked worker per usable CPU, up to k, trains them; each is pinned
     to one OpenBLAS thread, so the workers do not contend for cores, and
-    takes ``job`` from the fork rather than as a pickled copy.  Folds start
-    in fold order, one as each running fold ends, and none after a fold
-    fails, so the first failing fold in fold order raises its error here, as
-    it would in one process.  No worker outlives the call.  Without
-    ``fork``, a second usable CPU or the OpenBLAS setter, the folds run here
-    in turn.
+    takes ``job`` from the fork rather than as a pickled copy.  Results are
+    read in fold order, and each read starts the next fold unless a started
+    one has failed, so the first failing fold in fold order raises its error
+    here, as in one process, after the folds already running end.  No worker
+    outlives the call.  Without ``fork``, a second usable CPU or the
+    OpenBLAS setter, the folds run here in turn.
     """
     k = job.folds.k
     workers = min(k, _usable_cpus())
@@ -409,24 +408,19 @@ def _map_folds(job: _FoldJob) -> list[np.ndarray]:
         return [_fold_probs(fold, job) for fold in range(k)]
     # imported here, so that commands which never train folds in workers do not load them (2 MB, 10 ms)
     import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
 
     pin.argtypes, pin.restype = [ctypes.c_int], None
     fork = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(job, pin))
-    waiting = iter(range(k))
-    running = {pool.submit(_fold_probs, fold): fold for fold in islice(waiting, workers)}
-    done: dict[int, Future] = {}
-    try:
-        while running:
-            ended, _ = wait(running, return_when=FIRST_COMPLETED)
-            done.update((running.pop(future), future) for future in ended)
-            if any(future.exception() is not None for future in ended):
-                waiting = iter(())
-            running.update((pool.submit(_fold_probs, fold), fold) for fold in islice(waiting, len(ended)))
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [done[fold].result() for fold in range(k)]
+    # not multiprocessing.Pool: a worker killed mid-fold hangs Pool.imap but raises BrokenProcessPool here
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(job, pin)) as pool:
+        futures = [pool.submit(_fold_probs, fold) for fold in range(workers)]
+        probs = []
+        for fold in range(k):
+            probs.append(futures[fold].result())
+            if len(futures) < k and not any(f.done() and f.exception() is not None for f in futures):
+                futures.append(pool.submit(_fold_probs, len(futures)))
+    return probs
 
 
 def cross_validate(

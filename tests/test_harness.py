@@ -3,12 +3,18 @@
 import json
 import multiprocessing
 import os
+import pickle
 import re
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import botledger
 from botledger import harness
 from botledger.errors import DataError, NumericError
 from botledger.features import WindowConfig, eliminate_noninfluential, windows_from_timelines
@@ -699,3 +705,71 @@ def test_first_failing_fold_reaches_the_caller_and_leaves_no_worker(cpus, monkey
     with pytest.raises(NumericError, match=r"^numeric overflow in gradients of fold 2$"):
         cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
     assert multiprocessing.active_children() == []
+
+
+def test_no_fold_starts_after_a_fold_fails(monkeypatch, tmp_path) -> None:
+    # fold 2 fails while fold 1 still trains, so fold 3 must not start when fold 1 ends
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
+    folds = FoldOptions(k=4, seed=8)
+    seeds = [derive_seed(folds.seed, fold) for fold in range(folds.k)]
+    started = tmp_path / "started.txt"
+    real_train = harness.train
+
+    def logging_train(x, y, cfg, opts):
+        fold = seeds.index(cfg.seed) + 1
+        with open(started, "a", encoding="utf-8") as fh:
+            fh.write(f"{fold}\n")
+        if fold == 1:
+            time.sleep(1.0)
+        if fold == 2:
+            raise NumericError("numeric overflow in gradients of fold 2")
+        return real_train(x, y, cfg, opts)
+
+    monkeypatch.setattr(harness, "train", logging_train)
+    cfg, opts = ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1)
+    with pytest.raises(NumericError, match=r"^numeric overflow in gradients of fold 2$"):
+        cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
+    assert sorted(started.read_text(encoding="utf-8").split()) == ["1", "2"]
+
+
+# Runs cross_validate on the pickled arguments in argv[1] with two usable CPUs,
+# where every fold's worker kills itself, and prints what the call raised and
+# how many child processes are left.
+_KILLED_WORKER_RUN = """
+import multiprocessing, os, pickle, signal, sys
+from botledger import harness
+
+caller, real_train = os.getpid(), harness.train
+
+def killing_train(x, y, cfg, opts):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_train(x, y, cfg, opts)
+
+harness._usable_cpus, harness.train = lambda: 2, killing_train
+with open(sys.argv[1], "rb") as fh:
+    args = pickle.load(fh)
+try:
+    harness.cross_validate(*args)
+except Exception as exc:
+    print(type(exc).__name__, len(multiprocessing.active_children()))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or harness._openblas_function("set_num_threads") is None,
+    reason="the folds run in the calling process here",
+)
+def test_worker_killed_mid_fold_ends_the_run_instead_of_hanging(tmp_path) -> None:
+    timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
+    args = (timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1), FoldOptions(k=4))
+    job = tmp_path / "args.pkl"
+    job.write_bytes(pickle.dumps(args))
+    src = str(Path(botledger.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER_RUN, str(job)], capture_output=True, encoding="utf-8", env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "BrokenProcessPool 0\n"

@@ -32,7 +32,7 @@ the resolved options, as cast, and sha256 checksums of inputs and outputs,
 so reruns can be compared byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or artifact error, 3 numeric
-failure.
+failure or a fold worker process that died.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import DataError, NumericError
+from .errors import BotledgerError, DataError
 from .features import (
     ScalingScope,
     WindowConfig,
@@ -65,7 +65,6 @@ from .harness import (
     FoldOptions,
     TrainOptions,
     cross_validate,
-    cross_validate_by_period,
     derive_seed,
     format_report_text,
     predict_probs,
@@ -427,17 +426,11 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     cfg = _config(ModelConfig, resolved, input_dim=len(schema), seed=seed)
     opts = _train_options(resolved)
     folds = _config(FoldOptions, resolved, seed=seed)
-    detail: dict = {}
-
+    report, detail = cross_validate(timelines, schema, window_cfg, cfg, opts, folds)
     if folds.by_period_days is None:
-        report = cross_validate(timelines, schema, window_cfg, cfg, opts, folds)
         title = f"Cross-validation results (k={folds.k}, seed={seed})"
     else:
-        report, detail["periods"], detail["skipped_periods"] = cross_validate_by_period(
-            timelines, schema, window_cfg, cfg, opts, folds
-        )
         title = f"Cross-validation by period (k={folds.k}, seed={seed}, period={folds.by_period_days:g}d)"
-
     text = format_report_text(report, title)
     if detail.get("skipped_periods"):
         text += f"skipped, no windows: {', '.join(detail['skipped_periods'])}\n"
@@ -552,7 +545,7 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (UsageError, DataError, NumericError) as exc:
+    except (UsageError, BotledgerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2 if isinstance(exc, DataError) else 3
 

@@ -7,9 +7,11 @@ windows independently (still stratified) to expose how much that kind of
 leakage inflates scores.  In either mode each fold fits feature elimination
 on the labels of its own training characters alone.
 
-``cross_validate`` trains its folds in forked worker processes with one
-OpenBLAS thread each, or in the calling process where it cannot; the report
-is the same either way.
+``cross_validate`` evaluates the whole log, or each calendar period of it,
+as a list of spans.  It windows, folds and fits every span before any fold
+trains, then trains the folds of every span in one pool of forked worker
+processes with one OpenBLAS thread each, or in the calling process where it
+cannot; the report is the same either way.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import BotledgerError, DataError
 from .features import WindowConfig, eliminate_noninfluential, windows_from_timelines
 from .network import (
     TRAIN_DTYPE,
@@ -339,25 +341,44 @@ def derive_seed(*keys: int) -> int:
 
 
 class _FoldJob(NamedTuple):
-    """What the folds of one ``cross_validate`` run read."""
+    """What the folds of one span of a ``cross_validate`` run read: its name
+    ("" for the whole log), windows, their folds and each fold's kept columns."""
 
+    name: str
     samples: WindowSet
     fold_of: np.ndarray
-    keeps: list[np.ndarray]  # each fold's kept columns
+    keeps: list[np.ndarray]
     cfg: ModelConfig
     opts: TrainOptions
     folds: FoldOptions
 
 
-# The job of the forked worker this runs in, set by ``_start_worker``.
-_WORKER_JOB: _FoldJob | None = None
+def _named(name: str, message: str) -> str:
+    return f"{name}, {message}" if name else message
 
 
-def _fold_probs(fold: int, job: _FoldJob | None = None) -> np.ndarray:
-    """Train a fresh model of ``job`` (by default the worker's) on the windows
-    outside ``fold`` and return its probabilities for the windows inside it,
-    on the columns ``fold`` keeps."""
-    samples, fold_of, keeps, cfg, opts, folds = job or _WORKER_JOB
+def _fold_keep(timelines: Timelines, schema: FeatureSchema, trained_characters: np.ndarray, fold: int) -> np.ndarray:
+    """Which active columns of ``schema`` fold ``fold`` keeps: elimination
+    fitted with every label of ``timelines`` hidden but those of
+    ``trained_characters``, so no test label helps choose the features."""
+    trained = np.isin(timelines.character_id, trained_characters)
+    try:
+        fitted, _ = eliminate_noninfluential(replace(timelines, y=np.where(trained, timelines.y, np.nan)), schema)
+    except DataError as exc:
+        reason = "its training characters leave no feature that separates the classes"
+        raise DataError(f"Fold {fold + 1}: {reason}; elimination error: {exc}") from exc
+    return np.array(fitted.active)[np.array(schema.active)]
+
+
+# The jobs of the forked worker this runs in, set by ``_start_worker``.
+_WORKER_JOBS: list[_FoldJob] = []
+
+
+def _fold_probs(span: int, fold: int, jobs: list[_FoldJob] | None = None) -> np.ndarray:
+    """Train a fresh model of span ``span`` of ``jobs`` (by default the
+    worker's) on its windows outside ``fold`` and return its probabilities
+    for the windows inside it, on the columns ``fold`` keeps."""
+    _, samples, fold_of, keeps, cfg, opts, folds = (jobs or _WORKER_JOBS)[span]
     keep = keeps[fold]
     fold_cfg = replace(cfg, input_dim=int(keep.sum()), seed=derive_seed(folds.seed, fold))
     fold_opts = replace(opts, shuffle_seed=derive_seed(folds.seed, fold, 1))
@@ -367,9 +388,9 @@ def _fold_probs(fold: int, job: _FoldJob | None = None) -> np.ndarray:
     return predict_probs(params, fold_cfg, x[fold_of == fold])
 
 
-def _start_worker(job: _FoldJob, set_blas_threads: Callable[[int], None]) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = job
+def _start_worker(jobs: list[_FoldJob], set_blas_threads: Callable[[int], None]) -> None:
+    global _WORKER_JOBS
+    _WORKER_JOBS = jobs
     set_blas_threads(1)
 
 
@@ -389,37 +410,45 @@ def _openblas_function(name: str) -> Callable | None:
     return None
 
 
-def _map_folds(job: _FoldJob) -> list[np.ndarray]:
-    """``_fold_probs`` of each fold of ``job``, in fold order.
+def _map_folds(jobs: list[_FoldJob]) -> list[np.ndarray]:
+    """``_fold_probs`` of each (span, fold) split of ``jobs``, in (span, fold) order.
 
-    One forked worker per usable CPU, up to k, trains them; each is pinned
-    to one OpenBLAS thread, so the workers do not contend for cores, and
-    takes ``job`` from the fork rather than as a pickled copy.  Results are
-    read in fold order, and each read starts the next fold unless a started
-    one has failed, so the first failing fold in fold order raises its error
-    here, as in one process, after the folds already running end.  No worker
-    outlives the call.  Without ``fork``, a second usable CPU or the
-    OpenBLAS setter, the folds run here in turn.
+    One pool of forked workers, one per usable CPU up to the number of
+    splits, trains every span's folds; each worker is pinned to one OpenBLAS
+    thread, so the workers do not contend for cores, and takes ``jobs`` from
+    the fork rather than as a pickled copy.  Results are read in split
+    order, and each read starts the next split unless a started one has
+    failed, so the first failing split in that order raises its error here,
+    as in one process, after the splits already running end.  A worker that
+    dies (say, stopped by the out-of-memory killer) ends the run with a
+    ``BotledgerError`` that names the split read.  No worker outlives the
+    call.  Without ``fork``, a second usable CPU or the OpenBLAS setter, the
+    splits run here in turn.
     """
-    k = job.folds.k
-    workers = min(k, _usable_cpus())
+    splits = [(span, fold) for span, job in enumerate(jobs) for fold in range(job.folds.k)]
+    workers = min(len(splits), _usable_cpus())
     pin = _openblas_function("set_num_threads") if workers > 1 and hasattr(os, "fork") else None
     if pin is None:
-        return [_fold_probs(fold, job) for fold in range(k)]
+        return [_fold_probs(span, fold, jobs) for span, fold in splits]
     # imported here, so that commands which never train folds in workers do not load them (2 MB, 10 ms)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     pin.argtypes, pin.restype = [ctypes.c_int], None
     fork = multiprocessing.get_context("fork")
     # not multiprocessing.Pool: a worker killed mid-fold hangs Pool.imap but raises BrokenProcessPool here
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(job, pin)) as pool:
-        futures = [pool.submit(_fold_probs, fold) for fold in range(workers)]
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(jobs, pin)) as pool:
+        futures = [pool.submit(_fold_probs, *split) for split in splits[:workers]]
         probs = []
-        for fold in range(k):
-            probs.append(futures[fold].result())
-            if len(futures) < k and not any(f.done() and f.exception() is not None for f in futures):
-                futures.append(pool.submit(_fold_probs, len(futures)))
+        for span, fold in splits:
+            try:
+                probs.append(futures[len(probs)].result())
+            except BrokenProcessPool as exc:
+                died = "its worker process died, for example because the out-of-memory killer stopped it"
+                raise BotledgerError(_named(jobs[span].name, f"Fold {fold + 1}: {died}")) from exc
+            if len(futures) < len(splits) and not any(f.done() and f.exception() is not None for f in futures):
+                futures.append(pool.submit(_fold_probs, *splits[len(futures)]))
     return probs
 
 
@@ -430,108 +459,76 @@ def cross_validate(
     cfg: ModelConfig,
     opts: TrainOptions,
     folds: FoldOptions,
-) -> EvalReport:
-    """Stratified k-fold evaluation; each fold fits its own elimination and trains a fresh model.
+) -> tuple[EvalReport, dict]:
+    """Stratified k-fold evaluation of the whole log, or of each calendar
+    period of ``folds.by_period_days`` days; each fold fits its own
+    elimination and trains a fresh model.
 
-    ``timelines`` is windowed once, over every active column of ``schema``,
-    and ``make_folds`` gives each window its fold.  Each fold refits
-    ``eliminate_noninfluential`` with every label hidden but those of the
-    characters owning a training window, so no test label helps choose the
-    features.  Then ``_map_folds`` has each fold train on the other folds'
-    window arrays and predict its own, on the columns it keeps, in forked
-    workers where it can.  Model and shuffle seeds derive from
-    (``folds.seed``, fold index), so the report does not depend on where a
-    fold ran.  The report's ``config`` holds the fields of ``folds`` beside
-    the model and training settings; ``by_period_days`` is only recorded
-    there, as every row given is windowed.  Raises ``DataError`` when no
-    window is cut or a fold's fit keeps no feature; the latter names the
-    fold.  The first fold, in fold order, whose training raises stops the
-    run with that error.
-    """
-    samples = windows_from_timelines(timelines, schema, window_cfg)
-    if not samples:
-        raise DataError("no windows produced from the input timelines")
-    fold_of = make_folds(samples, folds)
-
-    keeps: list[np.ndarray] = []
-    for fold in range(folds.k):
-        trained = np.isin(timelines.character_id, samples.character[fold_of != fold])
-        fold_timelines = replace(timelines, y=np.where(trained, timelines.y, np.nan))
-        try:
-            fold_schema, _ = eliminate_noninfluential(fold_timelines, schema)
-        except DataError as exc:
-            reason = "its training characters leave no feature that separates the classes"
-            raise DataError(f"Fold {fold + 1}: {reason}; elimination error: {exc}") from exc
-        keeps.append(np.array(fold_schema.active)[np.array(schema.active)])
-
-    rows: list[EvalRow] = []
-    for fold, probs in enumerate(_map_folds(_FoldJob(samples, fold_of, keeps, cfg, opts, folds))):
-        cm = confusion_from_predictions(probs, samples.y[fold_of == fold], folds.threshold)
-        rows.append(EvalRow(f"Fold {fold + 1}", compute_metrics(cm), cm, n_test=cm.total))
-
-    return EvalReport(
-        rows=tuple(rows),
-        config={
-            **asdict(folds),
-            "model": cfg,
-            "epochs": opts.epochs,
-            "batch_size": opts.batch_size,
-            "lr": opts.lr,
-        },
-    )
-
-
-def cross_validate_by_period(
-    timelines: Timelines,
-    schema: FeatureSchema,
-    window_cfg: WindowConfig,
-    cfg: ModelConfig,
-    opts: TrainOptions,
-    folds: FoldOptions,
-) -> tuple[EvalReport, list[dict], list[str]]:
-    """A separate ``cross_validate`` of each calendar period of
-    ``folds.by_period_days`` days; ``ValueError`` if that is None.
+    Each span (the log, or a period) is windowed once, over every active
+    column of ``schema``, and ``make_folds`` gives each window its fold;
+    each fold then fits ``_fold_keep``.  All of this is done for every
+    span before any fold trains.  Then one ``_map_folds`` call has each
+    fold of each span train on the other folds' window arrays and predict
+    its own, on the columns it keeps, in forked workers where it can.
+    Model and shuffle seeds derive from (span seed, fold index), so the
+    report does not depend on where a fold ran.  The report's ``config``
+    holds the fields of ``folds`` beside the model and training settings.
 
     Row ``Period n`` (``Week n`` for 7-day periods) is calendar period n,
-    ``split_by_period``'s index plus one.  Each period is windowed, and each
-    of its folds fits elimination, on that period's rows alone, with a seed
-    derived from (``folds.seed``, n).  A period with no record gets no row;
-    one in which no character has ``window_length`` rows (typically the
-    last, partial one) yields no window and is skipped by name.  So every
-    period keeps its name and seed.  Returns one row per evaluated period,
-    holding that period's average metrics and summed confusion; every
-    evaluated period's full report as ``{"name", "report"}`` dicts; and the
-    names of the skipped periods.  Any other ``DataError`` in a period stops
-    the run, named by its period, as a failing fold stops ``cross_validate``.
-    It is raised too when no period yields a window.
+    ``split_by_period``'s index plus one, with a seed derived from
+    (``folds.seed``, n), and holds that period's average metrics and summed
+    confusion.  A period with no record gets no row; one in which no
+    character has ``window_length`` rows (typically the last, partial one)
+    is skipped by name.  Returns the report and a detail dict: empty for
+    the whole log; by period, ``"periods"``, each evaluated period's own
+    report as ``{"name", "report"}`` dicts, and ``"skipped_periods"``.
+
+    Raises ``DataError``, named by fold and period, when no window is cut,
+    folds cannot be dealt or a fold's fit keeps no feature.  The first
+    split, in (period, fold) order, whose training raises stops the run
+    with that error.
     """
-    period_days = folds.by_period_days
-    if period_days is None:
-        raise ValueError("by-period evaluation needs folds.by_period_days")
-    row_name = "Week" if period_days == 7.0 else "Period"
-    rows: list[EvalRow] = []
-    periods: list[dict] = []
+    config = {**asdict(folds), "model": cfg, "epochs": opts.epochs, "batch_size": opts.batch_size, "lr": opts.lr}
+    if folds.by_period_days is None:
+        spans = [("", timelines, folds)]
+    else:
+        row_name = "Week" if folds.by_period_days == 7.0 else "Period"
+        spans = [
+            (f"{row_name} {period + 1}", period_timelines, replace(folds, seed=derive_seed(folds.seed, period + 1)))
+            for period, period_timelines in split_by_period(timelines, folds.by_period_days * 86400.0)
+        ]
+    jobs: list[_FoldJob] = []
     skipped: list[str] = []
-    for period, period_timelines in split_by_period(timelines, period_days * 86400.0):
-        name = f"{row_name} {period + 1}"
-        if not (np.diff(period_timelines.bounds) >= window_cfg.window_length).any():
+    for name, span_timelines, span_folds in spans:
+        if name and not (np.diff(span_timelines.bounds) >= window_cfg.window_length).any():
             skipped.append(name)
             continue
-        period_folds = replace(folds, seed=derive_seed(folds.seed, period + 1))
         try:
-            sub = cross_validate(period_timelines, schema, window_cfg, cfg, opts, period_folds)
+            samples = windows_from_timelines(span_timelines, schema, window_cfg)
+            if not samples:
+                raise DataError("no windows produced from the input timelines")
+            fold_of = make_folds(samples, span_folds)
+            trained = [samples.character[fold_of != fold] for fold in range(folds.k)]
+            keeps = [_fold_keep(span_timelines, schema, characters, fold) for fold, characters in enumerate(trained)]
         except DataError as exc:
-            raise DataError(f"{name}, {exc}") from exc
-        periods.append({"name": name, "report": sub})
-        rows.append(EvalRow(name, sub.average, sub.confusion_total, n_test=sub.confusion_total.total))
-    if not rows:
+            raise DataError(_named(name, str(exc))) from exc
+        jobs.append(_FoldJob(name, samples, fold_of, keeps, cfg, opts, span_folds))
+    if not jobs:
         raise DataError(f"no {row_name.lower()} produced windows")
-    report = EvalReport(
-        rows=tuple(rows),
-        # the periods share every setting but the seed
-        config={**sub.config, "seed": folds.seed},
-    )
-    return report, periods, skipped
+
+    probs = iter(_map_folds(jobs))
+    reports: list[EvalReport] = []
+    for job in jobs:
+        rows = []
+        for fold in range(folds.k):
+            cm = confusion_from_predictions(next(probs), job.samples.y[job.fold_of == fold], folds.threshold)
+            rows.append(EvalRow(f"Fold {fold + 1}", compute_metrics(cm), cm, n_test=cm.total))
+        reports.append(EvalReport(rows=tuple(rows), config={**config, "seed": job.folds.seed}))
+    if folds.by_period_days is None:
+        return reports[0], {}
+    rows = [EvalRow(job.name, r.average, r.confusion_total, r.confusion_total.total) for job, r in zip(jobs, reports)]
+    periods = [{"name": job.name, "report": report} for job, report in zip(jobs, reports)]
+    return EvalReport(rows=tuple(rows), config=config), {"periods": periods, "skipped_periods": skipped}
 
 
 def format_report_text(report: EvalReport, title: str = "Cross-validation results") -> str:

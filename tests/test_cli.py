@@ -1,6 +1,7 @@
 """End-to-end command-line workflows, option precedence, and exit codes."""
 
 import argparse
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -840,6 +841,119 @@ def test_crossval_numeric_error_in_a_fold_exits_3_with_one_line(fortnight, monke
     assert captured.out == ""
     assert not (tmp_path / "cv").exists()
     assert multiprocessing.active_children() == []
+
+
+FOLDS_IN_WORKERS = pytest.mark.skipif(
+    not hasattr(os, "fork") or harness._openblas_function("set_num_threads") is None,
+    reason="the folds run in the calling process here",
+)
+
+
+@FOLDS_IN_WORKERS
+def test_crossval_by_period_opens_one_worker_pool(fortnight, monkeypatch, capsys) -> None:
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
+            "--k", "3", "--epochs", "1", "--seed", "21", "--by-period", "4.5"]
+    assert run(argv) == 0
+    # three evaluated periods of three folds each share the one pool
+    assert "Period 3" in capsys.readouterr().out
+    assert len(opened) == 1
+
+
+def test_crossval_by_period_checks_every_period_before_any_fold_trains(
+    fortnight, monkeypatch, tmp_path, capsys
+) -> None:
+    # 14 days in 4.5-day periods evaluate three periods of 3 folds each, fitted in (period, fold) order,
+    # so the seventh fit is period 3's first fold
+    trained = tmp_path / "trained.txt"
+    real_train = harness.train
+    fits = []
+
+    def seventh_fit_keeps_nothing(timelines, schema):
+        fits.append(schema)
+        if len(fits) == 7:
+            raise DataError("no active features remain after deactivation")
+        return eliminate_noninfluential(timelines, schema)
+
+    def recording_train(x, y, cfg, opts):
+        with open(trained, "a", encoding="utf-8") as fh:
+            fh.write(f"{cfg.seed}\n")
+        return real_train(x, y, cfg, opts)
+
+    monkeypatch.setattr(harness, "eliminate_noninfluential", seventh_fit_keeps_nothing)
+    monkeypatch.setattr(harness, "train", recording_train)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
+            "--k", "3", "--epochs", "1", "--seed", "21", "--by-period", "4.5", "--out", str(tmp_path / "cv")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: Period 3, Fold 1: its training characters leave no feature that separates the classes; "
+        "elimination error: no active features remain after deactivation\n"
+    )
+    assert not trained.exists()
+    assert not (tmp_path / "cv").exists()
+
+
+def test_crossval_by_period_folds_in_workers_report_what_folds_in_process_report(
+    fortnight, monkeypatch, tmp_path, capsys
+) -> None:
+    argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
+            "--k", "3", "--epochs", "2", "--seed", "21", "--by-period", "4.5", "--out"]
+    shown = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        assert run(argv + [str(tmp_path / f"cv-{cpus}")]) == 0
+        shown.append(capsys.readouterr().out)
+    assert shown[0] == shown[1]
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "cv-2" / name).read_bytes() == (tmp_path / "cv-1" / name).read_bytes()
+
+
+# Runs the crossval arguments in argv[1:] with two usable CPUs, where every fold's worker kills
+# itself, and prints the exit code and how many child processes are left.
+_KILLED_WORKER_CROSSVAL = """
+import multiprocessing, os, signal, sys
+from botledger import cli, harness
+
+assert "concurrent.futures.process" not in sys.modules
+caller, real_train = os.getpid(), harness.train
+
+def killing_train(x, y, cfg, opts):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_train(x, y, cfg, opts)
+
+harness._usable_cpus, harness.train = lambda: 2, killing_train
+rc = cli.run(sys.argv[1:])
+print(rc, len(multiprocessing.active_children()))
+"""
+
+
+@FOLDS_IN_WORKERS
+def test_crossval_worker_killed_mid_fold_exits_3_with_one_line(fortnight, tmp_path) -> None:
+    argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
+            "--k", "3", "--epochs", "1", "--seed", "21", "--by-period", "4.5", "--out", str(tmp_path / "cv")]
+    src = str(Path(botledger.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER_CROSSVAL, *argv], capture_output=True, encoding="utf-8", env=env,
+        timeout=60,
+    )
+    assert done.stdout == "3 0\n", done.stderr
+    # the first split read, period 1's first fold, lost its worker
+    assert done.stderr == (
+        "error: Period 1, Fold 1: its worker process died, "
+        "for example because the out-of-memory killer stopped it\n"
+    )
+    assert not (tmp_path / "cv").exists()
 
 
 def test_env_seed_fallback(monkeypatch, tmp_path) -> None:

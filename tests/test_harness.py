@@ -482,7 +482,7 @@ def test_train_rejects_empty_or_unlabeled_windows() -> None:
 def test_cross_validate_separable() -> None:
     samples = toy_separable(n_chars_per_class=8, windows_per_char=4, seed=1)
     cfg = ModelConfig(2, 16, 0.2, 1e-4, seed=0)
-    report = cross_validate(
+    report, _ = cross_validate(
         toy_timelines(samples), TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=30, batch_size=8, lr=1e-2),
         FoldOptions(k=2, seed=3),
     )
@@ -498,15 +498,15 @@ def test_cross_validate_reproducible() -> None:
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=0)
     opts = TrainOptions(epochs=5, batch_size=8, lr=1e-2)
     timelines = toy_timelines(samples)
-    r1 = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, FoldOptions(k=2, seed=8))
-    r2 = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, FoldOptions(k=2, seed=8))
+    r1, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, FoldOptions(k=2, seed=8))
+    r2, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, FoldOptions(k=2, seed=8))
     assert json.dumps(r1, default=document) == json.dumps(r2, default=document)
 
 
 def test_report_average_row_matches_mean() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4)
     cfg = ModelConfig(2, 8, 0.0, 0.0, seed=0)
-    report = cross_validate(
+    report, _ = cross_validate(
         toy_timelines(samples), TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=5, batch_size=8, lr=1e-2),
         FoldOptions(k=3, seed=1),
     )
@@ -562,7 +562,7 @@ def test_cross_validate_trains_and_predicts_on_rows_of_one_window_set(monkeypatc
 
 
 def test_format_report_text_layout() -> None:
-    report = cross_validate(
+    report, _ = cross_validate(
         toy_timelines(toy_separable(n_chars_per_class=4, windows_per_char=2, seed=7)),
         TOY_SCHEMA,
         TOY_WINDOWS,
@@ -637,7 +637,7 @@ def test_each_fold_fits_elimination_on_its_training_characters(monkeypatch) -> N
 
     monkeypatch.setattr(harness, "eliminate_noninfluential", recording)
     cfg = ModelConfig(2, 4, 0.0, 0.0)
-    report = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=0), folds)
+    report, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=0), folds)
     assert len(report.rows) == len(fits) == 3
     assert fits[0] == (tested, ("Total Cash",))  # fold 1 hides its test labels and drops the leak
     assert all(not (hidden & set(leakers)) and dropped == () for hidden, dropped in fits[1:])
@@ -671,7 +671,7 @@ def test_folds_in_workers_report_what_folds_in_process_report(monkeypatch, tmp_p
     def run(cpus):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         cfg, opts = ModelConfig(2, 4, 0.2, 1e-4), TrainOptions(epochs=2)
-        report = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
+        report, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
         ran_in = set(pids.read_text(encoding="utf-8").split())
         pids.unlink()
         return json.dumps(report, default=document), ran_in
@@ -772,4 +772,4 @@ def test_worker_killed_mid_fold_ends_the_run_instead_of_hanging(tmp_path) -> Non
         [sys.executable, "-c", _KILLED_WORKER_RUN, str(job)], capture_output=True, encoding="utf-8", env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "BrokenProcessPool 0\n"
+    assert done.stdout == "BotledgerError 0\n"

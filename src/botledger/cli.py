@@ -32,7 +32,7 @@ the resolved options, as cast, and sha256 checksums of inputs and outputs,
 so reruns can be compared byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or artifact error, 3 numeric
-failure or a fold worker process that died.
+failure or a worker process that died.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .harness import (
     cross_validate,
     derive_seed,
     format_report_text,
-    predict_probs,
+    score_characters,
     train,
 )
 from .ingest import csv_field, load_timelines, write_label_file, write_status_log
@@ -447,17 +447,13 @@ def cmd_score(args: argparse.Namespace) -> int:
     threshold = resolved["threshold"]
     bundle = load_model(args.model)
     timelines, _ = load_timelines(args.log, args.labels, bundle.schema, keep_unlabeled=True)
-    rows = []
-    skipped = 0
-    # one character at a time: windowing the whole log at once holds every window in memory
-    for c, (cid, y) in enumerate(zip(timelines.character_id.tolist(), timelines.y.tolist())):
-        windows = windows_from_timelines(timelines[c : c + 1], bundle.schema, bundle.window_config)
-        if not windows:
-            skipped += 1
-            continue
-        probs = predict_probs(bundle.params, bundle.config, windows.x)
-        label = "" if math.isnan(y) else (Label.BOT if y else Label.NORMAL).value
-        rows.append((cid, float(probs.mean()), label))
+    scores = score_characters(timelines, bundle)
+    rows = [
+        (cid, prob, "" if math.isnan(y) else (Label.BOT if y else Label.NORMAL).value)
+        for cid, prob, y in zip(timelines.character_id.tolist(), scores.tolist(), timelines.y.tolist())
+        if not math.isnan(prob)
+    ]
+    skipped = len(timelines) - len(rows)
     rows.sort(key=lambda r: (-r[1], r[0]))
 
     csv = "character_id,probability,label\n" + "".join(

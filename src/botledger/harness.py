@@ -1,4 +1,5 @@
-"""Training loop, stratified cross-validation, period splitting, and metrics.
+"""Training loop, stratified cross-validation, period splitting, character
+scores, and metrics.
 
 Fold assignment is stratified by label and, by default, grouped by character:
 every window cut from one character lands in the same fold, so a model is
@@ -11,7 +12,9 @@ on the labels of its own training characters alone.
 as a list of spans.  It windows, folds and fits every span before any fold
 trains, then trains the folds of every span in one pool of forked worker
 processes with one OpenBLAS thread each, or in the calling process where it
-cannot; the report is the same either way.
+cannot; the report is the same either way.  ``score_characters`` cuts the
+windows of a chunk of characters at a time here and predicts each chunk in
+the same kind of pool, through the same ``_map_in_workers``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .errors import BotledgerError, DataError
 from .features import WindowConfig, eliminate_noninfluential, windows_from_timelines
+from .model_io import ModelBundle
 from .network import (
     TRAIN_DTYPE,
     ModelConfig,
@@ -370,15 +374,11 @@ def _fold_keep(timelines: Timelines, schema: FeatureSchema, trained_characters: 
     return np.array(fitted.active)[np.array(schema.active)]
 
 
-# The jobs of the forked worker this runs in, set by ``_start_worker``.
-_WORKER_JOBS: list[_FoldJob] = []
-
-
-def _fold_probs(span: int, fold: int, jobs: list[_FoldJob] | None = None) -> np.ndarray:
-    """Train a fresh model of span ``span`` of ``jobs`` (by default the
-    worker's) on its windows outside ``fold`` and return its probabilities
-    for the windows inside it, on the columns ``fold`` keeps."""
-    _, samples, fold_of, keeps, cfg, opts, folds = (jobs or _WORKER_JOBS)[span]
+def _fold_probs(jobs: list[_FoldJob], span: int, fold: int) -> np.ndarray:
+    """Train a fresh model of span ``span`` of ``jobs`` on its windows outside
+    ``fold`` and return its probabilities for the windows inside it, on the
+    columns ``fold`` keeps."""
+    _, samples, fold_of, keeps, cfg, opts, folds = jobs[span]
     keep = keeps[fold]
     fold_cfg = replace(cfg, input_dim=int(keep.sum()), seed=derive_seed(folds.seed, fold))
     fold_opts = replace(opts, shuffle_seed=derive_seed(folds.seed, fold, 1))
@@ -388,10 +388,18 @@ def _fold_probs(span: int, fold: int, jobs: list[_FoldJob] | None = None) -> np.
     return predict_probs(params, fold_cfg, x[fold_of == fold])
 
 
-def _start_worker(jobs: list[_FoldJob], set_blas_threads: Callable[[int], None]) -> None:
-    global _WORKER_JOBS
-    _WORKER_JOBS = jobs
+# The state of the forked worker this runs in, set by ``_start_worker``.
+_WORKER_STATE: object = None
+
+
+def _start_worker(state: object, set_blas_threads: Callable[[int], None]) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = state
     set_blas_threads(1)
+
+
+def _in_worker(task: Callable, *args: object) -> object:
+    return task(_WORKER_STATE, *args)
 
 
 def _usable_cpus() -> int:
@@ -410,46 +418,67 @@ def _openblas_function(name: str) -> Callable | None:
     return None
 
 
-def _map_folds(jobs: list[_FoldJob]) -> list[np.ndarray]:
-    """``_fold_probs`` of each (span, fold) split of ``jobs``, in (span, fold) order.
+def _map_in_workers(
+    task: Callable,
+    state: object,
+    items: Sequence,
+    names: Sequence[str],
+    args_of: Callable[[object], tuple] = tuple,
+    per_worker: int = 1,
+) -> list:
+    """``task(state, *args_of(item))`` of each of ``items``, in item order;
+    by default each item is the tuple of its arguments.
 
     One pool of forked workers, one per usable CPU up to the number of
-    splits, trains every span's folds; each worker is pinned to one OpenBLAS
-    thread, so the workers do not contend for cores, and takes ``jobs`` from
-    the fork rather than as a pickled copy.  Results are read in split
-    order, and each read starts the next split unless a started one has
-    failed, so the first failing split in that order raises its error here,
-    as in one process, after the splits already running end.  A worker that
-    dies (say, stopped by the out-of-memory killer) ends the run with a
-    ``BotledgerError`` that names the split read.  No worker outlives the
-    call.  Without ``fork``, a second usable CPU or the OpenBLAS setter, the
-    splits run here in turn.
+    items, runs the tasks; each worker is pinned to one OpenBLAS thread, so
+    the workers do not contend for cores, and takes ``state`` from the fork
+    rather than as a pickled copy.  ``args_of`` runs here, just before its
+    item starts, and its result is pickled to the worker, so at most
+    ``per_worker`` items per worker hold their arguments at once.  Results
+    are read in item order, and each read starts the next item unless a
+    started one has failed, so the first failing item in that order raises
+    its error here, as in one process, after the items already running end;
+    an item whose ``args_of`` raises does so once every earlier item is
+    read.  A worker that dies (say, stopped by the out-of-memory killer)
+    ends the run with a ``BotledgerError`` that names the item read by its
+    entry in ``names``.  No worker outlives the call.  Without ``fork``, a
+    second usable CPU or the OpenBLAS setter, the items run here in turn.
     """
-    splits = [(span, fold) for span, job in enumerate(jobs) for fold in range(job.folds.k)]
-    workers = min(len(splits), _usable_cpus())
+    workers = min(len(items), _usable_cpus())
     pin = _openblas_function("set_num_threads") if workers > 1 and hasattr(os, "fork") else None
     if pin is None:
-        return [_fold_probs(span, fold, jobs) for span, fold in splits]
-    # imported here, so that commands which never train folds in workers do not load them (2 MB, 10 ms)
+        return [task(state, *args_of(item)) for item in items]
+    # imported here, so that commands which never run tasks in workers do not load them (2 MB, 10 ms)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     pin.argtypes, pin.restype = [ctypes.c_int], None
     fork = multiprocessing.get_context("fork")
-    # not multiprocessing.Pool: a worker killed mid-fold hangs Pool.imap but raises BrokenProcessPool here
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(jobs, pin)) as pool:
-        futures = [pool.submit(_fold_probs, *split) for split in splits[:workers]]
-        probs = []
-        for span, fold in splits:
+    results: list = []
+    # not multiprocessing.Pool: a worker killed mid-task hangs Pool.imap but raises BrokenProcessPool here
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(state, pin)) as pool:
+        futures: list = []
+
+        def read(i: int) -> object:
             try:
-                probs.append(futures[len(probs)].result())
+                return futures[i].result()
             except BrokenProcessPool as exc:
                 died = "its worker process died, for example because the out-of-memory killer stopped it"
-                raise BotledgerError(_named(jobs[span].name, f"Fold {fold + 1}: {died}")) from exc
-            if len(futures) < len(splits) and not any(f.done() and f.exception() is not None for f in futures):
-                futures.append(pool.submit(_fold_probs, *splits[len(futures)]))
-    return probs
+                raise BotledgerError(f"{names[i]}: {died}") from exc
+
+        while len(results) < len(items):
+            ahead = min(len(items), len(results) + workers * per_worker)
+            while len(futures) < ahead and not any(f.done() and f.exception() for f in futures[len(results) :]):
+                try:
+                    args = args_of(items[len(futures)])
+                except Exception:
+                    for i in range(len(results), len(futures)):  # an earlier item's error comes first
+                        read(i)
+                    raise
+                futures.append(pool.submit(_in_worker, task, *args))
+            results.append(read(len(results)))
+    return results
 
 
 def cross_validate(
@@ -516,7 +545,9 @@ def cross_validate(
     if not jobs:
         raise DataError(f"no {row_name.lower()} produced windows")
 
-    probs = iter(_map_folds(jobs))
+    splits = [(span, fold) for span, job in enumerate(jobs) for fold in range(job.folds.k)]
+    names = [_named(jobs[span].name, f"Fold {fold + 1}") for span, fold in splits]
+    probs = iter(_map_in_workers(_fold_probs, jobs, splits, names))
     reports: list[EvalReport] = []
     for job in jobs:
         rows = []
@@ -529,6 +560,55 @@ def cross_validate(
     rows = [EvalRow(job.name, r.average, r.confusion_total, r.confusion_total.total) for job, r in zip(jobs, reports)]
     periods = [{"name": job.name, "report": report} for job, report in zip(jobs, reports)]
     return EvalReport(rows=tuple(rows), config=config), {"periods": periods, "skipped_periods": skipped}
+
+
+# Consecutive characters in one ``score_characters`` chunk, and chunks in
+# flight per worker.  Chosen on the benchmark's score-queue log (100
+# characters of 55 windows each, 2-vCPU VM, medians of 40 calls): with 2
+# chunks a worker, 4 to 25 characters a chunk took 0.147-0.160 s; with 1,
+# 0.161-0.175 s; in one process, 0.209 s.  A 7-character chunk holds about
+# 0.67 MB of windows there.
+SCORE_CHUNK_CHARACTERS = 7
+SCORE_CHUNKS_PER_WORKER = 2
+
+
+def _chunk_scores(model: tuple[ModelParams, ModelConfig], x: np.ndarray, first: np.ndarray) -> list[float]:
+    """The mean probability of each character's windows in ``x``, whose
+    first windows are at ``first``."""
+    params, cfg = model
+    return [predict_probs(params, cfg, windows).mean() for windows in np.split(x, first)[1:]]
+
+
+def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
+    """Each character's mean window probability under ``bundle``; NaN for a
+    character shorter than one window.
+
+    Windows are cut here, ``SCORE_CHUNK_CHARACTERS`` consecutive characters
+    at a time with one ``windows_from_timelines`` call, and each chunk is
+    scored in a forked worker where it can (see ``_map_in_workers``), with
+    at most ``SCORE_CHUNKS_PER_WORKER`` chunks per worker in flight, so the
+    whole log's windows are never held at once.  Each character's windows
+    go through ``predict_probs`` as one batch, so a score does not depend
+    on the chunking or on where it ran.  A chunk's failure is raised as
+    ``_map_in_workers`` says; a dead worker's error names the chunk's first
+    and last character.
+    """
+    n = len(timelines)
+    chunks = [(lo, min(lo + SCORE_CHUNK_CHARACTERS, n)) for lo in range(0, n, SCORE_CHUNK_CHARACTERS)]
+    ids = timelines.character_id.tolist()
+    names = [f"Characters {ids[lo]!r} to {ids[hi - 1]!r}" for lo, hi in chunks]
+
+    def cut(chunk: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        windows = windows_from_timelines(timelines[slice(*chunk)], bundle.schema, bundle.window_config)
+        return windows.x, np.flatnonzero(windows.start == 0)
+
+    means = _map_in_workers(
+        _chunk_scores, (bundle.params, bundle.config), chunks, names, cut, SCORE_CHUNKS_PER_WORKER
+    )
+    scores = np.full(n, np.nan)
+    windowed = np.diff(timelines.bounds) >= bundle.window_config.window_length
+    scores[windowed] = [m for chunk in means for m in chunk]
+    return scores
 
 
 def format_report_text(report: EvalReport, title: str = "Cross-validation results") -> str:

@@ -24,9 +24,9 @@ import botledger.cli as cli
 import botledger.harness as harness
 from botledger.cli import run
 from botledger.errors import DataError, NumericError
-from botledger.features import WindowConfig, eliminate_noninfluential
+from botledger.features import WindowConfig, eliminate_noninfluential, windows_from_timelines
 from botledger.harness import FoldOptions, TrainOptions, derive_seed
-from botledger.ingest import LabelFile, read_label_file, write_label_file, write_status_log
+from botledger.ingest import LabelFile, load_timelines, read_label_file, write_label_file, write_status_log
 from botledger.model_io import ModelBundle, load_model, save_model
 from botledger.network import ModelConfig, param_layout
 from botledger.schema import Label, StatusLog, canonical_schema
@@ -954,6 +954,137 @@ def test_crossval_worker_killed_mid_fold_exits_3_with_one_line(fortnight, tmp_pa
         "for example because the out-of-memory killer stopped it\n"
     )
     assert not (tmp_path / "cv").exists()
+
+
+@pytest.fixture(scope="module")
+def queue(dataset, tmp_path_factory):
+    """The dataset's log plus ``c0001``, 5 rows long and so shorter than a window, and its labels less
+    ``n0002``'s, so that character is unlabeled: 13 characters, sorted b0001-b0004, c0001, n0001-n0008."""
+    out = tmp_path_factory.mktemp("queue")
+    with open(dataset / "status_log.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    short = [["c0001", "acct_c0001", *row[2:]] for row in rows[1:] if row[0] == "b0001"][:5]
+    with open(out / "status_log.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows + short)
+    labels = read_label_file(dataset / "labels.csv")
+    entries = {cid: label for cid, label in labels.entries.items() if cid != "n0002"}
+    write_label_file(out / "labels.csv", LabelFile(entries, labels.as_of))
+    return out
+
+
+def _score_argv(queue, model_dir, out):
+    return ["score", "--log", str(queue / "status_log.csv"), "--labels", str(queue / "labels.csv"),
+            "--model", str(model_dir / "model.bin"), "--out", str(out)]
+
+
+def test_score_in_workers_writes_what_one_process_writes(queue, model_dir, monkeypatch, tmp_path, capsys) -> None:
+    # three characters a chunk give five chunks, the second holding c0001; each spy writes its pid to a file
+    monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
+    real_windows, real_predict = harness.windows_from_timelines, harness.predict_probs
+
+    def log_pid(name):
+        with open(tmp_path / name, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+    def windows_spy(*args):
+        log_pid("windows")
+        return real_windows(*args)
+
+    def predict_spy(*args):
+        log_pid("predict")
+        return real_predict(*args)
+
+    monkeypatch.setattr(harness, "windows_from_timelines", windows_spy)
+    monkeypatch.setattr(harness, "predict_probs", predict_spy)
+    shown, pids = [], []
+    for cpus in (2, 1):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"score-{cpus}"
+        assert run(_score_argv(queue, model_dir, out)) == 0
+        shown.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        pids.append({name: (tmp_path / name).read_text(encoding="utf-8").split() for name in ("windows", "predict")})
+        for name in ("windows", "predict"):
+            (tmp_path / name).unlink()
+    assert shown[0] == shown[1]
+    assert "scored 12 characters" in shown[0] and "1 skipped as shorter than the window" in shown[0]
+    scores = (tmp_path / "score-2" / "scores.csv").read_bytes()
+    assert scores == (tmp_path / "score-1" / "scores.csv").read_bytes()
+    assert b"\nn0002," in scores and b"c0001" not in scores
+    # the windows are cut in this process, one call a chunk, so a tracer here counts every window
+    assert [p["windows"] for p in pids] == [[str(os.getpid())] * 5] * 2
+    assert len(pids[0]["predict"]) == len(pids[1]["predict"]) == 12
+    assert set(pids[1]["predict"]) == {str(os.getpid())}
+    if harness._openblas_function("set_num_threads") is not None and hasattr(os, "fork"):
+        assert str(os.getpid()) not in pids[0]["predict"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(
+    cpus, queue, model_dir, monkeypatch, tmp_path, capfd
+) -> None:
+    # with three characters a chunk, n0001 is in the second chunk and n0003 in the third; both fail,
+    # and the error is n0001's, as in one process
+    monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    bundle = load_model(model_dir / "model.bin")
+    timelines, _ = load_timelines(queue / "status_log.csv", queue / "labels.csv", bundle.schema, keep_unlabeled=True)
+    failing = {
+        cid: windows_from_timelines(timelines[c : c + 1], bundle.schema, bundle.window_config).x
+        for c, cid in enumerate(timelines.character_id.tolist())
+        if cid in ("n0001", "n0003")
+    }
+    real_predict = harness.predict_probs
+
+    def failing_predict(params, cfg, x):
+        for cid, windows in failing.items():
+            if np.array_equal(x, windows):
+                raise NumericError(f"numeric overflow in the windows of {cid}")
+        return real_predict(params, cfg, x)
+
+    monkeypatch.setattr(harness, "predict_probs", failing_predict)
+    assert run(_score_argv(queue, model_dir, tmp_path / "score")) == 3
+    captured = capfd.readouterr()
+    assert captured.err == "error: numeric overflow in the windows of n0001\n"
+    assert captured.out == ""
+    assert not (tmp_path / "score").exists()
+    assert multiprocessing.active_children() == []
+
+
+# Runs the score arguments in argv[1:] with two usable CPUs and two characters a chunk, where
+# every chunk's worker kills itself, and prints the exit code and how many child processes are left.
+_KILLED_WORKER_SCORE = """
+import multiprocessing, os, signal, sys
+from botledger import cli, harness
+
+assert "concurrent.futures.process" not in sys.modules
+caller, real_predict = os.getpid(), harness.predict_probs
+
+def killing_predict(params, cfg, x):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_predict(params, cfg, x)
+
+harness._usable_cpus, harness.predict_probs, harness.SCORE_CHUNK_CHARACTERS = lambda: 2, killing_predict, 2
+rc = cli.run(sys.argv[1:])
+print(rc, len(multiprocessing.active_children()))
+"""
+
+
+@FOLDS_IN_WORKERS
+def test_score_worker_killed_mid_chunk_exits_3_with_one_line(queue, model_dir, tmp_path) -> None:
+    src = str(Path(botledger.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER_SCORE, *_score_argv(queue, model_dir, tmp_path / "score")],
+        capture_output=True, encoding="utf-8", env=env, timeout=60,
+    )
+    assert done.stdout == "3 0\n", done.stderr
+    # the first chunk read, the first two characters, lost its worker
+    assert done.stderr == (
+        "error: Characters 'b0001' to 'b0002': its worker process died, "
+        "for example because the out-of-memory killer stopped it\n"
+    )
+    assert not (tmp_path / "score").exists()
 
 
 def test_env_seed_fallback(monkeypatch, tmp_path) -> None:

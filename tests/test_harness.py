@@ -773,3 +773,32 @@ def test_worker_killed_mid_fold_ends_the_run_instead_of_hanging(tmp_path) -> Non
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "BotledgerError 0\n"
+
+
+def _square_unless_failing(failing, item):
+    if item in failing:
+        raise NumericError(f"item {item} failed")
+    return item * item
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_item_whose_arguments_fail_raises_after_every_earlier_item(cpus, monkeypatch) -> None:
+    # two workers keep four items started, so item 3's arguments are made before item 2 ends
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    items = list(range(6))
+    names = [f"Item {item}" for item in items]
+
+    def args_of(item):
+        if item == 3:
+            raise DataError("item 3 has no arguments")
+        return (item,)
+
+    def run(failing, n):
+        return harness._map_in_workers(_square_unless_failing, failing, items[:n], names[:n], args_of, 2)
+
+    assert run(set(), 3) == [0, 1, 4]
+    with pytest.raises(DataError, match="^item 3 has no arguments$"):
+        run(set(), 6)
+    with pytest.raises(NumericError, match="^item 2 failed$"):
+        run({2}, 6)
+    assert multiprocessing.active_children() == []

@@ -17,11 +17,12 @@ config from the resolved options; they are in range by then, so it passes
 them to the constructor as they are.
 
 Option precedence is CLI flag, then ``--config`` JSON file (keyed like the
-table), then the ``BOTLEDGER_SEED`` environment variable (seeds only), then
-built-in defaults.  ``_resolve`` casts every value to its option's type
-once, with the strict ``schema.json_value`` that also reads ``model.bin``
-and ``featurize.json``.  A value outside its option's range is a usage
-error that names the flag.
+table), then built-in defaults.  No environment variable sets an option, so
+the command line and its config file fix a run's output.  ``_resolve``
+casts every value to its option's type once, with the strict
+``schema.json_value`` that also reads ``model.bin`` and ``featurize.json``.
+A value outside its option's range, or a null where the default is not
+null, is a usage error that names the flag.
 
 ``_write_outputs`` is the only writer of artifacts.  Commands hand it
 their report objects, and it writes them as JSON with ``schema.document``,
@@ -41,7 +42,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import zipfile
 from dataclasses import fields
@@ -143,7 +143,7 @@ _OPTIONS: dict[str, _Option] = {
         FoldOptions, "leaky_folds", help="assign windows to folds individually instead of per character"
     ),
     # one seed feeds every config of a command, some through derive_seed
-    "seed": _Option(int, None, at_least(0), {}),
+    "seed": _Option(int, 0, at_least(0), {}),
 }
 _WINDOW_KEYS = ("window_length", "stride", "scaling_scope")
 _MODEL_KEYS = ("hidden_dim", "dropout", "l2", "batch_size", "epochs", "lr", "batchnorm")
@@ -164,19 +164,19 @@ def _flag(key: str) -> str:
     return f"--no-{name}" if option.type is bool and option.default else f"--{name}"
 
 
-def _cast(key: str, value: object, source: str | None = None) -> object:
+def _cast(key: str, value: object) -> object:
     """``value`` cast to the type of option ``key`` by ``json_value`` and checked
-    against its range, named ``source`` (its flag) in errors."""
+    against its range, named by its flag in errors."""
     option = _OPTIONS[key]
     if value is None:
         if option.default is None:
             return None
-        raise UsageError(f"config key {key!r} must not be null")
+        raise UsageError(f"{_flag(key)} must not be null")
     try:
         value = json_value(option.type, value)
         check_setting(value, option.allowed)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{source or _flag(key)} {exc}") from exc
+        raise UsageError(f"{_flag(key)} {exc}") from exc
     return value
 
 
@@ -208,13 +208,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in keys:
         flag_value = getattr(args, key)
         resolved[key] = _cast(key, resolved[key] if flag_value is None else flag_value)
-    if "seed" in resolved and resolved["seed"] is None:
-        env = os.environ.get("BOTLEDGER_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise UsageError(f"BOTLEDGER_SEED must be an integer, got {env!r}") from None
-        resolved["seed"] = _cast("seed", seed, "BOTLEDGER_SEED")
     return resolved
 
 
@@ -384,15 +377,11 @@ def _load_samples_dir(samples_dir: str) -> tuple[WindowSet, FeatureSchema, Windo
     return samples, schema, window_cfg, meta
 
 
-def _train_options(resolved: dict) -> TrainOptions:
-    return _config(TrainOptions, resolved, shuffle_seed=derive_seed(resolved["seed"], 0x5EED))
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     samples, schema, window_cfg, _ = _load_samples_dir(args.samples)
     cfg = _config(ModelConfig, resolved, input_dim=samples.x.shape[2], seed=resolved["seed"])
-    opts = _train_options(resolved)
+    opts = _config(TrainOptions, resolved, shuffle_seed=derive_seed(resolved["seed"], 0x5EED))
     params, log = train(samples.x, samples.y, cfg, opts)
     summary = {
         "n_samples": len(samples),
@@ -424,7 +413,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     timelines, stats, window_cfg = _prepare_samples(args, resolved)
     schema = canonical_schema()  # every feature: each fold fits its own elimination
     cfg = _config(ModelConfig, resolved, input_dim=len(schema), seed=seed)
-    opts = _train_options(resolved)
+    opts = _config(TrainOptions, resolved)  # each fold sets its own shuffle seed
     folds = _config(FoldOptions, resolved, seed=seed)
     report, detail = cross_validate(timelines, schema, window_cfg, cfg, opts, folds)
     if folds.by_period_days is None:

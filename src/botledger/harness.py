@@ -496,7 +496,7 @@ def cross_validate(
     Each span (the log, or a period) is windowed once, over every active
     column of ``schema``, and ``make_folds`` gives each window its fold;
     each fold then fits ``_fold_keep``.  All of this is done for every
-    span before any fold trains.  Then one ``_map_folds`` call has each
+    span before any fold trains.  Then one ``_map_in_workers`` call has each
     fold of each span train on the other folds' window arrays and predict
     its own, on the columns it keeps, in forked workers where it can.
     Model and shuffle seeds derive from (span seed, fold index), so the
@@ -506,11 +506,11 @@ def cross_validate(
     Row ``Period n`` (``Week n`` for 7-day periods) is calendar period n,
     ``split_by_period``'s index plus one, with a seed derived from
     (``folds.seed``, n), and holds that period's average metrics and summed
-    confusion.  A period with no record gets no row; one in which no
-    character has ``window_length`` rows (typically the last, partial one)
-    is skipped by name.  Returns the report and a detail dict: empty for
-    the whole log; by period, ``"periods"``, each evaluated period's own
-    report as ``{"name", "report"}`` dicts, and ``"skipped_periods"``.
+    confusion.  A period with no record gets no row; one that gives no
+    window (typically the last, partial one) is skipped by name.  Returns
+    the report and a detail dict: empty for the whole log; by period,
+    ``"periods"``, each evaluated period's own report as
+    ``{"name", "report"}`` dicts, and ``"skipped_periods"``.
 
     Raises ``DataError``, named by fold and period, when no window is cut,
     folds cannot be dealt or a fold's fit keeps no feature.  The first
@@ -529,12 +529,12 @@ def cross_validate(
     jobs: list[_FoldJob] = []
     skipped: list[str] = []
     for name, span_timelines, span_folds in spans:
-        if name and not (np.diff(span_timelines.bounds) >= window_cfg.window_length).any():
-            skipped.append(name)
-            continue
         try:
             samples = windows_from_timelines(span_timelines, schema, window_cfg)
             if not samples:
+                if name:
+                    skipped.append(name)
+                    continue
                 raise DataError("no windows produced from the input timelines")
             fold_of = make_folds(samples, span_folds)
             trained = [samples.character[fold_of != fold] for fold in range(folds.k)]

@@ -163,9 +163,8 @@ def test_metrics_against_brute_force() -> None:
     print("PASS metrics: 100-trial brute-force recount exact; weekly average convention")
 
 
-def test_end_to_end_learnability(tmp_path, monkeypatch, capsys) -> None:
+def test_end_to_end_learnability(tmp_path, capsys) -> None:
     """Pinned synthetic benchmark reaches mean F1 >= 0.95 inside five minutes."""
-    monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
     data = tmp_path / "data"
     feat = tmp_path / "feat"
     report_dir = tmp_path / "cv"
@@ -246,9 +245,8 @@ def _manifest_outputs(path) -> list:
     return json.loads((path / "manifest.json").read_text(encoding="utf-8"))["outputs"]
 
 
-def test_commands_are_deterministic(tmp_path, monkeypatch, capsys) -> None:
+def test_commands_are_deterministic(tmp_path, capsys) -> None:
     """Same seeds give byte-identical artifacts for every subcommand."""
-    monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
     checked = []
     pairs = {name: [tmp_path / f"{name}_{i}" for i in (1, 2)] for name in
              ("data", "feat", "model", "cv", "scores", "report")}

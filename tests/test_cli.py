@@ -1087,28 +1087,7 @@ def test_score_worker_killed_mid_chunk_exits_3_with_one_line(queue, model_dir, t
     assert not (tmp_path / "score").exists()
 
 
-def test_env_seed_fallback(monkeypatch, tmp_path) -> None:
-    monkeypatch.setenv("BOTLEDGER_SEED", "99")
-    out = tmp_path / "env"
-    rc = run(["synth", "--bots", "2", "--normals", "2", "--days", "1", "--out", str(out)])
-    assert rc == 0
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["seeds"] == {"seed": 99}
-
-
-def test_flag_overrides_env_seed(monkeypatch, tmp_path) -> None:
-    monkeypatch.setenv("BOTLEDGER_SEED", "99")
-    out = tmp_path / "flag"
-    rc = run(
-        ["synth", "--bots", "2", "--normals", "2", "--days", "1", "--seed", "5", "--out", str(out)]
-    )
-    assert rc == 0
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["seeds"] == {"seed": 5}
-
-
-def test_seed_defaults_to_zero_without_env(monkeypatch, tmp_path) -> None:
-    monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
+def test_seed_defaults_to_zero(tmp_path) -> None:
     out = tmp_path / "zero"
     rc = run(["synth", "--bots", "2", "--normals", "2", "--days", "1", "--out", str(out)])
     assert rc == 0
@@ -1116,21 +1095,16 @@ def test_seed_defaults_to_zero_without_env(monkeypatch, tmp_path) -> None:
     assert manifest["seeds"] == {"seed": 0}
 
 
-def test_invalid_env_seed_is_usage_error(monkeypatch, tmp_path, capsys) -> None:
-    # option values are checked before any input is read, so the paths need not exist
-    paths = {
-        "synth": ["--bots", "2", "--normals", "2", "--days", "1"],
-        "train": ["--samples", str(tmp_path / "samples")],
-        "crossval": ["--log", "log.csv", "--labels", "labels.csv"],
-    }
-    for value in ("abc", "-2"):
-        monkeypatch.setenv("BOTLEDGER_SEED", value)
-        for command, args in paths.items():
-            rc = run([command, *args, "--out", str(tmp_path / "x")])
-            assert rc == 1, (value, command)
-            err = capsys.readouterr().err
-            assert "BOTLEDGER_SEED" in err, (value, command)
-            assert "Traceback" not in err
+def test_environment_seed_is_ignored(monkeypatch, tmp_path) -> None:
+    argv = ["synth", "--bots", "2", "--normals", "2", "--days", "1", "--out"]
+    unset, set_ = tmp_path / "unset", tmp_path / "set"
+    monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
+    assert run([*argv, str(unset)]) == 0
+    monkeypatch.setenv("BOTLEDGER_SEED", "99")
+    assert run([*argv, str(set_)]) == 0
+    manifest = json.loads((set_ / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["seeds"] == {"seed": 0}
+    assert (set_ / "status_log.csv").read_bytes() == (unset / "status_log.csv").read_bytes()
 
 
 def test_config_file_between_defaults_and_flags(tmp_path) -> None:
@@ -1425,6 +1399,8 @@ def _put(index, value):
         ("score", None, ("model.bin", _with_tensor_entry("W_x", np.inf)), 2),
         ("score", None, ("model.bin", lambda blob: blob[:8] + struct.pack("<I", len(blob)) + blob[12:]), 2),
         ("score", None, ("model.bin", _with_model_metadata(_drop_window_config)), 2),
+        # a null seed, as for every other option whose default is not null
+        ("crossval", {"seed": None}, None, 1),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -1484,6 +1460,7 @@ def test_synth_option_combinations_name_both_flags(argv, flags, tmp_path, capsys
         ("k", "3", "must be an integer"),
         ("k", True, "must be an integer"),
         ("seed", 1e400, "must be an integer"),
+        ("seed", None, "must not be null"),
         ("lr", "0.01", "must be a number"),
         ("threshold", False, "must be a number"),
     ],
@@ -1497,8 +1474,7 @@ def test_config_value_of_wrong_type_names_the_flag(key, value, want, tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
-def test_integral_config_numbers_are_accepted(monkeypatch, tmp_path) -> None:
-    monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
+def test_integral_config_numbers_are_accepted(tmp_path) -> None:
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"k": 4.0, "seed": 7.0, "lr": 1, "batchnorm": False}), encoding="utf-8")
     args = cli.build_parser().parse_args(
@@ -1675,8 +1651,7 @@ def test_non_finite_float_flag_is_usage_error(command, flag, value, tmp_path, ca
 _PATH_ARGS = {"help", "log", "labels", "model", "samples", "config", "out"}
 
 
-def test_flags_are_exactly_the_config_keys(monkeypatch, tmp_path) -> None:
-    monkeypatch.delenv("BOTLEDGER_SEED", raising=False)
+def test_flags_are_exactly_the_config_keys(tmp_path) -> None:
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     flag_keys = {
         command: {action.dest for action in p._actions} - _PATH_ARGS

@@ -12,9 +12,11 @@ on the labels of its own training characters alone.
 as a list of spans.  It windows, folds and fits every span before any fold
 trains, then trains the folds of every span in one pool of forked worker
 processes with one OpenBLAS thread each, or in the calling process where it
-cannot; the report is the same either way.  ``score_characters`` cuts the
-windows of a chunk of characters at a time here and predicts each chunk in
-the same kind of pool, through the same ``_map_in_workers``.
+cannot; the report is the same either way.  ``score_characters`` cuts and
+predicts the windows of a chunk of characters at a time, in the calling
+process.  Every inference call (a fold's test windows, early stopping's
+validation windows, ``score``'s characters) goes through ``predict_probs``,
+which computes in ``TRAIN_DTYPE``, the dtype the model was trained in.
 """
 
 from __future__ import annotations
@@ -248,8 +250,8 @@ def train(x: np.ndarray, y: np.ndarray, cfg: ModelConfig, opts: TrainOptions) ->
     params returned are those of the epoch with the lowest validation loss,
     not those of the last epoch run.  Each minibatch is cast to
     ``TRAIN_DTYPE`` on its own, so the training forward/backward run in
-    float32 without a float32 copy of the whole set; the validation forward
-    stays float64.
+    float32 without a float32 copy of the whole set; the validation windows
+    go through ``predict_probs``, in float32 too.
     """
     classes = set(np.unique(y).tolist())
     if classes != {0.0, 1.0}:
@@ -286,7 +288,7 @@ def train(x: np.ndarray, y: np.ndarray, cfg: ModelConfig, opts: TrainOptions) ->
         entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
         log.append(entry)
         if holdout is not None:
-            val_probs, _ = forward(params, x[holdout], cfg, training=False)
+            val_probs = predict_probs(params, cfg, x[holdout])
             entry["val_loss"] = bce_loss(val_probs, y[holdout], params, cfg.l2_lambda)
             if entry["val_loss"] < best_val - 1e-12:
                 best_val = entry["val_loss"]
@@ -301,7 +303,9 @@ def train(x: np.ndarray, y: np.ndarray, cfg: ModelConfig, opts: TrainOptions) ->
 
 
 def predict_probs(params: ModelParams, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    probs, _ = forward(params, x, cfg, training=False)
+    """The bot probability of each of the windows ``x``, computed in
+    ``TRAIN_DTYPE`` up to ``forward``'s float64 readout."""
+    probs, _ = forward(params, x.astype(TRAIN_DTYPE, copy=False), cfg, training=False)
     return probs
 
 
@@ -418,36 +422,25 @@ def _openblas_function(name: str) -> Callable | None:
     return None
 
 
-def _map_in_workers(
-    task: Callable,
-    state: object,
-    items: Sequence,
-    names: Sequence[str],
-    args_of: Callable[[object], tuple] = tuple,
-    per_worker: int = 1,
-) -> list:
-    """``task(state, *args_of(item))`` of each of ``items``, in item order;
-    by default each item is the tuple of its arguments.
+def _map_in_workers(task: Callable, state: object, items: Sequence[tuple], names: Sequence[str]) -> list:
+    """``task(state, *item)`` of each of ``items``, in item order.
 
     One pool of forked workers, one per usable CPU up to the number of
     items, runs the tasks; each worker is pinned to one OpenBLAS thread, so
     the workers do not contend for cores, and takes ``state`` from the fork
-    rather than as a pickled copy.  ``args_of`` runs here, just before its
-    item starts, and its result is pickled to the worker, so at most
-    ``per_worker`` items per worker hold their arguments at once.  Results
-    are read in item order, and each read starts the next item unless a
-    started one has failed, so the first failing item in that order raises
-    its error here, as in one process, after the items already running end;
-    an item whose ``args_of`` raises does so once every earlier item is
-    read.  A worker that dies (say, stopped by the out-of-memory killer)
-    ends the run with a ``BotledgerError`` that names the item read by its
-    entry in ``names``.  No worker outlives the call.  Without ``fork``, a
-    second usable CPU or the OpenBLAS setter, the items run here in turn.
+    rather than as a pickled copy.  Results are read in item order, and each
+    read starts the next item unless a started one has failed, so the first
+    failing item in that order raises its error here, as in one process,
+    after the items already running end.  A worker that dies (say, stopped
+    by the out-of-memory killer) ends the run with a ``BotledgerError`` that
+    names the item read by its entry in ``names``.  No worker outlives the
+    call.  Without ``fork``, a second usable CPU or the OpenBLAS setter, the
+    items run here in turn.
     """
     workers = min(len(items), _usable_cpus())
     pin = _openblas_function("set_num_threads") if workers > 1 and hasattr(os, "fork") else None
     if pin is None:
-        return [task(state, *args_of(item)) for item in items]
+        return [task(state, *item) for item in items]
     # imported here, so that commands which never run tasks in workers do not load them (2 MB, 10 ms)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -459,25 +452,15 @@ def _map_in_workers(
     # not multiprocessing.Pool: a worker killed mid-task hangs Pool.imap but raises BrokenProcessPool here
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(state, pin)) as pool:
         futures: list = []
-
-        def read(i: int) -> object:
+        while len(results) < len(items):
+            ahead = min(len(items), len(results) + workers)
+            while len(futures) < ahead and not any(f.done() and f.exception() for f in futures[len(results) :]):
+                futures.append(pool.submit(_in_worker, task, *items[len(futures)]))
             try:
-                return futures[i].result()
+                results.append(futures[len(results)].result())
             except BrokenProcessPool as exc:
                 died = "its worker process died, for example because the out-of-memory killer stopped it"
-                raise BotledgerError(f"{names[i]}: {died}") from exc
-
-        while len(results) < len(items):
-            ahead = min(len(items), len(results) + workers * per_worker)
-            while len(futures) < ahead and not any(f.done() and f.exception() for f in futures[len(results) :]):
-                try:
-                    args = args_of(items[len(futures)])
-                except Exception:
-                    for i in range(len(results), len(futures)):  # an earlier item's error comes first
-                        read(i)
-                    raise
-                futures.append(pool.submit(_in_worker, task, *args))
-            results.append(read(len(results)))
+                raise BotledgerError(f"{names[len(results)]}: {died}") from exc
     return results
 
 
@@ -562,52 +545,35 @@ def cross_validate(
     return EvalReport(rows=tuple(rows), config=config), {"periods": periods, "skipped_periods": skipped}
 
 
-# Consecutive characters in one ``score_characters`` chunk, and chunks in
-# flight per worker.  Chosen on the benchmark's score-queue log (100
-# characters of 55 windows each, 2-vCPU VM, medians of 40 calls): with 2
-# chunks a worker, 4 to 25 characters a chunk took 0.147-0.160 s; with 1,
-# 0.161-0.175 s; in one process, 0.209 s.  A 7-character chunk holds about
-# 0.67 MB of windows there.
+# Consecutive characters in one ``score_characters`` chunk.  On the
+# benchmark's score-queue log (100 characters of 55 windows each, 2-vCPU VM,
+# medians of 20 calls, three rounds), 7 to 100 characters a chunk took
+# 0.079-0.086 s of CPU in all but two rounds, 3 took 0.084-0.087 s and 1
+# took 0.091-0.116 s; the tracemalloc peak was 1.6 MB at 7, 5.2 MB at 25
+# and 11.6 MB for the whole log at once.
 SCORE_CHUNK_CHARACTERS = 7
-SCORE_CHUNKS_PER_WORKER = 2
-
-
-def _chunk_scores(model: tuple[ModelParams, ModelConfig], x: np.ndarray, first: np.ndarray) -> list[float]:
-    """The mean probability of each character's windows in ``x``, whose
-    first windows are at ``first``."""
-    params, cfg = model
-    return [predict_probs(params, cfg, windows).mean() for windows in np.split(x, first)[1:]]
 
 
 def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
     """Each character's mean window probability under ``bundle``; NaN for a
     character shorter than one window.
 
-    Windows are cut here, ``SCORE_CHUNK_CHARACTERS`` consecutive characters
-    at a time with one ``windows_from_timelines`` call, and each chunk is
-    scored in a forked worker where it can (see ``_map_in_workers``), with
-    at most ``SCORE_CHUNKS_PER_WORKER`` chunks per worker in flight, so the
-    whole log's windows are never held at once.  Each character's windows
-    go through ``predict_probs`` as one batch, so a score does not depend
-    on the chunking or on where it ran.  A chunk's failure is raised as
-    ``_map_in_workers`` says; a dead worker's error names the chunk's first
-    and last character.
+    Windows are cut ``SCORE_CHUNK_CHARACTERS`` consecutive characters at a
+    time, with one ``windows_from_timelines`` call, so the whole log's
+    windows are never held at once, and each chunk's scores are placed by
+    its windows' ``character``.  Each character's windows go through
+    ``predict_probs`` as one batch, so a score does not depend on the
+    chunking.  The first chunk, in character order, that fails raises.
     """
-    n = len(timelines)
-    chunks = [(lo, min(lo + SCORE_CHUNK_CHARACTERS, n)) for lo in range(0, n, SCORE_CHUNK_CHARACTERS)]
-    ids = timelines.character_id.tolist()
-    names = [f"Characters {ids[lo]!r} to {ids[hi - 1]!r}" for lo, hi in chunks]
-
-    def cut(chunk: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        windows = windows_from_timelines(timelines[slice(*chunk)], bundle.schema, bundle.window_config)
-        return windows.x, np.flatnonzero(windows.start == 0)
-
-    means = _map_in_workers(
-        _chunk_scores, (bundle.params, bundle.config), chunks, names, cut, SCORE_CHUNKS_PER_WORKER
-    )
-    scores = np.full(n, np.nan)
-    windowed = np.diff(timelines.bounds) >= bundle.window_config.window_length
-    scores[windowed] = [m for chunk in means for m in chunk]
+    scores = np.full(len(timelines), np.nan)
+    for lo in range(0, len(timelines), SCORE_CHUNK_CHARACTERS):
+        chunk = timelines[lo : lo + SCORE_CHUNK_CHARACTERS]
+        windows = windows_from_timelines(chunk, bundle.schema, bundle.window_config)
+        first = np.flatnonzero(windows.start == 0)
+        scored = lo + np.flatnonzero(np.isin(chunk.character_id, windows.character[first]))
+        scores[scored] = [
+            predict_probs(bundle.params, bundle.config, x).mean() for x in np.split(windows.x, first)[1:]
+        ]
     return scores
 
 

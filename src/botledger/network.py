@@ -49,15 +49,15 @@ by ``_TENSORS``; gradients and Adam moments share that layout, and
 
 Training runs in mixed precision (Micikevicius et al. 2018): ``forward``
 computes in the dtype of its batch, float32 for a float32 batch and float64
-for anything else, and ``harness.train`` hands it float32 minibatches
-(``TRAIN_DTYPE``).  A float32 call casts the weights once, and keeps the
-batch-norm batch statistics, gate buffers, ``c``, ``tanh(c)`` and ``h`` in
-float32; ``backward`` computes its gradient sums in the trace's
-dtype.  What float32 rounding would distort stays float64: the readout
-``z``, the probabilities (so ``PROB_CLIP`` keeps its meaning) and the loss;
-the master weights, gradients, Adam moments and batch-norm running
-statistics in ``flat``; and every inference call, since callers pass
-float64 windows.
+for anything else.  ``harness.train`` hands it float32 minibatches
+(``TRAIN_DTYPE``), and ``harness.predict_probs``, through which every
+inference call goes, casts its windows to the same dtype.  A float32 call
+casts the weights once, and keeps the batch-norm batch statistics, gate
+buffers, ``c``, ``tanh(c)`` and ``h`` in float32; ``backward`` computes its
+gradient sums in the trace's dtype.  What float32 rounding would distort
+stays float64: the readout ``z``, the probabilities (so ``PROB_CLIP`` keeps
+its meaning) and the loss; and the master weights, gradients, Adam moments
+and batch-norm running statistics in ``flat``.
 """
 
 from __future__ import annotations

@@ -311,7 +311,7 @@ def test_report_and_train_bytes_are_pinned(tmp_path, capsys) -> None:
     pinned = {
         "report/report.json": "9b8bdf5011c79984aee06b73dce8c682555279eac0dbe8153c3bf67e856b16b7",
         "model/model.bin": "20494c8f7e196586581e15f2945086d0c44ef9d431e4d9b6848d4f0ebe6c151d",
-        "model/training_log.json": "04f6eb20aa86c216819cc9b94c81e32fe19483e9b684e2eed4c7749e20cf653f",
+        "model/training_log.json": "b5b4d5a27e117d35f40229793f44fcc2468bb70b4a9fbecf26541b61443bbc28",
     }
     for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -977,55 +977,42 @@ def _score_argv(queue, model_dir, out):
             "--model", str(model_dir / "model.bin"), "--out", str(out)]
 
 
-def test_score_in_workers_writes_what_one_process_writes(queue, model_dir, monkeypatch, tmp_path, capsys) -> None:
-    # three characters a chunk give five chunks, the second holding c0001; each spy writes its pid to a file
-    monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
+def test_score_writes_the_same_queue_at_every_chunk_size(queue, model_dir, monkeypatch, tmp_path, capsys) -> None:
+    # chunks of 1, 3 and the default 7 characters; each spy records the pid it ran in
     real_windows, real_predict = harness.windows_from_timelines, harness.predict_probs
-
-    def log_pid(name):
-        with open(tmp_path / name, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
+    pids: dict[str, list[int]] = {"windows": [], "predict": []}
 
     def windows_spy(*args):
-        log_pid("windows")
+        pids["windows"].append(os.getpid())
         return real_windows(*args)
 
     def predict_spy(*args):
-        log_pid("predict")
+        pids["predict"].append(os.getpid())
         return real_predict(*args)
 
     monkeypatch.setattr(harness, "windows_from_timelines", windows_spy)
     monkeypatch.setattr(harness, "predict_probs", predict_spy)
-    shown, pids = [], []
-    for cpus in (2, 1):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-        out = tmp_path / f"score-{cpus}"
+    shown, scores = [], []
+    for size in (1, 3, harness.SCORE_CHUNK_CHARACTERS):
+        monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", size)
+        out = tmp_path / f"score-{size}"
         assert run(_score_argv(queue, model_dir, out)) == 0
         shown.append(capsys.readouterr().out.replace(str(out), "OUT"))
-        pids.append({name: (tmp_path / name).read_text(encoding="utf-8").split() for name in ("windows", "predict")})
-        for name in ("windows", "predict"):
-            (tmp_path / name).unlink()
-    assert shown[0] == shown[1]
+        scores.append((out / "scores.csv").read_bytes())
+    assert shown[1:] == shown[:1] * 2 and scores[1:] == scores[:1] * 2
     assert "scored 12 characters" in shown[0] and "1 skipped as shorter than the window" in shown[0]
-    scores = (tmp_path / "score-2" / "scores.csv").read_bytes()
-    assert scores == (tmp_path / "score-1" / "scores.csv").read_bytes()
-    assert b"\nn0002," in scores and b"c0001" not in scores
-    # the windows are cut in this process, one call a chunk, so a tracer here counts every window
-    assert [p["windows"] for p in pids] == [[str(os.getpid())] * 5] * 2
-    assert len(pids[0]["predict"]) == len(pids[1]["predict"]) == 12
-    assert set(pids[1]["predict"]) == {str(os.getpid())}
-    if harness._openblas_function("set_num_threads") is not None and hasattr(os, "fork"):
-        assert str(os.getpid()) not in pids[0]["predict"]
+    assert b"\nn0002," in scores[0] and b"c0001" not in scores[0]
+    # 13 characters give 13, 5 and 2 chunks; 12 of them have windows, each predicted as one batch
+    assert len(pids["windows"]) == 13 + 5 + 2 and len(pids["predict"]) == 3 * 12
+    # both ran here, so a tracer or profiler of this process sees them
+    assert set(pids["windows"]) == set(pids["predict"]) == {os.getpid()}
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(
-    cpus, queue, model_dir, monkeypatch, tmp_path, capfd
-) -> None:
-    # with three characters a chunk, n0001 is in the second chunk and n0003 in the third; both fail,
-    # and the error is n0001's, as in one process
+def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(queue, model_dir, monkeypatch, tmp_path, capfd) -> None:
+    # with three characters a chunk, n0001 is in the second chunk and n0003 in the third; the
+    # error is n0001's, and no later chunk is scored
     monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     bundle = load_model(model_dir / "model.bin")
     timelines, _ = load_timelines(queue / "status_log.csv", queue / "labels.csv", bundle.schema, keep_unlabeled=True)
     failing = {
@@ -1034,8 +1021,10 @@ def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(
         if cid in ("n0001", "n0003")
     }
     real_predict = harness.predict_probs
+    predicted = []
 
     def failing_predict(params, cfg, x):
+        predicted.append(x)
         for cid, windows in failing.items():
             if np.array_equal(x, windows):
                 raise NumericError(f"numeric overflow in the windows of {cid}")
@@ -1047,44 +1036,8 @@ def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(
     assert captured.err == "error: numeric overflow in the windows of n0001\n"
     assert captured.out == ""
     assert not (tmp_path / "score").exists()
-    assert multiprocessing.active_children() == []
-
-
-# Runs the score arguments in argv[1:] with two usable CPUs and two characters a chunk, where
-# every chunk's worker kills itself, and prints the exit code and how many child processes are left.
-_KILLED_WORKER_SCORE = """
-import multiprocessing, os, signal, sys
-from botledger import cli, harness
-
-assert "concurrent.futures.process" not in sys.modules
-caller, real_predict = os.getpid(), harness.predict_probs
-
-def killing_predict(params, cfg, x):
-    if os.getpid() != caller:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return real_predict(params, cfg, x)
-
-harness._usable_cpus, harness.predict_probs, harness.SCORE_CHUNK_CHARACTERS = lambda: 2, killing_predict, 2
-rc = cli.run(sys.argv[1:])
-print(rc, len(multiprocessing.active_children()))
-"""
-
-
-@FOLDS_IN_WORKERS
-def test_score_worker_killed_mid_chunk_exits_3_with_one_line(queue, model_dir, tmp_path) -> None:
-    src = str(Path(botledger.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", _KILLED_WORKER_SCORE, *_score_argv(queue, model_dir, tmp_path / "score")],
-        capture_output=True, encoding="utf-8", env=env, timeout=60,
-    )
-    assert done.stdout == "3 0\n", done.stderr
-    # the first chunk read, the first two characters, lost its worker
-    assert done.stderr == (
-        "error: Characters 'b0001' to 'b0002': its worker process died, "
-        "for example because the out-of-memory killer stopped it\n"
-    )
-    assert not (tmp_path / "score").exists()
+    # b0001-b0004, then n0001 (c0001 has no window)
+    assert len(predicted) == 5 and np.array_equal(predicted[-1], failing["n0001"])
 
 
 def test_seed_defaults_to_zero(tmp_path) -> None:

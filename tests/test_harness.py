@@ -460,9 +460,12 @@ def test_train_forward_is_float32_and_prediction_float64(monkeypatch) -> None:
     cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
     opts = TrainOptions(epochs=2, batch_size=8, early_stop_patience=5)
     params, _ = train(samples.x, samples.y, cfg, opts)
-    predict_probs(params, cfg, samples.x)
+    probs = predict_probs(params, cfg, samples.x)
+    assert samples.x.dtype == np.float64
     assert seen[True] == ["float32"] * 8  # 29 training windows in batches of 8, twice
-    assert seen[False] == ["float64"] * 3  # two validation passes, one prediction
+    assert seen[False] == ["float32"] * 3  # two validation passes, one prediction
+    # the readout, and so the probabilities, stay float64
+    assert probs.dtype == np.float64
     assert params.flat.dtype == np.float64
 
 
@@ -773,32 +776,3 @@ def test_worker_killed_mid_fold_ends_the_run_instead_of_hanging(tmp_path) -> Non
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "BotledgerError 0\n"
-
-
-def _square_unless_failing(failing, item):
-    if item in failing:
-        raise NumericError(f"item {item} failed")
-    return item * item
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_an_item_whose_arguments_fail_raises_after_every_earlier_item(cpus, monkeypatch) -> None:
-    # two workers keep four items started, so item 3's arguments are made before item 2 ends
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-    items = list(range(6))
-    names = [f"Item {item}" for item in items]
-
-    def args_of(item):
-        if item == 3:
-            raise DataError("item 3 has no arguments")
-        return (item,)
-
-    def run(failing, n):
-        return harness._map_in_workers(_square_unless_failing, failing, items[:n], names[:n], args_of, 2)
-
-    assert run(set(), 3) == [0, 1, 4]
-    with pytest.raises(DataError, match="^item 3 has no arguments$"):
-        run(set(), 6)
-    with pytest.raises(NumericError, match="^item 2 failed$"):
-        run({2}, 6)
-    assert multiprocessing.active_children() == []

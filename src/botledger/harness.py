@@ -12,9 +12,10 @@ on the labels of its own training characters alone.
 as a list of spans.  It windows, folds and fits every span before any fold
 trains, then trains the folds of every span in one pool of forked worker
 processes with one OpenBLAS thread each, or in the calling process where it
-cannot; the report is the same either way.  ``score_characters`` cuts and
-predicts the windows of a chunk of characters at a time, in the calling
-process.  Every inference call (a fold's test windows, early stopping's
+cannot; the report is the same either way.  ``score_characters`` cuts the
+windows of a chunk of characters at a time, in the calling process, and
+predicts the chunk's characters of each window count in one stacked
+forward.  Every inference call (a fold's test windows, early stopping's
 validation windows, ``score``'s characters) goes through ``predict_probs``,
 which computes in ``TRAIN_DTYPE``, the dtype the model was trained in.
 """
@@ -303,8 +304,10 @@ def train(x: np.ndarray, y: np.ndarray, cfg: ModelConfig, opts: TrainOptions) ->
 
 
 def predict_probs(params: ModelParams, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    """The bot probability of each of the windows ``x``, computed in
-    ``TRAIN_DTYPE`` up to ``forward``'s float64 readout."""
+    """The bot probability of each of the windows ``x``, (B,) for a (B, T, D)
+    batch and (G, B) for a (G, B, T, D) stack of G batches, computed in
+    ``TRAIN_DTYPE`` up to ``forward``'s float64 readout; a batch's
+    probabilities do not depend on the stack it is in."""
     probs, _ = forward(params, x.astype(TRAIN_DTYPE, copy=False), cfg, training=False)
     return probs
 
@@ -545,12 +548,14 @@ def cross_validate(
     return EvalReport(rows=tuple(rows), config=config), {"periods": periods, "skipped_periods": skipped}
 
 
-# Consecutive characters in one ``score_characters`` chunk.  On the
-# benchmark's score-queue log (100 characters of 55 windows each, 2-vCPU VM,
-# medians of 20 calls, three rounds), 7 to 100 characters a chunk took
-# 0.079-0.086 s of CPU in all but two rounds, 3 took 0.084-0.087 s and 1
-# took 0.091-0.116 s; the tracemalloc peak was 1.6 MB at 7, 5.2 MB at 25
-# and 11.6 MB for the whole log at once.
+# Consecutive characters in one ``score_characters`` chunk, which is one
+# stacked forward per window count.  On the benchmark's score-queue log (100
+# characters of 55 windows each, 2-vCPU VM, one BLAS thread, medians of 12
+# calls, two rounds), a chunk of 7 characters took 66-67 ms of CPU, 10 took
+# 64 ms, 15 took 62-63 ms, 25 took 66-67 ms and the whole log at once 96 ms;
+# 3 took 75-78 ms and 1 took 98 ms.  The tracemalloc peak grows by about
+# 1.1 MB a character, most of it the all-step input projection: 7.6 MB at
+# 7, 10.8 MB at 10, 16.1 MB at 15 and 107 MB for the whole log.
 SCORE_CHUNK_CHARACTERS = 7
 
 
@@ -561,9 +566,12 @@ def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
     Windows are cut ``SCORE_CHUNK_CHARACTERS`` consecutive characters at a
     time, with one ``windows_from_timelines`` call, so the whole log's
     windows are never held at once, and each chunk's scores are placed by
-    its windows' ``character``.  Each character's windows go through
-    ``predict_probs`` as one batch, so a score does not depend on the
-    chunking.  The first chunk, in character order, that fails raises.
+    its windows' ``character``.  The chunk's characters with the same number
+    of windows go through ``predict_probs`` as one (characters, windows,
+    time, features) stack, one batch per character, and a character with no
+    other of its count as one batch, so a score does not depend on the
+    chunking or on the other characters of its stack.  The first chunk, in
+    character order, that fails raises.
     """
     scores = np.full(len(timelines), np.nan)
     for lo in range(0, len(timelines), SCORE_CHUNK_CHARACTERS):
@@ -571,9 +579,17 @@ def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
         windows = windows_from_timelines(chunk, bundle.schema, bundle.window_config)
         first = np.flatnonzero(windows.start == 0)
         scored = lo + np.flatnonzero(np.isin(chunk.character_id, windows.character[first]))
-        scores[scored] = [
-            predict_probs(bundle.params, bundle.config, x).mean() for x in np.split(windows.x, first)[1:]
-        ]
+        counts = np.diff(first, append=len(windows))
+        for count in np.unique(counts).tolist():
+            group = np.flatnonzero(counts == count)
+            starts = first[group]
+            # a lone character goes as a plain batch, a view of the chunk's windows: a stack of one
+            # would pay for a copy and for the stacked products' dispatch at every step
+            if len(group) == 1:
+                x = windows.x[starts[0] : starts[0] + count]
+            else:
+                x = windows.x[starts[:, None] + np.arange(count)]
+            scores[scored[group]] = predict_probs(bundle.params, bundle.config, x).mean(axis=-1)
     return scores
 
 

@@ -30,7 +30,12 @@ The LSTM kernel follows the cuDNN recipe (Appleyard et al. 2016):
 * the input projection ``W_x x + b`` is one stacked product over all T
   timesteps before the time loop, leaving one ``W_h h`` GEMM per step;
 * training keeps every step's gates (``acts`` itself), ``c``, ``tanh(c)``
-  and ``h`` for backpropagation; inference keeps only the current step;
+  and ``h`` for backpropagation; inference keeps only the current step of
+  ``c``, ``tanh(c)`` and ``h``;
+* inference also takes a (G, B, T, D) stack of G batches: every buffer
+  gains a G axis after time, each GEMM runs per batch of the stack with
+  that batch's own B, and every other op is elementwise, so each batch's
+  probabilities are bit for bit those of a forward over it alone;
 * ``backward``'s time loop carries only the recurrence through ``dh`` and
   ``dc``, writing every step's gate gradients into one (T, 4H, B) buffer;
   the ``W_x``, ``W_h``, ``b`` and batch-norm gradients are then each one
@@ -204,17 +209,16 @@ def _gate_scale(hidden_dim: int) -> np.ndarray:
     return scale
 
 
-def _activate_gates(a: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def _activate_gates(a: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> None:
     """Map pre-activations already multiplied by ``scale`` to [i, f, g, o].
 
-    Overwrites and returns ``a``: ``scale * tanh(a) + shift``, with
-    ``shift = 1 - scale``, is ``sigmoid`` on the halved i/f/o blocks and
-    ``tanh`` on the g block.
+    Overwrites ``a``: ``scale * tanh(a) + shift``, with ``shift = 1 -
+    scale``, is ``sigmoid`` on the halved i/f/o blocks and ``tanh`` on the
+    g block.
     """
     np.tanh(a, out=a)
     a *= scale
     a += shift
-    return a
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
@@ -235,9 +239,15 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return params
 
 
+def _feature_major(batch: np.ndarray) -> np.ndarray:
+    """A (B, T, D) or (G, B, T, D) batch laid out contiguously as (T, D, B)
+    or (T, G, D, B): time first and the batch last."""
+    return np.ascontiguousarray(np.moveaxis(batch, (-3, -2), (-1, 0)))
+
+
 def _bn_apply(batch: np.ndarray, params: ModelParams, training: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a (B, D) or (B, T, D) batch; returns (output, pre-affine
-    x_hat), both feature-major: (D, B) or (T, D, B).
+    """Normalize a (B, T, D) or, in inference, (G, B, T, D) batch;
+    returns (output, pre-affine x_hat), both laid out by ``_feature_major``.
 
     Statistics pool over every (sample, timestep) row.  Training mode
     normalizes with biased batch statistics and folds them into the running
@@ -246,7 +256,7 @@ def _bn_apply(batch: np.ndarray, params: ModelParams, training: bool) -> tuple[n
     unchanged.  The output has the batch's dtype; the running estimates stay
     float64.
     """
-    x = np.ascontiguousarray(np.moveaxis(batch, 0, -1))
+    x = _feature_major(batch)
     if training:
         rows = batch.reshape(-1, batch.shape[-1])
         if rows.shape[0] < 2:
@@ -301,20 +311,22 @@ def forward(
     training: bool,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace | None]:
-    """Run the network over a (B, T, D) batch.
+    """Run the network over a (B, T, D) batch, or in inference over a
+    (G, B, T, D) stack of G batches of equal shape.
 
-    Returns per-sample bot probabilities (clipped into the open unit
-    interval) and, in training mode, the trace ``backward`` consumes.
-    Training with dropout_p > 0 requires ``rng`` for the mask draw.  A
-    float32 batch is computed in float32 up to the float64 readout; any
-    other batch in float64.
+    Returns per-sample bot probabilities, (B,) or (G, B), clipped into the
+    open unit interval, and, in training mode, the trace ``backward``
+    consumes.  A stacked batch's probabilities equal, bit for bit, those of
+    a forward over each batch alone.  Training with dropout_p > 0 requires
+    ``rng`` for the mask draw.  A float32 batch is computed in float32 up to
+    the float64 readout; any other batch in float64.
     """
     batch = np.asarray(batch)
     dtype = np.float32 if batch.dtype == np.float32 else np.float64
     batch = batch.astype(dtype, copy=False)
-    if batch.ndim != 3:
-        raise ValueError("forward expects a (batch, time, features) array")
-    n, t_steps, d = batch.shape
+    if batch.ndim != 3 and (training or batch.ndim != 4):
+        raise ValueError("forward expects a (batch, time, features) array, or in inference a stack of them")
+    *lead, n, t_steps, d = batch.shape
     if cfg.input_dim != params.input_dim:
         raise ValueError(f"config input_dim {cfg.input_dim} does not match params input_dim {params.input_dim}")
     if d != params.input_dim:
@@ -331,7 +343,7 @@ def forward(
     if cfg.use_batchnorm:
         x_used, x_hat = _bn_apply(batch, params, training)
     else:
-        x_used = np.ascontiguousarray(batch.transpose(1, 2, 0))
+        x_used = _feature_major(batch)
         x_hat = None
 
     # Input projection for every timestep in one stacked product; each
@@ -346,15 +358,17 @@ def forward(
     rows = np.stack([params.b * scale, scale, 1.0 - scale]).astype(dtype)
     bias, act_scale, act_shift = np.repeat(rows[:, :, None], n, axis=2)
     acts += bias
+    # Each step's i, f, g, o views, for a stack too.
+    by_gate = np.moveaxis(acts.reshape(t_steps, *lead, 4, hdim, n), -3, 1)
 
     # Training keeps every step for backward; inference overwrites one slot.
     kept = t_steps if training else 1
-    cs, tanh_cs, hs = (np.empty((kept, hdim, n), dtype) for _ in range(3))
-    h = c = np.zeros((hdim, n), dtype)
+    cs, tanh_cs, hs = (np.empty((kept, *lead, hdim, n), dtype) for _ in range(3))
+    h = c = np.zeros((*lead, hdim, n), dtype)
     for t in range(t_steps):
-        slot = t if training else 0
-        acts[t] += w_h @ h
-        i, f, g, o = _activate_gates(acts[t], act_scale, act_shift).reshape(4, hdim, n)
+        slot, a, (i, f, g, o) = t if training else 0, acts[t], by_gate[t]
+        a += w_h @ h
+        _activate_gates(a, act_scale, act_shift)
         c = np.multiply(f, c, out=cs[slot])
         c += i * g
         tanh_c = np.tanh(c, out=tanh_cs[slot])

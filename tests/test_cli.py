@@ -1002,8 +1002,9 @@ def test_score_writes_the_same_queue_at_every_chunk_size(queue, model_dir, monke
     assert shown[1:] == shown[:1] * 2 and scores[1:] == scores[:1] * 2
     assert "scored 12 characters" in shown[0] and "1 skipped as shorter than the window" in shown[0]
     assert b"\nn0002," in scores[0] and b"c0001" not in scores[0]
-    # 13 characters give 13, 5 and 2 chunks; 12 of them have windows, each predicted as one batch
-    assert len(pids["windows"]) == 13 + 5 + 2 and len(pids["predict"]) == 3 * 12
+    # 13 characters give 13, 5 and 2 chunks; each chunk predicts one stack per window count among its
+    # characters with windows (all of the dataset's characters have the same count): 12, 5 and 2 stacks
+    assert len(pids["windows"]) == 13 + 5 + 2 and len(pids["predict"]) == 12 + 5 + 2
     # both ran here, so a tracer or profiler of this process sees them
     assert set(pids["windows"]) == set(pids["predict"]) == {os.getpid()}
     assert multiprocessing.active_children() == []
@@ -1026,7 +1027,7 @@ def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(queue, model_dir, 
     def failing_predict(params, cfg, x):
         predicted.append(x)
         for cid, windows in failing.items():
-            if np.array_equal(x, windows):
+            if any(np.array_equal(batch, windows) for batch in (x if x.ndim == 4 else [x])):
                 raise NumericError(f"numeric overflow in the windows of {cid}")
         return real_predict(params, cfg, x)
 
@@ -1036,8 +1037,9 @@ def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(queue, model_dir, 
     assert captured.err == "error: numeric overflow in the windows of n0001\n"
     assert captured.out == ""
     assert not (tmp_path / "score").exists()
-    # b0001-b0004, then n0001 (c0001 has no window)
-    assert len(predicted) == 5 and np.array_equal(predicted[-1], failing["n0001"])
+    # one stack of b0001-b0003, then one of b0004 and n0001 (c0001 has no window)
+    assert len(predicted) == 2 and predicted[-1].shape[0] == 2
+    assert np.array_equal(predicted[-1][1], failing["n0001"])
 
 
 def test_seed_defaults_to_zero(tmp_path) -> None:

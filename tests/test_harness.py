@@ -35,6 +35,7 @@ from botledger.harness import (
     split_by_period,
     train,
 )
+from botledger.model_io import ModelBundle
 from botledger.network import ModelConfig, bce_loss, forward, init_params
 from botledger.schema import FeatureSchema, Label, Timelines, WindowSet, canonical_schema, document
 
@@ -478,6 +479,57 @@ def test_train_rejects_empty_or_unlabeled_windows() -> None:
     y[0] = np.nan
     with pytest.raises(DataError):
         train(samples.x, y, cfg, TrainOptions(epochs=1))
+
+
+def _ragged_queue():
+    """Nine characters of 20, 5, 36, 28, 20, 44, 36, 28 and 20 rows: 4, 0, 8, 6, 4, 10, 8, 6 and 4 windows
+    of ``RAGGED_WINDOWS``, so window counts interleave and one character is shorter than a window."""
+    lengths = [20, 5, 36, 28, 20, 44, 36, 28, 20]
+    rng = np.random.default_rng(12)
+    return Timelines(
+        character_id=[f"c{c}" for c in range(len(lengths))],
+        y=[c % 2 for c in range(len(lengths))],
+        bounds=np.cumsum([0, *lengths]),
+        timestamp=np.arange(sum(lengths)),
+        values=rng.normal(size=(sum(lengths), 2)).cumsum(axis=0),
+    )
+
+
+RAGGED_WINDOWS = WindowConfig(window_length=8, stride=4)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, harness.SCORE_CHUNK_CHARACTERS])
+def test_score_characters_stacks_each_window_count_of_a_chunk(chunk, monkeypatch) -> None:
+    timelines = _ragged_queue()
+    cfg = ModelConfig(input_dim=2, hidden_dim=6, seed=4)
+    params = init_params(cfg)
+    params.bn_running_mean = np.array([0.4, 0.6])
+    params.bn_running_var = np.array([0.1, 0.3])
+    bundle = ModelBundle(params, cfg, TOY_SCHEMA, RAGGED_WINDOWS, {})
+    # reference: each character predicted alone, as one batch
+    want = np.full(len(timelines), np.nan)
+    for c in range(len(timelines)):
+        windows = windows_from_timelines(timelines[c : c + 1], TOY_SCHEMA, RAGGED_WINDOWS)
+        if len(windows):
+            want[c] = predict_probs(params, cfg, windows.x).mean()
+    # one (characters, windows, time, features) stack per chunk and window count, or one
+    # (windows, time, features) batch for a character alone with its count
+    counts = [4, 0, 8, 6, 4, 10, 8, 6, 4]
+    chunks = [counts[lo : lo + chunk] for lo in range(0, len(counts), chunk)]
+    groups = [(part.count(n), n, 8, 2) for part in chunks for n in set(part) - {0}]
+    want_stacks = sorted(shape[1:] if shape[0] == 1 else shape for shape in groups)
+    real_predict = harness.predict_probs
+    stacks = []
+
+    def predict_spy(params, cfg, x):
+        stacks.append(x.shape)
+        return real_predict(params, cfg, x)
+
+    monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", chunk)
+    monkeypatch.setattr(harness, "predict_probs", predict_spy)
+    got = harness.score_characters(timelines, bundle)
+    assert np.array_equal(got, want, equal_nan=True) and np.isnan(got).tolist() == [c == 0 for c in counts]
+    assert sorted(stacks) == want_stacks
 
 
 # --------------------------------------------------------- cross-validation

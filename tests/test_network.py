@@ -184,8 +184,8 @@ def test_sigmoid_matches_two_branch_formula() -> None:
 
 
 def batchnorm_forward(batch: np.ndarray, params: ModelParams, training: bool) -> np.ndarray:
-    """``_bn_apply`` over one (B, D) matrix, returned batch-major."""
-    return _bn_apply(batch, params, training)[0].T
+    """``_bn_apply`` over one (B, D) matrix, as B windows of one step, returned batch-major."""
+    return _bn_apply(batch[:, None, :], params, training)[0][0].T
 
 
 def test_batchnorm_training_two_point_batch() -> None:
@@ -346,6 +346,23 @@ def test_inference_is_batch_independent(use_batchnorm: bool) -> None:
     split = np.concatenate([forward(params, part, cfg, training=False)[0] for part in parts])
     for probs in (alone, split):
         assert (np.abs(probs - whole) <= 1e-12 * whole).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("use_batchnorm", [True, False])
+def test_inference_over_a_stack_equals_each_batch_alone(use_batchnorm: bool, dtype) -> None:
+    # each GEMM runs per batch of the stack, with that batch's own B, so the bits do not move
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, use_batchnorm=use_batchnorm, seed=3)
+    params = init_params(cfg)
+    params.bn_running_mean = np.array([0.2, 0.5, -0.1, 0.4])
+    params.bn_running_var = np.array([0.5, 2.0, 1.0, 0.1])
+    stack = np.random.default_rng(9).normal(size=(3, 5, 7, 4)).astype(dtype)
+    probs, trace = forward(params, stack, cfg, training=False)
+    assert probs.shape == (3, 5) and probs.dtype == np.float64 and trace is None
+    for stacked, batch in zip(probs, stack):
+        assert np.array_equal(stacked, forward(params, batch, cfg, training=False)[0])
+    with pytest.raises(ValueError, match="stack"):
+        forward(params, stack, cfg, training=True, rng=np.random.default_rng(0))
 
 
 # --- mixed precision ----------------------------------------------------------

@@ -9,13 +9,13 @@ leakage inflates scores.  In either mode each fold fits feature elimination
 on the labels of its own training characters alone.
 
 ``cross_validate`` evaluates the whole log, or each calendar period of it,
-as a list of spans.  It windows, folds and fits every span before any fold
-trains, then trains the folds of every span in one pool of forked worker
-processes with one OpenBLAS thread each, or in the calling process where it
-cannot; the report is the same either way.  ``score_characters`` cuts the
-windows of a chunk of characters at a time, in the calling process, and
-predicts the chunk's characters of each window count in one stacked
-forward.  Every inference call (a fold's test windows, early stopping's
+as one flat list of named splits, one per fold of each span.  It windows,
+folds and fits every span before any split trains, then trains every split
+in one pool of forked worker processes with one OpenBLAS thread each, or in
+the calling process where it cannot; the report is the same either way.
+``score_characters`` cuts the windows of a chunk of characters at a time, in
+the calling process, and predicts the chunk's characters of each window
+count in one stacked forward.  Every inference call (a fold's test windows, early stopping's
 validation windows, ``score``'s characters) goes through ``predict_probs``,
 which computes in ``TRAIN_DTYPE``, the dtype the model was trained in.
 """
@@ -317,7 +317,10 @@ class EvalRow:
     name: str
     metrics: Metrics
     confusion: ConfusionMatrix
-    n_test: int
+    n_test: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_test", self.confusion.total)
 
 
 @dataclass(frozen=True)
@@ -351,25 +354,21 @@ def derive_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(list(keys)).generate_state(1)[0])
 
 
-class _FoldJob(NamedTuple):
-    """What the folds of one span of a ``cross_validate`` run read: its name
-    ("" for the whole log), windows, their folds and each fold's kept columns."""
+class _Split(NamedTuple):
+    """One fold of one span of a ``cross_validate`` run: its name, its span's
+    windows (shared, not copied), its test mask, its kept columns, and the
+    model and training settings it trains with, seeds derived."""
 
     name: str
     samples: WindowSet
-    fold_of: np.ndarray
-    keeps: list[np.ndarray]
+    test: np.ndarray
+    keep: np.ndarray
     cfg: ModelConfig
     opts: TrainOptions
-    folds: FoldOptions
 
 
-def _named(name: str, message: str) -> str:
-    return f"{name}, {message}" if name else message
-
-
-def _fold_keep(timelines: Timelines, schema: FeatureSchema, trained_characters: np.ndarray, fold: int) -> np.ndarray:
-    """Which active columns of ``schema`` fold ``fold`` keeps: elimination
+def _fold_keep(timelines: Timelines, schema: FeatureSchema, trained_characters: np.ndarray, name: str) -> np.ndarray:
+    """Which active columns of ``schema`` split ``name`` keeps: elimination
     fitted with every label of ``timelines`` hidden but those of
     ``trained_characters``, so no test label helps choose the features."""
     trained = np.isin(timelines.character_id, trained_characters)
@@ -377,36 +376,30 @@ def _fold_keep(timelines: Timelines, schema: FeatureSchema, trained_characters: 
         fitted, _ = eliminate_noninfluential(replace(timelines, y=np.where(trained, timelines.y, np.nan)), schema)
     except DataError as exc:
         reason = "its training characters leave no feature that separates the classes"
-        raise DataError(f"Fold {fold + 1}: {reason}; elimination error: {exc}") from exc
+        raise DataError(f"{name}: {reason}; elimination error: {exc}") from exc
     return np.array(fitted.active)[np.array(schema.active)]
 
 
-def _fold_probs(jobs: list[_FoldJob], span: int, fold: int) -> np.ndarray:
-    """Train a fresh model of span ``span`` of ``jobs`` on its windows outside
-    ``fold`` and return its probabilities for the windows inside it, on the
-    columns ``fold`` keeps."""
-    _, samples, fold_of, keeps, cfg, opts, folds = jobs[span]
-    keep = keeps[fold]
-    fold_cfg = replace(cfg, input_dim=int(keep.sum()), seed=derive_seed(folds.seed, fold))
-    fold_opts = replace(opts, shuffle_seed=derive_seed(folds.seed, fold, 1))
-    x = samples.x if keep.all() else samples.x[..., keep]
-    training = fold_of != fold
-    params, _ = train(x[training], samples.y[training], fold_cfg, fold_opts)
-    return predict_probs(params, fold_cfg, x[fold_of == fold])
+def _split_probs(split: _Split) -> np.ndarray:
+    """Train a fresh model on the windows ``split`` does not test and return
+    its probabilities for the windows it does, on the columns it keeps."""
+    x = split.samples.x if split.keep.all() else split.samples.x[..., split.keep]
+    params, _ = train(x[~split.test], split.samples.y[~split.test], split.cfg, split.opts)
+    return predict_probs(params, split.cfg, x[split.test])
 
 
-# The state of the forked worker this runs in, set by ``_start_worker``.
-_WORKER_STATE: object = None
+# The splits of the forked worker this runs in, set by ``_start_worker``.
+_WORKER_SPLITS: Sequence[_Split] = ()
 
 
-def _start_worker(state: object, set_blas_threads: Callable[[int], None]) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = state
+def _start_worker(splits: Sequence[_Split], set_blas_threads: Callable[[int], None]) -> None:
+    global _WORKER_SPLITS
+    _WORKER_SPLITS = splits
     set_blas_threads(1)
 
 
-def _in_worker(task: Callable, *args: object) -> object:
-    return task(_WORKER_STATE, *args)
+def _in_worker(index: int) -> np.ndarray:
+    return _split_probs(_WORKER_SPLITS[index])
 
 
 def _usable_cpus() -> int:
@@ -425,45 +418,45 @@ def _openblas_function(name: str) -> Callable | None:
     return None
 
 
-def _map_in_workers(task: Callable, state: object, items: Sequence[tuple], names: Sequence[str]) -> list:
-    """``task(state, *item)`` of each of ``items``, in item order.
+def _predict_splits(splits: Sequence[_Split]) -> list[np.ndarray]:
+    """``_split_probs`` of each of ``splits``, in split order.
 
     One pool of forked workers, one per usable CPU up to the number of
-    items, runs the tasks; each worker is pinned to one OpenBLAS thread, so
-    the workers do not contend for cores, and takes ``state`` from the fork
-    rather than as a pickled copy.  Results are read in item order, and each
-    read starts the next item unless a started one has failed, so the first
-    failing item in that order raises its error here, as in one process,
-    after the items already running end.  A worker that dies (say, stopped
-    by the out-of-memory killer) ends the run with a ``BotledgerError`` that
-    names the item read by its entry in ``names``.  No worker outlives the
+    splits, trains them; each worker is pinned to one OpenBLAS thread, so
+    the workers do not contend for cores, and takes the splits, windows
+    included, from the fork rather than as a pickled copy.  Results are read
+    in split order, and each read starts the next split unless a started one
+    has failed, so the first failing split in that order raises its error
+    here, as in one process, after the splits already running end.  A worker
+    that dies (say, stopped by the out-of-memory killer) ends the run with a
+    ``BotledgerError`` that names the split read.  No worker outlives the
     call.  Without ``fork``, a second usable CPU or the OpenBLAS setter, the
-    items run here in turn.
+    splits train here in turn.
     """
-    workers = min(len(items), _usable_cpus())
+    workers = min(len(splits), _usable_cpus())
     pin = _openblas_function("set_num_threads") if workers > 1 and hasattr(os, "fork") else None
     if pin is None:
-        return [task(state, *item) for item in items]
-    # imported here, so that commands which never run tasks in workers do not load them (2 MB, 10 ms)
+        return [_split_probs(split) for split in splits]
+    # imported here, so that commands which never train in workers do not load them (2 MB, 10 ms)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     pin.argtypes, pin.restype = [ctypes.c_int], None
     fork = multiprocessing.get_context("fork")
-    results: list = []
+    results: list[np.ndarray] = []
     # not multiprocessing.Pool: a worker killed mid-task hangs Pool.imap but raises BrokenProcessPool here
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(state, pin)) as pool:
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(splits, pin)) as pool:
         futures: list = []
-        while len(results) < len(items):
-            ahead = min(len(items), len(results) + workers)
+        while len(results) < len(splits):
+            ahead = min(len(splits), len(results) + workers)
             while len(futures) < ahead and not any(f.done() and f.exception() for f in futures[len(results) :]):
-                futures.append(pool.submit(_in_worker, task, *items[len(futures)]))
+                futures.append(pool.submit(_in_worker, len(futures)))
             try:
                 results.append(futures[len(results)].result())
             except BrokenProcessPool as exc:
                 died = "its worker process died, for example because the out-of-memory killer stopped it"
-                raise BotledgerError(f"{names[len(results)]}: {died}") from exc
+                raise BotledgerError(f"{splits[len(results)].name}: {died}") from exc
     return results
 
 
@@ -480,14 +473,15 @@ def cross_validate(
     elimination and trains a fresh model.
 
     Each span (the log, or a period) is windowed once, over every active
-    column of ``schema``, and ``make_folds`` gives each window its fold;
-    each fold then fits ``_fold_keep``.  All of this is done for every
-    span before any fold trains.  Then one ``_map_in_workers`` call has each
-    fold of each span train on the other folds' window arrays and predict
-    its own, on the columns it keeps, in forked workers where it can.
-    Model and shuffle seeds derive from (span seed, fold index), so the
-    report does not depend on where a fold ran.  The report's ``config``
-    holds the fields of ``folds`` beside the model and training settings.
+    column of ``schema``, and ``make_folds`` gives each window its fold.
+    Each fold of each span becomes one ``_Split`` (``Fold n``, or ``Period
+    m, Fold n``) with its test mask, the columns its ``_fold_keep`` fit
+    keeps, and model and shuffle seeds derived from (span seed, fold), all
+    before any split trains.  ``_predict_splits`` then trains each split on
+    the windows outside its test mask and predicts those inside, in forked
+    workers where it can; the report does not depend on where a split ran.
+    The report's ``config`` holds the fields of ``folds`` beside the model
+    and training settings.
 
     Row ``Period n`` (``Week n`` for 7-day periods) is calendar period n,
     ``split_by_period``'s index plus one, with a seed derived from
@@ -512,9 +506,11 @@ def cross_validate(
             (f"{row_name} {period + 1}", period_timelines, replace(folds, seed=derive_seed(folds.seed, period + 1)))
             for period, period_timelines in split_by_period(timelines, folds.by_period_days * 86400.0)
         ]
-    jobs: list[_FoldJob] = []
+    evaluated: list[tuple[str, str, int]] = []  # each evaluated span's name, its splits' name prefix and seed
+    splits: list[_Split] = []
     skipped: list[str] = []
     for name, span_timelines, span_folds in spans:
+        prefix = f"{name}, " if name else ""
         try:
             samples = windows_from_timelines(span_timelines, schema, window_cfg)
             if not samples:
@@ -523,28 +519,30 @@ def cross_validate(
                     continue
                 raise DataError("no windows produced from the input timelines")
             fold_of = make_folds(samples, span_folds)
-            trained = [samples.character[fold_of != fold] for fold in range(folds.k)]
-            keeps = [_fold_keep(span_timelines, schema, characters, fold) for fold, characters in enumerate(trained)]
         except DataError as exc:
-            raise DataError(_named(name, str(exc))) from exc
-        jobs.append(_FoldJob(name, samples, fold_of, keeps, cfg, opts, span_folds))
-    if not jobs:
+            raise DataError(prefix + str(exc)) from exc
+        evaluated.append((name, prefix, span_folds.seed))
+        for fold in range(folds.k):
+            split_name, test = f"{prefix}Fold {fold + 1}", fold_of == fold
+            keep = _fold_keep(span_timelines, schema, samples.character[~test], split_name)
+            fold_cfg = replace(cfg, input_dim=int(keep.sum()), seed=derive_seed(span_folds.seed, fold))
+            fold_opts = replace(opts, shuffle_seed=derive_seed(span_folds.seed, fold, 1))
+            splits.append(_Split(split_name, samples, test, keep, fold_cfg, fold_opts))
+    if not splits:
         raise DataError(f"no {row_name.lower()} produced windows")
 
-    splits = [(span, fold) for span, job in enumerate(jobs) for fold in range(job.folds.k)]
-    names = [_named(jobs[span].name, f"Fold {fold + 1}") for span, fold in splits]
-    probs = iter(_map_in_workers(_fold_probs, jobs, splits, names))
+    probs = iter(_predict_splits(splits))
     reports: list[EvalReport] = []
-    for job in jobs:
+    for span, (_, prefix, seed) in enumerate(evaluated):
         rows = []
-        for fold in range(folds.k):
-            cm = confusion_from_predictions(next(probs), job.samples.y[job.fold_of == fold], folds.threshold)
-            rows.append(EvalRow(f"Fold {fold + 1}", compute_metrics(cm), cm, n_test=cm.total))
-        reports.append(EvalReport(rows=tuple(rows), config={**config, "seed": job.folds.seed}))
+        for split in splits[span * folds.k : (span + 1) * folds.k]:
+            cm = confusion_from_predictions(next(probs), split.samples.y[split.test], folds.threshold)
+            rows.append(EvalRow(split.name.removeprefix(prefix), compute_metrics(cm), cm))
+        reports.append(EvalReport(rows=tuple(rows), config={**config, "seed": seed}))
     if folds.by_period_days is None:
         return reports[0], {}
-    rows = [EvalRow(job.name, r.average, r.confusion_total, r.confusion_total.total) for job, r in zip(jobs, reports)]
-    periods = [{"name": job.name, "report": report} for job, report in zip(jobs, reports)]
+    rows = [EvalRow(name, r.average, r.confusion_total) for (name, _, _), r in zip(evaluated, reports)]
+    periods = [{"name": name, "report": report} for (name, _, _), report in zip(evaluated, reports)]
     return EvalReport(rows=tuple(rows), config=config), {"periods": periods, "skipped_periods": skipped}
 
 

@@ -640,9 +640,10 @@ def test_derive_seed_stable_and_distinct() -> None:
 
 def test_eval_row_serialization() -> None:
     cm = ConfusionMatrix(tp=5, fp=1, tn=6, fn=0)
-    row = EvalRow(name="Fold 1", metrics=compute_metrics(cm), confusion=cm, n_test=12)
+    row = EvalRow(name="Fold 1", metrics=compute_metrics(cm), confusion=cm)
     doc = json.loads(json.dumps(row, default=document))
     assert doc["name"] == "Fold 1"
+    assert doc["n_test"] == 12
     assert doc["confusion"] == {"tp": 5, "fp": 1, "tn": 6, "fn": 0}
 
 
@@ -739,6 +740,44 @@ def test_folds_in_workers_report_what_folds_in_process_report(monkeypatch, tmp_p
     assert pooled == serial
 
 
+FOLDS_IN_WORKERS = pytest.mark.skipif(
+    not hasattr(os, "fork") or harness._openblas_function("set_num_threads") is None,
+    reason="the folds run in the calling process here",
+)
+
+
+@FOLDS_IN_WORKERS
+def test_folds_reach_workers_through_the_fork_not_by_pickling(monkeypatch, tmp_path) -> None:
+    folds = FoldOptions(k=3, seed=4)
+    base = same_series_timelines()
+    signal = shifted(base, base.character_id[base.y == 1.0], [0], by=1.0)
+    timelines = shifted(signal, first_fold_characters(signal, folds)[1], [1], by=5.0)
+    cfg, opts = ModelConfig(2, 4, 0.2, 1e-4), TrainOptions(epochs=2)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    in_process = json.dumps(cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)[0], default=document)
+
+    def unpicklable(self):
+        raise pickle.PicklingError("a WindowSet was pickled")
+
+    pids = tmp_path / "pids.txt"
+    real_train = harness.train
+
+    def recording_train(x, y, cfg, opts):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_train(x, y, cfg, opts)
+
+    monkeypatch.setattr(WindowSet, "__reduce__", unpicklable, raising=False)
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(windows_from_timelines(timelines, TOY_SCHEMA, TOY_WINDOWS))
+    monkeypatch.setattr(harness, "train", recording_train)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    pooled, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
+    assert json.dumps(pooled, default=document) == in_process
+    trained_in = pids.read_text(encoding="utf-8").split()
+    assert len(trained_in) == folds.k and str(os.getpid()) not in trained_in
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_failing_fold_reaches_the_caller_and_leaves_no_worker(cpus, monkeypatch) -> None:
     # folds 2 and 3 fail, so in workers too the error is fold 2's, as in one process
@@ -812,10 +851,7 @@ except Exception as exc:
 """
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "fork") or harness._openblas_function("set_num_threads") is None,
-    reason="the folds run in the calling process here",
-)
+@FOLDS_IN_WORKERS
 def test_worker_killed_mid_fold_ends_the_run_instead_of_hanging(tmp_path) -> None:
     timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
     args = (timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1), FoldOptions(k=4))

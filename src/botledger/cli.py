@@ -7,8 +7,8 @@ periods), ``score`` applies a saved model to a log, and ``report`` prints
 distribution and elimination tables.
 
 Each option is one row of ``_OPTIONS``: its type, default, allowed range
-and argparse extras.  Its flag is the key with dashes, and a switch sets the
-opposite of its default (``--no-batchnorm`` sets ``batchnorm`` false).  An
+and argparse extras.  Its flag is the key with dashes; every switch defaults
+to false, and its flag sets it true (``--leaky-folds``).  An
 option that sets a config field names that field and takes its type,
 default and range from it, as declared on the field, so the library and the
 CLI check the same ranges; only ``seed``, which feeds several configs,
@@ -127,11 +127,9 @@ _OPTIONS: dict[str, _Option] = {
     ),
     "hidden_dim": _setting(ModelConfig, "hidden_dim", help="LSTM hidden width"),
     "dropout": _setting(ModelConfig, "dropout_p", help="dropout probability on the final hidden state"),
-    "l2": _setting(ModelConfig, "l2_lambda", help="L2 penalty on weight matrices"),
     "batch_size": _setting(TrainOptions, "batch_size"),
     "epochs": _setting(TrainOptions, "epochs"),
     "lr": _setting(TrainOptions, "lr", help="Adam learning rate"),
-    "batchnorm": _setting(ModelConfig, "use_batchnorm", help="disable input batch normalization"),
     "early_stop_patience": _setting(TrainOptions, "early_stop_patience", help="enable early stopping"),
     "k": _setting(FoldOptions, "k", help="number of folds"),
     "threshold": _setting(FoldOptions, "threshold", help="bot decision threshold (ties count as bot)"),
@@ -146,7 +144,7 @@ _OPTIONS: dict[str, _Option] = {
     "seed": _Option(int, 0, at_least(0), {}),
 }
 _WINDOW_KEYS = ("window_length", "stride", "scaling_scope")
-_MODEL_KEYS = ("hidden_dim", "dropout", "l2", "batch_size", "epochs", "lr", "batchnorm")
+_MODEL_KEYS = ("hidden_dim", "dropout", "batch_size", "epochs", "lr")
 # The options of each command, in --help order.
 _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
     "synth": ("bots", "normals", "days", "interval_hours", "separability", "seed"),
@@ -159,9 +157,7 @@ _COMMAND_OPTIONS: dict[str, tuple[str, ...]] = {
 
 
 def _flag(key: str) -> str:
-    option = _OPTIONS[key]
-    name = key.replace("_", "-")
-    return f"--no-{name}" if option.type is bool and option.default else f"--{name}"
+    return "--" + key.replace("_", "-")
 
 
 def _cast(key: str, value: object) -> object:
@@ -236,18 +232,25 @@ def _write_outputs(
     callable is given the path to write, and anything else, dataclasses
     included, as JSON by ``schema.document``.  Then write ``manifest.json``
     with the resolved options, as cast, and the sha256 of every input and
-    output."""
+    output.  A directory or file that cannot be written is a ``DataError``
+    naming it."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from exc
 
     def write(name: str, content: object) -> None:
-        if callable(content):
-            content(out / name)
-        elif isinstance(content, str):
-            (out / name).write_text(content, encoding="utf-8")
-        else:
-            text = json.dumps(content, indent=2, sort_keys=True, default=document)
-            (out / name).write_text(text + "\n", encoding="utf-8")
+        path = out / name
+        if not callable(content) and not isinstance(content, str):
+            content = json.dumps(content, indent=2, sort_keys=True, default=document) + "\n"
+        try:
+            if callable(content):
+                content(path)
+            else:
+                path.write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from exc
 
     for name, content in outputs.items():
         write(name, content)
@@ -499,9 +502,9 @@ def build_parser() -> _Parser:
         for flag, required, path_help in paths:
             p.add_argument(flag, required=required, help=path_help)
         for key in _COMMAND_OPTIONS[command]:
-            typ, default, _, extras, _ = _OPTIONS[key]
+            typ, _, _, extras, _ = _OPTIONS[key]
             if typ is bool:
-                extras = {"action": "store_const", "const": not default, **extras}
+                extras = {"action": "store_const", "const": True, **extras}
             elif "choices" not in extras:  # a choice stays a string, so argparse lists the choices
                 extras = {"type": typ, **extras}
             p.add_argument(_flag(key), dest=key, **extras)

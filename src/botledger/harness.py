@@ -229,9 +229,9 @@ class TrainOptions:
     __post_init__ = check_settings
 
 
-def _epoch_batches(batch_size: int, order: np.ndarray, merge_singleton: bool) -> list[np.ndarray]:
+def _epoch_batches(batch_size: int, order: np.ndarray) -> list[np.ndarray]:
     batches = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
-    if merge_singleton and len(batches) > 1 and len(batches[-1]) == 1:
+    if len(batches) > 1 and len(batches[-1]) == 1:
         batches[-2] = np.concatenate([batches[-2], batches[-1]])
         batches.pop()
     return batches
@@ -243,9 +243,9 @@ def train(x: np.ndarray, y: np.ndarray, cfg: ModelConfig, opts: TrainOptions) ->
 
     Batches are reshuffled every epoch from a dedicated generator; dropout
     masks come from a second generator so batch order and masks stay
-    independent.  With batch norm on, a trailing single-sample batch is
-    merged into its predecessor (one sample's batch statistics are its own
-    values, which erases the level information BN should preserve).  Early
+    independent.  A trailing single-sample batch is merged into its
+    predecessor (one sample's batch statistics are its own values, which
+    erases the level information batch norm should preserve).  Early
     stopping holds out ``HOLDOUT_FRACTION`` of the windows for validation
     and stops after ``early_stop_patience`` epochs without improvement; the
     params returned are those of the epoch with the lowest validation loss,
@@ -280,17 +280,17 @@ def train(x: np.ndarray, y: np.ndarray, cfg: ModelConfig, opts: TrainOptions) ->
     for epoch in range(opts.epochs):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         losses: list[float] = []
-        for batch_idx in _epoch_batches(opts.batch_size, order, cfg.use_batchnorm):
+        for batch_idx in _epoch_batches(opts.batch_size, order):
             xb, yb = x[batch_idx].astype(TRAIN_DTYPE), y[batch_idx]
             probs, trace = forward(params, xb, cfg, training=True, rng=dropout_rng)
-            losses.append(bce_loss(probs, yb, params, cfg.l2_lambda))
+            losses.append(bce_loss(probs, yb))
             grads = backward(trace, yb, params, cfg)
             params, state = adam_step(params, grads, state)
         entry = {"epoch": epoch + 1, "loss": float(np.mean(losses))}
         log.append(entry)
         if holdout is not None:
             val_probs = predict_probs(params, cfg, x[holdout])
-            entry["val_loss"] = bce_loss(val_probs, y[holdout], params, cfg.l2_lambda)
+            entry["val_loss"] = bce_loss(val_probs, y[holdout])
             if entry["val_loss"] < best_val - 1e-12:
                 best_val = entry["val_loss"]
                 best_params = params.copy()  # the next training forward updates BN stats in place

@@ -7,21 +7,28 @@ Layout, little-endian throughout:
     bytes 8-11  metadata length in bytes (u32)
     ...         metadata: canonical UTF-8 JSON object (model config, feature
                 schema and window config as ``schema.document`` writes
-                them, training summary)
+                them, training summary, and the payload's sha256 as hex)
     ...         ``ModelParams.flat`` as raw float64, which holds the tensors
                 in C order in the sequence W_x, W_h, b, bn_gamma, bn_beta,
                 bn_running_mean, bn_running_var, W_out, b_out
 
+Version 2 dropped the model config's L2 penalty and batch-norm switch and
+added the payload digest; a version 1 file is rejected, as its config may
+name a network this package no longer builds.
+
 The configs are read back with ``schema.read_document``, so a field of the
 wrong type or a config its constructor rejects is a ``DataError``.  The
 payload length is implied by the metadata's model config, so the reader can
-verify it exactly.  Unknown magic or version is rejected rather than
-guessed at, and so is metadata whose feature schema does not feed
-``input_dim`` features to the model, and a payload holding NaN or ±inf.
+verify it exactly, and the digest catches a payload changed in place, which
+would otherwise still load as a finite model.  Unknown magic or version is
+rejected rather than guessed at, and so is metadata whose feature schema
+does not feed ``input_dim`` features to the model, and a payload holding NaN
+or ±inf.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -35,7 +42,7 @@ from .network import ModelConfig, ModelParams, param_layout
 from .schema import FeatureSchema, document, read_document
 
 MAGIC = b"BOTW"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -53,11 +60,13 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
     params, cfg = bundle.params, bundle.config
     if (params.input_dim, params.hidden_dim) != (cfg.input_dim, cfg.hidden_dim):
         raise ValueError("model params do not match the model config's dimensions")
+    payload = params.flat.astype("<f8", copy=False).tobytes()
     metadata = {
         "model_config": cfg,
         "feature_schema": bundle.schema,
         "window_config": bundle.window_config,
         "training_summary": bundle.training_summary,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     meta_bytes = json.dumps(metadata, sort_keys=True, separators=(",", ":"), default=document).encode("utf-8")
     with open(path, "wb") as fh:
@@ -65,7 +74,7 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
-        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+        fh.write(payload)
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -92,7 +101,7 @@ def load_model(path: str | Path) -> ModelBundle:
         raise DataError(f"model file {path} has corrupt metadata: {exc}") from exc
     if not isinstance(metadata, dict):
         raise DataError(f"model file {path} metadata is not a JSON object")
-    for key in ("model_config", "feature_schema", "window_config", "training_summary"):
+    for key in ("model_config", "feature_schema", "window_config", "training_summary", "payload_sha256"):
         if key not in metadata:
             raise DataError(f"model file {path} metadata lacks {key!r}")
 
@@ -113,6 +122,8 @@ def load_model(path: str | Path) -> ModelBundle:
             f"model file {path} tensor payload is {len(payload)} bytes, "
             f"expected {layout.size * 8}"
         )
+    if hashlib.sha256(payload).hexdigest() != metadata["payload_sha256"]:
+        raise DataError(f"model file {path} tensor payload does not match its sha256 digest")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.isfinite(flat).all():
         bad = next(name for name, (where, _) in layout.views.items() if not np.isfinite(flat[where]).all())

@@ -43,10 +43,9 @@ The LSTM kernel follows the cuDNN recipe (Appleyard et al. 2016):
 * finiteness is checked once per batch: a non-finite cell state stays
   non-finite at every later step, so checking the last one suffices.
 
-Training minimizes mean binary cross-entropy plus an L2 penalty on the
-weight matrices (never biases or batch-norm parameters), with exact
-backpropagation through time and Adam updates.  Everything here is plain
-numpy; no framework is involved, which keeps the gradient checker honest.
+Training minimizes mean binary cross-entropy, with exact backpropagation
+through time and Adam updates.  Everything here is plain numpy; no
+framework is involved, which keeps the gradient checker honest.
 
 All tensors live in one float64 vector, ``ModelParams.flat``, laid out once
 by ``_TENSORS``; gradients and Adam moments share that layout, and
@@ -88,32 +87,29 @@ TRAIN_DTYPE = np.float32  # compute dtype of training minibatches
 
 # The parameter layout, in model.bin payload order.  Each row is a tensor's
 # name, its shape over D = input_dim and H = hidden_dim, and its role:
-# "weight" is trained and L2-penalized, "trained" is trained only, and
-# "stat" is a batch-norm running statistic that Adam never moves.
+# "trained" is moved by Adam, and "stat" is a batch-norm running statistic
+# that Adam never moves.
 _TENSORS = (
-    ("W_x", ("4H", "D"), "weight"),
-    ("W_h", ("4H", "H"), "weight"),
+    ("W_x", ("4H", "D"), "trained"),
+    ("W_h", ("4H", "H"), "trained"),
     ("b", ("4H",), "trained"),
     ("bn_gamma", ("D",), "trained"),
     ("bn_beta", ("D",), "trained"),
     ("bn_running_mean", ("D",), "stat"),
     ("bn_running_var", ("D",), "stat"),
-    ("W_out", ("H",), "weight"),
+    ("W_out", ("H",), "trained"),
     ("b_out", (), "trained"),
 )
 PARAM_NAMES = tuple(name for name, _, _ in _TENSORS)
-L2_FIELDS = tuple(name for name, _, role in _TENSORS if role == "weight")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Hyperparameters that fix the network's shape and regularization."""
+    """Hyperparameters that fix the network's shape and dropout."""
 
     input_dim: int = setting(allowed=at_least(1))
     hidden_dim: int = setting(32, at_least(1))
     dropout_p: float = setting(0.2, UNIT_OPEN)
-    l2_lambda: float = setting(1e-4, at_least(0))
-    use_batchnorm: bool = True
     seed: int = setting(0, at_least(0))
 
     __post_init__ = check_settings
@@ -287,8 +283,8 @@ class ForwardTrace:
     step is one contiguous (H, B) slab.
     """
 
-    x_used: np.ndarray  # (T, D, B) inputs as seen by the cell (post-BN if any)
-    x_hat: np.ndarray | None  # (T, D, B) pre-affine normalized inputs
+    x_used: np.ndarray  # (T, D, B) batch-normalized inputs as seen by the cell
+    x_hat: np.ndarray  # (T, D, B) pre-affine normalized inputs
     acts: np.ndarray  # (T, 4H, B) gate activations, rows i, f, g, o
     c: np.ndarray  # (T, H, B)
     tanh_c: np.ndarray  # (T, H, B)
@@ -340,11 +336,7 @@ def forward(
     # One statistic set per feature, shared across timesteps: batch moments
     # pool over (sample, timestep) rows so training and inference see the
     # same normalization geometry.
-    if cfg.use_batchnorm:
-        x_used, x_hat = _bn_apply(batch, params, training)
-    else:
-        x_used = _feature_major(batch)
-        x_hat = None
+    x_used, x_hat = _bn_apply(batch, params, training)
 
     # Input projection for every timestep in one stacked product; each
     # step's (4H, B) slab is then turned into that step's gate activations
@@ -407,13 +399,8 @@ def forward(
     return probs, trace
 
 
-def bce_loss(
-    probabilities: np.ndarray,
-    labels: Sequence | np.ndarray,
-    params: ModelParams | None = None,
-    l2_lambda: float = 0.0,
-) -> float:
-    """Mean binary cross-entropy, plus the L2 penalty when params are given.
+def bce_loss(probabilities: np.ndarray, labels: Sequence | np.ndarray) -> float:
+    """Mean binary cross-entropy.
 
     Probabilities are clipped to [1e-7, 1 - 1e-7] before the logs purely as
     a numeric guard.
@@ -422,10 +409,7 @@ def bce_loss(
     y = np.asarray(labels, dtype=float)
     if p.shape != y.shape:
         raise ValueError("probabilities and labels must have the same shape")
-    data = float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
-    if l2_lambda and params is not None:
-        data += l2_lambda * sum(float(np.sum(getattr(params, f) ** 2)) for f in L2_FIELDS)
-    return data
+    return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
 def backward(
@@ -443,6 +427,7 @@ def backward(
     trainable tensor; only gamma/beta need gradients, taken from the saved
     ``x_hat``.  The work runs in the trace's dtype; the float64 gradients
     share the params' layout, with zeros in the running-statistic slots.
+    ``cfg`` is unused; ``perfbench/micro.py`` passes it.
     """
     y = np.asarray(labels, dtype=float)
     t_steps, hdim, n = trace.h.shape
@@ -495,14 +480,9 @@ def backward(
     grads.W_x = np.matmul(da, trace.x_used.transpose(0, 2, 1)).sum(axis=0)
     grads.W_h = np.matmul(da[1:], trace.h[:-1].transpose(0, 2, 1)).sum(axis=0)
     grads.b = da.sum(axis=0).sum(axis=1)
-    if cfg.use_batchnorm:
-        dx_bn = np.matmul(w_x.T, da)  # gradient w.r.t. the BN output
-        grads.bn_gamma = (dx_bn * trace.x_hat).sum(axis=0).sum(axis=1)
-        grads.bn_beta = dx_bn.sum(axis=0).sum(axis=1)
-    if cfg.l2_lambda:
-        for name in L2_FIELDS:
-            grad = getattr(grads, name)
-            grad += 2.0 * cfg.l2_lambda * getattr(params, name)
+    dx_bn = np.matmul(w_x.T, da)  # gradient w.r.t. the BN output
+    grads.bn_gamma = (dx_bn * trace.x_hat).sum(axis=0).sum(axis=1)
+    grads.bn_beta = dx_bn.sum(axis=0).sum(axis=1)
 
     if not np.isfinite(grads.flat).all():
         raise NumericError("numeric overflow in gradients")

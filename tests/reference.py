@@ -82,7 +82,7 @@ def gradient_check(
 
     def loss_at(p: network.ModelParams) -> float:
         probs, _ = network.forward(p.copy(), batch, cfg, training=True)
-        return network.bce_loss(probs, labels, p, cfg.l2_lambda)
+        return network.bce_loss(probs, labels)
 
     per_tensor: dict[str, float] = {}
     checked = 0

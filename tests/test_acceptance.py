@@ -36,7 +36,7 @@ from reference import gradient_check
 
 def test_gradient_fidelity() -> None:
     """Analytic BPTT gradients match central differences on five seeds."""
-    cfg = ModelConfig(input_dim=2, hidden_dim=3, dropout_p=0.0, l2_lambda=1e-3, seed=0)
+    cfg = ModelConfig(input_dim=2, hidden_dim=3, dropout_p=0.0, seed=0)
     started = time.perf_counter()
     worst = 0.0
     for seed in range(5):
@@ -334,7 +334,7 @@ def test_weekly_report_shape(tmp_path, capsys) -> None:
 
 def test_model_round_trip_and_corruption(tmp_path, capsys) -> None:
     """Serialized models predict bit-identically; corrupt headers exit 2."""
-    cfg = ModelConfig(input_dim=9, hidden_dim=8, dropout_p=0.2, l2_lambda=1e-4, seed=5)
+    cfg = ModelConfig(input_dim=9, hidden_dim=8, dropout_p=0.2, seed=5)
     params = init_params(cfg)
     rng = np.random.default_rng(6)
     params.bn_running_mean = rng.normal(size=9)

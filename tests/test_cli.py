@@ -256,8 +256,8 @@ def test_featurize_keeps_a_character_whose_id_starts_with_a_hash(dataset, tmp_pa
 
 
 def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
-    # score's digest was taken while timelines were one object per character; the crossval digests when
-    # report.json lost elimination and took every FoldOptions field and each metrics object's flags
+    # the crossval digests were taken when the model config lost l2_lambda and use_batchnorm (window
+    # metrics did not move), and score's when training lost the L2 penalty
     data = tmp_path / "data"
     assert run(
         ["synth", "--bots", "6", "--normals", "18", "--days", "14", "--seed", "3", "--out", str(data)]
@@ -272,21 +272,21 @@ def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
     runs = {
         "cv/report.json": (
             [*crossval, "--out", str(tmp_path / "cv")],
-            "a4b2db0da5b703bfbb26f7770470744f111e7226c75ae2ccc7bbf7e9b56949f5",
+            "183118a242b2e2e777949d415b3d65a30277c5abfab08dded8a33196e412e5ec",
         ),
         "cvp/report.json": (
             [*crossval, "--by-period", "7", "--out", str(tmp_path / "cvp")],
-            "b3f0804ee50c0f096bf14e5cbb0763f5cd795a2c3eaf3c543c89f955adcfbaa5",
+            "370fc40cbec11c4125b33ce9117adf006bb406930a180f8e561fd950a5413886",
         ),
         "score/scores.csv": (
             ["score", "--log", log, "--labels", labels, "--model", str(tmp_path / "model" / "model.bin"),
              "--out", str(tmp_path / "score")],
-            "c2685ca5cf893d62a1c9268470c3cb5da8e996590309519ca04850ad558cbd76",
+            "66c98e11d7da19138bbba6359932f20b7eeca9b6c292a7b20943a5451640977e",
         ),
         "cvl/report.json": (
             ["crossval", "--log", log, "--labels", labels, "--k", "2", "--epochs", "1", "--seed", "3",
              "--by-period", "2", "--leaky-folds", "--threshold", "0.4", "--out", str(tmp_path / "cvl")],
-            "b74589b2fa92cedcd3f57c7ca0d14affad496a5300e8e41ff79f6c8e420fca1c",
+            "51b1ac61037cccc14b7a585885c8ac3dd9b491c51877c27c7915e638c40d7382",
         ),
     }
     for name, (argv, digest) in runs.items():
@@ -295,8 +295,10 @@ def test_crossval_and_score_bytes_are_pinned(tmp_path, capsys) -> None:
 
 
 def test_report_and_train_bytes_are_pinned(tmp_path, capsys) -> None:
-    # digests of the bytes written while each report built its JSON by hand;
-    # training stops early after epoch 2, so the log carries an early_stop entry
+    # report.json's digest is of the bytes written while each report built
+    # its JSON by hand; model.bin's and training_log.json's were taken when
+    # training lost the L2 penalty and model.bin went to format version 2.
+    # Training stops early after epoch 2, so the log carries an early_stop entry
     data = tmp_path / "data"
     assert run(
         ["synth", "--bots", "3", "--normals", "5", "--days", "3", "--seed", "21", "--out", str(data)]
@@ -310,8 +312,8 @@ def test_report_and_train_bytes_are_pinned(tmp_path, capsys) -> None:
     assert run(["report", "--log", log, "--labels", labels, "--out", str(tmp_path / "report")]) == 0
     pinned = {
         "report/report.json": "9b8bdf5011c79984aee06b73dce8c682555279eac0dbe8153c3bf67e856b16b7",
-        "model/model.bin": "20494c8f7e196586581e15f2945086d0c44ef9d431e4d9b6848d4f0ebe6c151d",
-        "model/training_log.json": "b5b4d5a27e117d35f40229793f44fcc2468bb70b4a9fbecf26541b61443bbc28",
+        "model/model.bin": "25accfc740b0c5a981422534d18600f28f0a36d12e6a067ef83d459d2fc15072",
+        "model/training_log.json": "40a206bb1b35b020b9de824a0e9dff4b141af4d51a250b5b95cbbe2d51b7deda",
     }
     for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
@@ -501,6 +503,64 @@ def test_corrupted_model_is_data_error(dataset, model_dir, tmp_path, capsys) -> 
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _as_version_1(blob: bytes) -> bytes:
+    """A model.bin as format version 1 wrote it for ``--no-batchnorm``: the
+    config's l2_lambda and use_batchnorm, and no payload digest."""
+
+    def edit(meta: dict) -> dict:
+        meta["model_config"].update(l2_lambda=1e-4, use_batchnorm=False)
+        del meta["payload_sha256"]
+        return meta
+
+    blob = _with_model_metadata(edit)(blob)
+    return blob[:4] + struct.pack("<I", 1) + blob[8:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, want",
+    [
+        (
+            lambda blob: blob[:-20] + bytes([blob[-20] ^ 0x01]) + blob[-19:],
+            "tensor payload does not match its sha256 digest",
+        ),
+        (_as_version_1, "has unsupported format version 1"),
+    ],
+    ids=["flipped-payload-byte", "version-1"],
+)
+def test_changed_payload_or_old_format_model_is_data_error(
+    corrupt, want, dataset, model_dir, tmp_path, capsys
+) -> None:
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(corrupt((model_dir / "model.bin").read_bytes()))
+    argv = ["score", "--log", str(dataset / "status_log.csv"), "--model", str(bad), "--out", str(tmp_path / "s")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: model file {bad} {want}\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+@pytest.mark.parametrize("command", ["synth", "featurize", "train", "crossval", "score", "report"])
+def test_out_that_cannot_be_written_is_data_error(
+    command, beneath, dataset, features, model_dir, tmp_path, capsys
+) -> None:
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n", encoding="utf-8")
+    out = taken / "out" if beneath else taken
+    log, labels = ["--log", str(dataset / "status_log.csv")], ["--labels", str(dataset / "labels.csv")]
+    argv = {
+        "synth": ["synth", "--bots", "1", "--normals", "1", "--days", "1"],
+        "featurize": ["featurize", *log, *labels],
+        "train": ["train", "--samples", str(features), "--epochs", "1"],
+        "crossval": ["crossval", *log, *labels, "--k", "2", "--epochs", "1"],
+        "score": ["score", *log, "--model", str(model_dir / "model.bin")],
+        "report": ["report", *log, *labels],
+    }[command]
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+    assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
 
 
 def test_report_prints_tables(dataset, tmp_path, capsys) -> None:
@@ -1130,7 +1190,8 @@ def _with_model_metadata(edit):
 
 
 def _with_tensor_entry(name, value):
-    """Set the first entry of tensor ``name`` in a model.bin's payload to ``value``."""
+    """Set the first entry of tensor ``name`` in a model.bin's payload to ``value``, and the
+    payload's digest to match."""
 
     def rewrite(blob: bytes) -> bytes:
         (meta_len,) = struct.unpack("<I", blob[8:12])
@@ -1138,7 +1199,9 @@ def _with_tensor_entry(name, value):
         where, _ = param_layout(cfg["input_dim"], cfg["hidden_dim"]).views[name]
         flat = np.frombuffer(blob[12 + meta_len :], dtype="<f8").copy()
         flat[where.start] = value
-        return blob[: 12 + meta_len] + flat.tobytes()
+        payload = flat.tobytes()
+        digest = _model_field("payload_sha256", value=hashlib.sha256(payload).hexdigest())
+        return digest(blob[: 12 + meta_len] + payload)
 
     return rewrite
 
@@ -1276,21 +1339,21 @@ def _put(index, value):
         # where the default is not null are usage errors too
         ("crossval", {"lr": float("nan")}, None, 1),
         ("crossval", {"lr": float("inf")}, None, 1),
-        ("crossval", {"l2": float("nan")}, None, 1),
-        ("train", {"l2": float("inf")}, None, 1),
+        ("crossval", {"dropout": float("nan")}, None, 1),
+        ("train", {"dropout": float("inf")}, None, 1),
         ("train", {"dropout": float("nan")}, None, 1),
         ("synth", {"days": float("nan")}, None, 1),
         ("synth", {"days": float("inf")}, None, 1),
         ("synth", {"interval_hours": float("nan")}, None, 1),
         ("synth", {"separability": float("-inf")}, None, 1),
         ("synth", {"bots": float("inf")}, None, 1),
-        ("train", {"batchnorm": None}, None, 1),
+        ("train", {"dropout": None}, None, 1),
         ("crossval", {"leaky_folds": None}, None, 1),
         # config values cast strictly: switches take JSON booleans, integer
         # options integral numbers, float options numbers
-        ("crossval", {"batchnorm": "false"}, None, 1),
+        ("crossval", {"leaky_folds": "false"}, None, 1),
         ("crossval", {"leaky_folds": "no"}, None, 1),
-        ("train", {"batchnorm": 0}, None, 1),
+        ("train", {"batch_size": False}, None, 1),
         ("crossval", {"k": 2.9}, None, 1),
         ("crossval", {"k": "3"}, None, 1),
         ("crossval", {"k": True}, None, 1),
@@ -1320,8 +1383,8 @@ def _put(index, value):
         ("synth", {"bots": 0, "normals": 0}, None, 1),
         # artifact fields cast strictly: switches are JSON booleans, integer
         # fields integral numbers
-        ("score", None, ("model.bin", _model_field("model_config", "use_batchnorm", value="false")), 2),
-        ("score", None, ("model.bin", _model_field("model_config", "use_batchnorm", value=1)), 2),
+        ("score", None, ("model.bin", _model_field("feature_schema", "active", 0, value="false")), 2),
+        ("score", None, ("model.bin", _model_field("model_config", "input_dim", value=True)), 2),
         ("score", None, ("model.bin", _model_field("model_config", "hidden_dim", value=32.9)), 2),
         ("score", None, ("model.bin", _model_field("model_config", "seed", value="11")), 2),
         ("score", None, ("model.bin", _model_field("feature_schema", "active", 0, value=1)), 2),
@@ -1332,7 +1395,7 @@ def _put(index, value):
         ("train", None, ("featurize.json", _featurize_field("schema", "active", 0, value="true")), 2),
         # float fields of model.bin are JSON numbers and finite
         ("score", None, ("model.bin", _model_field("model_config", "dropout_p", value="0.1")), 2),
-        ("score", None, ("model.bin", _model_field("model_config", "l2_lambda", value=float("nan"))), 2),
+        ("score", None, ("model.bin", _model_field("model_config", "dropout_p", value=float("nan"))), 2),
         # featurize output that keeps no feature, with windows zero features wide
         (
             "train",
@@ -1356,6 +1419,9 @@ def _put(index, value):
         ("score", None, ("model.bin", _with_model_metadata(_drop_window_config)), 2),
         # a null seed, as for every other option whose default is not null
         ("crossval", {"seed": None}, None, 1),
+        # the removed L2 penalty and batch-norm switch are unknown config keys
+        ("train", {"l2": 0.1}, None, 2),
+        ("crossval", {"batchnorm": False}, None, 2),
     ],
 )
 def test_malformed_inputs_exit_with_documented_code(
@@ -1409,7 +1475,7 @@ def test_synth_option_combinations_name_both_flags(argv, flags, tmp_path, capsys
 @pytest.mark.parametrize(
     "key, value, want",
     [
-        ("batchnorm", "false", "must be true or false"),
+        ("leaky_folds", "false", "must be true or false"),
         ("leaky_folds", 1, "must be true or false"),
         ("k", 2.9, "must be an integer"),
         ("k", "3", "must be an integer"),
@@ -1431,12 +1497,12 @@ def test_config_value_of_wrong_type_names_the_flag(key, value, want, tmp_path, c
 
 def test_integral_config_numbers_are_accepted(tmp_path) -> None:
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"k": 4.0, "seed": 7.0, "lr": 1, "batchnorm": False}), encoding="utf-8")
+    cfg_path.write_text(json.dumps({"k": 4.0, "seed": 7.0, "lr": 1, "leaky_folds": False}), encoding="utf-8")
     args = cli.build_parser().parse_args(
         ["crossval", "--log", "log.csv", "--labels", "labels.csv", "--config", str(cfg_path)]
     )
     resolved = cli._resolve(args)
-    assert [(resolved[k], type(resolved[k])) for k in ("k", "seed", "lr", "batchnorm")] == [
+    assert [(resolved[k], type(resolved[k])) for k in ("k", "seed", "lr", "leaky_folds")] == [
         (4, int),
         (7, int),
         (1.0, float),
@@ -1496,7 +1562,6 @@ _OUT_OF_RANGE = [
     ("train", "epochs", -1, "non-negative"),
     ("train", "batch_size", 0, "at least 1"),
     ("train", "dropout", 1.5, "in [0, 1)"),
-    ("train", "l2", -0.5, "non-negative"),
     ("train", "lr", 0, "positive"),
     ("crossval", "k", 1, "at least 2"),
     ("crossval", "threshold", 1.5, "in [0, 1]"),
@@ -1577,10 +1642,8 @@ _FLOAT_FLAGS = [
     ("synth", "--interval-hours"),
     ("synth", "--separability"),
     ("train", "--dropout"),
-    ("train", "--l2"),
     ("train", "--lr"),
     ("crossval", "--dropout"),
-    ("crossval", "--l2"),
     ("crossval", "--lr"),
     ("crossval", "--threshold"),
     ("crossval", "--by-period"),
@@ -1631,18 +1694,34 @@ def test_flags_are_exactly_the_config_keys(tmp_path) -> None:
             assert all(key in str(err.value) for key in others), command
 
 
-def test_no_batchnorm_flag_equals_config_key(features, tmp_path) -> None:
+def test_switch_flag_equals_config_key(tmp_path) -> None:
+    # every switch defaults to false, and its flag sets it true
+    assert all(option.default is False for option in cli._OPTIONS.values() if option.type is bool)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"batchnorm": False}), encoding="utf-8")
-    argv = ["train", "--samples", str(features), "--epochs", "1", "--seed", "11"]
-    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
-    assert run(argv + ["--no-batchnorm", "--out", str(by_flag)]) == 0
-    assert run(argv + ["--config", str(cfg_path), "--out", str(by_file)]) == 0
-    assert (by_flag / "model.bin").read_bytes() == (by_file / "model.bin").read_bytes()
-    assert load_model(by_flag / "model.bin").config.use_batchnorm is False
-    configs = [json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"] for out in (by_flag, by_file)]
-    assert configs[0] == configs[1]
-    assert configs[0]["batchnorm"] is False
+    cfg_path.write_text(json.dumps({"leaky_folds": True}), encoding="utf-8")
+    argv = ["crossval", "--log", "log.csv", "--labels", "labels.csv"]
+    by_flag, by_file, unset = (
+        cli._resolve(cli.build_parser().parse_args(argv + extra))
+        for extra in (["--leaky-folds"], ["--config", str(cfg_path)], [])
+    )
+    assert by_flag == by_file
+    assert by_flag["leaky_folds"] is True and unset["leaky_folds"] is False
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("train", ["--l2", "0.1"]),
+        ("train", ["--no-batchnorm"]),
+        ("crossval", ["--l2", "0.1"]),
+        ("crossval", ["--no-batchnorm"]),
+    ],
+)
+def test_removed_model_flags_are_usage_errors(command, flags, tmp_path, capsys) -> None:
+    paths = {"train": ["--samples", "samples"], "crossval": ["--log", "log.csv", "--labels", "labels.csv"]}[command]
+    assert run([command, *paths, *flags, "--out", str(tmp_path / "out")]) == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("module", ["botledger", "botledger.cli"])

@@ -366,7 +366,7 @@ def test_split_rejects_periods_too_short_to_number() -> None:
 
 def test_train_zero_epochs_returns_init() -> None:
     samples = toy_separable()
-    cfg = ModelConfig(2, 8, 0.0, 0.0, seed=5)
+    cfg = ModelConfig(2, 8, 0.0, seed=5)
     params, log = train(samples.x, samples.y, cfg, TrainOptions(epochs=0, batch_size=8))
     fresh = init_params(cfg)
     assert log == []
@@ -377,7 +377,7 @@ def test_train_zero_epochs_returns_init() -> None:
 
 def test_train_deterministic() -> None:
     samples = toy_separable()
-    cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=5)
+    cfg = ModelConfig(2, 8, 0.2, seed=5)
     opts = TrainOptions(epochs=3, batch_size=8, lr=1e-2, shuffle_seed=11)
     p1, log1 = train(samples.x, samples.y, cfg, opts)
     p2, log2 = train(samples.x, samples.y, cfg, opts)
@@ -390,20 +390,20 @@ def test_train_requires_both_classes() -> None:
     samples = toy_separable()
     bots = samples.y == 1.0
     with pytest.raises(DataError):
-        train(samples.x[bots], samples.y[bots], ModelConfig(2, 8, 0.0, 0.0), TrainOptions(epochs=1))
+        train(samples.x[bots], samples.y[bots], ModelConfig(2, 8, 0.0), TrainOptions(epochs=1))
 
 
 def test_train_separable_set_converges() -> None:
     # 32 samples, batch 8 -> 200 Adam steps over 50 epochs
     samples = toy_separable()
-    cfg = ModelConfig(2, 32, 0.2, 1e-4, seed=0)
+    cfg = ModelConfig(2, 32, 0.2, seed=0)
     x, y = samples.x, samples.y
     init_probs, _ = forward(init_params(cfg).copy(), x, cfg, training=False)
-    initial_loss = bce_loss(init_probs, y, init_params(cfg), cfg.l2_lambda)
+    initial_loss = bce_loss(init_probs, y)
 
     params, log = train(x, y, cfg, TrainOptions(epochs=50, batch_size=8, lr=1e-2))
     probs = predict_probs(params, cfg, x)
-    final_loss = bce_loss(probs, y, params, cfg.l2_lambda)
+    final_loss = bce_loss(probs, y)
     assert final_loss <= 0.1 * initial_loss
     m = compute_metrics(confusion_from_predictions(probs, y))
     assert m.accuracy >= 0.99
@@ -411,13 +411,13 @@ def test_train_separable_set_converges() -> None:
 
 def test_train_loss_decreases_over_epochs() -> None:
     samples = toy_separable(seed=2)
-    cfg = ModelConfig(2, 16, 0.0, 0.0, seed=1)
+    cfg = ModelConfig(2, 16, 0.0, seed=1)
     _, log = train(samples.x, samples.y, cfg, TrainOptions(epochs=10, batch_size=8, lr=1e-2))
     assert log[-1]["loss"] < log[0]["loss"]
     assert [e["epoch"] for e in log] == list(range(1, 11))
 
 
-def test_train_early_stop_triggers_on_noise() -> None:
+def test_train_early_stop_triggers_on_noise(monkeypatch) -> None:
     rng = np.random.default_rng(5)
     noise = window_set(
         [
@@ -432,20 +432,30 @@ def test_train_early_stop_triggers_on_noise() -> None:
     opts = TrainOptions(
         epochs=40, batch_size=8, lr=1e-2, shuffle_seed=1, early_stop_patience=3
     )
-    cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
+    cfg = ModelConfig(2, 8, 0.2, seed=2)
+    validated = []  # the params of each epoch's validation
+
+    def recording_predict(params, cfg, x):
+        validated.append(params.copy())
+        return predict_probs(params, cfg, x)
+
+    monkeypatch.setattr(harness, "predict_probs", recording_predict)
     params, log = train(noise.x, noise.y, cfg, opts)
     assert len(log) < 40
     assert log[-1].get("early_stop") is True
     assert all("val_loss" in e for e in log)
 
-    # the returned model is the best validation epoch's, not the last one's
-    best = min(e["val_loss"] for e in log)
-    assert log[-1]["val_loss"] > best
+    # each val_loss is the plain holdout BCE of that epoch's params
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[0])
     holdout = shuffle_rng.permutation(40)[:4]  # HOLDOUT_FRACTION of 40
     x, y = noise.x, noise.y
-    probs = predict_probs(params, cfg, x[holdout])
-    assert bce_loss(probs, y[holdout], params, cfg.l2_lambda) == best
+    val_losses = [e["val_loss"] for e in log]
+    assert [bce_loss(predict_probs(p, cfg, x[holdout]), y[holdout]) for p in validated] == val_losses
+
+    # the returned model is the best validation epoch's, not the last one's
+    best = int(np.argmin(val_losses))
+    assert best < len(log) - 1
+    assert params.flat.tobytes() == validated[best].flat.tobytes()
 
 
 def test_train_forward_is_float32_and_prediction_float64(monkeypatch) -> None:
@@ -458,7 +468,7 @@ def test_train_forward_is_float32_and_prediction_float64(monkeypatch) -> None:
 
     monkeypatch.setattr(harness, "forward", recording_forward)
     samples = toy_separable()
-    cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=2)
+    cfg = ModelConfig(2, 8, 0.2, seed=2)
     opts = TrainOptions(epochs=2, batch_size=8, early_stop_patience=5)
     params, _ = train(samples.x, samples.y, cfg, opts)
     probs = predict_probs(params, cfg, samples.x)
@@ -471,7 +481,7 @@ def test_train_forward_is_float32_and_prediction_float64(monkeypatch) -> None:
 
 
 def test_train_rejects_empty_or_unlabeled_windows() -> None:
-    cfg = ModelConfig(2, 8, 0.0, 0.0)
+    cfg = ModelConfig(2, 8, 0.0)
     samples = toy_separable()
     with pytest.raises(DataError):
         train(samples.x[samples.y > 1.0], samples.y[samples.y > 1.0], cfg, TrainOptions(epochs=1))
@@ -536,7 +546,7 @@ def test_score_characters_stacks_each_window_count_of_a_chunk(chunk, monkeypatch
 
 def test_cross_validate_separable() -> None:
     samples = toy_separable(n_chars_per_class=8, windows_per_char=4, seed=1)
-    cfg = ModelConfig(2, 16, 0.2, 1e-4, seed=0)
+    cfg = ModelConfig(2, 16, 0.2, seed=0)
     report, _ = cross_validate(
         toy_timelines(samples), TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=30, batch_size=8, lr=1e-2),
         FoldOptions(k=2, seed=3),
@@ -550,7 +560,7 @@ def test_cross_validate_separable() -> None:
 
 def test_cross_validate_reproducible() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4)
-    cfg = ModelConfig(2, 8, 0.2, 1e-4, seed=0)
+    cfg = ModelConfig(2, 8, 0.2, seed=0)
     opts = TrainOptions(epochs=5, batch_size=8, lr=1e-2)
     timelines = toy_timelines(samples)
     r1, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, FoldOptions(k=2, seed=8))
@@ -560,7 +570,7 @@ def test_cross_validate_reproducible() -> None:
 
 def test_report_average_row_matches_mean() -> None:
     samples = toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4)
-    cfg = ModelConfig(2, 8, 0.0, 0.0, seed=0)
+    cfg = ModelConfig(2, 8, 0.0, seed=0)
     report, _ = cross_validate(
         toy_timelines(samples), TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=5, batch_size=8, lr=1e-2),
         FoldOptions(k=3, seed=1),
@@ -602,7 +612,7 @@ def test_cross_validate_trains_and_predicts_on_rows_of_one_window_set(monkeypatc
     monkeypatch.setattr(WindowSet, "__post_init__", counting_post_init)
     monkeypatch.setattr(harness, "train", recording_train)
     monkeypatch.setattr(harness, "predict_probs", recording_predict)
-    cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1), folds)
+    cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0), TrainOptions(epochs=1), folds)
     # the windowing alone; no fold builds a WindowSet of its own
     assert made.read_text(encoding="utf-8").split() == [str(len(samples))]
     # each fold trains and predicts exactly once
@@ -621,7 +631,7 @@ def test_format_report_text_layout() -> None:
         toy_timelines(toy_separable(n_chars_per_class=4, windows_per_char=2, seed=7)),
         TOY_SCHEMA,
         TOY_WINDOWS,
-        ModelConfig(2, 8, 0.0, 0.0, seed=0),
+        ModelConfig(2, 8, 0.0, seed=0),
         TrainOptions(epochs=2, batch_size=8, lr=1e-2),
         FoldOptions(k=2, seed=0),
     )
@@ -692,7 +702,7 @@ def test_each_fold_fits_elimination_on_its_training_characters(monkeypatch) -> N
         return fitted, report
 
     monkeypatch.setattr(harness, "eliminate_noninfluential", recording)
-    cfg = ModelConfig(2, 4, 0.0, 0.0)
+    cfg = ModelConfig(2, 4, 0.0)
     report, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=0), folds)
     assert len(report.rows) == len(fits) == 3
     assert fits[0] == (tested, ("Total Cash",))  # fold 1 hides its test labels and drops the leak
@@ -705,7 +715,7 @@ def test_fold_whose_fit_keeps_no_feature_is_a_data_error() -> None:
     _, leakers = first_fold_characters(base, folds)
     timelines = shifted(base, leakers, [0, 1], by=5.0)
     assert eliminate_noninfluential(timelines, TOY_SCHEMA)[0] == TOY_SCHEMA
-    cfg = ModelConfig(2, 4, 0.0, 0.0)
+    cfg = ModelConfig(2, 4, 0.0)
     with pytest.raises(DataError, match="no active features remain"):
         cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, TrainOptions(epochs=0), folds)
 
@@ -726,7 +736,7 @@ def test_folds_in_workers_report_what_folds_in_process_report(monkeypatch, tmp_p
 
     def run(cpus):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-        cfg, opts = ModelConfig(2, 4, 0.2, 1e-4), TrainOptions(epochs=2)
+        cfg, opts = ModelConfig(2, 4, 0.2), TrainOptions(epochs=2)
         report, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
         ran_in = set(pids.read_text(encoding="utf-8").split())
         pids.unlink()
@@ -752,7 +762,7 @@ def test_folds_reach_workers_through_the_fork_not_by_pickling(monkeypatch, tmp_p
     base = same_series_timelines()
     signal = shifted(base, base.character_id[base.y == 1.0], [0], by=1.0)
     timelines = shifted(signal, first_fold_characters(signal, folds)[1], [1], by=5.0)
-    cfg, opts = ModelConfig(2, 4, 0.2, 1e-4), TrainOptions(epochs=2)
+    cfg, opts = ModelConfig(2, 4, 0.2), TrainOptions(epochs=2)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     in_process = json.dumps(cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)[0], default=document)
 
@@ -792,7 +802,7 @@ def test_first_failing_fold_reaches_the_caller_and_leaves_no_worker(cpus, monkey
                 raise NumericError(f"numeric overflow in gradients of fold {fold + 1}")
         return real_train(x, y, cfg, opts)
 
-    cfg, opts = ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1)
+    cfg, opts = ModelConfig(2, 4, 0.0), TrainOptions(epochs=1)
     cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(harness, "train", failing_train)
@@ -821,7 +831,7 @@ def test_no_fold_starts_after_a_fold_fails(monkeypatch, tmp_path) -> None:
         return real_train(x, y, cfg, opts)
 
     monkeypatch.setattr(harness, "train", logging_train)
-    cfg, opts = ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1)
+    cfg, opts = ModelConfig(2, 4, 0.0), TrainOptions(epochs=1)
     with pytest.raises(NumericError, match=r"^numeric overflow in gradients of fold 2$"):
         cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
     assert sorted(started.read_text(encoding="utf-8").split()) == ["1", "2"]
@@ -854,7 +864,7 @@ except Exception as exc:
 @FOLDS_IN_WORKERS
 def test_worker_killed_mid_fold_ends_the_run_instead_of_hanging(tmp_path) -> None:
     timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
-    args = (timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0, 0.0), TrainOptions(epochs=1), FoldOptions(k=4))
+    args = (timelines, TOY_SCHEMA, TOY_WINDOWS, ModelConfig(2, 4, 0.0), TrainOptions(epochs=1), FoldOptions(k=4))
     job = tmp_path / "args.pkl"
     job.write_bytes(pickle.dumps(args))
     src = str(Path(botledger.__file__).resolve().parents[1])

@@ -16,7 +16,7 @@ from botledger.schema import canonical_schema
 
 
 def make_bundle(seed=0, hidden=6, input_dim=9):
-    cfg = ModelConfig(input_dim=input_dim, hidden_dim=hidden, dropout_p=0.1, l2_lambda=1e-4, seed=seed)
+    cfg = ModelConfig(input_dim=input_dim, hidden_dim=hidden, dropout_p=0.1, seed=seed)
     params = init_params(cfg)
     # perturb away from init so the round trip is not trivially symmetric
     rng = np.random.default_rng(seed + 100)
@@ -56,7 +56,7 @@ def _filled(start, *shape):
 
 def test_file_bytes_are_pinned(tmp_path) -> None:
     # tensors filled without an RNG, so the bytes cannot drift with numpy's
-    # generators; the digest pins format version 1 as first written, tensor
+    # generators; the digest pins format version 2 as first written, tensor
     # by tensor
     layout = param_layout(9, 2)
     params = ModelParams(np.empty(layout.size), layout)
@@ -79,7 +79,7 @@ def test_file_bytes_are_pinned(tmp_path) -> None:
     path = tmp_path / "model.bin"
     save_model(path, bundle)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "dfb6af7de3955818484224e28705637aa7d0573ef2d7becbbdddac2bcbdbbd3f"
+    assert digest == "3a1d35fae63013267fb4132b9bccb77d0020f12f5d47fea18608c3ca1c7a96a1"
     assert load_model(path).params.flat.tobytes() == params.flat.tobytes()
 
 
@@ -112,7 +112,8 @@ def test_header_layout(tmp_path) -> None:
     import json
 
     meta = json.loads(blob[12 : 12 + meta_len].decode("utf-8"))
-    assert set(meta) == {"model_config", "feature_schema", "window_config", "training_summary"}
+    assert set(meta) == {"model_config", "feature_schema", "window_config", "training_summary", "payload_sha256"}
+    assert meta["payload_sha256"] == hashlib.sha256(blob[12 + meta_len :]).hexdigest()
 
 
 def test_wrong_magic_rejected(tmp_path) -> None:
@@ -161,7 +162,9 @@ def test_corrupt_metadata_rejected(tmp_path) -> None:
         load_model(path)
 
 
-@pytest.mark.parametrize("key", ["model_config", "feature_schema", "window_config", "training_summary"])
+@pytest.mark.parametrize(
+    "key", ["model_config", "feature_schema", "window_config", "training_summary", "payload_sha256"]
+)
 def test_metadata_missing_key_rejected(tmp_path, key) -> None:
     path = tmp_path / "model.bin"
     save_model(path, make_bundle())

@@ -64,8 +64,6 @@ def test_model_config_validation() -> None:
         ModelConfig(input_dim=0, hidden_dim=4)
     with pytest.raises(ValueError):
         ModelConfig(input_dim=4, hidden_dim=4, dropout_p=1.0)
-    with pytest.raises(ValueError):
-        ModelConfig(input_dim=4, hidden_dim=4, l2_lambda=-1.0)
 
 
 # --- parameter layout ---------------------------------------------------------
@@ -241,7 +239,7 @@ def test_batchnorm_singleton_batch_is_fatal() -> None:
 
 
 def test_forward_zero_head_gives_half() -> None:
-    cfg = ModelConfig(input_dim=3, hidden_dim=4, dropout_p=0.0, use_batchnorm=False)
+    cfg = ModelConfig(input_dim=3, hidden_dim=4, dropout_p=0.0)
     p = _zero_params(3, 4)
     probs, trace = forward(p, np.random.default_rng(0).random((5, 6, 3)), cfg, training=True)
     assert np.allclose(probs, 0.5, atol=1e-15)
@@ -249,18 +247,23 @@ def test_forward_zero_head_gives_half() -> None:
 
 
 def test_forward_training_inference_agree_without_dropout() -> None:
-    cfg = ModelConfig(input_dim=3, hidden_dim=4, dropout_p=0.0, use_batchnorm=False, seed=2)
+    # training normalizes with the batch's moments, inference with the
+    # running ones: the two agree once the running ones are the batch's
+    cfg = ModelConfig(input_dim=3, hidden_dim=4, dropout_p=0.0, seed=2)
     p = init_params(cfg)
     batch = np.random.default_rng(1).random((4, 5, 3))
-    p_train, _ = forward(p, batch, cfg, training=True)
+    p_train, _ = forward(p.copy(), batch, cfg, training=True)
+    rows = batch.reshape(-1, 3)
+    p.bn_running_mean, p.bn_running_var = rows.mean(axis=0), rows.var(axis=0)
     p_infer, trace = forward(p, batch, cfg, training=False)
-    assert np.array_equal(p_train, p_infer)
+    assert _rel_err(p_infer, p_train) <= 1e-12
     assert trace is None
 
 
 def test_forward_hand_rolled_scalar_chain() -> None:
-    # 1-dim input, 1-dim hidden, no BN: verify T=2 recurrence step by step
-    cfg = ModelConfig(input_dim=1, hidden_dim=1, dropout_p=0.0, use_batchnorm=False)
+    # 1-dim input, 1-dim hidden: verify T=2 recurrence step by step; with
+    # unit running statistics, inference batch norm is x / sqrt(1 + BN_EPS)
+    cfg = ModelConfig(input_dim=1, hidden_dim=1, dropout_p=0.0)
     p = _zero_params(1, 1)
     p.W_x = np.array([[0.3], [0.5], [-0.4], [0.8]])  # i, f, g, o input weights
     p.W_h = np.array([[0.1], [-0.2], [0.6], [0.7]])
@@ -274,7 +277,7 @@ def test_forward_hand_rolled_scalar_chain() -> None:
 
     h = c = 0.0
     for t in range(2):
-        xt = x[0, t, 0]
+        xt = x[0, t, 0] / math.sqrt(1.0 + BN_EPS)
         i = sig(0.3 * xt + 0.1 * h + 0.05)
         f = sig(0.5 * xt + -0.2 * h + 1.0)
         g = math.tanh(-0.4 * xt + 0.6 * h + -0.1)
@@ -290,10 +293,9 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
-@pytest.mark.parametrize("use_batchnorm", [True, False])
 @pytest.mark.parametrize("training", [True, False])
-def test_forward_matches_cell_step_reference(use_batchnorm: bool, training: bool) -> None:
-    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.0, use_batchnorm=use_batchnorm, seed=3)
+def test_forward_matches_cell_step_reference(training: bool) -> None:
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.0, seed=3)
     params = init_params(cfg)
     params.bn_running_mean = np.array([0.2, 0.5, -0.1, 0.4])
     params.bn_running_var = np.array([0.5, 2.0, 1.0, 0.1])
@@ -301,10 +303,7 @@ def test_forward_matches_cell_step_reference(use_batchnorm: bool, training: bool
 
     # reference: batch norm over all (sample, step) rows, then cell_step per step
     ref = params.copy()
-    x = batch.reshape(35, 4)
-    if use_batchnorm:
-        x = batchnorm_forward(x, ref, training=training)
-    x = x.reshape(5, 7, 4)
+    x = batchnorm_forward(batch.reshape(35, 4), ref, training=training).reshape(5, 7, 4)
     h = c = np.zeros((5, 6))
     hs, cs, gates = [], [], []
     for t in range(7):
@@ -331,11 +330,10 @@ def test_forward_matches_cell_step_reference(use_batchnorm: bool, training: bool
     assert np.array_equal(trace.h_final, trace.h[-1])
 
 
-@pytest.mark.parametrize("use_batchnorm", [True, False])
-def test_inference_is_batch_independent(use_batchnorm: bool) -> None:
+def test_inference_is_batch_independent() -> None:
     # the batch is the fast axis of every kernel buffer: a window's
     # probability must not depend on the windows that share its forward
-    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.2, use_batchnorm=use_batchnorm, seed=3)
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.2, seed=3)
     params = init_params(cfg)
     params.bn_running_mean = np.array([0.2, 0.5, -0.1, 0.4])
     params.bn_running_var = np.array([0.5, 2.0, 1.0, 0.1])
@@ -349,10 +347,9 @@ def test_inference_is_batch_independent(use_batchnorm: bool) -> None:
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("use_batchnorm", [True, False])
-def test_inference_over_a_stack_equals_each_batch_alone(use_batchnorm: bool, dtype) -> None:
+def test_inference_over_a_stack_equals_each_batch_alone(dtype) -> None:
     # each GEMM runs per batch of the stack, with that batch's own B, so the bits do not move
-    cfg = ModelConfig(input_dim=4, hidden_dim=6, use_batchnorm=use_batchnorm, seed=3)
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, seed=3)
     params = init_params(cfg)
     params.bn_running_mean = np.array([0.2, 0.5, -0.1, 0.4])
     params.bn_running_var = np.array([0.5, 2.0, 1.0, 0.1])
@@ -368,15 +365,13 @@ def test_inference_over_a_stack_equals_each_batch_alone(use_batchnorm: bool, dty
 # --- mixed precision ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("use_batchnorm", [True, False])
-def test_float32_batch_gives_float32_buffers_and_float64_probs(use_batchnorm: bool) -> None:
-    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.2, use_batchnorm=use_batchnorm, seed=3)
+def test_float32_batch_gives_float32_buffers_and_float64_probs() -> None:
+    cfg = ModelConfig(input_dim=4, hidden_dim=6, dropout_p=0.2, seed=3)
     params = init_params(cfg)
     batch = np.random.default_rng(4).random((5, 7, 4))
     probs, trace = forward(params, batch.astype(np.float32), cfg, training=True, rng=np.random.default_rng(0))
-    buffers = [trace.x_used, trace.c, trace.tanh_c, trace.h, trace.dropout_mask, trace.h_final, *trace.gates]
-    if use_batchnorm:
-        buffers.append(trace.x_hat)
+    buffers = [trace.x_used, trace.x_hat, trace.c, trace.tanh_c, trace.h, trace.dropout_mask, trace.h_final]
+    buffers += trace.gates
     assert [b.dtype for b in buffers] == [np.float32] * len(buffers)
     assert probs.dtype == np.float64 and trace.probs.dtype == np.float64
     assert params.flat.dtype == np.float64  # running statistics stay float64
@@ -388,9 +383,8 @@ def test_float32_batch_gives_float32_buffers_and_float64_probs(use_batchnorm: bo
     assert _rel_err(got, want) <= 1e-5
 
 
-@pytest.mark.parametrize("use_batchnorm", [True, False])
-def test_float32_backward_matches_float64_gradients(use_batchnorm: bool) -> None:
-    cfg = ModelConfig(input_dim=9, hidden_dim=32, dropout_p=0.2, use_batchnorm=use_batchnorm, seed=5)
+def test_float32_backward_matches_float64_gradients() -> None:
+    cfg = ModelConfig(input_dim=9, hidden_dim=32, dropout_p=0.2, seed=5)
     params = init_params(cfg)
     rng = np.random.default_rng(6)
     batch = rng.random((64, 24, 9))
@@ -449,8 +443,8 @@ def test_forward_dropout_needs_rng() -> None:
 
 
 def test_dropout_mask_scaling_and_expectation() -> None:
-    cfg = ModelConfig(input_dim=2, hidden_dim=8, dropout_p=0.3, use_batchnorm=False, seed=5)
-    no_drop = ModelConfig(input_dim=2, hidden_dim=8, dropout_p=0.0, use_batchnorm=False, seed=5)
+    cfg = ModelConfig(input_dim=2, hidden_dim=8, dropout_p=0.3, seed=5)
+    no_drop = ModelConfig(input_dim=2, hidden_dim=8, dropout_p=0.0, seed=5)
     p = init_params(cfg)
     batch = np.random.default_rng(2).random((4, 3, 2))
     _, clean = forward(p, batch, no_drop, training=True)
@@ -474,7 +468,7 @@ def test_dropout_mask_scaling_and_expectation() -> None:
 
 
 def test_forward_seeded_dropout_is_deterministic() -> None:
-    cfg = ModelConfig(input_dim=2, hidden_dim=4, dropout_p=0.4, use_batchnorm=False, seed=5)
+    cfg = ModelConfig(input_dim=2, hidden_dim=4, dropout_p=0.4, seed=5)
     p = init_params(cfg)
     batch = np.random.default_rng(2).random((6, 3, 2))
     a, _ = forward(p, batch, cfg, training=True, rng=np.random.default_rng(9))
@@ -500,17 +494,6 @@ def test_bce_clipping_keeps_loss_finite() -> None:
     assert math.isfinite(bce_loss(np.array([0.0]), np.array([1.0])))
     assert math.isfinite(bce_loss(np.array([1.0]), np.array([0.0])))
     assert bce_loss(np.array([0.0]), np.array([1.0])) == pytest.approx(-math.log(1e-7))
-
-
-def test_bce_l2_term() -> None:
-    p = _zero_params(2, 2)
-    p.W_x = np.full((8, 2), 2.0)
-    p.W_h = np.zeros((8, 2))
-    p.W_out = np.array([3.0, 0.0])
-    lam = 0.01
-    base = bce_loss(np.array([0.5]), np.array([1.0]))
-    full = bce_loss(np.array([0.5]), np.array([1.0]), p, lam)
-    assert full - base == pytest.approx(lam * (16 * 4.0 + 9.0), abs=1e-12)
 
 
 def test_bce_accepts_label_objects() -> None:

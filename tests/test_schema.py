@@ -52,7 +52,7 @@ def _json(doc):
 @pytest.mark.parametrize(
     "config",
     [
-        ModelConfig(input_dim=7, hidden_dim=5, dropout_p=0.0, l2_lambda=0.5, use_batchnorm=False, seed=12),
+        ModelConfig(input_dim=7, hidden_dim=5, dropout_p=0.0, seed=12),
         WindowConfig(window_length=6, stride=3, scaling_scope=ScalingScope.PER_WINDOW),
         canonical_schema().deactivate([0, 4, 8]),
     ],
@@ -66,7 +66,7 @@ def test_documents_round_trip_through_json(config) -> None:
     "cls, path, value, field",
     [
         (ModelConfig, ("hidden_dim",), "4", "hidden_dim must be an integer, got '4'"),
-        (ModelConfig, ("use_batchnorm",), 0, "use_batchnorm must be true or false"),
+        (ModelConfig, ("dropout_p",), "0.2", "dropout_p must be a number"),
         (WindowConfig, ("stride",), True, "stride must be an integer"),
         (WindowConfig, ("scaling_scope",), "hourly", "scaling_scope"),
         (FeatureSchema, ("features", 2, "id"), 2.5, "features[2].id must be an integer"),

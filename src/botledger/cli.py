@@ -26,11 +26,13 @@ null, is a usage error that names the flag.
 
 ``_write_outputs`` is the only writer of artifacts.  Commands hand it
 their report objects, and it writes them as JSON with ``schema.document``,
-each dataclass as its fields.  It makes ``--out`` just before the first
-file is written, so a command that fails on its options or inputs leaves no
-``--out`` behind, and it drops a ``manifest.json`` beside the outputs with
-the resolved options, as cast, and sha256 checksums of inputs and outputs,
-so reruns can be compared byte-for-byte.
+each dataclass as its fields.  ``_resolve`` checks ``--out`` before any
+work, so an existing file, or a path beneath one, fails at once.
+``_write_outputs`` makes ``--out`` just before the first file is written,
+so a command that fails on its options or inputs leaves no ``--out``
+behind, and it drops a ``manifest.json`` beside the outputs with the
+resolved options, as cast, and sha256 checksums of inputs and outputs, so
+reruns can be compared byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or artifact error, 3 numeric
 failure or a worker process that died.
@@ -190,7 +192,8 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags, in rising precedence,
-    and cast every value to its option's type."""
+    and cast every value to its option's type.  Then check that ``--out``,
+    when given, can be made a directory, before the command reads or trains."""
     keys = _COMMAND_OPTIONS[args.command]
     resolved = {key: _OPTIONS[key].default for key in keys}
     if args.config:
@@ -204,7 +207,17 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in keys:
         flag_value = getattr(args, key)
         resolved[key] = _cast(key, resolved[key] if flag_value is None else flag_value)
+    if getattr(args, "out", None):
+        _check_out(Path(args.out))
     return resolved
+
+
+def _check_out(out: Path) -> None:
+    """A ``DataError`` when ``out``, or the nearest of its parents that
+    exists, is not a directory: an existing file, or a path beneath one."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise DataError(f"cannot write {out}: {existing} is not a directory")
 
 
 def _config(cls: type, resolved: dict, **fixed):

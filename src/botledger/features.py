@@ -62,6 +62,11 @@ def windows_from_timelines(timelines: Timelines, schema: FeatureSchema, cfg: Win
     cols = np.array(schema.active_indices(), dtype=np.intp)
     if not len(cols):
         raise ValueError("schema has no active features")
+
+    def active(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``values[rows]`` on the active columns; whole rows when every column is."""
+        return values[rows] if len(cols) == values.shape[1] else values[rows[..., None], cols]
+
     length = np.diff(timelines.bounds)
     counts = np.where(length >= cfg.window_length, (length - cfg.window_length) // cfg.stride + 1, 0)
     windowed = counts > 0
@@ -69,12 +74,12 @@ def windows_from_timelines(timelines: Timelines, schema: FeatureSchema, cfg: Win
     first = np.repeat(timelines.bounds[:-1][windowed], counts)
     start = (np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)) * cfg.stride
     # one gather: (windows, steps, features)
-    x = timelines.values[(first + start)[:, None, None] + np.arange(cfg.window_length)[:, None], cols]
+    x = active(timelines.values, (first + start)[:, None] + np.arange(cfg.window_length))
     if cfg.scaling_scope is ScalingScope.PER_WINDOW or not len(x):  # reduceat needs indices
         lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
     else:  # the character's whole timeline, repeated for each of its windows
-        owner = np.repeat(np.flatnonzero(windowed), counts)[:, None, None]
-        lo, hi = (f.reduceat(timelines.values, timelines.bounds[:-1])[owner, cols] for f in (np.minimum, np.maximum))
+        owner = np.repeat(np.flatnonzero(windowed), counts)[:, None]
+        lo, hi = (active(f.reduceat(timelines.values, timelines.bounds[:-1]), owner) for f in (np.minimum, np.maximum))
     # min and max are finite exactly when every value they span is
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise NumericError("cannot scale a series with non-finite values")

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import BotledgerError, DataError
 from .features import WindowConfig, eliminate_noninfluential, windows_from_timelines
+from .ingest import _usable_cpus
 from .model_io import ModelBundle
 from .network import (
     TRAIN_DTYPE,
@@ -400,10 +401,6 @@ def _start_worker(splits: Sequence[_Split], set_blas_threads: Callable[[int], No
 
 def _in_worker(index: int) -> np.ndarray:
     return _split_probs(_WORKER_SPLITS[index])
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _openblas_function(name: str) -> Callable | None:

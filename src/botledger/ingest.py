@@ -8,19 +8,28 @@ fatal) but tolerant of bad rows, which are dropped and counted by reason.
 The kept rows go into columns, which one sort by (character, timestamp)
 turns into one ``Timelines``.
 
-A status log is read once, in blocks of whole lines.  Vectorised byte checks
-screen each block, and the lines that pass go through one ``np.loadtxt``
-call per block.  A line passes when it has every field, none of them empty,
-its id and account are printable ASCII, and its timestamp and values use
-only ``0-9 . e E + -``.  Any other line goes through the csv module and
+A status log is read once, cut at line starts into byte ranges: one per
+usable CPU, none smaller than ``_BLOCK_BYTES``.  The calling process reads
+the header and the first range; each other range is parsed in a forked
+child, which sends its rows back through a pipe and exits, and no child
+outlives the read.  Each range runs on a CPU of its own while it is parsed.  A child that dies (say, stopped by the out-of-memory
+killer) ends the read with a ``BotledgerError``.  The ranges are joined in
+file order, so any number of them gives the rows, dtypes and counts of one.
+
+Each range is read in blocks of whole lines.  Vectorised byte checks screen
+each block, and the lines that pass go through one ``np.loadtxt`` call per
+block.  A line passes when it has every field, none of them empty, its id
+and account are printable ASCII, and its timestamp and values use only
+``0-9 . e E + -``.  Any other line goes through the csv module and
 ``float()`` on its own, in place: blank, short or long rows, padded or
 non-ASCII ids, and numerals with spaces or such as ``nan``, ``inf`` or
-``1_0``.  A CR LF line end is read as an LF.  The first block holding a
+``1_0``.  A CR LF line end is read as an LF.  A block in any range holding a
 quote, a NUL or a CR anywhere else sends the whole file to the csv module,
 row by row from the start, as a screened numeral loadtxt rejects (``1e``,
-``1.2.3``) and a header that does not match do.  On the screened characters
-loadtxt and ``float()`` accept the same strings and give the same doubles,
-so both paths give the same rows, dtypes and counts.
+``1.2.3``), a line that is not UTF-8 and a header that does not match do.
+On the screened characters loadtxt and ``float()`` accept the same strings
+and give the same doubles, so both paths give the same rows, dtypes and
+counts.
 
 ``write_status_log`` writes a ``StatusLog`` a block of rows per ``%`` call.
 It csv-encodes each distinct id and account and formats each distinct
@@ -32,7 +41,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import pickle
+import signal
+import warnings
 from array import array
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -40,7 +54,7 @@ from typing import BinaryIO, Callable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .errors import BotledgerError, DataError
 from .schema import FeatureSchema, Label, StatusLog, Timelines
 
 META_COLUMNS = ("character_id", "account_id", "timestamp")
@@ -107,8 +121,11 @@ def parse_status_log(path: str | Path, schema: FeatureSchema) -> tuple[StatusRow
     count, an empty id, an id holding a NUL or a timestamp that is not a
     finite number is malformed; otherwise a row with a value that is not a
     finite, non-negative number is invalid.  Plain lines go through
-    ``np.loadtxt`` a block at a time, the others through ``_check_row`` one
-    csv row at a time; both give the same rows and counts.
+    ``np.loadtxt`` a block at a time, in one byte range per usable CPU, each
+    but the first in a forked child; the others through ``_check_row`` one
+    csv row at a time.  When any range meets what only the csv module reads
+    right, the whole file goes row by row.  All give the same rows and
+    counts.  Raises ``BotledgerError`` when a range's child dies.
     """
     want = expected_header(schema)
     try:
@@ -146,9 +163,14 @@ def _check_row(row: list[str], n_fields: int, stats: IngestStats) -> tuple[str, 
         return stats.drop(REASON_INVALID_VALUE)
 
 
+def _valid(rows: np.ndarray) -> np.ndarray:
+    """Which (timestamp, values) rows hold only finite, non-negative values."""
+    return np.isfinite(rows[:, 1:]).all(axis=1) & (rows[:, 1:] >= 0.0).all(axis=1)
+
+
 def _keep_valid(ids: np.ndarray, rows: np.ndarray, stats: IngestStats) -> StatusRows:
     """The (timestamp, values) rows whose values are all finite and non-negative."""
-    valid = np.isfinite(rows[:, 1:]).all(axis=1) & (rows[:, 1:] >= 0.0).all(axis=1)
+    valid = _valid(rows)
     stats.drop(REASON_INVALID_VALUE, int(len(valid) - valid.sum()))
     return StatusRows(ids[valid], rows[valid, 0], rows[valid, 1:])
 
@@ -190,10 +212,16 @@ _BYTE_FLAGS = (
 ).tobytes()
 
 
-def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """The rest of ``fh`` in blocks of whole lines; only the last may lack its newline."""
+def _line_blocks(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
+    """The next ``size`` bytes of ``fh``, or the rest when None, in blocks of
+    whole lines; only the last may lack its newline."""
     tail = b""
-    for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
+    while size is None or size > 0:
+        chunk = fh.read(_BLOCK_BYTES if size is None else min(_BLOCK_BYTES, size))
+        if not chunk:
+            break
+        if size is not None:
+            size -= len(chunk)
         tail += chunk
         cut = tail.rfind(b"\n") + 1
         if cut:
@@ -241,21 +269,27 @@ def _ascii_ids(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, width: in
 
 def _parse_block(block: bytes, n_fields: int, limit: int, stats: IngestStats) -> tuple[np.ndarray, np.ndarray]:
     """The ids and (timestamp, values) rows of the lines in ``block`` that
-    pass the malformed checks and float(), in line order.
+    pass the malformed checks and float() and hold only finite, non-negative
+    values, in line order.
 
     Screened lines go through one ``np.loadtxt``, the others through
-    ``_check_row``.
+    ``_check_row``.  A block of screened lines alone keeps loadtxt's array,
+    and one whose every row is kept is not copied again.  The ids are as
+    wide as the widest that passed the malformed checks, as ``np.array``
+    sizes them on the per-row path.
     """
     raw = np.frombuffer(block, dtype=np.uint8)
     starts, ends, id_ends, fast = _screen(raw, block, n_fields, limit)
     slow = np.flatnonzero(~fast)
     n_fast = len(ends) - len(slow)
-    rows = np.zeros((len(ends), n_fields - 2))
-    if n_fast:
-        text = b"".join(block[a:b] for a, b in zip([0, *(ends[slow] + 1)], [*starts[slow], len(block)]))
-        rows[fast] = np.loadtxt(
-            io.BytesIO(text), delimiter=",", usecols=range(2, n_fields), comments=None, ndmin=2, encoding="ascii"
-        )
+    if not len(slow):
+        rows = _numbers(block, n_fields)
+    else:
+        rows = np.zeros((len(ends), n_fields - 2))
+        if n_fast:
+            rows[fast] = _numbers(
+                b"".join(block[a:b] for a, b in zip([0, *(ends[slow] + 1)], [*starts[slow], len(block)])), n_fields
+            )
     ok = fast & np.isfinite(rows[:, 0])
     stats.records_read += n_fast
     stats.drop(REASON_MALFORMED, n_fast - int(ok.sum()))
@@ -266,45 +300,202 @@ def _parse_block(block: bytes, n_fields: int, limit: int, stats: IngestStats) ->
             ok[i] = True
     taken = ok & fast
     width = max([int((id_ends[taken] - starts[taken]).max(initial=1)), *map(len, row_ids.values())])
+    kept = ok & _valid(rows)
+    stats.drop(REASON_INVALID_VALUE, int(ok.sum() - kept.sum()))
     ids = np.zeros(len(ends), dtype=f"U{width}")
+    taken &= kept
     ids[taken] = _ascii_ids(raw, starts[taken], id_ends[taken], width)
     for i, character_id in row_ids.items():
         ids[i] = character_id
-    return ids[ok], rows[ok]
+    return (ids, rows) if kept.all() else (ids[kept], rows[kept])
 
 
-def _parse_blocks(path: str | Path, want: list[str]) -> tuple[StatusRows, IngestStats]:
-    """The fast path: the log read once, a block of lines at a time, through ``_parse_block``.
+def _numbers(text: bytes, n_fields: int) -> np.ndarray:
+    """The timestamp and values of each screened line of ``text``."""
+    return np.loadtxt(
+        io.BytesIO(text), delimiter=",", usecols=range(2, n_fields), comments=None, ndmin=2, encoding="ascii"
+    )
 
-    Each block is checked before it is parsed.  A CR directly before an LF
-    ends its line with it, as in the csv module, and is dropped.  Raises
-    ``_RowPathNeeded`` when the first line is not the header ``want``, and at
-    the first block holding a quote (a quoted field may span lines), a NUL or
-    any other CR, which only the per-row path reads right.  The parsed rows
-    end as the per-row path's do: packed, then screened by ``_keep_valid``.
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextmanager
+def _on_cpu(index: int) -> Iterator[None]:
+    """Run this thread on the ``index``-th of its usable CPUs, where the
+    platform allows it, then on all of them again.  Left to the scheduler, a
+    forked child can share its parent's CPU for the whole of a parse."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    usable = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {usable[index % len(usable)]})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, usable)
+
+
+# A range's blocks: its ids and its (timestamp, values) rows, block by block, and its counts.
+_Parsed = tuple[list[np.ndarray], list[np.ndarray], IngestStats]
+
+
+def _parse_range(fh: BinaryIO, size: int | None, n_fields: int) -> _Parsed:
+    """The next ``size`` bytes of ``fh``, or the rest when None, through
+    ``_parse_block`` a block at a time.
+
+    A CR directly before an LF ends its line with it, as in the csv module,
+    and is dropped.  Raises ``_RowPathNeeded`` at the first block holding a
+    quote (a quoted field may span lines), a NUL or any other CR, which only
+    the per-row path reads right.
     """
     stats = IngestStats()
     limit = csv.field_size_limit()
-    ids = [np.empty(0, dtype="U1")]
-    rows = array("d")
-    with open(path, "rb") as fh:
-        if fh.readline().replace(b"\r\n", b"\n") != (",".join(want) + "\n").encode():
+    ids: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    for block in _line_blocks(fh, size):
+        if b'"' in block or b"\0" in block:
             raise _RowPathNeeded
-        for block in _line_blocks(fh):
-            if b'"' in block or b"\0" in block:
+        if b"\r" in block:  # checked before the last line gets its newline: a final lone CR fails
+            if block.count(b"\r") != block.count(b"\r\n"):
                 raise _RowPathNeeded
-            if b"\r" in block:  # checked before the last line gets its newline: a final lone CR fails
-                if block.count(b"\r") != block.count(b"\r\n"):
-                    raise _RowPathNeeded
-                block = block.replace(b"\r\n", b"\n")
-            if not block.endswith(b"\n"):
-                block += b"\n"
-            block_ids, block_rows = _parse_block(block, len(want), limit, stats)
-            ids.append(block_ids)
-            rows.frombytes(block_rows.view(np.uint8))  # frombytes takes only byte buffers
+            block = block.replace(b"\r\n", b"\n")
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        block_ids, block_rows = _parse_block(block, n_fields, limit, stats)
+        ids.append(block_ids)
+        rows.append(block_rows)
+    return ids, rows, stats
+
+
+def _range_starts(fh: BinaryIO, start: int) -> list[int]:
+    """Where each range of the log from ``start`` on begins: at the first
+    line start at or after each of equal cuts, one cut per usable CPU and no
+    range smaller than ``_BLOCK_BYTES``, or just ``start`` without ``fork``."""
+    size = os.fstat(fh.fileno()).st_size - start  # 0 for a pipe
+    n = max(1, min(_usable_cpus(), size // _BLOCK_BYTES)) if hasattr(os, "fork") else 1
+    starts = [start]
+    for i in range(1, n):
+        fh.seek(start + size * i // n - 1)
+        fh.readline()
+        if starts[-1] < fh.tell() < start + size:
+            starts.append(fh.tell())
+    fh.seek(start)
+    return starts
+
+
+def _in_child(work: Callable[[], _Parsed]) -> tuple[int, int]:
+    """Fork a child that sends what ``work`` returns, or the exception it
+    raises, through a pipe, and exits 0 once all is sent; its pid and the
+    pipe's read end.  Arrays go after their pickle, as raw bytes that
+    ``_child_result`` reads into place."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that fork() in a process with threads (OpenBLAS's) may deadlock the
+            # child; this child takes no lock of theirs: it parses, writes and exits
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        try:
+            result: object = work()
+        except Exception as exc:
+            result = exc
+        buffers: list[pickle.PickleBuffer] = []
+        head = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump((head, [buffer.raw().nbytes for buffer in buffers]), pipe, protocol=5)
+            for buffer in buffers:
+                pipe.write(buffer.raw())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _child_result(pid: int, read: int) -> object:
+    """What the child ``pid`` of ``_in_child`` sent through ``read``, or None
+    when it exited without sending all of it.  The child is reaped, and
+    killed first if this is interrupted."""
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            try:
+                head, sizes = pickle.load(pipe)
+                buffers = [bytearray(size) for size in sizes]
+                for buffer in buffers:
+                    pipe.readinto(buffer)
+            except (EOFError, pickle.UnpicklingError):  # the child died part-way
+                pass
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    # the child exits 0 only once all is sent
+    return pickle.loads(head, buffers=buffers) if os.waitstatus_to_exitcode(status) == 0 else None
+
+
+def _parse_blocks(path: str | Path, want: list[str]) -> tuple[StatusRows, IngestStats]:
+    """The fast path: the log read once, in byte ranges, through ``_parse_range``.
+
+    Raises ``_RowPathNeeded`` when the first line is not the header
+    ``want``.  The ranges after the first are parsed in forked children
+    while this process parses the first; their blocks are joined in file
+    order, ids and rows each by one ``np.concatenate``.  The first range
+    that raises, in file order, raises its error here; a child that exits
+    without sending its range raises ``BotledgerError``.  Every child is
+    reaped, or killed and reaped, before this returns or raises.
+    """
+    children: list[tuple[int, int]] = []
+    try:
+        with open(path, "rb") as fh:
+            if fh.readline().replace(b"\r\n", b"\n") != (",".join(want) + "\n").encode():
+                raise _RowPathNeeded
+            starts = _range_starts(fh, fh.tell())
+
+            def child_range(number: int, start: int, stop: int | None) -> _Parsed:
+                with open(path, "rb") as own, _on_cpu(number):
+                    own.seek(start)
+                    return _parse_range(own, None if stop is None else stop - start, len(want))
+
+            for number, start, stop in zip(range(1, len(starts)), starts[1:], [*starts[2:], None]):
+                children.append(_in_child(partial(child_range, number, start, stop)))
+            with _on_cpu(0) if children else nullcontext():
+                parts = [_parse_range(fh, None if len(starts) == 1 else starts[1] - starts[0], len(want))]
+        while children:
+            pid, read = children.pop(0)
+            part = _child_result(pid, read)
+            if part is None:
+                raise BotledgerError(
+                    f"status log {path}: the process parsing its range {len(parts) + 1} died, "
+                    "for example because the out-of-memory killer stopped it"
+                )
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    stats = IngestStats()
+    for _, _, part_stats in parts:
+        stats.records_read += part_stats.records_read
+        for reason, count in part_stats.drop_reasons.items():
+            stats.drop(reason, count)
     # numpy sizes the ids by the widest parsed one, as np.array(ids) does on the per-row path
-    matrix = np.frombuffer(rows, dtype=float).reshape(-1, len(want) - 2)
-    return _keep_valid(np.concatenate(ids), matrix, stats), stats
+    ids = np.concatenate([np.empty(0, dtype="U1"), *(i for block_ids, _, _ in parts for i in block_ids)])
+    rows = np.concatenate([np.empty((0, len(want) - 2)), *(r for _, block_rows, _ in parts for r in block_rows)])
+    return StatusRows(ids, rows[:, 0], rows[:, 1:]), stats
 
 
 def build_timelines(

@@ -7,23 +7,25 @@ Layout, little-endian throughout:
     bytes 8-11  metadata length in bytes (u32)
     ...         metadata: canonical UTF-8 JSON object (model config, feature
                 schema and window config as ``schema.document`` writes
-                them, training summary, and the payload's sha256 as hex)
+                them, training summary, and the file's sha256 as hex)
     ...         ``ModelParams.flat`` as raw float64, which holds the tensors
                 in C order in the sequence W_x, W_h, b, bn_gamma, bn_beta,
                 bn_running_mean, bn_running_var, W_out, b_out
 
 Version 2 dropped the model config's L2 penalty and batch-norm switch and
-added the payload digest; a version 1 file is rejected, as its config may
-name a network this package no longer builds.
+added a digest of the payload; version 3's ``sha256`` digests the canonical
+metadata without that key, followed by the payload.  Older versions are
+rejected: a version 1 config may name a network this package no longer
+builds, and a version 2 digest leaves the metadata open to edits.
 
 The configs are read back with ``schema.read_document``, so a field of the
 wrong type or a config its constructor rejects is a ``DataError``.  The
 payload length is implied by the metadata's model config, so the reader can
-verify it exactly, and the digest catches a payload changed in place, which
-would otherwise still load as a finite model.  Unknown magic or version is
-rejected rather than guessed at, and so is metadata whose feature schema
-does not feed ``input_dim`` features to the model, and a payload holding NaN
-or ±inf.
+verify it exactly, and the digest catches a payload or a metadata value
+changed in place, or a key added, which would otherwise still load as a
+finite model.  Unknown magic or version is rejected rather than guessed at,
+and so is metadata whose feature schema does not feed ``input_dim``
+features to the model, and a payload holding NaN or ±inf.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .network import ModelConfig, ModelParams, param_layout
 from .schema import FeatureSchema, document, read_document
 
 MAGIC = b"BOTW"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -66,15 +68,24 @@ def save_model(path: str | Path, bundle: ModelBundle) -> None:
         "feature_schema": bundle.schema,
         "window_config": bundle.window_config,
         "training_summary": bundle.training_summary,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    meta_bytes = json.dumps(metadata, sort_keys=True, separators=(",", ":"), default=document).encode("utf-8")
+    metadata["sha256"] = _digest(metadata, payload)
+    meta_bytes = _canonical(metadata)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
         fh.write(payload)
+
+
+def _canonical(metadata: dict) -> bytes:
+    return json.dumps(metadata, sort_keys=True, separators=(",", ":"), default=document).encode("utf-8")
+
+
+def _digest(metadata: dict, payload: bytes) -> str:
+    """The sha256 of the canonical ``metadata``, less its digest, followed by ``payload``."""
+    return hashlib.sha256(_canonical({k: v for k, v in metadata.items() if k != "sha256"}) + payload).hexdigest()
 
 
 def load_model(path: str | Path) -> ModelBundle:
@@ -101,7 +112,7 @@ def load_model(path: str | Path) -> ModelBundle:
         raise DataError(f"model file {path} has corrupt metadata: {exc}") from exc
     if not isinstance(metadata, dict):
         raise DataError(f"model file {path} metadata is not a JSON object")
-    for key in ("model_config", "feature_schema", "window_config", "training_summary", "payload_sha256"):
+    for key in ("model_config", "feature_schema", "window_config", "training_summary", "sha256"):
         if key not in metadata:
             raise DataError(f"model file {path} metadata lacks {key!r}")
 
@@ -122,8 +133,8 @@ def load_model(path: str | Path) -> ModelBundle:
             f"model file {path} tensor payload is {len(payload)} bytes, "
             f"expected {layout.size * 8}"
         )
-    if hashlib.sha256(payload).hexdigest() != metadata["payload_sha256"]:
-        raise DataError(f"model file {path} tensor payload does not match its sha256 digest")
+    if _digest(metadata, payload) != metadata["sha256"]:
+        raise DataError(f"model file {path} does not match its sha256 digest")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.isfinite(flat).all():
         bad = next(name for name, (where, _) in layout.views.items() if not np.isfinite(flat[where]).all())

@@ -312,7 +312,7 @@ def test_report_and_train_bytes_are_pinned(tmp_path, capsys) -> None:
     assert run(["report", "--log", log, "--labels", labels, "--out", str(tmp_path / "report")]) == 0
     pinned = {
         "report/report.json": "9b8bdf5011c79984aee06b73dce8c682555279eac0dbe8153c3bf67e856b16b7",
-        "model/model.bin": "25accfc740b0c5a981422534d18600f28f0a36d12e6a067ef83d459d2fc15072",
+        "model/model.bin": "424752fb121a20782f8e46ecd8df7e637f154b47f408930b1825dc1ea83dfefe",
         "model/training_log.json": "40a206bb1b35b020b9de824a0e9dff4b141af4d51a250b5b95cbbe2d51b7deda",
     }
     for name, digest in pinned.items():
@@ -507,27 +507,44 @@ def test_corrupted_model_is_data_error(dataset, model_dir, tmp_path, capsys) -> 
 
 def _as_version_1(blob: bytes) -> bytes:
     """A model.bin as format version 1 wrote it for ``--no-batchnorm``: the
-    config's l2_lambda and use_batchnorm, and no payload digest."""
+    config's l2_lambda and use_batchnorm, and no digest."""
 
     def edit(meta: dict) -> dict:
         meta["model_config"].update(l2_lambda=1e-4, use_batchnorm=False)
-        del meta["payload_sha256"]
+        del meta["sha256"]
         return meta
 
     blob = _with_model_metadata(edit)(blob)
     return blob[:4] + struct.pack("<I", 1) + blob[8:]
 
 
+def _as_version_2(blob: bytes) -> bytes:
+    """A model.bin as format version 2 wrote it: a digest of the payload alone."""
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    payload = hashlib.sha256(blob[12 + meta_len :]).hexdigest()
+
+    def edit(meta: dict) -> dict:
+        del meta["sha256"]
+        meta["payload_sha256"] = payload
+        return meta
+
+    blob = _with_model_metadata(edit)(blob)
+    return blob[:4] + struct.pack("<I", 2) + blob[8:]
+
+
 @pytest.mark.parametrize(
     "corrupt, want",
     [
-        (
-            lambda blob: blob[:-20] + bytes([blob[-20] ^ 0x01]) + blob[-19:],
-            "tensor payload does not match its sha256 digest",
-        ),
+        (lambda blob: blob[:-20] + bytes([blob[-20] ^ 0x01]) + blob[-19:], "does not match its sha256 digest"),
         (_as_version_1, "has unsupported format version 1"),
+        (_as_version_2, "has unsupported format version 2"),
+        (lambda blob: _model_field("window_config", "stride", value=6)(blob), "does not match its sha256 digest"),
+        (
+            lambda blob: _model_field("model_config", "use_batchnorm", value=False)(blob),
+            "does not match its sha256 digest",
+        ),
     ],
-    ids=["flipped-payload-byte", "version-1"],
+    ids=["flipped-payload-byte", "version-1", "version-2", "stride-edited", "stray-use-batchnorm-key"],
 )
 def test_changed_payload_or_old_format_model_is_data_error(
     corrupt, want, dataset, model_dir, tmp_path, capsys
@@ -560,6 +577,24 @@ def test_out_that_cannot_be_written_is_data_error(
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+    assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-file"])
+def test_crossval_checks_out_before_it_reads_or_trains(beneath, dataset, monkeypatch, tmp_path, capsys) -> None:
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n", encoding="utf-8")
+    out = taken / "out" if beneath else taken
+
+    def never(*args, **kwargs):
+        raise AssertionError("crossval read or trained before it checked --out")
+
+    monkeypatch.setattr(cli, "load_timelines", never)
+    monkeypatch.setattr(harness, "train", never)
+    argv = ["crossval", "--log", str(dataset / "status_log.csv"), "--labels", str(dataset / "labels.csv"),
+            "--k", "2", "--epochs", "1", "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {taken} is not a directory\n"
     assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
 
 
@@ -1189,9 +1224,18 @@ def _with_model_metadata(edit):
     return rewrite
 
 
+def _signed(blob: bytes) -> bytes:
+    """A model.bin with its digest set to match its metadata and payload, as ``save_model`` sets it."""
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    meta = json.loads(blob[12 : 12 + meta_len])
+    unsigned = json.dumps({k: v for k, v in meta.items() if k != "sha256"}, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(unsigned.encode() + blob[12 + meta_len :]).hexdigest()
+    return _model_field("sha256", value=digest)(blob)
+
+
 def _with_tensor_entry(name, value):
     """Set the first entry of tensor ``name`` in a model.bin's payload to ``value``, and the
-    payload's digest to match."""
+    digest to match."""
 
     def rewrite(blob: bytes) -> bytes:
         (meta_len,) = struct.unpack("<I", blob[8:12])
@@ -1199,9 +1243,7 @@ def _with_tensor_entry(name, value):
         where, _ = param_layout(cfg["input_dim"], cfg["hidden_dim"]).views[name]
         flat = np.frombuffer(blob[12 + meta_len :], dtype="<f8").copy()
         flat[where.start] = value
-        payload = flat.tobytes()
-        digest = _model_field("payload_sha256", value=hashlib.sha256(payload).hexdigest())
-        return digest(blob[: 12 + meta_len] + payload)
+        return _signed(blob[: 12 + meta_len] + flat.tobytes())
 
     return rewrite
 

@@ -151,6 +151,18 @@ def test_slide_windows_respects_active_mask() -> None:
     assert samples.x[0].shape == (3, 7)
 
 
+@pytest.mark.parametrize("scope", list(ScalingScope))
+def test_windows_skip_deactivated_columns_and_keep_the_others(scope) -> None:
+    # every column is scaled on its own, so the active ones equal those columns of all-active windows
+    rng = np.random.default_rng(6)
+    timelines = _timelines(("a", Label.BOT, rng.uniform(1, 9, (9, 9))), ("b", Label.NORMAL, rng.uniform(1, 9, (7, 9))))
+    cfg = WindowConfig(4, 2, scope)
+    whole = windows_from_timelines(timelines, SCHEMA, cfg)
+    kept = windows_from_timelines(timelines, SCHEMA.deactivate([0, 3, 8]), cfg)
+    assert np.array_equal(kept.x, whole.x[..., [1, 2, 4, 5, 6, 7]])
+    assert kept.start.tolist() == whole.start.tolist()
+
+
 def test_windows_from_timelines_concatenates_in_order() -> None:
     timelines = _timelines(
         ("a", Label.BOT, np.tile(np.arange(5.0)[:, None], (1, 9))),

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,25 +194,35 @@ def test_crlf_log_takes_the_fast_path(block_bytes, monkeypatch, tmp_path) -> Non
 
 @pytest.mark.parametrize("block_bytes", [ingest._BLOCK_BYTES, 4093])
 def test_fast_path_reads_the_log_once(block_bytes, monkeypatch, tmp_path) -> None:
+    # one range reads every byte once; more ranges re-read at most a buffer each side of a cut:
+    # finding the cut, and a range's last buffered read; and the first range's head, which the
+    # header's read buffered
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
     path = tmp_path / "log.csv"
     path.write_text("\n".join([",".join(expected_header(SCHEMA)), *_mixed_log_lines()]) + "\n", encoding="utf-8")
-    read = []
+    size = path.stat().st_size
+    counts = tmp_path / "reads"
 
     class CountingFile(io.FileIO):
         def readinto(self, buffer):
             n = super().readinto(buffer)
-            read.append(n)
+            with open(counts, "a", encoding="ascii") as fh:  # range children count here too
+                fh.write(f"{n}\n")
             return n
 
     def counting_open(file, mode):
         assert mode == "rb"
         return io.BufferedReader(CountingFile(file))
 
-    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
     want = _as_compared(_parse_per_row(path))
-    assert _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA))) == want
-    assert sum(read) == path.stat().st_size
+    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+    for cpus in (1, 3):
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        counts.write_text("", encoding="ascii")
+        assert _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA))) == want
+        read = sum(map(int, counts.read_text(encoding="ascii").split()))
+        ranges = min(cpus, size // block_bytes)
+        assert read == size if ranges == 1 else size < read < size + 2 * ranges * io.DEFAULT_BUFFER_SIZE, (cpus, read)
 
 
 @pytest.mark.parametrize(
@@ -248,6 +262,217 @@ def test_field_over_csv_limit_is_fatal_on_both_paths(tmp_path) -> None:
         _parse_per_row(path)
     with pytest.raises(DataError, match="field larger than field limit"):
         parse_status_log(path, SCHEMA)
+
+
+RANGES = pytest.mark.skipif(not hasattr(os, "fork"), reason="a log is read in one range here")
+
+
+def _range_log(path, text=lambda body: body + "\n"):
+    """A log of clean rows alternating with the dirty lines of ``_mixed_log_lines``, so one of the
+    two lines at every cut is dirty, written as ``text`` of its lines joined by LFs; three ranges
+    of several blocks each once ``_BLOCK_BYTES`` is 4093."""
+    dirty = _mixed_log_lines(1)
+    clean = [_row(cid=f"c{i % 7}", ts=i, values=[i % 10, 1.5, 0, 2, 3, 4, 5, 6, 7]) for i in range(800)]
+    lines = [line for i, row in enumerate(clean) for line in (row, dirty[i % len(dirty)])]
+    path.write_bytes(text("\n".join([",".join(expected_header(SCHEMA)), *lines])).encode("utf-8"))
+
+
+def _forks_recorded(monkeypatch) -> list[int]:
+    """The pids ``os.fork`` returns to this process from now on."""
+    forked: list[int] = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def _assert_reaped(pids) -> None:
+    """Every child in ``pids`` is reaped, and this thread may run on every CPU again."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    if hasattr(os, "sched_getaffinity"):
+        assert os.sched_getaffinity(0) == _CPUS
+
+
+_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+@RANGES
+@pytest.mark.parametrize(
+    "text",
+    [lambda body: body + "\n", lambda body: body.replace("\n", "\r\n") + "\r\n", lambda body: body],
+    ids=["dirty rows at the cuts", "crlf", "no final newline"],
+)
+def test_ranges_give_the_rows_and_counts_of_one(text, monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4093)
+    path = tmp_path / "log.csv"
+    _range_log(path, text)
+    forked = _forks_recorded(monkeypatch)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 1)
+    one = _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA)))
+    assert one == _as_compared(_parse_per_row(path))
+    assert not forked
+    for cpus in (2, 3):
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        assert _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA))) == one, cpus
+        assert len(forked) == cpus - 1
+        _assert_reaped(forked)
+        forked.clear()
+
+
+@RANGES
+@pytest.mark.parametrize(
+    "last",
+    [b'"c,4",a1,1,1,1,1,1,1,1,1,1,1', _row(cid="c\0").encode(), b"c\xff" + _row()[2:].encode(),
+     _row(values=["1e"] + ["1"] * 8).encode()],
+    ids=["quote", "nul", "not utf-8", "loadtxt rejects a number"],
+)
+def test_a_range_that_needs_the_row_path_sends_the_whole_file_there(last, monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4093)
+    path = tmp_path / "log.csv"
+    _range_log(path)
+    path.write_bytes(path.read_bytes() + last + b"\n")
+    forked = _forks_recorded(monkeypatch)
+    row_path = []
+    real_parse_rows = ingest._parse_rows
+
+    def recording_parse_rows(*args):
+        row_path.append(True)
+        return real_parse_rows(*args)
+
+    monkeypatch.setattr(ingest, "_parse_rows", recording_parse_rows)
+    outcomes = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        row_path.clear()
+        try:
+            outcomes.append(_as_compared(parse_status_log(path, SCHEMA)))
+        except DataError as exc:
+            outcomes.append(str(exc))
+        assert row_path == [True], cpus
+        assert len(forked) == cpus - 1
+        _assert_reaped(forked)
+        forked.clear()
+    assert outcomes[1] == outcomes[2] == outcomes[0]
+    if b"\xff" in last:
+        assert "can't decode byte 0xff" in outcomes[0]
+    else:
+        assert outcomes[0] == _as_compared(_parse_per_row(path))
+
+
+@RANGES
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_bad_header_goes_row_by_row_before_any_fork(cpus, monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4093)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+    path = tmp_path / "log.csv"
+    _range_log(path)
+    path.write_bytes(path.read_bytes().replace(b"character_id", b"char_id", 1))
+    forked = _forks_recorded(monkeypatch)
+    with pytest.raises(DataError, match="status log header mismatch"):
+        parse_status_log(path, SCHEMA)
+    assert not forked
+
+
+@RANGES
+def test_log_smaller_than_two_blocks_forks_nothing(monkeypatch, tmp_path) -> None:
+    path = tmp_path / "log.csv"
+    _range_log(path)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", path.stat().st_size // 2)
+    forked = _forks_recorded(monkeypatch)
+    assert _as_compared(parse_status_log(path, SCHEMA)) == _as_compared(_parse_per_row(path))
+    assert not forked
+
+
+@RANGES
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_no_child_is_left_after_a_failed_read(where, monkeypatch, tmp_path) -> None:
+    # a quote in the first range fails here while the children parse; in the last, in a child
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4093)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    path = tmp_path / "log.csv"
+    _range_log(path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    quoted = b'"c,4",a1,1,1,1,1,1,1,1,1,1,1\n'
+    path.write_bytes(header + b"\n" + (quoted + body if where == "first" else body + quoted))
+    forked = _forks_recorded(monkeypatch)
+    with pytest.raises(ingest._RowPathNeeded):
+        ingest._parse_blocks(path, expected_header(SCHEMA))
+    assert len(forked) == 2
+    _assert_reaped(forked)
+
+
+@RANGES
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="open descriptors are listed only on Linux")
+def test_a_fork_that_fails_sends_the_file_row_by_row_and_leaks_no_pipe(monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4093)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    path = tmp_path / "log.csv"
+    _range_log(path)
+    want = _as_compared(_parse_per_row(path))
+    real_fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(True)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    assert _as_compared(parse_status_log(path, SCHEMA)) == want
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    _assert_reaped([])
+
+
+# Runs the command in argv under three usable CPUs and 4093-byte blocks, where the child parsing
+# each range after the first kills itself, and prints the exit code and whether a child is left.
+_KILLED_RANGE_RUN = """
+import os, signal, sys
+from botledger import cli, ingest
+
+caller, real_parse_block = os.getpid(), ingest._parse_block
+
+def killing_parse_block(*args):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_parse_block(*args)
+
+ingest._BLOCK_BYTES, ingest._usable_cpus, ingest._parse_block = 4093, lambda: 3, killing_parse_block
+rc = cli.run(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print(rc, "a child is left")
+except ChildProcessError:
+    print(rc, "no child is left")
+"""
+
+
+@RANGES
+def test_range_child_killed_mid_parse_exits_3_with_one_line(tmp_path) -> None:
+    log = tmp_path / "log.csv"
+    _range_log(log)
+    write_label_file(tmp_path / "labels.csv", LabelFile({f"c{i}": Label.BOT for i in range(7)}, as_of=""))
+    argv = ["featurize", "--log", str(log), "--labels", str(tmp_path / "labels.csv"), "--out", str(tmp_path / "f")]
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_RANGE_RUN, *argv], capture_output=True, encoding="utf-8", env=env, timeout=60
+    )
+    assert done.stdout == "3 no child is left\n", done.stderr
+    assert done.stderr == (
+        f"error: status log {log}: the process parsing its range 2 died, "
+        "for example because the out-of-memory killer stopped it\n"
+    )
+    assert not (tmp_path / "f").exists()
 
 
 def _rec(cid, ts, fill=1.0):

@@ -56,7 +56,7 @@ def _filled(start, *shape):
 
 def test_file_bytes_are_pinned(tmp_path) -> None:
     # tensors filled without an RNG, so the bytes cannot drift with numpy's
-    # generators; the digest pins format version 2 as first written, tensor
+    # generators; the digest pins format version 3 as first written, tensor
     # by tensor
     layout = param_layout(9, 2)
     params = ModelParams(np.empty(layout.size), layout)
@@ -79,7 +79,7 @@ def test_file_bytes_are_pinned(tmp_path) -> None:
     path = tmp_path / "model.bin"
     save_model(path, bundle)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "3a1d35fae63013267fb4132b9bccb77d0020f12f5d47fea18608c3ca1c7a96a1"
+    assert digest == "05b87463c0b9edbfef2121bf8278aa492efa425fba250cef8e43edb80d419b3c"
     assert load_model(path).params.flat.tobytes() == params.flat.tobytes()
 
 
@@ -112,8 +112,11 @@ def test_header_layout(tmp_path) -> None:
     import json
 
     meta = json.loads(blob[12 : 12 + meta_len].decode("utf-8"))
-    assert set(meta) == {"model_config", "feature_schema", "window_config", "training_summary", "payload_sha256"}
-    assert meta["payload_sha256"] == hashlib.sha256(blob[12 + meta_len :]).hexdigest()
+    assert set(meta) == {"model_config", "feature_schema", "window_config", "training_summary", "sha256"}
+    assert blob[12 : 12 + meta_len] == json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    # the digest covers the canonical metadata less its own key, then the payload
+    unsigned = json.dumps({k: v for k, v in meta.items() if k != "sha256"}, sort_keys=True, separators=(",", ":"))
+    assert meta["sha256"] == hashlib.sha256(unsigned.encode() + blob[12 + meta_len :]).hexdigest()
 
 
 def test_wrong_magic_rejected(tmp_path) -> None:
@@ -163,7 +166,7 @@ def test_corrupt_metadata_rejected(tmp_path) -> None:
 
 
 @pytest.mark.parametrize(
-    "key", ["model_config", "feature_schema", "window_config", "training_summary", "payload_sha256"]
+    "key", ["model_config", "feature_schema", "window_config", "training_summary", "sha256"]
 )
 def test_metadata_missing_key_rejected(tmp_path, key) -> None:
     path = tmp_path / "model.bin"

@@ -13,9 +13,12 @@ as one flat list of named splits, one per fold of each span.  It windows,
 folds and fits every span before any split trains, then trains every split
 in one pool of forked worker processes with one OpenBLAS thread each, or in
 the calling process where it cannot; the report is the same either way.
-``score_characters`` cuts the windows of a chunk of characters at a time, in
-the calling process, and predicts the chunk's characters of each window
-count in one stacked forward.  Every inference call (a fold's test windows, early stopping's
+``score_characters`` cuts every window in the calling process, a chunk of
+characters at a time, and predicts each chunk's characters of one window
+count in one stacked forward.  It deals the chunks into one share per usable
+CPU: the calling process predicts the first share, and a forked child each
+other one; until each fork, the caller holds that child's share as float32
+stacks.  Every inference call (a fold's test windows, early stopping's
 validation windows, ``score``'s characters) goes through ``predict_probs``,
 which computes in ``TRAIN_DTYPE``, the dtype the model was trained in.
 """
@@ -25,15 +28,18 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import signal
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BotledgerError, DataError
 from .features import WindowConfig, eliminate_noninfluential, windows_from_timelines
-from .ingest import _usable_cpus
+from .ingest import _child_result, _in_child, _on_cpu, _usable_cpus
 from .model_io import ModelBundle
 from .network import (
     TRAIN_DTYPE,
@@ -554,22 +560,14 @@ def cross_validate(
 SCORE_CHUNK_CHARACTERS = 7
 
 
-def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
-    """Each character's mean window probability under ``bundle``; NaN for a
-    character shorter than one window.
-
-    Windows are cut ``SCORE_CHUNK_CHARACTERS`` consecutive characters at a
-    time, with one ``windows_from_timelines`` call, so the whole log's
-    windows are never held at once, and each chunk's scores are placed by
-    its windows' ``character``.  The chunk's characters with the same number
-    of windows go through ``predict_probs`` as one (characters, windows,
-    time, features) stack, one batch per character, and a character with no
-    other of its count as one batch, so a score does not depend on the
-    chunking or on the other characters of its stack.  The first chunk, in
-    character order, that fails raises.
-    """
-    scores = np.full(len(timelines), np.nan)
-    for lo in range(0, len(timelines), SCORE_CHUNK_CHARACTERS):
+def _stacks(
+    timelines: Timelines, chunks: Sequence[int], bundle: ModelBundle
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The stacks of the chunks of ``timelines`` that start at ``chunks``, in
+    order, cut one chunk at a time: each chunk's characters of one window
+    count, by index, and their windows as one (characters, windows, time,
+    features) stack, or a lone character's as one batch."""
+    for lo in chunks:
         chunk = timelines[lo : lo + SCORE_CHUNK_CHARACTERS]
         windows = windows_from_timelines(chunk, bundle.schema, bundle.window_config)
         first = np.flatnonzero(windows.start == 0)
@@ -581,10 +579,131 @@ def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
             # a lone character goes as a plain batch, a view of the chunk's windows: a stack of one
             # would pay for a copy and for the stacked products' dispatch at every step
             if len(group) == 1:
-                x = windows.x[starts[0] : starts[0] + count]
+                yield scored[group], windows.x[starts[0] : starts[0] + count]
             else:
-                x = windows.x[starts[:, None] + np.arange(count)]
-            scores[scored[group]] = predict_probs(bundle.params, bundle.config, x).mean(axis=-1)
+                yield scored[group], windows.x[starts[:, None] + np.arange(count)]
+
+
+def _share_scores(
+    stacks: Iterable[tuple[np.ndarray, np.ndarray]], bundle: ModelBundle
+) -> tuple[np.ndarray, np.ndarray]:
+    """The characters of ``stacks`` and each one's mean window probability,
+    one ``predict_probs`` call a stack."""
+    characters, probs = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for scored, x in stacks:
+        characters.append(scored)
+        probs.append(np.atleast_1d(predict_probs(bundle.params, bundle.config, x).mean(axis=-1)))
+    return np.concatenate(characters), np.concatenate(probs)
+
+
+def _score_shares(timelines: Timelines) -> list[range]:
+    """The chunk starts of each share of ``score_characters``: one share per
+    usable CPU and none empty, cut at the chunk starts nearest to equal row
+    counts, or one share without ``fork``."""
+    chunks = range(0, len(timelines), SCORE_CHUNK_CHARACTERS)
+    n = min(len(chunks), _usable_cpus()) if hasattr(os, "fork") else 1
+    if n < 2:
+        return [chunks]
+    first_rows = timelines.bounds[:-1:SCORE_CHUNK_CHARACTERS]
+    cuts = np.abs(first_rows[:, None] - timelines.bounds[-1] * np.arange(1, n) / n).argmin(axis=0)
+    edges = np.unique([0, *cuts.tolist(), len(chunks)]).tolist()
+    return [chunks[a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _score_in_child(
+    number: int, stacks: list, error: Exception | None, bundle: ModelBundle
+) -> tuple[np.ndarray, np.ndarray]:
+    """What the child scoring share ``number`` sends: ``_share_scores`` of
+    ``stacks``, on one OpenBLAS thread pinned to a CPU of its own, or
+    ``error``, raised by the cut after them, once they are scored."""
+    set_blas_threads = _openblas_function("set_num_threads")
+    if set_blas_threads is not None:
+        set_blas_threads.argtypes, set_blas_threads.restype = [ctypes.c_int], None
+        set_blas_threads(1)
+    with _on_cpu(number):
+        part = _share_scores(stacks, bundle)
+    if error is not None:
+        raise error
+    return part
+
+
+def _fork_share(timelines: Timelines, chunks: range, number: int, bundle: ModelBundle) -> tuple[int, int, bool]:
+    """Cut the stacks of ``chunks`` here, as ``TRAIN_DTYPE``, the dtype
+    ``predict_probs`` casts to, and fork a child that scores them through
+    ``ingest._in_child``; its pid, its pipe's read end, and whether every
+    chunk was cut.  A cut that raises ends the share there; its child
+    raises that error after scoring the chunks before it.  The stacks are
+    the child's alone once this returns."""
+    stacks, error = [], None
+    try:
+        for scored, x in _stacks(timelines, chunks, bundle):
+            stacks.append((scored, x.astype(TRAIN_DTYPE)))
+    except Exception as exc:
+        error = exc
+    pid, read = _in_child(partial(_score_in_child, number, stacks, error, bundle))
+    return pid, read, error is None
+
+
+def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
+    """Each character's mean window probability under ``bundle``; NaN for a
+    character shorter than one window.
+
+    Windows are cut ``SCORE_CHUNK_CHARACTERS`` consecutive characters at a
+    time, each chunk with one ``windows_from_timelines`` call in this
+    process, and each chunk's scores are placed by its windows'
+    ``character``.  The chunk's characters with the same number of windows
+    go through ``predict_probs`` as one (characters, windows, time,
+    features) stack, one batch per character, and a character with no other
+    of its count as one batch, so a score does not depend on the chunking,
+    on the other characters of its stack, or on the process it ran in.
+
+    The chunks are dealt into ``_score_shares``, one share per usable CPU.
+    For each share after the first, in turn, this process cuts the share's
+    windows and holds them as float32 stacks until it forks the child that
+    predicts them, pinned to its own CPU; it then drops them.  It then cuts
+    and predicts the first share a chunk at a time, so it never holds more
+    than one chunk's windows of its own.  The first chunk, in character
+    order, that fails raises; an error in this process's share kills every
+    child first.  A child that dies raises ``BotledgerError`` naming the
+    characters of its share.  No child outlives the call.  When a fork
+    fails, the shares from that one on are scored here after the children.
+    """
+    shares = _score_shares(timelines)
+    children: list[tuple[range, int, int]] = []
+    tail: Sequence[int] = ()  # the chunks scored here after the children
+    try:
+        for number, chunks in enumerate(shares[1:], 1):
+            try:
+                pid, read, whole = _fork_share(timelines, chunks, number, bundle)
+            except OSError:  # no process to spare
+                tail = [lo for share in shares[number:] for lo in share]
+                break
+            children.append((chunks, pid, read))
+            if not whole:
+                break
+        with _on_cpu(0) if children else nullcontext():
+            parts = [_share_scores(_stacks(timelines, shares[0], bundle), bundle)]
+        while children:
+            chunks, pid, read = children.pop(0)
+            part = _child_result(pid, read)
+            if part is None:
+                last = timelines.character_id[min(chunks[-1] + SCORE_CHUNK_CHARACTERS, len(timelines)) - 1]
+                raise BotledgerError(
+                    f"the process scoring characters {timelines.character_id[chunks[0]]} to {last} died, "
+                    "for example because the out-of-memory killer stopped it"
+                )
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+    finally:
+        for _, pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    parts.append(_share_scores(_stacks(timelines, tail, bundle), bundle))
+    scores = np.full(len(timelines), np.nan)
+    for characters, probs in parts:
+        scores[characters] = probs
     return scores
 
 

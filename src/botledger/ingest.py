@@ -385,7 +385,7 @@ def _range_starts(fh: BinaryIO, start: int) -> list[int]:
     return starts
 
 
-def _in_child(work: Callable[[], _Parsed]) -> tuple[int, int]:
+def _in_child(work: Callable[[], object]) -> tuple[int, int]:
     """Fork a child that sends what ``work`` returns, or the exception it
     raises, through a pipe, and exits 0 once all is sent; its pid and the
     pipe's read end.  Arrays go after their pickle, as raw bytes that
@@ -393,8 +393,8 @@ def _in_child(work: Callable[[], _Parsed]) -> tuple[int, int]:
     read, write = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns that fork() in a process with threads (OpenBLAS's) may deadlock the
-            # child; this child takes no lock of theirs: it parses, writes and exits
+            # Python 3.12+ warns that fork() in a process with threads may deadlock the child; the
+            # threads are OpenBLAS's, whose fork handler stops them first, and they start again on use
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:

@@ -1073,42 +1073,60 @@ def _score_argv(queue, model_dir, out):
 
 
 def test_score_writes_the_same_queue_at_every_chunk_size(queue, model_dir, monkeypatch, tmp_path, capsys) -> None:
-    # chunks of 1, 3 and the default 7 characters; each spy records the pid it ran in
+    # chunks of 1, 3 and the default 7 characters at 1, 2 and 3 usable CPUs; each spy appends the pid
+    # it ran in to a file, which the scoring children write to as well
+    calls = tmp_path / "calls.txt"
     real_windows, real_predict = harness.windows_from_timelines, harness.predict_probs
-    pids: dict[str, list[int]] = {"windows": [], "predict": []}
 
     def windows_spy(*args):
-        pids["windows"].append(os.getpid())
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"windows {os.getpid()}\n")
         return real_windows(*args)
 
     def predict_spy(*args):
-        pids["predict"].append(os.getpid())
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"predict {os.getpid()}\n")
         return real_predict(*args)
 
     monkeypatch.setattr(harness, "windows_from_timelines", windows_spy)
     monkeypatch.setattr(harness, "predict_probs", predict_spy)
     shown, scores = [], []
-    for size in (1, 3, harness.SCORE_CHUNK_CHARACTERS):
-        monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", size)
-        out = tmp_path / f"score-{size}"
-        assert run(_score_argv(queue, model_dir, out)) == 0
-        shown.append(capsys.readouterr().out.replace(str(out), "OUT"))
-        scores.append((out / "scores.csv").read_bytes())
-    assert shown[1:] == shown[:1] * 2 and scores[1:] == scores[:1] * 2
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        pids: dict[str, list[str]] = {"windows": [], "predict": []}
+        processes = []
+        for size in (1, 3, harness.SCORE_CHUNK_CHARACTERS):
+            monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", size)
+            out = tmp_path / f"score-{cpus}-{size}"
+            assert run(_score_argv(queue, model_dir, out)) == 0
+            shown.append(capsys.readouterr().out.replace(str(out), "OUT"))
+            scores.append((out / "scores.csv").read_bytes())
+            called = [line.split() for line in calls.read_text(encoding="utf-8").splitlines()]
+            calls.unlink()
+            for name, pid in called:
+                pids[name].append(pid)
+            processes.append(len({pid for name, pid in called if name == "predict"}))
+        # 13 characters give 13, 5 and 2 chunks; each chunk predicts one stack per window count among its
+        # characters with windows (all of the dataset's characters have the same count): 12, 5 and 2 stacks
+        assert len(pids["windows"]) == 13 + 5 + 2 and len(pids["predict"]) == 12 + 5 + 2
+        # every window is cut here, so a tracer or profiler of this process sees them all
+        assert set(pids["windows"]) == {str(os.getpid())}
+        # the chunks are dealt into one share per usable CPU, and never more shares than chunks
+        assert str(os.getpid()) in pids["predict"]
+        assert processes == [min(cpus, chunks) if hasattr(os, "fork") else 1 for chunks in (13, 5, 2)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert shown[1:] == shown[:1] * 8 and scores[1:] == scores[:1] * 8
     assert "scored 12 characters" in shown[0] and "1 skipped as shorter than the window" in shown[0]
     assert b"\nn0002," in scores[0] and b"c0001" not in scores[0]
-    # 13 characters give 13, 5 and 2 chunks; each chunk predicts one stack per window count among its
-    # characters with windows (all of the dataset's characters have the same count): 12, 5 and 2 stacks
-    assert len(pids["windows"]) == 13 + 5 + 2 and len(pids["predict"]) == 12 + 5 + 2
-    # both ran here, so a tracer or profiler of this process sees them
-    assert set(pids["windows"]) == set(pids["predict"]) == {os.getpid()}
-    assert multiprocessing.active_children() == []
 
 
 def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(queue, model_dir, monkeypatch, tmp_path, capfd) -> None:
     # with three characters a chunk, n0001 is in the second chunk and n0003 in the third; the
-    # error is n0001's, and no later chunk is scored
+    # error is n0001's, and no later chunk is scored.  One usable CPU keeps every stack in this
+    # process, where the spy sees it; test_harness covers the error order across shares
     monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     bundle = load_model(model_dir / "model.bin")
     timelines, _ = load_timelines(queue / "status_log.csv", queue / "labels.csv", bundle.schema, keep_unlabeled=True)
     failing = {
@@ -1135,6 +1153,47 @@ def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(queue, model_dir, 
     # one stack of b0001-b0003, then one of b0004 and n0001 (c0001 has no window)
     assert len(predicted) == 2 and predicted[-1].shape[0] == 2
     assert np.array_equal(predicted[-1][1], failing["n0001"])
+
+
+# Runs the command in argv at two usable CPUs, where the child scoring the second share kills
+# itself, and prints the exit code and whether a child is left.
+_KILLED_SCORE_RUN = """
+import os, signal, sys
+from botledger import cli, harness
+
+caller, real_predict = os.getpid(), harness.predict_probs
+
+def killing_predict(*args):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_predict(*args)
+
+harness._usable_cpus, harness.predict_probs = lambda: 2, killing_predict
+rc = cli.run(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print(rc, "a child is left")
+except ChildProcessError:
+    print(rc, "no child is left")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="scoring runs in one process here")
+def test_score_child_killed_mid_share_exits_3_with_one_line(queue, model_dir, tmp_path) -> None:
+    out = tmp_path / "score"
+    src = str(Path(botledger.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_SCORE_RUN, *_score_argv(queue, model_dir, out)],
+        capture_output=True, encoding="utf-8", env=env, timeout=60,
+    )
+    # two chunks of seven characters: b0001-n0002 scored in the caller, n0003-n0008 in the child
+    assert done.stdout == "3 no child is left\n", done.stderr
+    assert done.stderr == (
+        "error: the process scoring characters n0003 to n0008 died, "
+        "for example because the out-of-memory killer stopped it\n"
+    )
+    assert not out.exists()
 
 
 def test_seed_defaults_to_zero(tmp_path) -> None:

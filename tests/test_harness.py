@@ -508,38 +508,159 @@ def _ragged_queue():
 RAGGED_WINDOWS = WindowConfig(window_length=8, stride=4)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, harness.SCORE_CHUNK_CHARACTERS])
-def test_score_characters_stacks_each_window_count_of_a_chunk(chunk, monkeypatch) -> None:
-    timelines = _ragged_queue()
+def _ragged_bundle() -> ModelBundle:
     cfg = ModelConfig(input_dim=2, hidden_dim=6, seed=4)
     params = init_params(cfg)
     params.bn_running_mean = np.array([0.4, 0.6])
     params.bn_running_var = np.array([0.1, 0.3])
-    bundle = ModelBundle(params, cfg, TOY_SCHEMA, RAGGED_WINDOWS, {})
-    # reference: each character predicted alone, as one batch
+    return ModelBundle(params, cfg, TOY_SCHEMA, RAGGED_WINDOWS, {})
+
+
+def _each_alone(timelines, bundle) -> np.ndarray:
+    """Each character's score with its windows predicted alone, as one batch."""
     want = np.full(len(timelines), np.nan)
     for c in range(len(timelines)):
-        windows = windows_from_timelines(timelines[c : c + 1], TOY_SCHEMA, RAGGED_WINDOWS)
+        windows = windows_from_timelines(timelines[c : c + 1], bundle.schema, bundle.window_config)
         if len(windows):
-            want[c] = predict_probs(params, cfg, windows.x).mean()
+            want[c] = predict_probs(bundle.params, bundle.config, windows.x).mean()
+    return want
+
+
+def _assert_no_child() -> None:
+    # multiprocessing.active_children() lists only its own processes, not os.fork's
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, harness.SCORE_CHUNK_CHARACTERS])
+def test_score_characters_stacks_each_window_count_of_a_chunk(chunk, monkeypatch, tmp_path) -> None:
+    timelines = _ragged_queue()
+    bundle = _ragged_bundle()
+    want = _each_alone(timelines, bundle)
     # one (characters, windows, time, features) stack per chunk and window count, or one
     # (windows, time, features) batch for a character alone with its count
     counts = [4, 0, 8, 6, 4, 10, 8, 6, 4]
     chunks = [counts[lo : lo + chunk] for lo in range(0, len(counts), chunk)]
     groups = [(part.count(n), n, 8, 2) for part in chunks for n in set(part) - {0}]
     want_stacks = sorted(shape[1:] if shape[0] == 1 else shape for shape in groups)
-    real_predict = harness.predict_probs
-    stacks = []
+    # the scoring children write to the same file as this process
+    calls = tmp_path / "calls.txt"
+    real_windows, real_predict = harness.windows_from_timelines, harness.predict_probs
+
+    def windows_spy(*args):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"windows {os.getpid()}\n")
+        return real_windows(*args)
 
     def predict_spy(params, cfg, x):
-        stacks.append(x.shape)
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"predict {os.getpid()} {' '.join(map(str, x.shape))}\n")
         return real_predict(params, cfg, x)
 
     monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", chunk)
+    monkeypatch.setattr(harness, "windows_from_timelines", windows_spy)
     monkeypatch.setattr(harness, "predict_probs", predict_spy)
-    got = harness.score_characters(timelines, bundle)
-    assert np.array_equal(got, want, equal_nan=True) and np.isnan(got).tolist() == [c == 0 for c in counts]
-    assert sorted(stacks) == want_stacks
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        got = harness.score_characters(timelines, bundle)
+        assert np.array_equal(got, want, equal_nan=True) and np.isnan(got).tolist() == [c == 0 for c in counts]
+        lines = [line.split() for line in calls.read_text(encoding="utf-8").splitlines()]
+        calls.unlink()
+        assert sorted(tuple(map(int, line[2:])) for line in lines if line[0] == "predict") == want_stacks
+        assert {line[1] for line in lines if line[0] == "windows"} == {str(os.getpid())}
+        predicted_in = {line[1] for line in lines if line[0] == "predict"}
+        assert str(os.getpid()) in predicted_in
+        assert len(predicted_in) == (min(cpus, len(chunks)) if hasattr(os, "fork") else 1)
+        _assert_no_child()
+
+
+def test_score_characters_of_one_chunk_forks_nothing(monkeypatch) -> None:
+    timelines, bundle = _ragged_queue()[:5], _ragged_bundle()
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    real_fork, forks = os.fork, []
+
+    def recording_fork():
+        forks.append(True)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork, raising=False)
+    assert np.array_equal(harness.score_characters(timelines, bundle), _each_alone(timelines, bundle), equal_nan=True)
+    assert forks == []
+
+
+SCORE_FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="scoring runs in one process here")
+
+
+@SCORE_FORKS
+@pytest.mark.parametrize(
+    "failing, error",
+    [
+        ({"predict": ["c7"]}, "numeric overflow in the windows of c7"),
+        ({"predict": ["c4", "c7"]}, "numeric overflow in the windows of c4"),
+        ({"cut": ["c7"]}, "cannot scale a series with non-finite values"),
+        ({"predict": ["c4"], "cut": ["c7"]}, "numeric overflow in the windows of c4"),
+        ({"cut": ["c4"], "predict": ["c7"]}, "cannot scale a series with non-finite values"),
+    ],
+)
+def test_score_characters_raises_the_first_failing_chunk_and_leaves_no_child(failing, error, monkeypatch) -> None:
+    # chunks of three characters: c0-c2, c3-c5 and c6-c8; at two usable CPUs this process scores the
+    # first two and a child the third, at three each chunk has a process of its own
+    monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
+    timelines, bundle = _ragged_queue(), _ragged_bundle()
+    names = timelines.character_id.tolist()
+    windows_of = {
+        cid: windows_from_timelines(timelines[c : c + 1], TOY_SCHEMA, RAGGED_WINDOWS).x.astype(np.float32)
+        for c, cid in enumerate(names)
+    }
+    real_windows, real_predict = harness.windows_from_timelines, harness.predict_probs
+
+    def failing_windows(chunk, schema, cfg):
+        if set(chunk.character_id.tolist()) & set(failing.get("cut", [])):
+            raise NumericError("cannot scale a series with non-finite values")
+        return real_windows(chunk, schema, cfg)
+
+    def failing_predict(params, cfg, x):
+        # a child's stacks come as float32, the dtype predict_probs casts to
+        for batch in x if x.ndim == 4 else [x]:
+            for cid in failing.get("predict", []):
+                if np.array_equal(batch.astype(np.float32), windows_of[cid]):
+                    raise NumericError(f"numeric overflow in the windows of {cid}")
+        return real_predict(params, cfg, x)
+
+    monkeypatch.setattr(harness, "windows_from_timelines", failing_windows)
+    monkeypatch.setattr(harness, "predict_probs", failing_predict)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        with pytest.raises(NumericError, match=f"^{re.escape(error)}$"):
+            harness.score_characters(timelines, bundle)
+        _assert_no_child()
+        if hasattr(os, "sched_getaffinity"):
+            assert os.sched_getaffinity(0) == _CPUS
+
+
+_CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+@SCORE_FORKS
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="open descriptors are listed only on Linux")
+def test_a_score_fork_that_fails_scores_the_rest_here_and_leaks_no_pipe(monkeypatch) -> None:
+    timelines, bundle = _ragged_queue(), _ragged_bundle()
+    monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    real_fork, forks = os.fork, []
+
+    def second_fork_fails():
+        forks.append(True)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    assert np.array_equal(harness.score_characters(timelines, bundle), _each_alone(timelines, bundle), equal_nan=True)
+    assert len(forks) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    _assert_no_child()
 
 
 # --------------------------------------------------------- cross-validation

@@ -35,7 +35,7 @@ resolved options, as cast, and sha256 checksums of inputs and outputs, so
 reruns can be compared byte-for-byte.
 
 Exit codes: 0 success, 1 usage error, 2 data or artifact error, 3 numeric
-failure or a worker process that died.
+failure or a forked child process that died.
 """
 
 from __future__ import annotations

@@ -10,36 +10,28 @@ on the labels of its own training characters alone.
 
 ``cross_validate`` evaluates the whole log, or each calendar period of it,
 as one flat list of named splits, one per fold of each span.  It windows,
-folds and fits every span before any split trains, then trains every split
-in one pool of forked worker processes with one OpenBLAS thread each, or in
-the calling process where it cannot; the report is the same either way.
-``score_characters`` cuts every window in the calling process, a chunk of
-characters at a time, and predicts each chunk's characters of one window
-count in one stacked forward.  It deals the chunks into one share per usable
-CPU: the calling process predicts the first share, and a forked child each
-other one; until each fork, the caller holds that child's share as float32
-stacks.  Every inference call (a fold's test windows, early stopping's
-validation windows, ``score``'s characters) goes through ``predict_probs``,
-which computes in ``TRAIN_DTYPE``, the dtype the model was trained in.
+folds and fits every span before any split trains, then trains one share
+of splits per usable CPU, each in a forked child; the report is the same
+wherever a split trains.  ``score_characters`` cuts every window in the
+calling process, a chunk of characters at a time, and predicts each chunk's
+characters of one window count in one stacked forward, one share of chunks
+per usable CPU: the first here, each other in a forked child.  Every
+inference call (a fold's test windows, early stopping's validation windows,
+``score``'s characters) goes through ``predict_probs``, which computes in
+``TRAIN_DTYPE``, the dtype the model was trained in.
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
-import os
-import signal
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BotledgerError, DataError
+from . import parallel
+from .errors import DataError
 from .features import WindowConfig, eliminate_noninfluential, windows_from_timelines
-from .ingest import _child_result, _in_child, _on_cpu, _usable_cpus
 from .model_io import ModelBundle
 from .network import (
     TRAIN_DTYPE,
@@ -395,72 +387,27 @@ def _split_probs(split: _Split) -> np.ndarray:
     return predict_probs(params, split.cfg, x[split.test])
 
 
-# The splits of the forked worker this runs in, set by ``_start_worker``.
-_WORKER_SPLITS: Sequence[_Split] = ()
-
-
-def _start_worker(splits: Sequence[_Split], set_blas_threads: Callable[[int], None]) -> None:
-    global _WORKER_SPLITS
-    _WORKER_SPLITS = splits
-    set_blas_threads(1)
-
-
-def _in_worker(index: int) -> np.ndarray:
-    return _split_probs(_WORKER_SPLITS[index])
-
-
-def _openblas_function(name: str) -> Callable | None:
-    """The function ``openblas_<name>`` of numpy's bundled OpenBLAS, under
-    whichever symbol that build exports, when there is one."""
-    for path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                return fn
-    return None
-
-
 def _predict_splits(splits: Sequence[_Split]) -> list[np.ndarray]:
     """``_split_probs`` of each of ``splits``, in split order.
 
-    One pool of forked workers, one per usable CPU up to the number of
-    splits, trains them; each worker is pinned to one OpenBLAS thread, so
-    the workers do not contend for cores, and takes the splits, windows
-    included, from the fork rather than as a pickled copy.  Results are read
-    in split order, and each read starts the next split unless a started one
-    has failed, so the first failing split in that order raises its error
-    here, as in one process, after the splits already running end.  A worker
-    that dies (say, stopped by the out-of-memory killer) ends the run with a
-    ``BotledgerError`` that names the split read.  No worker outlives the
-    call.  Without ``fork``, a second usable CPU or the OpenBLAS setter, the
-    splits train here in turn.
+    The splits are dealt into shares by their training windows, each
+    trained in a forked child, which takes its splits, windows included,
+    from the fork rather than as a pickled copy, and stops at its first
+    failing split.  The first failing split, in split order, raises here, as
+    in one process; a child that dies raises a ``BotledgerError`` naming
+    its share's first and last split.
     """
-    workers = min(len(splits), _usable_cpus())
-    pin = _openblas_function("set_num_threads") if workers > 1 and hasattr(os, "fork") else None
-    if pin is None:
-        return [_split_probs(split) for split in splits]
-    # imported here, so that commands which never train in workers do not load them (2 MB, 10 ms)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    shares = [splits[share] for share in parallel.deal([np.count_nonzero(~split.test) for split in splits])]
 
-    pin.argtypes, pin.restype = [ctypes.c_int], None
-    fork = multiprocessing.get_context("fork")
-    results: list[np.ndarray] = []
-    # not multiprocessing.Pool: a worker killed mid-task hangs Pool.imap but raises BrokenProcessPool here
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker, initargs=(splits, pin)) as pool:
-        futures: list = []
-        while len(results) < len(splits):
-            ahead = min(len(splits), len(results) + workers)
-            while len(futures) < ahead and not any(f.done() and f.exception() for f in futures[len(results) :]):
-                futures.append(pool.submit(_in_worker, len(futures)))
-            try:
-                results.append(futures[len(results)].result())
-            except BrokenProcessPool as exc:
-                died = "its worker process died, for example because the out-of-memory killer stopped it"
-                raise BotledgerError(f"{splits[len(results)].name}: {died}") from exc
-    return results
+    def train_share(share: Sequence[_Split]) -> list[np.ndarray]:
+        return [_split_probs(split) for split in share]
+
+    parts = parallel.run_shares(
+        None,
+        [partial(train_share, share) for share in shares],
+        lambda n: f"the process training {shares[n][0].name} to {shares[n][-1].name} died",
+    )
+    return [probs for part in parts for probs in part]
 
 
 def cross_validate(
@@ -482,7 +429,7 @@ def cross_validate(
     keeps, and model and shuffle seeds derived from (span seed, fold), all
     before any split trains.  ``_predict_splits`` then trains each split on
     the windows outside its test mask and predicts those inside, in forked
-    workers where it can; the report does not depend on where a split ran.
+    children where it can; the report does not depend on where a split ran.
     The report's ``config`` holds the fields of ``folds`` beside the model
     and training settings.
 
@@ -596,52 +543,26 @@ def _share_scores(
     return np.concatenate(characters), np.concatenate(probs)
 
 
-def _score_shares(timelines: Timelines) -> list[range]:
-    """The chunk starts of each share of ``score_characters``: one share per
-    usable CPU and none empty, cut at the chunk starts nearest to equal row
-    counts, or one share without ``fork``."""
-    chunks = range(0, len(timelines), SCORE_CHUNK_CHARACTERS)
-    n = min(len(chunks), _usable_cpus()) if hasattr(os, "fork") else 1
-    if n < 2:
-        return [chunks]
-    first_rows = timelines.bounds[:-1:SCORE_CHUNK_CHARACTERS]
-    cuts = np.abs(first_rows[:, None] - timelines.bounds[-1] * np.arange(1, n) / n).argmin(axis=0)
-    edges = np.unique([0, *cuts.tolist(), len(chunks)]).tolist()
-    return [chunks[a:b] for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _score_in_child(
-    number: int, stacks: list, error: Exception | None, bundle: ModelBundle
-) -> tuple[np.ndarray, np.ndarray]:
-    """What the child scoring share ``number`` sends: ``_share_scores`` of
-    ``stacks``, on one OpenBLAS thread pinned to a CPU of its own, or
-    ``error``, raised by the cut after them, once they are scored."""
-    set_blas_threads = _openblas_function("set_num_threads")
-    if set_blas_threads is not None:
-        set_blas_threads.argtypes, set_blas_threads.restype = [ctypes.c_int], None
-        set_blas_threads(1)
-    with _on_cpu(number):
-        part = _share_scores(stacks, bundle)
-    if error is not None:
-        raise error
-    return part
-
-
-def _fork_share(timelines: Timelines, chunks: range, number: int, bundle: ModelBundle) -> tuple[int, int, bool]:
+def _cut_share(
+    timelines: Timelines, chunks: Sequence[int], bundle: ModelBundle
+) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
     """Cut the stacks of ``chunks`` here, as ``TRAIN_DTYPE``, the dtype
-    ``predict_probs`` casts to, and fork a child that scores them through
-    ``ingest._in_child``; its pid, its pipe's read end, and whether every
-    chunk was cut.  A cut that raises ends the share there; its child
-    raises that error after scoring the chunks before it.  The stacks are
-    the child's alone once this returns."""
+    ``predict_probs`` casts to; the work that scores them, and then raises
+    the error of a cut that failed, which ends the share."""
     stacks, error = [], None
     try:
         for scored, x in _stacks(timelines, chunks, bundle):
             stacks.append((scored, x.astype(TRAIN_DTYPE)))
     except Exception as exc:
         error = exc
-    pid, read = _in_child(partial(_score_in_child, number, stacks, error, bundle))
-    return pid, read, error is None
+
+    def score() -> tuple[np.ndarray, np.ndarray]:
+        part = _share_scores(stacks, bundle)
+        if error is not None:
+            raise error
+        return part
+
+    return score
 
 
 def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
@@ -657,50 +578,25 @@ def score_characters(timelines: Timelines, bundle: ModelBundle) -> np.ndarray:
     of its count as one batch, so a score does not depend on the chunking,
     on the other characters of its stack, or on the process it ran in.
 
-    The chunks are dealt into ``_score_shares``, one share per usable CPU.
-    For each share after the first, in turn, this process cuts the share's
-    windows and holds them as float32 stacks until it forks the child that
-    predicts them, pinned to its own CPU; it then drops them.  It then cuts
-    and predicts the first share a chunk at a time, so it never holds more
-    than one chunk's windows of its own.  The first chunk, in character
-    order, that fails raises; an error in this process's share kills every
-    child first.  A child that dies raises ``BotledgerError`` naming the
-    characters of its share.  No child outlives the call.  When a fork
-    fails, the shares from that one on are scored here after the children.
+    The chunks are dealt into shares by their rows.  This process holds
+    each later share's windows as float32 stacks only until it forks the
+    child that predicts them; it then cuts and predicts the first share a
+    chunk at a time.  The first chunk, in character order, that fails
+    raises; a child that dies raises ``BotledgerError`` naming the
+    characters of its share.
     """
-    shares = _score_shares(timelines)
-    children: list[tuple[range, int, int]] = []
-    tail: Sequence[int] = ()  # the chunks scored here after the children
-    try:
-        for number, chunks in enumerate(shares[1:], 1):
-            try:
-                pid, read, whole = _fork_share(timelines, chunks, number, bundle)
-            except OSError:  # no process to spare
-                tail = [lo for share in shares[number:] for lo in share]
-                break
-            children.append((chunks, pid, read))
-            if not whole:
-                break
-        with _on_cpu(0) if children else nullcontext():
-            parts = [_share_scores(_stacks(timelines, shares[0], bundle), bundle)]
-        while children:
-            chunks, pid, read = children.pop(0)
-            part = _child_result(pid, read)
-            if part is None:
-                last = timelines.character_id[min(chunks[-1] + SCORE_CHUNK_CHARACTERS, len(timelines)) - 1]
-                raise BotledgerError(
-                    f"the process scoring characters {timelines.character_id[chunks[0]]} to {last} died, "
-                    "for example because the out-of-memory killer stopped it"
-                )
-            if isinstance(part, Exception):
-                raise part
-            parts.append(part)
-    finally:
-        for _, pid, read in children:
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    parts.append(_share_scores(_stacks(timelines, tail, bundle), bundle))
+    chunks = range(0, len(timelines), SCORE_CHUNK_CHARACTERS)
+    shares = [chunks[share] for share in parallel.deal(np.diff(timelines.bounds[[*chunks, len(timelines)]]))]
+
+    def died(n: int) -> str:
+        first, last = shares[n][0], min(shares[n][-1] + SCORE_CHUNK_CHARACTERS, len(timelines)) - 1
+        return f"the process scoring characters {timelines.character_id[first]} to {timelines.character_id[last]} died"
+
+    parts = parallel.run_shares(
+        partial(_share_scores, _stacks(timelines, shares[0], bundle), bundle),
+        (_cut_share(timelines, share, bundle) for share in shares[1:]),
+        died,
+    )
     scores = np.full(len(timelines), np.nan)
     for characters, probs in parts:
         scores[characters] = probs

@@ -10,11 +10,11 @@ turns into one ``Timelines``.
 
 A status log is read once, cut at line starts into byte ranges: one per
 usable CPU, none smaller than ``_BLOCK_BYTES``.  The calling process reads
-the header and the first range; each other range is parsed in a forked
-child, which sends its rows back through a pipe and exits, and no child
-outlives the read.  Each range runs on a CPU of its own while it is parsed.  A child that dies (say, stopped by the out-of-memory
-killer) ends the read with a ``BotledgerError``.  The ranges are joined in
-file order, so any number of them gives the rows, dtypes and counts of one.
+the header and the first range, and ``parallel.run_shares`` parses each
+other range in a forked child, each range on a CPU of its own.  A child
+that dies (say, stopped by the out-of-memory killer) ends the read with a
+``BotledgerError``.  The ranges are joined in file order, so any number of
+them gives the rows, dtypes and counts of one.
 
 Each range is read in blocks of whole lines.  Vectorised byte checks screen
 each block, and the lines that pass go through one ``np.loadtxt`` call per
@@ -42,11 +42,7 @@ import csv
 import io
 import math
 import os
-import pickle
-import signal
-import warnings
 from array import array
-from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -54,7 +50,8 @@ from typing import BinaryIO, Callable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import BotledgerError, DataError
+from . import parallel
+from .errors import DataError
 from .schema import FeatureSchema, Label, StatusLog, Timelines
 
 META_COLUMNS = ("character_id", "account_id", "timestamp")
@@ -317,26 +314,6 @@ def _numbers(text: bytes, n_fields: int) -> np.ndarray:
     )
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@contextmanager
-def _on_cpu(index: int) -> Iterator[None]:
-    """Run this thread on the ``index``-th of its usable CPUs, where the
-    platform allows it, then on all of them again.  Left to the scheduler, a
-    forked child can share its parent's CPU for the whole of a parse."""
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    usable = sorted(os.sched_getaffinity(0))
-    os.sched_setaffinity(0, {usable[index % len(usable)]})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, usable)
-
-
 # A range's blocks: its ids and its (timestamp, values) rows, block by block, and its counts.
 _Parsed = tuple[list[np.ndarray], list[np.ndarray], IngestStats]
 
@@ -374,7 +351,7 @@ def _range_starts(fh: BinaryIO, start: int) -> list[int]:
     line start at or after each of equal cuts, one cut per usable CPU and no
     range smaller than ``_BLOCK_BYTES``, or just ``start`` without ``fork``."""
     size = os.fstat(fh.fileno()).st_size - start  # 0 for a pipe
-    n = max(1, min(_usable_cpus(), size // _BLOCK_BYTES)) if hasattr(os, "fork") else 1
+    n = max(1, min(parallel.usable_cpus(), size // _BLOCK_BYTES)) if hasattr(os, "fork") else 1
     starts = [start]
     for i in range(1, n):
         fh.seek(start + size * i // n - 1)
@@ -385,108 +362,32 @@ def _range_starts(fh: BinaryIO, start: int) -> list[int]:
     return starts
 
 
-def _in_child(work: Callable[[], object]) -> tuple[int, int]:
-    """Fork a child that sends what ``work`` returns, or the exception it
-    raises, through a pipe, and exits 0 once all is sent; its pid and the
-    pipe's read end.  Arrays go after their pickle, as raw bytes that
-    ``_child_result`` reads into place."""
-    read, write = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that fork() in a process with threads may deadlock the child; the
-            # threads are OpenBLAS's, whose fork handler stops them first, and they start again on use
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    code = 1
-    try:
-        os.close(read)
-        try:
-            result: object = work()
-        except Exception as exc:
-            result = exc
-        buffers: list[pickle.PickleBuffer] = []
-        head = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
-        with os.fdopen(write, "wb") as pipe:
-            pickle.dump((head, [buffer.raw().nbytes for buffer in buffers]), pipe, protocol=5)
-            for buffer in buffers:
-                pipe.write(buffer.raw())
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _child_result(pid: int, read: int) -> object:
-    """What the child ``pid`` of ``_in_child`` sent through ``read``, or None
-    when it exited without sending all of it.  The child is reaped, and
-    killed first if this is interrupted."""
-    try:
-        with os.fdopen(read, "rb") as pipe:
-            try:
-                head, sizes = pickle.load(pipe)
-                buffers = [bytearray(size) for size in sizes]
-                for buffer in buffers:
-                    pipe.readinto(buffer)
-            except (EOFError, pickle.UnpicklingError):  # the child died part-way
-                pass
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    # the child exits 0 only once all is sent
-    return pickle.loads(head, buffers=buffers) if os.waitstatus_to_exitcode(status) == 0 else None
-
-
 def _parse_blocks(path: str | Path, want: list[str]) -> tuple[StatusRows, IngestStats]:
     """The fast path: the log read once, in byte ranges, through ``_parse_range``.
 
     Raises ``_RowPathNeeded`` when the first line is not the header
-    ``want``.  The ranges after the first are parsed in forked children
-    while this process parses the first; their blocks are joined in file
-    order, ids and rows each by one ``np.concatenate``.  The first range
-    that raises, in file order, raises its error here; a child that exits
-    without sending its range raises ``BotledgerError``.  Every child is
-    reaped, or killed and reaped, before this returns or raises.
+    ``want``.  ``parallel.run_shares`` parses the ranges after the first in
+    forked children while this process parses the first; their blocks are
+    joined in file order, ids and rows each by one ``np.concatenate``.  The
+    first range that raises, in file order, raises its error here; a child
+    that exits without sending its range raises ``BotledgerError``.  A
+    range whose fork fails is parsed here.
     """
-    children: list[tuple[int, int]] = []
-    try:
-        with open(path, "rb") as fh:
-            if fh.readline().replace(b"\r\n", b"\n") != (",".join(want) + "\n").encode():
-                raise _RowPathNeeded
-            starts = _range_starts(fh, fh.tell())
+    with open(path, "rb") as fh:
+        if fh.readline().replace(b"\r\n", b"\n") != (",".join(want) + "\n").encode():
+            raise _RowPathNeeded
+        starts = _range_starts(fh, fh.tell())
 
-            def child_range(number: int, start: int, stop: int | None) -> _Parsed:
-                with open(path, "rb") as own, _on_cpu(number):
-                    own.seek(start)
-                    return _parse_range(own, None if stop is None else stop - start, len(want))
+        def later_range(start: int, stop: int | None) -> _Parsed:
+            with open(path, "rb") as own:
+                own.seek(start)
+                return _parse_range(own, None if stop is None else stop - start, len(want))
 
-            for number, start, stop in zip(range(1, len(starts)), starts[1:], [*starts[2:], None]):
-                children.append(_in_child(partial(child_range, number, start, stop)))
-            with _on_cpu(0) if children else nullcontext():
-                parts = [_parse_range(fh, None if len(starts) == 1 else starts[1] - starts[0], len(want))]
-        while children:
-            pid, read = children.pop(0)
-            part = _child_result(pid, read)
-            if part is None:
-                raise BotledgerError(
-                    f"status log {path}: the process parsing its range {len(parts) + 1} died, "
-                    "for example because the out-of-memory killer stopped it"
-                )
-            if isinstance(part, Exception):
-                raise part
-            parts.append(part)
-    finally:
-        for pid, read in children:
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        parts = parallel.run_shares(
+            partial(_parse_range, fh, None if len(starts) == 1 else starts[1] - starts[0], len(want)),
+            [partial(later_range, start, stop) for start, stop in zip(starts[1:], [*starts[2:], None])],
+            lambda n: f"status log {path}: the process parsing its range {n + 1} died",
+        )
     stats = IngestStats()
     for _, _, part_stats in parts:
         stats.records_read += part_stats.records_read

@@ -1,12 +1,10 @@
 """End-to-end command-line workflows, option precedence, and exit codes."""
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import re
 import shutil
@@ -22,6 +20,7 @@ import pytest
 import botledger
 import botledger.cli as cli
 import botledger.harness as harness
+import botledger.parallel as parallel
 from botledger.cli import run
 from botledger.errors import DataError, NumericError
 from botledger.features import WindowConfig, eliminate_noninfluential, windows_from_timelines
@@ -919,7 +918,7 @@ def test_numeric_error_maps_to_exit_3(monkeypatch, tmp_path, capsys) -> None:
 
 
 def test_crossval_numeric_error_in_a_fold_exits_3_with_one_line(fortnight, monkeypatch, tmp_path, capfd) -> None:
-    # capfd, not capsys: a fold that trains in a forked worker writes to the inherited file descriptors
+    # capfd, not capsys: a fold that trains in a forked child writes to the inherited file descriptors
     real_train = harness.train
 
     def failing_train(x, y, cfg, opts):
@@ -935,32 +934,33 @@ def test_crossval_numeric_error_in_a_fold_exits_3_with_one_line(fortnight, monke
     assert captured.err == "error: numeric overflow in gradients\n"
     assert captured.out == ""
     assert not (tmp_path / "cv").exists()
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-FOLDS_IN_WORKERS = pytest.mark.skipif(
-    not hasattr(os, "fork") or harness._openblas_function("set_num_threads") is None,
-    reason="the folds run in the calling process here",
-)
+FOLDS_IN_WORKERS = pytest.mark.skipif(not hasattr(os, "fork"), reason="the folds run in the calling process here")
 
 
 @FOLDS_IN_WORKERS
-def test_crossval_by_period_opens_one_worker_pool(fortnight, monkeypatch, capsys) -> None:
-    opened = []
+def test_crossval_by_period_forks_one_child_per_share(fortnight, monkeypatch, capsys) -> None:
+    real_fork, forks = os.fork, []
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(args)
-            super().__init__(*args, **kwargs)
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", recording_fork)
     argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
             "--k", "3", "--epochs", "1", "--seed", "21", "--by-period", "4.5"]
-    assert run(argv) == 0
-    # three evaluated periods of three folds each share the one pool
-    assert "Period 3" in capsys.readouterr().out
-    assert len(opened) == 1
+    for cpus in (2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        forks.clear()
+        assert run(argv) == 0
+        # three evaluated periods of three folds each are dealt into one share per usable CPU in all
+        assert "Period 3" in capsys.readouterr().out
+        assert len(forks) == cpus
 
 
 def test_crossval_by_period_checks_every_period_before_any_fold_trains(
@@ -985,7 +985,7 @@ def test_crossval_by_period_checks_every_period_before_any_fold_trains(
 
     monkeypatch.setattr(harness, "eliminate_noninfluential", seventh_fit_keeps_nothing)
     monkeypatch.setattr(harness, "train", recording_train)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     argv = ["crossval", "--log", str(fortnight / "status_log.csv"), "--labels", str(fortnight / "labels.csv"),
             "--k", "3", "--epochs", "1", "--seed", "21", "--by-period", "4.5", "--out", str(tmp_path / "cv")]
     assert run(argv) == 2
@@ -1004,7 +1004,7 @@ def test_crossval_by_period_folds_in_workers_report_what_folds_in_process_report
             "--k", "3", "--epochs", "2", "--seed", "21", "--by-period", "4.5", "--out"]
     shown = []
     for cpus in (2, 1):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         assert run(argv + [str(tmp_path / f"cv-{cpus}")]) == 0
         shown.append(capsys.readouterr().out)
     assert shown[0] == shown[1]
@@ -1012,13 +1012,12 @@ def test_crossval_by_period_folds_in_workers_report_what_folds_in_process_report
         assert (tmp_path / "cv-2" / name).read_bytes() == (tmp_path / "cv-1" / name).read_bytes()
 
 
-# Runs the crossval arguments in argv[1:] with two usable CPUs, where every fold's worker kills
-# itself, and prints the exit code and how many child processes are left.
+# Runs the crossval arguments in argv[1:] with two usable CPUs, where every fold's child kills
+# itself, and prints the exit code and whether a child is left.
 _KILLED_WORKER_CROSSVAL = """
-import multiprocessing, os, signal, sys
-from botledger import cli, harness
+import os, signal, sys
+from botledger import cli, harness, parallel
 
-assert "concurrent.futures.process" not in sys.modules
 caller, real_train = os.getpid(), harness.train
 
 def killing_train(x, y, cfg, opts):
@@ -1026,9 +1025,14 @@ def killing_train(x, y, cfg, opts):
         os.kill(os.getpid(), signal.SIGKILL)
     return real_train(x, y, cfg, opts)
 
-harness._usable_cpus, harness.train = lambda: 2, killing_train
+parallel.usable_cpus, harness.train = lambda: 2, killing_train
 rc = cli.run(sys.argv[1:])
-print(rc, len(multiprocessing.active_children()))
+assert not {"multiprocessing", "concurrent.futures"} & sys.modules.keys()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print(rc, "a child is left")
+except ChildProcessError:
+    print(rc, "no child is left")
 """
 
 
@@ -1042,10 +1046,10 @@ def test_crossval_worker_killed_mid_fold_exits_3_with_one_line(fortnight, tmp_pa
         [sys.executable, "-c", _KILLED_WORKER_CROSSVAL, *argv], capture_output=True, encoding="utf-8", env=env,
         timeout=60,
     )
-    assert done.stdout == "3 0\n", done.stderr
-    # the first split read, period 1's first fold, lost its worker
+    assert done.stdout == "3 no child is left\n", done.stderr
+    # the first share read, period 1's folds and period 2's first, lost its child
     assert done.stderr == (
-        "error: Period 1, Fold 1: its worker process died, "
+        "error: the process training Period 1, Fold 1 to Period 2, Fold 1 died, "
         "for example because the out-of-memory killer stopped it\n"
     )
     assert not (tmp_path / "cv").exists()
@@ -1092,7 +1096,7 @@ def test_score_writes_the_same_queue_at_every_chunk_size(queue, model_dir, monke
     monkeypatch.setattr(harness, "predict_probs", predict_spy)
     shown, scores = [], []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         pids: dict[str, list[str]] = {"windows": [], "predict": []}
         processes = []
         for size in (1, 3, harness.SCORE_CHUNK_CHARACTERS):
@@ -1126,7 +1130,7 @@ def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(queue, model_dir, 
     # error is n0001's, and no later chunk is scored.  One usable CPU keeps every stack in this
     # process, where the spy sees it; test_harness covers the error order across shares
     monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     bundle = load_model(model_dir / "model.bin")
     timelines, _ = load_timelines(queue / "status_log.csv", queue / "labels.csv", bundle.schema, keep_unlabeled=True)
     failing = {
@@ -1159,7 +1163,7 @@ def test_score_numeric_error_in_a_chunk_exits_3_with_one_line(queue, model_dir, 
 # itself, and prints the exit code and whether a child is left.
 _KILLED_SCORE_RUN = """
 import os, signal, sys
-from botledger import cli, harness
+from botledger import cli, harness, parallel
 
 caller, real_predict = os.getpid(), harness.predict_probs
 
@@ -1168,7 +1172,7 @@ def killing_predict(*args):
         os.kill(os.getpid(), signal.SIGKILL)
     return real_predict(*args)
 
-harness._usable_cpus, harness.predict_probs = lambda: 2, killing_predict
+parallel.usable_cpus, harness.predict_probs = lambda: 2, killing_predict
 rc = cli.run(sys.argv[1:])
 try:
     os.waitpid(-1, os.WNOHANG)

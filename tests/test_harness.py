@@ -1,7 +1,6 @@
 """Metrics, fold hygiene, period splitting, and training-loop behavior."""
 
 import json
-import multiprocessing
 import os
 import pickle
 import re
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 import botledger
-from botledger import harness
+from botledger import harness, parallel
 from botledger.errors import DataError, NumericError
 from botledger.features import WindowConfig, eliminate_noninfluential, windows_from_timelines
 from botledger.harness import (
@@ -561,7 +560,7 @@ def test_score_characters_stacks_each_window_count_of_a_chunk(chunk, monkeypatch
     monkeypatch.setattr(harness, "windows_from_timelines", windows_spy)
     monkeypatch.setattr(harness, "predict_probs", predict_spy)
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         got = harness.score_characters(timelines, bundle)
         assert np.array_equal(got, want, equal_nan=True) and np.isnan(got).tolist() == [c == 0 for c in counts]
         lines = [line.split() for line in calls.read_text(encoding="utf-8").splitlines()]
@@ -576,7 +575,7 @@ def test_score_characters_stacks_each_window_count_of_a_chunk(chunk, monkeypatch
 
 def test_score_characters_of_one_chunk_forks_nothing(monkeypatch) -> None:
     timelines, bundle = _ragged_queue()[:5], _ragged_bundle()
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     real_fork, forks = os.fork, []
 
     def recording_fork():
@@ -630,7 +629,7 @@ def test_score_characters_raises_the_first_failing_chunk_and_leaves_no_child(fai
     monkeypatch.setattr(harness, "windows_from_timelines", failing_windows)
     monkeypatch.setattr(harness, "predict_probs", failing_predict)
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         with pytest.raises(NumericError, match=f"^{re.escape(error)}$"):
             harness.score_characters(timelines, bundle)
         _assert_no_child()
@@ -646,7 +645,7 @@ _CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
 def test_a_score_fork_that_fails_scores_the_rest_here_and_leaks_no_pipe(monkeypatch) -> None:
     timelines, bundle = _ragged_queue(), _ragged_bundle()
     monkeypatch.setattr(harness, "SCORE_CHUNK_CHARACTERS", 3)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     real_fork, forks = os.fork, []
 
     def second_fork_fails():
@@ -856,7 +855,7 @@ def test_folds_in_workers_report_what_folds_in_process_report(monkeypatch, tmp_p
         return real_train(x, y, cfg, opts)
 
     def run(cpus):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         cfg, opts = ModelConfig(2, 4, 0.2), TrainOptions(epochs=2)
         report, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
         ran_in = set(pids.read_text(encoding="utf-8").split())
@@ -866,15 +865,12 @@ def test_folds_in_workers_report_what_folds_in_process_report(monkeypatch, tmp_p
     monkeypatch.setattr(harness, "train", recording_train)
     (pooled, pool_pids), (serial, serial_pids) = run(2), run(1)
     assert serial_pids == {str(os.getpid())}
-    if harness._openblas_function("set_num_threads") is not None and hasattr(os, "fork"):
+    if hasattr(os, "fork"):
         assert str(os.getpid()) not in pool_pids
     assert pooled == serial
 
 
-FOLDS_IN_WORKERS = pytest.mark.skipif(
-    not hasattr(os, "fork") or harness._openblas_function("set_num_threads") is None,
-    reason="the folds run in the calling process here",
-)
+FOLDS_IN_WORKERS = pytest.mark.skipif(not hasattr(os, "fork"), reason="the folds run in the calling process here")
 
 
 @FOLDS_IN_WORKERS
@@ -884,7 +880,7 @@ def test_folds_reach_workers_through_the_fork_not_by_pickling(monkeypatch, tmp_p
     signal = shifted(base, base.character_id[base.y == 1.0], [0], by=1.0)
     timelines = shifted(signal, first_fold_characters(signal, folds)[1], [1], by=5.0)
     cfg, opts = ModelConfig(2, 4, 0.2), TrainOptions(epochs=2)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     in_process = json.dumps(cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)[0], default=document)
 
     def unpicklable(self):
@@ -902,7 +898,7 @@ def test_folds_reach_workers_through_the_fork_not_by_pickling(monkeypatch, tmp_p
     with pytest.raises(pickle.PicklingError):
         pickle.dumps(windows_from_timelines(timelines, TOY_SCHEMA, TOY_WINDOWS))
     monkeypatch.setattr(harness, "train", recording_train)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     pooled, _ = cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
     assert json.dumps(pooled, default=document) == in_process
     trained_in = pids.read_text(encoding="utf-8").split()
@@ -912,7 +908,7 @@ def test_folds_reach_workers_through_the_fork_not_by_pickling(monkeypatch, tmp_p
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_first_failing_fold_reaches_the_caller_and_leaves_no_worker(cpus, monkeypatch) -> None:
     # folds 2 and 3 fail, so in workers too the error is fold 2's, as in one process
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
     folds = FoldOptions(k=4, seed=8)
     real_train = harness.train
@@ -925,45 +921,70 @@ def test_first_failing_fold_reaches_the_caller_and_leaves_no_worker(cpus, monkey
 
     cfg, opts = ModelConfig(2, 4, 0.0), TrainOptions(epochs=1)
     cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     monkeypatch.setattr(harness, "train", failing_train)
     with pytest.raises(NumericError, match=r"^numeric overflow in gradients of fold 2$"):
         cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
-def test_no_fold_starts_after_a_fold_fails(monkeypatch, tmp_path) -> None:
-    # fold 2 fails while fold 1 still trains, so fold 3 must not start when fold 1 ends
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
-    folds = FoldOptions(k=4, seed=8)
+def _fold_logging_train(folds, started, fails, sleeps):
+    """A ``train`` that appends each fold it starts to ``started``, then raises for a fold in
+    ``fails`` or sleeps 5 s for one in ``sleeps``."""
     seeds = [derive_seed(folds.seed, fold) for fold in range(folds.k)]
-    started = tmp_path / "started.txt"
     real_train = harness.train
 
     def logging_train(x, y, cfg, opts):
         fold = seeds.index(cfg.seed) + 1
         with open(started, "a", encoding="utf-8") as fh:
             fh.write(f"{fold}\n")
-        if fold == 1:
-            time.sleep(1.0)
-        if fold == 2:
-            raise NumericError("numeric overflow in gradients of fold 2")
+        if fold in fails:
+            raise NumericError(f"numeric overflow in gradients of fold {fold}")
+        if fold in sleeps:
+            time.sleep(5.0)
         return real_train(x, y, cfg, opts)
 
-    monkeypatch.setattr(harness, "train", logging_train)
+    return logging_train
+
+
+def test_a_share_starts_no_split_after_one_of_its_own_fails(monkeypatch, tmp_path) -> None:
+    # folds 1 and 2 make the first of two shares; fold 1 fails, so its share never starts fold 2
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
+    folds = FoldOptions(k=4, seed=8)
+    started = tmp_path / "started.txt"
+    monkeypatch.setattr(harness, "train", _fold_logging_train(folds, started, fails={1}, sleeps=()))
     cfg, opts = ModelConfig(2, 4, 0.0), TrainOptions(epochs=1)
-    with pytest.raises(NumericError, match=r"^numeric overflow in gradients of fold 2$"):
+    with pytest.raises(NumericError, match=r"^numeric overflow in gradients of fold 1$"):
         cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
-    assert sorted(started.read_text(encoding="utf-8").split()) == ["1", "2"]
+    assert "1" in started.read_text(encoding="utf-8").split()
+    assert "2" not in started.read_text(encoding="utf-8").split()
+    _assert_no_child()
+
+
+@FOLDS_IN_WORKERS
+def test_a_failing_fold_does_not_wait_for_folds_in_other_shares(monkeypatch, tmp_path) -> None:
+    # fold 1 fails at once while every other fold sleeps 5 s: the run ends with fold 1's error,
+    # without waiting for the share of folds 3 and 4
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    timelines = toy_timelines(toy_separable(n_chars_per_class=6, windows_per_char=2, seed=4))
+    folds = FoldOptions(k=4, seed=8)
+    train = _fold_logging_train(folds, tmp_path / "started.txt", fails={1}, sleeps={2, 3, 4})
+    monkeypatch.setattr(harness, "train", train)
+    cfg, opts = ModelConfig(2, 4, 0.0), TrainOptions(epochs=1)
+    began = time.monotonic()
+    with pytest.raises(NumericError, match=r"^numeric overflow in gradients of fold 1$"):
+        cross_validate(timelines, TOY_SCHEMA, TOY_WINDOWS, cfg, opts, folds)
+    assert time.monotonic() - began < 2.5
+    _assert_no_child()
 
 
 # Runs cross_validate on the pickled arguments in argv[1] with two usable CPUs,
-# where every fold's worker kills itself, and prints what the call raised and
-# how many child processes are left.
+# where every fold's child kills itself, and prints what the call raised and
+# whether a child is left.
 _KILLED_WORKER_RUN = """
-import multiprocessing, os, pickle, signal, sys
-from botledger import harness
+import os, pickle, signal, sys
+from botledger import harness, parallel
 
 caller, real_train = os.getpid(), harness.train
 
@@ -972,13 +993,17 @@ def killing_train(x, y, cfg, opts):
         os.kill(os.getpid(), signal.SIGKILL)
     return real_train(x, y, cfg, opts)
 
-harness._usable_cpus, harness.train = lambda: 2, killing_train
+parallel.usable_cpus, harness.train = lambda: 2, killing_train
 with open(sys.argv[1], "rb") as fh:
     args = pickle.load(fh)
 try:
     harness.cross_validate(*args)
 except Exception as exc:
-    print(type(exc).__name__, len(multiprocessing.active_children()))
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print(type(exc).__name__, exc, "| a child is left")
+    except ChildProcessError:
+        print(type(exc).__name__, exc, "| no child is left")
 """
 
 
@@ -994,4 +1019,8 @@ def test_worker_killed_mid_fold_ends_the_run_instead_of_hanging(tmp_path) -> Non
         [sys.executable, "-c", _KILLED_WORKER_RUN, str(job)], capture_output=True, encoding="utf-8", env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "BotledgerError 0\n"
+    # the first share read, folds 1 and 2, lost its child
+    assert done.stdout == (
+        "BotledgerError the process training Fold 1 to Fold 2 died, "
+        "for example because the out-of-memory killer stopped it | no child is left\n"
+    )

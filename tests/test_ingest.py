@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from botledger import ingest
+from botledger import ingest, parallel
 from botledger.errors import DataError
 from botledger.ingest import (
     LabelFile,
@@ -217,7 +217,7 @@ def test_fast_path_reads_the_log_once(block_bytes, monkeypatch, tmp_path) -> Non
     want = _as_compared(_parse_per_row(path))
     monkeypatch.setattr(ingest, "open", counting_open, raising=False)
     for cpus in (1, 3):
-        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         counts.write_text("", encoding="ascii")
         assert _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA))) == want
         read = sum(map(int, counts.read_text(encoding="ascii").split()))
@@ -315,12 +315,12 @@ def test_ranges_give_the_rows_and_counts_of_one(text, monkeypatch, tmp_path) -> 
     path = tmp_path / "log.csv"
     _range_log(path, text)
     forked = _forks_recorded(monkeypatch)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     one = _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA)))
     assert one == _as_compared(_parse_per_row(path))
     assert not forked
     for cpus in (2, 3):
-        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         assert _as_compared(ingest._parse_blocks(path, expected_header(SCHEMA))) == one, cpus
         assert len(forked) == cpus - 1
         _assert_reaped(forked)
@@ -350,7 +350,7 @@ def test_a_range_that_needs_the_row_path_sends_the_whole_file_there(last, monkey
     monkeypatch.setattr(ingest, "_parse_rows", recording_parse_rows)
     outcomes = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         row_path.clear()
         try:
             outcomes.append(_as_compared(parse_status_log(path, SCHEMA)))
@@ -371,7 +371,7 @@ def test_a_range_that_needs_the_row_path_sends_the_whole_file_there(last, monkey
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_bad_header_goes_row_by_row_before_any_fork(cpus, monkeypatch, tmp_path) -> None:
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4093)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     path = tmp_path / "log.csv"
     _range_log(path)
     path.write_bytes(path.read_bytes().replace(b"character_id", b"char_id", 1))
@@ -385,7 +385,7 @@ def test_bad_header_goes_row_by_row_before_any_fork(cpus, monkeypatch, tmp_path)
 def test_log_smaller_than_two_blocks_forks_nothing(monkeypatch, tmp_path) -> None:
     path = tmp_path / "log.csv"
     _range_log(path)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", path.stat().st_size // 2)
     forked = _forks_recorded(monkeypatch)
     assert _as_compared(parse_status_log(path, SCHEMA)) == _as_compared(_parse_per_row(path))
@@ -397,7 +397,7 @@ def test_log_smaller_than_two_blocks_forks_nothing(monkeypatch, tmp_path) -> Non
 def test_no_child_is_left_after_a_failed_read(where, monkeypatch, tmp_path) -> None:
     # a quote in the first range fails here while the children parse; in the last, in a child
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4093)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     path = tmp_path / "log.csv"
     _range_log(path)
     header, body = path.read_bytes().split(b"\n", 1)
@@ -412,9 +412,9 @@ def test_no_child_is_left_after_a_failed_read(where, monkeypatch, tmp_path) -> N
 
 @RANGES
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="open descriptors are listed only on Linux")
-def test_a_fork_that_fails_sends_the_file_row_by_row_and_leaks_no_pipe(monkeypatch, tmp_path) -> None:
+def test_a_fork_that_fails_parses_its_range_here_and_leaks_no_pipe(monkeypatch, tmp_path) -> None:
     monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4093)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     path = tmp_path / "log.csv"
     _range_log(path)
     want = _as_compared(_parse_per_row(path))
@@ -426,18 +426,25 @@ def test_a_fork_that_fails_sends_the_file_row_by_row_and_leaks_no_pipe(monkeypat
             raise BlockingIOError(11, "Resource temporarily unavailable")
         return real_fork()
 
+    def no_row_path(*args):
+        raise AssertionError("the log went row by row")
+
     monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(ingest, "_parse_rows", no_row_path)
     open_fds = sorted(os.listdir("/proc/self/fd"))
     assert _as_compared(parse_status_log(path, SCHEMA)) == want
+    assert len(forks) == 2
     assert sorted(os.listdir("/proc/self/fd")) == open_fds
     _assert_reaped([])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # Runs the command in argv under three usable CPUs and 4093-byte blocks, where the child parsing
 # each range after the first kills itself, and prints the exit code and whether a child is left.
 _KILLED_RANGE_RUN = """
 import os, signal, sys
-from botledger import cli, ingest
+from botledger import cli, ingest, parallel
 
 caller, real_parse_block = os.getpid(), ingest._parse_block
 
@@ -446,7 +453,7 @@ def killing_parse_block(*args):
         os.kill(os.getpid(), signal.SIGKILL)
     return real_parse_block(*args)
 
-ingest._BLOCK_BYTES, ingest._usable_cpus, ingest._parse_block = 4093, lambda: 3, killing_parse_block
+ingest._BLOCK_BYTES, parallel.usable_cpus, ingest._parse_block = 4093, lambda: 3, killing_parse_block
 rc = cli.run(sys.argv[1:])
 try:
     os.waitpid(-1, os.WNOHANG)
